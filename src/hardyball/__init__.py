@@ -49,7 +49,6 @@ from .model import (
     OuterRational,
     PuncturedSpace,
     check_membership,
-    check_outer,
     l1_norm,
     normalize,
     sample_member,
@@ -60,11 +59,9 @@ from .series import (
     PoleMarginError,
     QuadratureConvergenceError,
     RationalDiskFunction,
-    circle_l1_norm,
     converged_circle_mean,
     convolve,
     expand_rational,
-    log_mean_modulus,
 )
 from .tolerances import DEFAULT, Tolerances
 

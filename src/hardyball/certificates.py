@@ -27,10 +27,11 @@ from .extremality import (
     numeric_rank,
 )
 from .model import (
+    BlaschkeProduct,
     FactoredFunction,
     MembershipReport,
     PuncturedSpace,
-    membership_report_of,
+    check_membership,
     numerator_roots,
 )
 from .series import CircleGrid, RationalDiskFunction, converged_circle_mean
@@ -100,14 +101,6 @@ class WitnessReport:
         return abs(self.norm_minus - self.norm_f)
 
 
-def _blaschke_values(zeros, z):
-    acc = np.ones_like(z)
-    for a in zeros:
-        a = complex(a)
-        acc = acc * (z - a) / (1 - a.conjugate() * z)
-    return acc
-
-
 def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.ndarray):
     """h = p * Phi_N * phi2 / I on given circle nodes (N = order of p).
 
@@ -120,7 +113,7 @@ def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.nd
     vals = witness.polynomial(z)
     for a in first:
         vals = vals / (1 - a.conjugate() * z) ** 2
-    vals = vals * _blaschke_values(witness.phi2_zeros, z)
+    vals = vals * BlaschkeProduct(witness.phi2_zeros)(z)
     return vals / f.inner(z)
 
 
@@ -309,11 +302,11 @@ def verify_witness(
             f_coeffs = f.taylor(space.k_max).to_array(space.k_max)
             plus = f_coeffs + eps * (product_coeffs - c * f_coeffs)
             minus = f_coeffs - eps * (product_coeffs - c * f_coeffs)
-            membership_plus = membership_report_of(plus, space, tol)
-            membership_minus = membership_report_of(minus, space, tol)
+            membership_plus = check_membership(plus, space, tol)
+            membership_minus = check_membership(minus, space, tol)
         else:
             hole_residuals = ()
-            membership_plus = membership_report_of(np.zeros(1, dtype=complex), space, tol)
+            membership_plus = check_membership(np.zeros(1, dtype=complex), space, tol)
             membership_minus = membership_plus
 
         norm_f, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol)

@@ -3,8 +3,9 @@
 Exit codes encode verdicts so shell pipelines can branch without parsing:
 0 extreme / verified, 10 non-extreme, 11 borderline, 1 failed certificate,
 2 input error, 3 generator gave up.  ``HARDY_TOL_RANK`` and
-``HARDY_TOL_QUAD`` override the corresponding tolerances; explicit flags win
-over the environment.
+``HARDY_TOL_QUAD`` override the corresponding tolerances; per-problem
+``options`` win over the environment, and explicit flags win over both.  A
+malformed environment value is a parse error (exit 2).
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ _STATUS_EXIT = {EXTREME: EXIT_EXTREME, NON_EXTREME: EXIT_NON_EXTREME, BORDERLINE
 
 def _tolerances(options: dict | None = None, tol_rank: float | None = None,
                 grid: int | None = None) -> Tolerances:
-    tol = DEFAULT
     env = {}
-    if "HARDY_TOL_RANK" in os.environ:
-        env["rank"] = float(os.environ["HARDY_TOL_RANK"])
-    if "HARDY_TOL_QUAD" in os.environ:
-        env["quad"] = float(os.environ["HARDY_TOL_QUAD"])
-    tol = tol.override(**env)
+    for name, field in (("HARDY_TOL_RANK", "rank"), ("HARDY_TOL_QUAD", "quad")):
+        if name in os.environ:
+            try:
+                env[field] = float(os.environ[name])
+            except ValueError:
+                raise DocumentError(name, f"expected a number, got {os.environ[name]!r}") from None
+    tol = DEFAULT.override(**env)
     if options:
         tol = tol.override(**options)
     return tol.override(rank=tol_rank, quad_start_n=grid)
@@ -113,13 +115,13 @@ def _error_report(kind: str, message: str, extra: dict | None = None) -> dict:
 def cmd_analyze(args) -> int:
     try:
         problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
+        tol = _tolerances(problem.options, args.tol_rank, args.grid)
     except DocumentError as exc:
         print(canonical_json(_error_report("parse", str(exc))))
         return EXIT_INPUT_ERROR
-    tol = _tolerances(problem.options, args.tol_rank, args.grid)
 
     f, space = problem.function.canonical(), problem.space
-    membership = model.check_membership(f, space, tol)
+    membership = model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol)
     if not membership.passed:
         hole, residual = membership.worst()
         print(canonical_json(_error_report(
@@ -199,10 +201,10 @@ def cmd_certify(args) -> int:
     try:
         problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
         witness = documents.parse_witness(_read_document(args.witness), source=args.witness)
+        tol = _tolerances(problem.options)
     except DocumentError as exc:
         print(canonical_json(_error_report("parse", str(exc))))
         return EXIT_INPUT_ERROR
-    tol = _tolerances(problem.options)
     f = problem.function.canonical()
     normalized, _ = model.normalize(f, tol)
     report = certificates.verify_witness(normalized, problem.space, witness, tol)
@@ -246,7 +248,8 @@ def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ..
             _substitute(template, dict(zip(names, values))), source="<sweep>"
         )
         f, space = problem.function.canonical(), problem.space
-        if not model.check_membership(f, space, tol).passed:
+        if not model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space,
+                                      tol).passed:
             return row + ["skip", "", "", ""]
         f, _ = model.normalize(f, tol)
         verdict = extremality.decide_extreme(f, space, tol)
@@ -291,10 +294,10 @@ def cmd_sweep(args) -> int:
             _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}),
             source=args.template,
         )
+        tol = _tolerances(first_point.options)
     except DocumentError as exc:
         print(canonical_json(_error_report("parse", str(exc))), file=sys.stderr)
         return EXIT_INPUT_ERROR
-    tol = _tolerances(first_point.options)
 
     combos = list(itertools.product(*ranges))
     if args.jobs and args.jobs > 1:
@@ -337,10 +340,10 @@ def cmd_gen(args) -> int:
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise DocumentError(args.spec + ".numerator_degree", "expected an integer")
         space = model.PuncturedSpace(tuple(holes))
+        tol = _tolerances()
     except (DocumentError, ValueError) as exc:
         print(canonical_json(_error_report("parse", str(exc))), file=sys.stderr)
         return EXIT_INPUT_ERROR
-    tol = _tolerances()
     try:
         member = model.sample_member(space, zeros, den, degree, args.seed, tol)
     except model.MaxRetriesExceededError as exc:

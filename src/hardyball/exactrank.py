@@ -1,114 +1,65 @@
-"""Exact rank backend: fraction arithmetic on the binary-exact lift of the inputs.
+"""Exact rank backend: Gaussian rationals lifted bit-exactly from the inputs.
 
-Every float is a dyadic rational, so problem data lifts exactly to Gaussian
-rationals (pairs of :class:`fractions.Fraction`).  The coefficient recurrence
-needs only ring operations (the denominator's constant term is 1), hence the
-criterion matrix entries are exact rationals and its rank can be computed by
-fraction-free elimination with no tolerance at all.  Floating point stays the
+Every float is a dyadic rational, so problem data lift exactly to Gaussian
+rationals.  The Taylor recurrence (:func:`hardyball.series.expand`) and the
+criterion assembly need only ring operations (the denominator's constant term
+is 1), so run on :class:`Gaussian` scalars they give the criterion matrix as
+exact rationals.  Its kernel, and with it the rank, then comes from exact
+Gauss-Jordan elimination with no tolerance at all.  Floating point stays the
 default backend; this one removes rank ambiguity for borderline inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-import numpy as np
+from .model import FactoredFunction, PuncturedSpace
+from .series import expand, expand_denominator
 
-from .model import FactoredFunction, NotInSpaceError, PuncturedSpace
 
-Gaussian = tuple[Fraction, Fraction]  # (real, imaginary)
+class Gaussian:
+    """Exact complex number real + i*imag with Fraction parts.
+
+    A plain slotted class: the recurrence constructs one per ring operation.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: Fraction, imag: Fraction):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other: "Gaussian") -> "Gaussian":
+        return Gaussian(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other: "Gaussian") -> "Gaussian":
+        return Gaussian(self.real - other.real, self.imag - other.imag)
+
+    def __mul__(self, other: "Gaussian") -> "Gaussian":
+        return Gaussian(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    def __neg__(self) -> "Gaussian":
+        return Gaussian(-self.real, -self.imag)
+
+    def conjugate(self) -> "Gaussian":
+        return Gaussian(self.real, -self.imag)
 
 
 def lift(z: complex) -> Gaussian:
     """Exact rational image of a complex float."""
     z = complex(z)
-    return (Fraction(z.real), Fraction(z.imag))
-
-
-def _mul(a: Gaussian, b: Gaussian) -> Gaussian:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _sub(a: Gaussian, b: Gaussian) -> Gaussian:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _conj(a: Gaussian) -> Gaussian:
-    return (a[0], -a[1])
-
-
-_ZERO: Gaussian = (Fraction(0), Fraction(0))
-_ONE: Gaussian = (Fraction(1), Fraction(0))
-
-
-def exact_expand(numerator, parameters, up_to: int) -> list[Gaussian]:
-    """Exact Taylor coefficients of p(z) / prod (1 - conj(b) z), indices 0..up_to."""
-    den = [_ONE]
-    for b in parameters:
-        factor = _mul((Fraction(-1), Fraction(0)), _conj(b))
-        nxt = [_ZERO] * (len(den) + 1)
-        for i, c in enumerate(den):
-            nxt[i] = (nxt[i][0] + c[0], nxt[i][1] + c[1])
-            prod = _mul(factor, c)
-            nxt[i + 1] = (nxt[i + 1][0] + prod[0], nxt[i + 1][1] + prod[1])
-        den = nxt
-    coeffs: list[Gaussian] = []
-    for k in range(up_to + 1):
-        acc = numerator[k] if k < len(numerator) else _ZERO
-        for n in range(1, min(k, len(den) - 1) + 1):
-            acc = _sub(acc, _mul(den[n], coeffs[k - n]))
-        coeffs.append(acc)
-    return coeffs
-
-
-def exact_criterion_rows(coeffs: list[Gaussian], holes, m: int) -> list[list[Fraction]]:
-    """Assembled criterion matrix over Fractions (same block layout as the float path)."""
-
-    def at(r: int) -> Gaussian:
-        return coeffs[r] if 0 <= r < len(coeffs) else _ZERO
-
-    top, bottom = [], []
-    for k in holes:
-        re_sum = [at(k + l - m)[0] + at(k - l - m)[0] for l in range(m + 1)]
-        im_sum = [at(k + l - m)[1] + at(k - l - m)[1] for l in range(m + 1)]
-        re_diff = [at(k + l - m)[0] - at(k - l - m)[0] for l in range(1, m + 1)]
-        im_diff = [at(k + l - m)[1] - at(k - l - m)[1] for l in range(1, m + 1)]
-        top.append(re_sum + im_diff)
-        bottom.append(im_sum + [-x for x in re_diff])
-    return top + bottom
-
-
-def fraction_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination on the integer-scaled matrix."""
-    if not rows:
-        return 0
-    denominators = [x.denominator for row in rows for x in row]
-    scale = lcm(*denominators) if denominators else 1
-    a = [[int(x * scale) for x in row] for row in rows]
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(row, n_rows) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[row], a[pivot_row] = a[pivot_row], a[row]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                a[r][c] = (a[r][c] * a[row][col] - a[r][col] * a[row][c]) // prev_pivot
-            a[r][col] = 0
-        prev_pivot = a[row][col]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+    return Gaussian(Fraction(z.real), Fraction(z.imag))
 
 
 def fraction_kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    """Exact kernel basis via reduced row echelon form (free-column parametrization)."""
+    """Exact kernel basis via reduced row echelon form (free-column parametrization).
+
+    The basis has one vector per free column, so the rank is
+    ``n_cols - len(basis)``.
+    """
     a = [list(row) for row in rows]
     pivots: list[tuple[int, int]] = []  # (row, column)
     row = 0
@@ -141,47 +92,22 @@ def fraction_kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fracti
 def exact_membership_defects(
     f: FactoredFunction, space: PuncturedSpace
 ) -> list[tuple[int, Fraction]]:
-    """Exact |Re| + |Im| of each hole coefficient of the rational lift of f."""
-    f = f.canonical()
-    inner_num = [lift(c) for c in f.inner.numerator_coefficients()]
-    out: list[Gaussian] = [_ZERO] * (len(inner_num) + len(f.outer.numerator) - 1)
-    for i, a in enumerate(inner_num):
-        for j, b in enumerate(f.outer.numerator):
-            prod = _mul(a, lift(b))
-            out[i + j] = (out[i + j][0] + prod[0], out[i + j][1] + prod[1])
-    parameters = [lift(a) for a in f.inner.zeros]
-    parameters += [lift(b) for b in f.outer.denominator_parameters]
-    coeffs = exact_expand(out, parameters, space.k_max)
-    return [(k, abs(coeffs[k][0]) + abs(coeffs[k][1])) for k in space.holes]
+    """Exact |Re| + |Im| of each hole coefficient of the rational lift of f.
 
-
-def exact_rank_of_criterion(
-    f: FactoredFunction, space: PuncturedSpace
-) -> tuple[int, np.ndarray]:
-    """Exact rank and (orthonormalized) kernel of the criterion matrix of f.
-
-    Meaningful only for data that are members of the space *exactly* as
-    rationals (hand-authored or dyadically constructed instances); anything
-    else is rejected, because the exact rank of an epsilon-perturbed matrix
-    answers a question about a function outside the space.  The kernel is
-    exact as a rational subspace; its returned basis is converted to floats
-    and orthonormalized for downstream use.
+    Only the data of the canonical pair are lifted (inner zeros, outer
+    numerator and poles); every product is formed exactly.  With w the Taylor
+    coefficients of F / prod_j (1 - conj(a_j) z), f = prod_j (z - a_j) * w,
+    and the coefficients of prod_j (z - a_j) are those of
+    prod_j (1 - conj(a_j) z) conjugated in reverse order.
     """
     f = f.canonical()
-    for hole, defect in exact_membership_defects(f, space):
-        if defect != 0:
-            raise NotInSpaceError(hole, float(defect))
-    m = f.inner.degree
-    numerator = [lift(c) for c in f.outer.numerator]
-    parameters = [lift(b) for b in f.outer.denominator_parameters]
-    parameters += [lift(a) for a in f.inner.zeros] * 2
-    coeffs = exact_expand(numerator, parameters, space.k_max)
-    rows = exact_criterion_rows(coeffs, space.holes, m)
-    rank = fraction_rank(rows)
-    basis = fraction_kernel(rows, 2 * m + 1)
-    assert len(basis) == 2 * m + 1 - rank
-    if not basis:
-        return rank, np.zeros((0, 2 * m + 1))
-    kernel = np.array([[float(x) for x in vec] for vec in basis])
-    q, _ = np.linalg.qr(kernel.T)
-    return rank, q.T
+    zeros = f.inner.zeros
+    w = expand(
+        f.outer.numerator, zeros + f.outer.denominator_parameters, space.k_max, lift
+    ).values
+    inner = [d.conjugate() for d in reversed(expand_denominator(zeros, lift))]
+    defects = []
+    for k in space.holes:
+        c = sum((inner[t] * w[k - t] for t in range(min(len(inner) - 1, k) + 1)), lift(0))
+        defects.append((k, abs(c.real) + abs(c.imag)))
+    return defects

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactoredFunction, PuncturedSpace, check_membership
-from .series import CoefficientSequence, RationalDiskFunction, polyval_ascending
+from .model import FactoredFunction, NotInSpaceError, PuncturedSpace, check_membership
+from .series import CoefficientSequence, expand, polyval_ascending
 from .tolerances import DEFAULT, Tolerances
 
 EXTREME = "extreme"
@@ -131,74 +131,60 @@ class CriterionMatrix:
     im_sum[j, l]  = Im c_{k_j+l-m} + Im c_{k_j-l-m}   (l = 0..m)
     re_diff[j, l] = Re c_{k_j+l-m} - Re c_{k_j-l-m}   (l = 1..m)
     im_diff[j, l] = Im c_{k_j+l-m} - Im c_{k_j-l-m}   (l = 1..m)
+
+    ``assembled`` is float64 for complex coefficients and an object array of
+    exact rationals for exact ones.
     """
 
     holes: tuple[int, ...]
     m: int
-    re_sum: np.ndarray
-    im_sum: np.ndarray
-    re_diff: np.ndarray
-    im_diff: np.ndarray
     assembled: np.ndarray
     coefficients: CoefficientSequence
-
-    @property
-    def rows(self) -> int:
-        return 2 * len(self.holes)
-
-    @property
-    def columns(self) -> int:
-        return 2 * self.m + 1
-
-    def entry_defect(self) -> float:
-        """Max deviation of the stored blocks from their defining identities."""
-        rebuilt = assemble_criterion_matrix(self.coefficients, self.holes, self.m)
-        if self.assembled.size == 0:
-            return 0.0
-        return float(np.abs(self.assembled - rebuilt.assembled).max())
 
 
 def assemble_criterion_matrix(
     coeffs: CoefficientSequence, holes, m: int
 ) -> CriterionMatrix:
-    """Assemble the criterion blocks from a coefficient sequence (pure tabulation)."""
+    """Assemble the criterion blocks from a coefficient sequence (pure tabulation).
+
+    Works on any scalars with ``.real``, ``.imag`` and exact ``+ -`` on those
+    parts, so the same tabulation serves float and exact coefficients.
+    """
     holes = tuple(int(k) for k in holes)
-    M = len(holes)
-    re = lambda r: coeffs.at(r).real
-    im = lambda r: coeffs.at(r).imag
-    re_sum = np.array([[re(k + l - m) + re(k - l - m) for l in range(m + 1)] for k in holes],
-                      dtype=float).reshape(M, m + 1)
-    im_sum = np.array([[im(k + l - m) + im(k - l - m) for l in range(m + 1)] for k in holes],
-                      dtype=float).reshape(M, m + 1)
-    re_diff = np.array([[re(k + l - m) - re(k - l - m) for l in range(1, m + 1)] for k in holes],
-                       dtype=float).reshape(M, m)
-    im_diff = np.array([[im(k + l - m) - im(k - l - m) for l in range(1, m + 1)] for k in holes],
-                       dtype=float).reshape(M, m)
-    assembled = np.block([[re_sum, im_diff], [im_sum, -re_diff]]) if M else \
-        np.zeros((0, 2 * m + 1))
-    return CriterionMatrix(holes, m, re_sum, im_sum, re_diff, im_diff, assembled, coeffs)
+    n = len(coeffs.values)
+    base = np.array(holes, dtype=int).reshape(-1, 1) - m - coeffs.start
+    offsets = np.arange(m + 1)
+    # positions of c_{k+l-m} and c_{k-l-m}; reads outside the window hit the trailing zero
+    hi, lo = (np.where((i >= 0) & (i < n), i, n) for i in (base + offsets, base - offsets))
+    re = np.array([c.real for c in coeffs.values] + [0])
+    im = np.array([c.imag for c in coeffs.values] + [0])
+    re_sum, im_sum = re[hi] + re[lo], im[hi] + im[lo]
+    re_diff = re[hi[:, 1:]] - re[lo[:, 1:]]
+    im_diff = im[hi[:, 1:]] - im[lo[:, 1:]]
+    assembled = np.block([[re_sum, im_diff], [im_sum, -re_diff]])
+    return CriterionMatrix(holes, m, assembled, coeffs)
 
 
-def criterion_coefficients(f: FactoredFunction, up_to: int) -> CoefficientSequence:
+def criterion_coefficients(f: FactoredFunction, up_to: int, ring=complex) -> CoefficientSequence:
     """Taylor coefficients of F(z) * prod_j (1 - conj(a_j) z)^(-2).
 
     The squared factors are appended to the outer denominator parameter list,
-    so the expansion stays an exact recurrence.  Indices below zero read as
-    zero by the sequence convention.
+    so the expansion stays an exact recurrence, formed in the scalar ring
+    ``ring`` lifts into (see :func:`hardyball.series.expand`).  Indices below
+    zero read as zero by the sequence convention.
     """
     f = f.canonical()
     doubled = tuple(f.inner.zeros) * 2
-    weighted = RationalDiskFunction(
-        f.outer.numerator, f.outer.denominator_parameters + doubled
-    )
-    return weighted.taylor(up_to)
+    return expand(f.outer.numerator, f.outer.denominator_parameters + doubled, up_to, ring)
 
 
-def build_criterion_matrix(f: FactoredFunction, space: PuncturedSpace) -> CriterionMatrix:
+def build_criterion_matrix(
+    f: FactoredFunction, space: PuncturedSpace, ring=complex
+) -> CriterionMatrix:
     """Criterion matrix of a factored function for the given hole set."""
     f = f.canonical()
     m = f.inner.degree
-    coeffs = criterion_coefficients(f, space.k_max)
+    coeffs = criterion_coefficients(f, space.k_max, ring)
     return assemble_criterion_matrix(coeffs, space.holes, m)
 
 
@@ -260,7 +246,6 @@ class ExtremalityVerdict:
     kernel_basis: np.ndarray
     condition_a: ConditionA
     singular_values: np.ndarray
-    matrix: CriterionMatrix
     backend: str = "svd"
 
     @property
@@ -284,21 +269,29 @@ def decide_extreme(
     :class:`~hardyball.model.NotInSpaceError`).  The inner-degree condition is
     checked first; when it fails the function is non-extreme regardless of the
     matrix, whose rank is still reported for diagnostics.  ``backend`` is
-    either "svd" (default) or "exact" (fraction arithmetic on the binary-exact
-    rational lift of the inputs; no tolerance, no borderline band).
+    either "svd" (default) or "exact" (Gauss-Jordan elimination over the
+    binary-exact Gaussian-rational lift of the inputs; no tolerance, no
+    borderline band).
     """
     f = f.canonical()
-    check_membership(f, space, tol).require()
+    check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol).require()
     m = f.inner.degree
     cond = ConditionA(m, space.size)
-    matrix = build_criterion_matrix(f, space)
 
     if backend == "exact":
-        from .exactrank import exact_rank_of_criterion
+        from .exactrank import exact_membership_defects, fraction_kernel, lift
 
-        rank, kernel = exact_rank_of_criterion(f, space)
-        result = RankResult(rank, kernel, np.zeros(0), False)
+        # the exact rank of a function that is not an exact rational member
+        # answers a question about a function outside the space
+        for hole, defect in exact_membership_defects(f, space):
+            if defect != 0:
+                raise NotInSpaceError(hole, float(defect))
+        matrix = build_criterion_matrix(f, space, lift).assembled
+        basis = fraction_kernel(matrix.tolist(), 2 * m + 1)
+        kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
+        result = RankResult(2 * m + 1 - len(basis), kernel, np.zeros(0), False)
     elif backend == "svd":
+        matrix = build_criterion_matrix(f, space)
         scale = float(np.abs(matrix.coefficients.to_array(space.k_max)).max()) \
             if space.holes else 0.0
         result = numeric_rank(matrix.assembled, tol.rank, scale_floor=scale)
@@ -316,7 +309,7 @@ def decide_extreme(
     else:
         status = NON_EXTREME
     return ExtremalityVerdict(
-        status, result.rank, result.kernel, cond, result.singular_values, matrix, backend
+        status, result.rank, result.kernel, cond, result.singular_values, backend
     )
 
 

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (
-    CircleGrid,
-    CoefficientSequence,
-    RationalDiskFunction,
-    converged_circle_mean,
-)
+from .series import CoefficientSequence, RationalDiskFunction, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -212,23 +207,13 @@ class MembershipReport:
 
 
 def check_membership(
-    f: FactoredFunction, space: PuncturedSpace, tol: Tolerances = DEFAULT
-) -> MembershipReport:
-    """Check that every hole coefficient of f vanishes (relatively to max |f^(k)|)."""
-    if not space.holes:
-        return MembershipReport((), (), 0.0, tol.membership)
-    coeffs = f.taylor(space.k_max).to_array(space.k_max)
-    scale = float(np.abs(coeffs).max())
-    if scale == 0.0:
-        return MembershipReport(space.holes, (0.0,) * space.size, 0.0, tol.membership)
-    residuals = tuple(float(abs(coeffs[k])) / scale for k in space.holes)
-    return MembershipReport(space.holes, residuals, scale, tol.membership)
-
-
-def membership_report_of(
     coeffs: np.ndarray, space: PuncturedSpace, tol: Tolerances = DEFAULT
 ) -> MembershipReport:
-    """Membership residuals for an already-expanded coefficient vector 0..k_M."""
+    """Check that every hole coefficient vanishes, relative to the largest one.
+
+    ``coeffs`` is the dense Taylor coefficient vector 0..k_M of the function,
+    e.g. ``f.taylor(space.k_max).to_array(space.k_max)``.
+    """
     if not space.holes:
         return MembershipReport((), (), 0.0, tol.membership)
     scale = float(np.abs(coeffs).max())
@@ -236,41 +221,6 @@ def membership_report_of(
         return MembershipReport(space.holes, (0.0,) * space.size, 0.0, tol.membership)
     residuals = tuple(float(abs(coeffs[k])) / scale for k in space.holes)
     return MembershipReport(space.holes, residuals, scale, tol.membership)
-
-
-@dataclass(frozen=True)
-class OuterCheck:
-    is_outer: bool
-    roots: tuple[complex, ...]
-    roots_inside: tuple[complex, ...]
-    roots_on_circle: tuple[complex, ...]
-    log_mean_residual: float | None  # None when the diagnostic was skipped
-
-
-# cross-check needs log|F| smooth enough for the doubling ladder; skip it when
-# roots sit closer to the circle than this
-_CROSS_CHECK_MARGIN = 1e-3
-
-
-def check_outer(F: OuterRational, tol: Tolerances = DEFAULT) -> OuterCheck:
-    """Classify outerness by root location, cross-checked by the log-mean identity.
-
-    For rationals with poles outside the closed disk, outer is equivalent to
-    the numerator having no roots in the open disk.  When no root is close to
-    the circle, the verdict is additionally cross-checked against
-    mean log|F| = log|F(0)| by quadrature (diagnostic only; root location
-    stays authoritative).
-    """
-    roots = tuple(complex(r) for r in numerator_roots(F.numerator))
-    inside = tuple(r for r in roots if abs(r) < 1.0 - tol.root)
-    on_circle = tuple(r for r in roots if abs(abs(r) - 1.0) <= tol.root)
-    is_outer = not inside
-    residual = None
-    clear_of_circle = all(abs(abs(r) - 1.0) > _CROSS_CHECK_MARGIN for r in roots)
-    if is_outer and clear_of_circle and F.numerator[0] != 0:
-        mean, _ = converged_circle_mean(lambda z: np.log(np.abs(F(z))), tol, target=1e-10)
-        residual = abs(mean - float(np.log(abs(F.numerator[0]))))
-    return OuterCheck(is_outer, roots, inside, on_circle, residual)
 
 
 def l1_norm(f: FactoredFunction, tol: Tolerances = DEFAULT) -> float:
@@ -349,13 +299,8 @@ def sample_member(
             continue  # not outer, or too close to the circle to quadrature well
         outer = OuterRational(tuple(candidate), den)
         member, _ = normalize(FactoredFunction(inner, outer), tol)
-        check_membership(member, space, tol).require()
+        check_membership(member.taylor(space.k_max).to_array(space.k_max), space, tol).require()
         return member
     raise MaxRetriesExceededError(
         f"no outer numerator found in {tol.sample_retries} draws (degree {d}, holes {space.holes})"
     )
-
-
-def unimodularity_defect(inner: BlaschkeProduct, grid: CircleGrid) -> float:
-    """max over grid nodes of ||I(node)| - 1| (should be ~1e-15 for valid data)."""
-    return float(np.abs(np.abs(inner(grid.nodes)) - 1.0).max())

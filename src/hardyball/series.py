@@ -2,10 +2,12 @@
 
 Everything the rank criterion consumes is a finite batch of Taylor
 coefficients, so coefficient computation is done by exact linear recurrence
-(float rounding only, no truncation error).  Quadrature on the unit circle is
-the uniform-node average, which is spectrally accurate for periodic smooth
-integrands; callers that need certified digits double the grid until two
-successive values agree.
+(no truncation error).  The recurrence needs only ring operations, so it runs
+unchanged on complex floats (rounding is its only error) and on the exact
+Gaussian rationals of :mod:`hardyball.exactrank`.  Quadrature on the unit
+circle is the uniform-node average, which is spectrally accurate for periodic
+smooth integrands; callers that need certified digits double the grid until
+two successive values agree.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ class CoefficientSequence:
     Stores values for indices ``start, start+1, ...``; reads outside the
     stored window return exactly zero (in particular every negative index,
     matching the convention that coefficients of analytic functions vanish
-    below zero).
+    below zero).  Values are complex floats, or exact ring elements when
+    :func:`expand` ran in an exact ring; ``at`` and ``to_array`` read complex
+    sequences.
     """
 
     start: int
-    values: tuple[complex, ...]
+    values: tuple
 
     @property
     def stop(self) -> int:
@@ -57,12 +61,13 @@ class CoefficientSequence:
             return self.values[k - self.start]
         return 0j
 
-    def __getitem__(self, k: int) -> complex:
-        return self.at(k)
-
     def to_array(self, up_to: int) -> np.ndarray:
         """Coefficients 0..up_to as a dense complex vector."""
-        return np.array([self.at(k) for k in range(up_to + 1)], dtype=complex)
+        dense = np.zeros(up_to + 1, dtype=complex)
+        lo = max(self.start, 0)
+        hi = max(min(self.stop, up_to + 1), lo)
+        dense[lo:hi] = self.values[lo - self.start:hi - self.start]
+        return dense
 
     @classmethod
     def from_values(cls, values: Sequence[complex], start: int = 0) -> "CoefficientSequence":
@@ -86,17 +91,46 @@ def convolve(s: CoefficientSequence, t: CoefficientSequence, up_to: int) -> Coef
     return CoefficientSequence(0, tuple(out))
 
 
-def _expand_denominator(parameters: Sequence[complex]) -> list[complex]:
-    """Expanded coefficients of prod_i (1 - conj(b_i) z), constant term first."""
-    coeffs = [1 + 0j]
+def expand_denominator(parameters: Sequence, ring: Callable = complex) -> list:
+    """Expanded coefficients of prod_i (1 - conj(b_i) z), constant term first.
+
+    ``ring`` maps a number into the scalar type the product is formed in:
+    ``complex`` for floats, or an exact lift.  The scalars need only
+    ``+ - *`` and ``conjugate()``.
+    """
+    coeffs = [ring(1)]
     for b in parameters:
-        factor = -complex(b).conjugate()
-        nxt = [0j] * (len(coeffs) + 1)
+        factor = -ring(b).conjugate()
+        nxt = [ring(0)] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += c
             nxt[i + 1] += factor * c
         coeffs = nxt
     return coeffs
+
+
+def expand(numerator: Sequence, parameters: Sequence, up_to: int,
+           ring: Callable = complex) -> CoefficientSequence:
+    """Taylor coefficients c_0..c_{up_to} of p(z) / prod_i (1 - conj(b_i) z).
+
+    Writing the denominator as sum_n d_n z^n (d_0 = 1), the coefficients obey
+    sum_n d_n c_{k-n} = p_k, which is solved forward using ring operations
+    only; there is no truncation, and in an exact ring no error at all.  Only
+    the input data pass through ``ring`` (see :func:`expand_denominator`);
+    every product is formed in it.
+    """
+    if up_to < 0:
+        raise ValueError("up_to must be >= 0")
+    den = expand_denominator(parameters, ring)
+    num = [ring(c) for c in numerator]
+    zero = ring(0)
+    coeffs: list = []
+    for k in range(up_to + 1):
+        acc = num[k] if k < len(num) else zero
+        for n in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[n] * coeffs[k - n]
+        coeffs.append(acc)
+    return CoefficientSequence(0, tuple(coeffs))
 
 
 def polyval_ascending(coeffs: Sequence[complex], z):
@@ -156,24 +190,9 @@ class RationalDiskFunction:
 
 
 def expand_rational(f: RationalDiskFunction, up_to: int) -> CoefficientSequence:
-    """Taylor coefficients c_0..c_{up_to} of ``f`` at the origin.
-
-    Writing the denominator as sum_n d_n z^n (d_0 = 1), the coefficients obey
-    sum_n d_n c_{k-n} = p_k, which is solved forward exactly; the only error
-    is float rounding, there is no truncation.
-    """
-    if up_to < 0:
-        raise ValueError("up_to must be >= 0")
+    """Taylor coefficients c_0..c_{up_to} of ``f`` at the origin (see :func:`expand`)."""
     f.require_pole_margin(DEFAULT.pole_margin)
-    den = _expand_denominator(f.denominator_parameters)
-    num = f.numerator
-    coeffs: list[complex] = []
-    for k in range(up_to + 1):
-        acc = num[k] if k < len(num) else 0j
-        for n in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[n] * coeffs[k - n]
-        coeffs.append(acc)
-    return CoefficientSequence(0, tuple(coeffs))
+    return expand(f.numerator, f.denominator_parameters, up_to)
 
 
 @dataclass(frozen=True)
@@ -190,10 +209,6 @@ class CircleGrid:
     def nodes(self) -> np.ndarray:
         return np.exp(2j * np.pi * np.arange(self.n) / self.n)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n, 1.0 / self.n)
-
 
 def _grid_values(f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid) -> np.ndarray:
     nodes = grid.nodes
@@ -203,37 +218,6 @@ def _grid_values(f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid) -> np.
         idx = int(np.argmax(bad))
         raise EvaluationError(complex(nodes[idx]), idx)
     return vals
-
-
-def circle_l1_norm(f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid) -> float:
-    """Uniform-grid average of |f| over the circle (one fixed grid, no refinement)."""
-    return float(np.abs(_grid_values(f, grid)).mean())
-
-
-@dataclass(frozen=True)
-class LogMeanResult:
-    value: float
-    dropped_nodes: int
-
-    @property
-    def hit_zero(self) -> bool:
-        return self.dropped_nodes > 0
-
-
-def log_mean_modulus(f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid) -> LogMeanResult:
-    """Grid average of log|f|; exact zeros at nodes are dropped and flagged.
-
-    Diagnostic only: the authoritative outerness check is root location, this
-    average merely cross-checks it (outer functions satisfy
-    mean log|f| = log|f(0)|).
-    """
-    mods = np.abs(_grid_values(f, grid))
-    zero = mods == 0.0
-    dropped = int(zero.sum())
-    kept = mods[~zero]
-    if kept.size == 0:
-        return LogMeanResult(float("-inf"), dropped)
-    return LogMeanResult(float(np.log(kept).mean()), dropped)
 
 
 def converged_circle_mean(

@@ -115,6 +115,13 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", path, "--tol-rank", "1e-8"]) == 0
 
+    def test_tol_rank_flag_beats_problem_option(self, tmp_path, capsys):
+        # precedence is environment < per-problem options < flags
+        path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, options={"tol_rank": 0.99}))
+        assert main(["analyze", path]) != 0
+        capsys.readouterr()
+        assert main(["analyze", path, "--tol-rank", "1e-8"]) == 0
+
     def test_quad_environment_and_grid_flag(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM))
         monkeypatch.setenv("HARDY_TOL_QUAD", "1e-8")
@@ -254,6 +261,45 @@ class TestSweep:
         assert main(["sweep", tpath, "--param", "beta", "--range", "0:1:0.25",
                      "--jobs", "2", "--out", str(parallel)]) == 0
         assert serial.read_text() == parallel.read_text()
+
+
+GEN_SPEC = {
+    "format_version": 1,
+    "type": "gen_spec",
+    "holes": [2],
+    "inner_zeros": [[0.0, 0.0]],
+    "outer_denominator": [],
+    "numerator_degree": 3,
+}
+
+
+@pytest.mark.parametrize("variable", ["HARDY_TOL_RANK", "HARDY_TOL_QUAD"])
+@pytest.mark.parametrize("command", ["analyze", "certify", "sweep", "gen"])
+def test_malformed_tolerance_environment_is_a_parse_error(
+    command, variable, tmp_path, capsys, monkeypatch
+):
+    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+    template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+    wit = write(tmp_path / "w.json", {
+        "format_version": 1, "type": "witness", "provenance": "kernel_path",
+        "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 1.0], "phi2_zeros": [],
+        "epsilon": 0.25, "recenter_c": 0.0,
+    })
+    argv = {
+        "analyze": ["analyze", prob],
+        "certify": ["certify", prob, wit],
+        "sweep": ["sweep", template, "--param", "beta", "--range", "0:1:0.5"],
+        "gen": ["gen", write(tmp_path / "s.json", GEN_SPEC)],
+    }[command]
+    monkeypatch.setenv(variable, "abc")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    # analyze and certify report on stdout, sweep and gen (whose stdout is data) on stderr
+    stream, other = (out, err) if command in ("analyze", "certify") else (err, out)
+    assert other == ""
+    report = json.loads(stream)
+    assert report["type"] == "error" and report["error"] == "parse"
+    assert variable in report["message"] and "'abc'" in report["message"]
 
 
 class TestGen:

@@ -26,7 +26,7 @@ from hardyball import (
     numeric_rank,
     single_hole_delta,
 )
-from hardyball.exactrank import exact_rank_of_criterion, fraction_kernel, fraction_rank
+from hardyball.exactrank import exact_membership_defects, fraction_kernel, lift
 
 from _instances import random_member, random_zeros, single_hole_member
 
@@ -59,8 +59,7 @@ class TestBuildMatrix:
         f = factored([0.0], [1.0, 0.0, 0.5])
         mat = build_criterion_matrix(f, PuncturedSpace((2,)))
         assert mat.assembled == pytest.approx(np.array([[0, 1.5, 0], [0, 0, 0.5]]))
-        assert mat.rows == 2 and mat.columns == 3
-        assert mat.entry_defect() == 0.0
+        assert mat.assembled.shape == (2, 3)
 
     def test_worked_instance_rank_deficient(self):
         f = factored([0.0], [1.0, 0.0, 1.0])
@@ -328,10 +327,13 @@ class TestExactBackend:
     def test_fraction_rank_small_cases(self):
         from fractions import Fraction as F
 
-        assert fraction_rank([]) == 0
-        assert fraction_rank([[F(0), F(0)]]) == 0
-        assert fraction_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-        assert fraction_rank([[F(1), F(2)], [F(2), F(5)]]) == 2
+        def rank(rows, n_cols):
+            return n_cols - len(fraction_kernel(rows, n_cols))
+
+        assert rank([], 2) == 0
+        assert rank([[F(0), F(0)]], 2) == 0
+        assert rank([[F(1), F(2)], [F(2), F(4)]], 2) == 1
+        assert rank([[F(1), F(2)], [F(2), F(5)]], 2) == 2
 
     def test_fraction_kernel_matches(self):
         from fractions import Fraction as F
@@ -342,11 +344,60 @@ class TestExactBackend:
 
     def test_fixture_ranks(self):
         f = factored([0.0], [1.0, 0.0, 0.5])
-        rank, kernel = exact_rank_of_criterion(f, PuncturedSpace((2,)))
-        assert rank == 2 and kernel.shape == (1, 3)
+        v = decide_extreme(f, PuncturedSpace((2,)), backend="exact")
+        assert v.rank == 2 and v.kernel_basis.shape == (1, 3)
         f2 = factored([0.0], [1.0, 0.0, 1.0])
-        rank2, kernel2 = exact_rank_of_criterion(f2, PuncturedSpace((2,)))
-        assert rank2 == 1 and kernel2.shape == (2, 3)
+        v2 = decide_extreme(f2, PuncturedSpace((2,)), backend="exact")
+        assert v2.rank == 1 and v2.kernel_basis.shape == (2, 3)
+        # the exact kernel is orthonormal and annihilated by the float matrix
+        kernel = v2.kernel_basis
+        assert kernel @ kernel.T == pytest.approx(np.eye(2), abs=1e-15)
+        matrix = build_criterion_matrix(f2, PuncturedSpace((2,))).assembled
+        assert np.abs(matrix @ kernel.T).max() == 0.0
+
+    def test_exact_assembly_is_the_float_assembly_over_fractions(self):
+        # dyadic coefficients: every float entry is exact, so both rings must agree
+        from fractions import Fraction
+
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            m = int(rng.integers(0, 4))
+            holes = tuple(sorted(int(k) for k in rng.choice(np.arange(1, 12), 2, replace=False)))
+            values = (rng.integers(-64, 64, holes[-1] + 1)
+                      + 1j * rng.integers(-64, 64, holes[-1] + 1)) / 32
+            floats = assemble_criterion_matrix(CoefficientSequence.from_values(values), holes, m)
+            exact = assemble_criterion_matrix(
+                CoefficientSequence(0, tuple(lift(v) for v in values)), holes, m
+            )
+            assert exact.assembled.dtype == object
+            assert floats.assembled.dtype == np.float64
+            assert all(isinstance(x, (Fraction, int)) for x in exact.assembled.flat)
+            assert exact.assembled.tolist() == floats.assembled.tolist()
+
+    def test_exact_membership_checks_the_input_itself(self):
+        # f = ((z - a) / (1 - a z))^3 (1 + z/4) with a = 1/2 + 2^-20: a^3 has more
+        # bits than a double holds, so expanding the inner numerator in floats
+        # would report the defects of a rounded function
+        from fractions import Fraction
+        from math import comb
+
+        a = Fraction(1, 2) + Fraction(1, 2**20)
+        space = PuncturedSpace((2, 5))
+        f = factored([float(a)] * 3, [1.0, 0.25])
+        numerator = [Fraction(1)]
+        for factor in ([-a, 1], [-a, 1], [-a, 1], [1, Fraction(1, 4)]):
+            numerator = [
+                sum(numerator[i] * factor[n - i] for i in range(len(numerator))
+                    if 0 <= n - i < len(factor))
+                for n in range(len(numerator) + len(factor) - 1)
+            ]
+        # 1 / (1 - a z)^3 = sum_n C(n + 2, 2) a^n z^n
+        weights = [comb(n + 2, 2) * a**n for n in range(space.k_max + 1)]
+        expected = [
+            (k, abs(sum(numerator[t] * weights[k - t] for t in range(min(k, 4) + 1))))
+            for k in space.holes
+        ]
+        assert exact_membership_defects(f, space) == expected
 
     def test_agrees_with_svd_on_exact_members(self):
         # numerator support {0, k-2, k} with the inner zero at the origin keeps

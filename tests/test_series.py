@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 
 from hardyball import (
     DEFAULT,
+    BlaschkeProduct,
     CircleGrid,
     CoefficientSequence,
+    FactoredFunction,
+    OuterRational,
     PoleMarginError,
     RationalDiskFunction,
-    circle_l1_norm,
     converged_circle_mean,
     convolve,
     expand_rational,
-    log_mean_modulus,
+    l1_norm,
 )
+from hardyball.series import EvaluationError, _grid_values
 
 
 def seq(*values):
@@ -109,9 +112,17 @@ class TestCoefficientSequence:
         assert out.to_array(len(values) - 1) == pytest.approx(s.to_array(len(values) - 1))
 
 
+def grid_mean_modulus(f, grid):
+    """Average of |f| over one fixed grid."""
+    return float(np.abs(_grid_values(f, grid)).mean())
+
+
 class TestCircleQuadrature:
     def test_constant_function(self):
-        assert circle_l1_norm(lambda z: np.ones_like(z), CircleGrid(64)) == pytest.approx(1.0)
+        value, _ = converged_circle_mean(lambda z: np.abs(np.ones_like(z)), DEFAULT)
+        assert value == pytest.approx(1.0)
+        one = FactoredFunction(BlaschkeProduct(()), OuterRational((1.0,)))
+        assert l1_norm(one) == pytest.approx(1.0)
 
     def test_one_plus_z_squared_converges_to_4_over_pi(self):
         value, n = converged_circle_mean(lambda z: np.abs(1 + z**2), DEFAULT)
@@ -119,19 +130,19 @@ class TestCircleQuadrature:
         assert n <= DEFAULT.quad_max_n
 
     def test_modulus_one_factor_does_not_change_norm(self):
-        grid = CircleGrid(256)
-        g = RationalDiskFunction((1.0, 0.3), (0.2,))
-        assert circle_l1_norm(lambda z: z * g(z), grid) == pytest.approx(
-            circle_l1_norm(g, grid), abs=1e-14
-        )
+        outer = OuterRational((1.0, 0.3), (0.2,))
+        bare = l1_norm(FactoredFunction(BlaschkeProduct(()), outer))
+        for zeros in ((0.0,), (0.5, -0.3j)):
+            inner = BlaschkeProduct(zeros)
+            assert l1_norm(FactoredFunction(inner, outer)) == pytest.approx(bare, abs=1e-12)
 
     def test_grid_rotation_invariance(self):
         grid = CircleGrid(512)
         g = RationalDiskFunction((1.0, 0.5j, -0.2), (0.4,))
         # exact for rotations by a grid node
         rot = np.exp(2j * np.pi * 3 / 512)
-        assert circle_l1_norm(lambda z: g(rot * z), grid) == pytest.approx(
-            circle_l1_norm(g, grid), abs=1e-14
+        assert grid_mean_modulus(lambda z: g(rot * z), grid) == pytest.approx(
+            grid_mean_modulus(g, grid), abs=1e-14
         )
         # within quadrature tolerance for arbitrary rotations
         rot = np.exp(1.234j)
@@ -146,40 +157,33 @@ class TestCircleQuadrature:
             CircleGrid(100)
 
     def test_non_finite_evaluation_reports_node(self):
-        from hardyball.series import EvaluationError
-
         def bad(z):
             out = np.ones_like(z)
             out[3] = np.nan
             return out
 
         with pytest.raises(EvaluationError) as err:
-            circle_l1_norm(bad, CircleGrid(64))
+            converged_circle_mean(bad, DEFAULT)
         assert err.value.index == 3
 
 
 class TestLogMeanModulus:
+    """Circle means of log|f|: Jensen's formula gives log|f(0)| for outer f."""
+
     def test_constant(self):
-        res = log_mean_modulus(lambda z: 2.0 * np.ones_like(z), CircleGrid(64))
-        assert res.value == pytest.approx(np.log(2.0))
-        assert not res.hit_zero
+        value, _ = converged_circle_mean(lambda z: np.log(2.0 * np.abs(np.ones_like(z))))
+        assert value == pytest.approx(np.log(2.0))
 
     def test_outer_function_matches_value_at_zero(self):
         f = RationalDiskFunction((1.0, -0.5))
-        res = log_mean_modulus(f, CircleGrid(4096))
-        assert abs(res.value - 0.0) < 1e-8  # log|f(0)| = log 1 = 0
+        value, _ = converged_circle_mean(lambda z: np.log(np.abs(f(z))), target=1e-10)
+        assert abs(value - 0.0) < 1e-8  # log|f(0)| = log 1 = 0
 
     def test_inner_factor_z_flags_mismatch(self):
-        res = log_mean_modulus(lambda z: z, CircleGrid(64))
-        # grid mean is 0 but log|f(0)| = -inf: the diagnostic must disagree
-        assert res.value == pytest.approx(0.0, abs=1e-15)
-        assert res.value != float("-inf")
-
-    def test_zero_at_node_dropped_and_flagged(self):
-        f = RationalDiskFunction((1.0, -1.0))  # vanishes at z = 1, a grid node
-        res = log_mean_modulus(f, CircleGrid(64))
-        assert res.hit_zero
-        assert res.dropped_nodes == 1
+        value, _ = converged_circle_mean(lambda z: np.log(np.abs(z)))
+        # the circle mean is 0 but log|f(0)| = -inf: the identity must fail
+        assert value == pytest.approx(0.0, abs=1e-15)
+        assert value != float("-inf")
 
 
 @settings(max_examples=30, deadline=None)
