@@ -14,10 +14,7 @@ from .certificates import (
     PerturbationWitness,
     WitnessReport,
     check_exposed,
-    degree_overflow_witness,
-    kernel_witness,
     make_witness,
-    overflow_operator,
     verify_witness,
     witness_h_values,
 )

@@ -1,9 +1,9 @@
 """Machine-checkable evidence for verdicts.
 
 A non-extreme verdict is certified by a perturbation witness: a symmetric
-polynomial p (plus, when the inner degree overflows the hole count, the
-spare Blaschke zeros) inducing a real nonconstant h on the circle with
-f*h still in the space.  With c the weighted mean of h and epsilon small
+polynomial p of order n = min(m, M + 1) (plus, when m > M + 1, the spare
+inner zeros beyond the first n) inducing a real nonconstant h on the circle
+with f*h still in the space.  With c the weighted mean of h and epsilon small
 enough to keep 1 +- epsilon*(h-c) positive, the functions
 f*(1 +- epsilon*(h-c)) are two distinct unit-ball members whose midpoint is
 f — the literal negation of extremality.  Verification recomputes everything
@@ -22,7 +22,7 @@ from .extremality import (
     EXTREME,
     ExtremalityVerdict,
     SymmetricPolynomial,
-    assemble_criterion_matrix,
+    build_criterion_matrix,
     canonical_kernel_vector,
     numeric_rank,
 )
@@ -107,7 +107,6 @@ def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.nd
     Phi_N runs over the first N inner zeros of f; phi2 over the witness's
     spare zeros.  For valid witnesses h is real on the circle.
     """
-    f = f.canonical()
     n = witness.polynomial.order
     first = f.inner.zeros[:n]
     vals = witness.polynomial(z)
@@ -119,7 +118,6 @@ def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.nd
 
 def _perturbation_product(f: FactoredFunction, witness: PerturbationWitness) -> RationalDiskFunction:
     """The rational function F * G = F * p * Phi_N * phi2 (equals f * h on the circle)."""
-    f = f.canonical()
     n = witness.polynomial.order
     first = f.inner.zeros[:n]
     num = np.array(witness.polynomial.coefficients())
@@ -159,110 +157,42 @@ def _package_witness(
     return PerturbationWitness(polynomial, phi2_zeros, 1.0 / (2.0 * sup), c, provenance)
 
 
-def kernel_witness(
-    f: FactoredFunction,
-    space: PuncturedSpace,
-    verdict: ExtremalityVerdict,
-    tol: Tolerances = DEFAULT,
-) -> PerturbationWitness:
-    """Witness from a rank-deficient criterion matrix (inner degree within bound).
-
-    Strips the canonical direction out of the computed kernel and induces the
-    perturbation polynomial from the largest remainder; a kernel containing
-    nothing beyond the canonical vector contradicts the rank deficiency and
-    raises :class:`DegenerateKernelError`.
-    """
-    f = f.canonical()
-    m = f.inner.degree
-    if not verdict.condition_a.holds:
-        raise ValueError("inner degree exceeds hole count: use the degree-overflow path")
-    if verdict.status == EXTREME or verdict.kernel_dimension < 2:
-        raise ValueError("kernel witness needs a rank-deficient (non-extreme) verdict")
-    canonical = np.array(canonical_kernel_vector(f.inner.zeros).vector)
-    canonical = canonical / np.linalg.norm(canonical)
-    kernel = verdict.kernel_basis
-    remainders = kernel - np.outer(kernel @ canonical, canonical)
-    norms = np.linalg.norm(remainders, axis=1)
-    best = int(np.argmax(norms))
-    if norms[best] <= 1e-10:
-        raise DegenerateKernelError(
-            "all kernel vectors are parallel to the canonical vector"
-        )
-    vector = remainders[best] / norms[best]
-    polynomial = SymmetricPolynomial(m, tuple(vector))
-    return _package_witness(f, polynomial, (), KERNEL_PATH, tol)
-
-
-def overflow_operator(f: FactoredFunction, space: PuncturedSpace, tol: Tolerances = DEFAULT):
-    """Hole-constraint operator for the degree-overflow construction.
-
-    Splits the inner zeros as (first N = M+1 | rest), replaces the weighted
-    outer coefficients by those of F * Phi_N * phi2, and assembles the same
-    block matrix with N in place of the inner degree.  Returns the matrix and
-    its rank decomposition; the map has 2M rows and 2N+1 = 2M+3 columns, so
-    the kernel always has dimension at least 3.
-
-    Inner factors in this data model are always finite Blaschke products, so
-    the construction applies to them directly; no preliminary disk-automorphism
-    shift of the inner factor is needed to extract the N + rest zero split.
-    """
-    f = f.canonical()
-    m = f.inner.degree
-    M = space.size
-    if m <= M:
-        raise ValueError("degree overflow construction needs inner degree > hole count")
-    n = M + 1
-    first, rest = f.inner.zeros[:n], f.inner.zeros[n:]
-    num = np.array(f.outer.numerator, dtype=complex)
-    for a in rest:
-        num = np.convolve(num, np.array([-a, 1.0 + 0j]))
-    transfer = RationalDiskFunction(
-        tuple(num), f.outer.denominator_parameters + tuple(first) * 2 + rest
-    ).taylor(space.k_max)
-    matrix = assemble_criterion_matrix(transfer, space.holes, n)
-    return matrix, numeric_rank(matrix.assembled, tol.rank)
-
-
-def degree_overflow_witness(
-    f: FactoredFunction, space: PuncturedSpace, tol: Tolerances = DEFAULT
-) -> PerturbationWitness:
-    """Witness for inner degree exceeding the hole count.
-
-    Any kernel vector of :func:`overflow_operator` whose induced h is
-    nonconstant works; the largest-variation candidate is selected.
-    """
-    f = f.canonical()
-    n = space.size + 1
-    rest = f.inner.zeros[n:]
-    _, result = overflow_operator(f, space, tol)
-    kernel = result.kernel
-    # structural: rank <= 2M, columns = 2M+3
-    assert kernel.shape[0] >= 3, "overflow kernel below dimension 3 signals a pipeline bug"
-
-    nodes = CircleGrid(4096).nodes
-    variations = []
-    for vec in kernel:
-        candidate = PerturbationWitness(
-            SymmetricPolynomial(n, tuple(vec)), rest, 1.0, 0.0, DEGREE_OVERFLOW_PATH
-        )
-        h = np.real(witness_h_values(f, candidate, nodes))
-        variations.append(float(h.max() - h.min()))
-    best = int(np.argmax(variations))
-    assert variations[best] > tol.witness_variation, "no nonconstant kernel direction found"
-    polynomial = SymmetricPolynomial(n, tuple(kernel[best]))
-    return _package_witness(f, polynomial, rest, DEGREE_OVERFLOW_PATH, tol)
-
-
 def make_witness(
     f: FactoredFunction,
     space: PuncturedSpace,
     verdict: ExtremalityVerdict,
     tol: Tolerances = DEFAULT,
 ) -> PerturbationWitness:
-    """Dispatch to the kernel or degree-overflow construction."""
-    if verdict.condition_a.holds:
-        return kernel_witness(f, space, verdict, tol)
-    return degree_overflow_witness(f, space, tol)
+    """Witness for a non-extreme verdict from the hole-constraint operator of order n.
+
+    With n = min(m, M + 1), any symmetric polynomial p of order n whose product
+    with f / P_n has vanishing hole coefficients, and which is not proportional
+    to P_n itself, gives a real nonconstant h = p / P_n on the circle.  For
+    n = m the operator is the criterion matrix, whose kernel the verdict
+    carries; for n = M + 1 < m it has 2M rows and 2n + 1 columns, so its
+    kernel has dimension at least 3.  The canonical direction is stripped out
+    and the largest remainder taken; a kernel with nothing beyond the
+    canonical vector contradicts the verdict and raises
+    :class:`DegenerateKernelError`.
+    """
+    if verdict.status == EXTREME:
+        raise ValueError("an extreme verdict has no perturbation witness")
+    zeros = f.inner.zeros
+    n = min(len(zeros), space.size + 1)
+    if n == len(zeros):
+        kernel = verdict.kernel_basis
+    else:
+        kernel = numeric_rank(build_criterion_matrix(f, space, first=n).assembled, tol.rank).kernel
+    canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
+    canonical = canonical / np.linalg.norm(canonical)
+    remainders = kernel - np.outer(kernel @ canonical, canonical)
+    norms = np.linalg.norm(remainders, axis=1)
+    if not (norms > 1e-10).any():
+        raise DegenerateKernelError("all kernel vectors are parallel to the canonical vector")
+    best = int(np.argmax(norms))
+    polynomial = SymmetricPolynomial(n, tuple(remainders[best] / norms[best]))
+    provenance = KERNEL_PATH if verdict.condition_a.holds else DEGREE_OVERFLOW_PATH
+    return _package_witness(f, polynomial, zeros[n:], provenance, tol)
 
 
 def verify_witness(
@@ -280,7 +210,6 @@ def verify_witness(
     """
     failures: list[str] = []
     try:
-        f = f.canonical()
         grid = CircleGrid(8192)
         h = witness_h_values(f, witness, grid.nodes)
         realness = float(np.abs(h.imag).max())

@@ -2,10 +2,11 @@
 
 Exit codes encode verdicts so shell pipelines can branch without parsing:
 0 extreme / verified, 10 non-extreme, 11 borderline, 1 failed certificate,
-2 input error, 3 generator gave up.  ``HARDY_TOL_RANK`` and
-``HARDY_TOL_QUAD`` override the corresponding tolerances; per-problem
-``options`` win over the environment, and explicit flags win over both.  A
-malformed environment value is a parse error (exit 2).
+2 input error or a circle quadrature that did not converge ("numerics"),
+3 generator gave up.  ``HARDY_TOL_RANK`` and ``HARDY_TOL_QUAD`` override the
+corresponding tolerances; per-problem ``options`` win over the environment,
+and explicit flags win over both.  A malformed environment value is a parse
+error (exit 2).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import certificates, documents, extremality, model
 from .documents import DocumentError, canonical_json
 from .extremality import BORDERLINE, EXTREME, NON_EXTREME
+from .series import QuadratureConvergenceError
 from .tolerances import DEFAULT, Tolerances
 
 EXIT_EXTREME = 0
@@ -119,8 +121,15 @@ def cmd_analyze(args) -> int:
     except DocumentError as exc:
         print(canonical_json(_error_report("parse", str(exc))))
         return EXIT_INPUT_ERROR
+    try:
+        return _analyze(problem, tol, args)
+    except QuadratureConvergenceError as exc:
+        print(canonical_json(_error_report("numerics", str(exc))))
+        return EXIT_INPUT_ERROR
 
-    f, space = problem.function.canonical(), problem.space
+
+def _analyze(problem: documents.ProblemDocument, tol: Tolerances, args) -> int:
+    f, space = problem.function, problem.space
     membership = model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol)
     if not membership.passed:
         hole, residual = membership.worst()
@@ -205,8 +214,11 @@ def cmd_certify(args) -> int:
     except DocumentError as exc:
         print(canonical_json(_error_report("parse", str(exc))))
         return EXIT_INPUT_ERROR
-    f = problem.function.canonical()
-    normalized, _ = model.normalize(f, tol)
+    try:
+        normalized, _ = model.normalize(problem.function, tol)
+    except QuadratureConvergenceError as exc:
+        print(canonical_json(_error_report("numerics", str(exc))))
+        return EXIT_INPUT_ERROR
     report = certificates.verify_witness(normalized, problem.space, witness, tol)
     doc = {"format_version": documents.FORMAT_VERSION, "type": "witness_report"}
     doc.update(_witness_report_dict(report))
@@ -247,7 +259,7 @@ def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ..
         problem = documents.parse_problem(
             _substitute(template, dict(zip(names, values))), source="<sweep>"
         )
-        f, space = problem.function.canonical(), problem.space
+        f, space = problem.function, problem.space
         if not model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space,
                                       tol).passed:
             return row + ["skip", "", "", ""]

@@ -155,7 +155,12 @@ def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
         options[_OPTION_FIELDS[key]] = _as_number(value, f"{source}.options.{key}")
     try:
         space = PuncturedSpace(holes)
-        inner = BlaschkeProduct(zeros, constant)
+        inner = BlaschkeProduct(zeros)
+        # the constant of the canonical pair lives in the outer factor
+        if abs(abs(constant) - 1.0) > 1e-12:
+            raise ValueError(f"constant must be unimodular, got |c| = {abs(constant):.17g}")
+        if constant != 1:
+            numerator = tuple(constant * c for c in numerator)
         outer = OuterRational(numerator, denominator)
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
@@ -172,7 +177,7 @@ def problem_to_dict(space: PuncturedSpace, f: FactoredFunction, options: dict | 
         "type": "problem",
         "holes": list(space.holes),
         "inner_zeros": [_pair(a) for a in f.inner.zeros],
-        "inner_constant": _pair(f.inner.constant),
+        "inner_constant": [1.0, 0.0],
         "outer_numerator": [_pair(c) for c in f.outer.numerator],
         "outer_denominator": [_pair(b) for b in f.outer.denominator_parameters],
     }

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .extremality import criterion_coefficients
 from .model import FactoredFunction, PuncturedSpace
-from .series import expand, expand_denominator
 
 
 class Gaussian:
@@ -95,19 +95,8 @@ def exact_membership_defects(
     """Exact |Re| + |Im| of each hole coefficient of the rational lift of f.
 
     Only the data of the canonical pair are lifted (inner zeros, outer
-    numerator and poles); every product is formed exactly.  With w the Taylor
-    coefficients of F / prod_j (1 - conj(a_j) z), f = prod_j (z - a_j) * w,
-    and the coefficients of prod_j (z - a_j) are those of
-    prod_j (1 - conj(a_j) z) conjugated in reverse order.
+    numerator and poles); the coefficients are those of f / P_0 = f, every
+    product formed exactly (see :func:`hardyball.extremality.criterion_coefficients`).
     """
-    f = f.canonical()
-    zeros = f.inner.zeros
-    w = expand(
-        f.outer.numerator, zeros + f.outer.denominator_parameters, space.k_max, lift
-    ).values
-    inner = [d.conjugate() for d in reversed(expand_denominator(zeros, lift))]
-    defects = []
-    for k in space.holes:
-        c = sum((inner[t] * w[k - t] for t in range(min(len(inner) - 1, k) + 1)), lift(0))
-        defects.append((k, abs(c.real) + abs(c.imag)))
-    return defects
+    coeffs = criterion_coefficients(f, space.k_max, lift, first=0).values
+    return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]

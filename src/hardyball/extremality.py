@@ -165,27 +165,35 @@ def assemble_criterion_matrix(
     return CriterionMatrix(holes, m, assembled, coeffs)
 
 
-def criterion_coefficients(f: FactoredFunction, up_to: int, ring=complex) -> CoefficientSequence:
-    """Taylor coefficients of F(z) * prod_j (1 - conj(a_j) z)^(-2).
+def criterion_coefficients(
+    f: FactoredFunction, up_to: int, ring=complex, first: int | None = None
+) -> CoefficientSequence:
+    """Taylor coefficients of f / P_n, the hole-constraint weights of order n.
 
-    The squared factors are appended to the outer denominator parameter list,
-    so the expansion stays an exact recurrence, formed in the scalar ring
-    ``ring`` lifts into (see :func:`hardyball.series.expand`).  Indices below
-    zero read as zero by the sequence convention.
+    P_n = prod_{j<=n} (z - a_j)(1 - conj(a_j) z) runs over the first n = ``first``
+    inner zeros (default: all m of them), so f / P_n is
+    F * prod_{j>n} (z - a_j) / (prod_{j<=n} (1 - conj(a_j) z)^2 prod_{j>n} (1 - conj(a_j) z)).
+    n = m gives the criterion matrix, n = M + 1 the degree-overflow operator
+    and n = 0 the function itself.  The spare-zero numerator product and the
+    recurrence are formed in the scalar ring ``ring`` lifts into (see
+    :func:`hardyball.series.expand`).  Indices below zero read as zero.
     """
-    f = f.canonical()
-    doubled = tuple(f.inner.zeros) * 2
-    return expand(f.outer.numerator, f.outer.denominator_parameters + doubled, up_to, ring)
+    zeros = f.inner.zeros
+    n = len(zeros) if first is None else first
+    numerator, zero = [ring(c) for c in f.outer.numerator], ring(0)
+    for a in map(ring, zeros[n:]):  # multiply by (z - a)
+        numerator = [x - a * y for x, y in zip([zero] + numerator, numerator + [zero])]
+    parameters = f.outer.denominator_parameters + zeros[:n] * 2 + zeros[n:]
+    return expand(numerator, parameters, up_to, ring)
 
 
 def build_criterion_matrix(
-    f: FactoredFunction, space: PuncturedSpace, ring=complex
+    f: FactoredFunction, space: PuncturedSpace, ring=complex, first: int | None = None
 ) -> CriterionMatrix:
-    """Criterion matrix of a factored function for the given hole set."""
-    f = f.canonical()
-    m = f.inner.degree
-    coeffs = criterion_coefficients(f, space.k_max, ring)
-    return assemble_criterion_matrix(coeffs, space.holes, m)
+    """Criterion matrix of order n = ``first`` (default: the inner degree) for the hole set."""
+    n = f.inner.degree if first is None else first
+    coeffs = criterion_coefficients(f, space.k_max, ring, n)
+    return assemble_criterion_matrix(coeffs, space.holes, n)
 
 
 @dataclass(frozen=True)
@@ -273,7 +281,6 @@ def decide_extreme(
     binary-exact Gaussian-rational lift of the inputs; no tolerance, no
     borderline band).
     """
-    f = f.canonical()
     check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol).require()
     m = f.inner.degree
     cond = ConditionA(m, space.size)
@@ -331,7 +338,6 @@ def single_hole_delta(
     sign test uses |delta| > tol.delta * (|c_{k-2}|^2 + |c_k|^2).  For m = 0
     the function is outer, always extreme: delta is the +inf sentinel.
     """
-    f = f.canonical()
     m = f.inner.degree
     if m not in (0, 1):
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")

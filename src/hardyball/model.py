@@ -66,34 +66,33 @@ class PuncturedSpace:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """c * prod_j (z - a_j)/(1 - conj(a_j) z) with zeros a_j in the open disk, |c| = 1."""
+    """prod_j (z - a_j)/(1 - conj(a_j) z) with zeros a_j in the open disk.
+
+    A unimodular constant is not part of the inner factor: problem documents
+    fold it into the outer numerator when they are parsed.
+    """
 
     zeros: tuple[complex, ...] = ()
-    constant: complex = 1.0 + 0j
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
-        object.__setattr__(self, "constant", complex(self.constant))
         for a in self.zeros:
             if abs(a) >= 1.0 - DEFAULT.pole_margin:
                 raise ValueError(f"Blaschke zero {a} not inside the unit disk (margin)")
-        if abs(abs(self.constant) - 1.0) > 1e-12:
-            raise ValueError(f"constant must be unimodular, got |c| = {abs(self.constant):.17g}")
 
     @property
     def degree(self) -> int:
         return len(self.zeros)
 
     def __call__(self, z):
-        acc = np.full_like(np.asarray(z, dtype=complex), self.constant) \
-            if isinstance(z, np.ndarray) else self.constant
+        acc = np.ones_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 1 + 0j
         for a in self.zeros:
             acc = acc * (z - a) / (1 - a.conjugate() * z)
         return acc
 
     def numerator_coefficients(self) -> tuple[complex, ...]:
-        """Expanded coefficients of c * prod_j (z - a_j), constant term first."""
-        coeffs = np.array([self.constant], dtype=complex)
+        """Expanded coefficients of prod_j (z - a_j), constant term first."""
+        coeffs = np.array([1.0], dtype=complex)
         for a in self.zeros:
             coeffs = np.convolve(coeffs, np.array([-a, 1.0], dtype=complex))
         return tuple(coeffs)
@@ -152,24 +151,10 @@ def numerator_roots(coefficients) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactoredFunction:
-    """f = inner * outer; the canonical pair is unique up to a unimodular constant."""
+    """f = inner * outer, with any unimodular constant carried by the outer factor."""
 
     inner: BlaschkeProduct
     outer: OuterRational
-
-    def canonical(self) -> "FactoredFunction":
-        """Fold the inner factor's unimodular constant into the outer numerator.
-
-        The fold leaves the function, its membership and every verdict
-        unchanged (the rank criterion is rotation invariant); it just pins the
-        convention under which the criterion matrix is assembled.
-        """
-        if self.inner.constant == 1:
-            return self
-        return FactoredFunction(
-            BlaschkeProduct(self.inner.zeros, 1.0),
-            self.outer.scale(self.inner.constant),
-        )
 
     def as_rational(self) -> RationalDiskFunction:
         return self.inner.as_rational().multiply(self.outer.as_rational())

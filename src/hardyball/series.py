@@ -115,14 +115,15 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
 
     Writing the denominator as sum_n d_n z^n (d_0 = 1), the coefficients obey
     sum_n d_n c_{k-n} = p_k, which is solved forward using ring operations
-    only; there is no truncation, and in an exact ring no error at all.  Only
-    the input data pass through ``ring`` (see :func:`expand_denominator`);
-    every product is formed in it.
+    only; there is no truncation, and in an exact ring no error at all.  The
+    numerator coefficients are ring elements already (complex numbers for the
+    default ring); the parameters pass through ``ring`` (see
+    :func:`expand_denominator`), and every product is formed in it.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     den = expand_denominator(parameters, ring)
-    num = [ring(c) for c in numerator]
+    num = list(numerator)
     zero = ring(0)
     coeffs: list = []
     for k in range(up_to + 1):
@@ -181,11 +182,6 @@ class RationalDiskFunction:
         num = np.convolve(np.array(self.numerator), np.array(other.numerator))
         return RationalDiskFunction(
             tuple(num), self.denominator_parameters + other.denominator_parameters
-        )
-
-    def scale(self, s: complex) -> "RationalDiskFunction":
-        return RationalDiskFunction(
-            tuple(s * c for c in self.numerator), self.denominator_parameters
         )
 
 

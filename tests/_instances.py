@@ -82,12 +82,12 @@ def random_member(seed: int, m_range=(0, 4), max_holes: int = 4, k_max: int = 30
     raise RuntimeError(f"no feasible configuration found for seed {seed}")
 
 
-def overflow_member(seed: int, max_holes: int = 3):
-    """(member, space) with inner degree exactly one more than the hole count."""
+def overflow_member(seed: int, max_holes: int = 3, excess: int = 1):
+    """(member, space) with inner degree exactly ``excess`` more than the hole count."""
     for attempt in range(40):
         rng = np.random.default_rng((*_seed_tuple(seed), attempt, 77))
         M = int(rng.integers(0, max_holes + 1))
-        m = M + 1
+        m = M + excess
         zeros = random_zeros(rng, m)
         if M == 0:
             member, _ = normalize(

@@ -27,11 +27,9 @@ from hardyball import (
     decide_extreme,
     hole_constraint_value,
     kernel_alignment,
-    kernel_witness,
     make_witness,
     normalize,
     numeric_rank,
-    overflow_operator,
     sample_member,
     single_hole_delta,
     verify_witness,
@@ -267,7 +265,7 @@ def test_criterion_07_worked_instance():
     normalized, _ = normalize(f_flat, FAST_TOL)
     verdict2 = decide_extreme(normalized, space, FAST_TOL)
     rank_ok = verdict2.status == NON_EXTREME and verdict2.rank == 1
-    witness = kernel_witness(normalized, space, verdict2, FAST_TOL)
+    witness = make_witness(normalized, space, verdict2, FAST_TOL)
     nodes = CircleGrid(4096).nodes
     h = witness_h_values(normalized, witness, nodes)
     target = -2.0 * np.sin(np.angle(nodes))
@@ -296,7 +294,8 @@ def test_criterion_08_degree_overflow():
     for i in range(50):
         member, space = overflow_member((8000, i))
         if space.size:
-            _, result = overflow_operator(member, space, FAST_TOL)
+            operator = build_criterion_matrix(member, space, first=space.size + 1)
+            result = numeric_rank(operator.assembled, FAST_TOL.rank)
             min_kernel = min(min_kernel, result.kernel.shape[0])
             assert result.kernel.shape[0] >= 3
         verdict = decide_extreme(member, space, FAST_TOL)

@@ -12,9 +12,8 @@ from hardyball import (
     PuncturedSpace,
     SymmetricPolynomial,
     check_exposed,
+    canonical_kernel_vector,
     decide_extreme,
-    degree_overflow_witness,
-    kernel_witness,
     make_witness,
     normalize,
     verify_witness,
@@ -41,7 +40,7 @@ def rank_deficient_fixture():
 class TestKernelWitness:
     def test_fixture_witness_is_the_sine_perturbation(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         assert w.provenance == KERNEL_PATH
         assert w.polynomial.order == 1
         assert w.phi2_zeros == ()
@@ -57,7 +56,7 @@ class TestKernelWitness:
 
     def test_fixture_witness_verifies_tightly(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         report = verify_witness(f, space, w)
         assert report.verifies
         assert report.h_realness_residual < 1e-12
@@ -70,13 +69,7 @@ class TestKernelWitness:
         space = PuncturedSpace((2,))
         verdict = decide_extreme(f, space)
         with pytest.raises(ValueError):
-            kernel_witness(f, space, verdict)
-
-    def test_guard_on_overflow_verdict(self):
-        member, space = overflow_member(5)
-        verdict = decide_extreme(member, space)
-        with pytest.raises(ValueError):
-            kernel_witness(member, space, verdict)
+            make_witness(f, space, verdict)
 
     def test_locus_members_get_verified_witnesses(self):
         for seed in range(8):
@@ -94,26 +87,30 @@ class TestDegreeOverflowWitness:
         # f = z: the classical fact that non-outer functions are not extreme
         f, _ = normalize(factored([0.0], [1.0]))
         space = PuncturedSpace(())
-        w = degree_overflow_witness(f, space)
+        w = make_witness(f, space, decide_extreme(f, space))
         assert w.provenance == DEGREE_OVERFLOW_PATH
         assert w.polynomial.order == 1
         report = verify_witness(f, space, w)
         assert report.verifies
         assert report.h_variation > 1.0  # h = 2 cos(theta) has variation 4
 
-    def test_guard_when_degree_within_bound(self):
-        f, _ = normalize(factored([0.0], [1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            degree_overflow_witness(f, PuncturedSpace((2,)))
-
-    def test_random_overflow_members_verify(self):
+    @pytest.mark.parametrize("excess", [1, 2, 3])
+    def test_random_overflow_members_verify(self, excess):
+        # inner degree m = M + excess: for excess >= 2 the witness carries
+        # spare zeros and comes from the order-(M+1) operator, not the verdict
         for seed in range(6):
-            member, space = overflow_member(seed)
+            member, space = overflow_member(seed, excess=excess)
+            assert member.inner.degree == space.size + excess
             verdict = decide_extreme(member, space)
             assert not verdict.condition_a.holds
             w = make_witness(member, space, verdict)
-            assert w.polynomial.order == space.size + 1
-            assert len(w.phi2_zeros) == member.inner.degree - space.size - 1
+            n = space.size + 1
+            assert w.provenance == DEGREE_OVERFLOW_PATH
+            assert w.polynomial.order == n
+            assert len(w.phi2_zeros) == excess - 1
+            canonical = np.array(canonical_kernel_vector(member.inner.zeros[:n]).vector)
+            alignment = np.dot(w.polynomial.vector, canonical) / np.linalg.norm(canonical)
+            assert abs(alignment) < 1e-10
             report = verify_witness(member, space, w)
             assert report.verifies, report.failures
 
@@ -121,7 +118,7 @@ class TestDegreeOverflowWitness:
 class TestVerifyWitness:
     def test_doubled_epsilon_fails(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         tampered = PerturbationWitness(
             w.polynomial, w.phi2_zeros, 2.0 * w.epsilon, w.recenter, w.provenance
         )
@@ -131,14 +128,14 @@ class TestVerifyWitness:
 
     def test_wrong_space_fails_hole_check(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         report = verify_witness(f, PuncturedSpace((4,)), w)
         assert not report.verifies
         assert any("hole" in failure for failure in report.failures)
 
     def test_wrong_function_fails(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         other, _ = normalize(factored([0.3], [1.0, 0.0, 0.25, 0.1]))
         report = verify_witness(other, space, w)
         assert not report.verifies
@@ -165,7 +162,7 @@ class TestVerifyWitness:
 
     def test_midpoint_of_endpoints_is_f(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         from hardyball.certificates import _perturbation_product
 
         k = space.k_max
@@ -178,7 +175,7 @@ class TestVerifyWitness:
 
     def test_endpoints_have_unit_norm(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        w = kernel_witness(f, space, verdict)
+        w = make_witness(f, space, verdict)
         report = verify_witness(f, space, w)
         assert report.norm_f == pytest.approx(1.0, abs=1e-9)
         assert report.norm_plus == pytest.approx(1.0, abs=1e-7)

@@ -302,6 +302,25 @@ def test_malformed_tolerance_environment_is_a_parse_error(
     assert variable in report["message"] and "'abc'" in report["message"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsys, monkeypatch):
+    # no circle mean of 1 + z^2 (roots on the circle) stabilises to 1e-30
+    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+    wit = write(tmp_path / "w.json", {
+        "format_version": 1, "type": "witness", "provenance": "kernel_path",
+        "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 1.0], "phi2_zeros": [],
+        "epsilon": 0.25, "recenter_c": 0.0,
+    })
+    monkeypatch.setenv("HARDY_TOL_QUAD", "1e-30")
+    argv = ["analyze", prob] if command == "analyze" else ["certify", prob, wit]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert report["type"] == "error" and report["error"] == "numerics"
+    assert "did not stabilise" in report["message"]
+
+
 class TestGen:
     def test_generated_document_analyzes_clean(self, tmp_path, capsys):
         spec = {

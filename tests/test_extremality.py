@@ -53,6 +53,21 @@ class TestCriterionCoefficients:
         f = factored([], [1.0])
         assert criterion_coefficients(f, 4).to_array(4) == pytest.approx([1, 0, 0, 0, 0])
 
+    def test_order_n_weights_times_canonical_polynomial_give_f(self):
+        # criterion_coefficients(first=n) expands f / P_n, so multiplying back by
+        # P_n = prod_{j<=n} (z - a_j)(1 - conj(a_j) z) must reproduce f itself
+        rng = np.random.default_rng(5)
+        up_to = 20
+        for m in range(4):
+            zeros = random_zeros(rng, m)
+            f = factored(zeros, [1.0, 0.3 - 0.2j, 0.1j], random_zeros(rng, 1, 0.5))
+            direct = f.taylor(up_to).to_array(up_to)
+            for n in range(m + 1):
+                weights = criterion_coefficients(f, up_to, first=n).to_array(up_to)
+                canonical = canonical_kernel_vector(zeros[:n]).coefficients()
+                back = np.convolve(weights, canonical)[: up_to + 1]
+                assert np.abs(back - direct).max() <= 1e-13 * np.abs(direct).max()
+
 
 class TestBuildMatrix:
     def test_worked_instance(self):

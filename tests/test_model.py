@@ -18,6 +18,7 @@ from hardyball import (
     normalize,
     sample_member,
 )
+from hardyball.documents import DocumentError, parse_problem
 from hardyball.model import numerator_roots
 
 from _instances import random_zeros
@@ -25,8 +26,18 @@ from _instances import random_zeros
 QUICK = DEFAULT.override(sample_retries=120)
 
 
-def factored(zeros, numerator, den=(), constant=1.0):
-    return FactoredFunction(BlaschkeProduct(zeros, constant), OuterRational(numerator, den))
+def factored(zeros, numerator, den=()):
+    return FactoredFunction(BlaschkeProduct(zeros), OuterRational(numerator, den))
+
+
+def parsed(zeros, numerator, constant):
+    """The function of a problem document carrying an inner constant."""
+    return parse_problem({
+        "holes": [],
+        "inner_zeros": [[z.real, z.imag] for z in map(complex, zeros)],
+        "inner_constant": [constant.real, constant.imag],
+        "outer_numerator": [[c.real, c.imag] for c in map(complex, numerator)],
+    }).function
 
 
 def membership(f, space, tol=DEFAULT):
@@ -47,12 +58,14 @@ class TestBlaschkeProduct:
             BlaschkeProduct((1.2,))
 
     def test_constant_must_be_unimodular(self):
-        with pytest.raises(ValueError):
-            BlaschkeProduct((0.1,), constant=2.0)
+        with pytest.raises(DocumentError, match="constant must be unimodular"):
+            parsed([0.1], [1.0], 2.0)
 
     def test_degree_zero_is_constant(self):
-        b = BlaschkeProduct((), constant=1j)
-        assert b(0.37 + 0.1j) == 1j
+        # the constant is folded into the outer factor, which is all that remains
+        f = parsed([], [1.0], 1j)
+        assert f.inner.degree == 0
+        assert f(0.37 + 0.1j) == 1j
 
 
 class TestTaylorOfProduct:
@@ -91,11 +104,12 @@ class TestTaylorOfProduct:
             assert np.abs(direct - piecewise).max() <= 1e-12 * np.abs(direct).max()
 
     def test_canonical_fold_preserves_values(self):
-        f = factored([0.3 + 0.2j], [1.0, 0.5], constant=np.exp(0.7j))
-        g = f.canonical()
-        assert g.inner.constant == 1.0
+        c = np.exp(0.7j)
+        f = parsed([0.3 + 0.2j], [1.0, 0.5], c)
+        assert f.outer.numerator == (c, c * 0.5)
         z = np.exp(1j * np.linspace(0, 2 * np.pi, 7))
-        assert f(z) == pytest.approx(g(z))
+        a = 0.3 + 0.2j
+        assert f(z) == pytest.approx(c * (z - a) / (1 - a.conjugate() * z) * (1 + 0.5 * z))
 
 
 class TestMembership:
