@@ -32,6 +32,7 @@ from .model import (
     MembershipReport,
     PuncturedSpace,
     check_membership,
+    l1_norm,
     numerator_roots,
 )
 from .series import CircleGrid, RationalDiskFunction, converged_circle_mean
@@ -124,7 +125,7 @@ def _perturbation_product(f: FactoredFunction, witness: PerturbationWitness) -> 
     for a in witness.phi2_zeros:
         num = np.convolve(num, np.array([-a, 1.0 + 0j]))
     g = RationalDiskFunction(tuple(num), tuple(first) * 2 + witness.phi2_zeros)
-    return f.outer.as_rational().multiply(g)
+    return f.outer.multiply(g)
 
 
 def _package_witness(
@@ -146,8 +147,7 @@ def _package_witness(
         return np.abs(f(z)) * np.real(witness_h_values(f, probe, z))
 
     mean_fh, _ = converged_circle_mean(weighted_h, tol)
-    norm_f, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol)
-    c = mean_fh / norm_f
+    c = mean_fh / l1_norm(f, tol)
     sup = 0.0
     for n in (8192, 16384):
         h = np.real(witness_h_values(f, probe, CircleGrid(n).nodes))
@@ -238,7 +238,7 @@ def verify_witness(
             membership_plus = check_membership(np.zeros(1, dtype=complex), space, tol)
             membership_minus = membership_plus
 
-        norm_f, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol)
+        norm_f = l1_norm(f, tol)
 
         def endpoint_modulus(sign):
             def integrand(z):

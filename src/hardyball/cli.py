@@ -1,17 +1,27 @@
 """Command-line surface: analyze, certify, sweep, gen.
 
-Exit codes encode verdicts so shell pipelines can branch without parsing:
-0 extreme / verified, 10 non-extreme, 11 borderline, 1 failed certificate,
-2 input error or a circle quadrature that did not converge ("numerics"),
-3 generator gave up.  ``HARDY_TOL_RANK`` and ``HARDY_TOL_QUAD`` override the
-corresponding tolerances; per-problem ``options`` win over the environment,
-and explicit flags win over both.  A malformed environment value is a parse
-error (exit 2).
+Exit codes: 0 extreme / verified, 10 non-extreme, 11 borderline, 1 failed
+certificate.  Commands raise; :func:`main` alone maps an exception to one JSON
+``error`` document on the command's error stream (stdout for analyze and
+certify, stderr for sweep and gen, whose stdout is data):
+
+    kind          exit  cause
+    parse         2     malformed document, flag or environment value (DocumentError)
+    input         2     well-formed input the pipeline rejects (ValueError)
+    not_in_space  2     analyze: a hole coefficient is nonzero (with a residual table)
+    numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError)
+    io            2     an output path cannot be written (OSError)
+    generator     3     gen exhausted its retries (MaxRetriesExceededError)
+
+``HARDY_TOL_RANK`` and ``HARDY_TOL_QUAD`` override the corresponding
+tolerances; per-problem ``options`` win over the environment, and explicit
+flags win over both.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import os
@@ -115,20 +125,8 @@ def _error_report(kind: str, message: str, extra: dict | None = None) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
-        tol = _tolerances(problem.options, args.tol_rank, args.grid)
-    except DocumentError as exc:
-        print(canonical_json(_error_report("parse", str(exc))))
-        return EXIT_INPUT_ERROR
-    try:
-        return _analyze(problem, tol, args)
-    except QuadratureConvergenceError as exc:
-        print(canonical_json(_error_report("numerics", str(exc))))
-        return EXIT_INPUT_ERROR
-
-
-def _analyze(problem: documents.ProblemDocument, tol: Tolerances, args) -> int:
+    problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
+    tol = _tolerances(problem.options, args.tol_rank, args.grid)
     f, space = problem.function, problem.space
     membership = model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol)
     if not membership.passed:
@@ -140,17 +138,13 @@ def _analyze(problem: documents.ProblemDocument, tol: Tolerances, args) -> int:
         )))
         return EXIT_INPUT_ERROR
 
-    try:
-        normalized, scale = model.normalize(f, tol)
-        # the verdict is scale invariant; the exact backend must see the raw
-        # coefficients (normalization rounds them off the rational member set)
-        verdict = extremality.decide_extreme(
-            f if args.exact else normalized, space, tol,
-            backend="exact" if args.exact else "svd",
-        )
-    except (model.NotInSpaceError, ValueError) as exc:
-        print(canonical_json(_error_report("input", str(exc))))
-        return EXIT_INPUT_ERROR
+    normalized, scale = model.normalize(f, tol)
+    # the verdict is scale invariant; the exact backend must see the raw
+    # coefficients (normalization rounds them off the rational member set)
+    verdict = extremality.decide_extreme(
+        f if args.exact else normalized, space, tol,
+        backend="exact" if args.exact else "svd",
+    )
 
     status = verdict.status
     witness = None
@@ -199,26 +193,18 @@ def _analyze(problem: documents.ProblemDocument, tol: Tolerances, args) -> int:
     }
     if witness_error:
         report["witness_error"] = witness_error
-    print(canonical_json(report))
-
+    # written first, so an unwritable path leaves the error as the only output
     if args.witness_out and witness is not None:
         Path(args.witness_out).write_text(canonical_json(documents.witness_to_dict(witness)) + "\n")
+    print(canonical_json(report))
     return _STATUS_EXIT[status]
 
 
 def cmd_certify(args) -> int:
-    try:
-        problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
-        witness = documents.parse_witness(_read_document(args.witness), source=args.witness)
-        tol = _tolerances(problem.options)
-    except DocumentError as exc:
-        print(canonical_json(_error_report("parse", str(exc))))
-        return EXIT_INPUT_ERROR
-    try:
-        normalized, _ = model.normalize(problem.function, tol)
-    except QuadratureConvergenceError as exc:
-        print(canonical_json(_error_report("numerics", str(exc))))
-        return EXIT_INPUT_ERROR
+    problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
+    witness = documents.parse_witness(_read_document(args.witness), source=args.witness)
+    tol = _tolerances(problem.options)
+    normalized, _ = model.normalize(problem.function, tol)
     report = certificates.verify_witness(normalized, problem.space, witness, tol)
     doc = {"format_version": documents.FORMAT_VERSION, "type": "witness_report"}
     doc.update(_witness_report_dict(report))
@@ -282,7 +268,12 @@ def _parse_range(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise DocumentError("--range", f"expected a:b:step, got {spec!r}")
-    a, b, step = (float(p) for p in parts)
+    try:
+        a, b, step = (float(p) for p in parts)
+    except ValueError:
+        raise DocumentError("--range", f"expected numbers a:b:step, got {spec!r}") from None
+    if not np.isfinite([a, b, step]).all():
+        raise DocumentError("--range", f"expected finite a, b and step in {spec!r}")
     if step <= 0 or b < a:
         raise DocumentError("--range", f"need a <= b and step > 0 in {spec!r}")
     count = int(np.floor((b - a) / step + 1e-9)) + 1
@@ -290,26 +281,22 @@ def _parse_range(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        template = _read_document(args.template)
-        names = tuple(args.param or [])
-        ranges = [(_parse_range(r)) for r in (args.range or [])]
-        if len(names) != len(ranges):
-            raise DocumentError("--param/--range", "need one --range per --param")
-        placeholders = _template_placeholders(template)
-        if set(names) != placeholders:
-            raise DocumentError(
-                args.template,
-                f"template sweeps {sorted(placeholders)} but parameters are {sorted(names)}",
-            )
-        first_point = documents.parse_problem(
-            _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}),
-            source=args.template,
+    template = _read_document(args.template)
+    names = tuple(args.param or [])
+    ranges = [(_parse_range(r)) for r in (args.range or [])]
+    if len(names) != len(ranges):
+        raise DocumentError("--param/--range", "need one --range per --param")
+    placeholders = _template_placeholders(template)
+    if set(names) != placeholders:
+        raise DocumentError(
+            args.template,
+            f"template sweeps {sorted(placeholders)} but parameters are {sorted(names)}",
         )
-        tol = _tolerances(first_point.options)
-    except DocumentError as exc:
-        print(canonical_json(_error_report("parse", str(exc))), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    first_point = documents.parse_problem(
+        _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}),
+        source=args.template,
+    )
+    tol = _tolerances(first_point.options)
 
     combos = list(itertools.product(*ranges))
     if args.jobs and args.jobs > 1:
@@ -323,45 +310,19 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(template, names, combo, tol) for combo in combos]
 
     header = list(names) + ["status", "rank", "delta", "min_singular_value"]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def cmd_gen(args) -> int:
-    try:
-        data = _read_document(args.spec)
-        if data.get("type") not in (None, "gen_spec"):
-            raise DocumentError(args.spec, f"expected a gen_spec document, got {data.get('type')!r}")
-        holes = data.get("holes", [])
-        if not isinstance(holes, list) or any(
-            isinstance(k, bool) or not isinstance(k, int) for k in holes
-        ):
-            raise DocumentError(args.spec + ".holes", "expected a list of integers")
-        zeros = documents._as_complex_list(data.get("inner_zeros", []), args.spec + ".inner_zeros")
-        den = documents._as_complex_list(
-            data.get("outer_denominator", []), args.spec + ".outer_denominator"
-        )
-        degree = data.get("numerator_degree")
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise DocumentError(args.spec + ".numerator_degree", "expected an integer")
-        space = model.PuncturedSpace(tuple(holes))
-        tol = _tolerances()
-    except (DocumentError, ValueError) as exc:
-        print(canonical_json(_error_report("parse", str(exc))), file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        member = model.sample_member(space, zeros, den, degree, args.seed, tol)
-    except model.MaxRetriesExceededError as exc:
-        print(canonical_json(_error_report("generator", str(exc))), file=sys.stderr)
-        return EXIT_GENERATOR_GAVE_UP
-    print(canonical_json(documents.problem_to_dict(space, member)))
+    spec = documents.parse_gen_spec(_read_document(args.spec), source=args.spec)
+    tol = _tolerances()
+    member = model.sample_member(spec.space, spec.inner_zeros, spec.denominator_parameters,
+                                 spec.numerator_degree, args.seed, tol)
+    print(canonical_json(documents.problem_to_dict(spec.space, member)))
     return 0
 
 
@@ -400,9 +361,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception -> (error kind, exit code); the first matching class wins, so
+# DocumentError comes before its base class ValueError
+_ERRORS = (
+    (DocumentError, "parse", EXIT_INPUT_ERROR),
+    (QuadratureConvergenceError, "numerics", EXIT_INPUT_ERROR),
+    (model.MaxRetriesExceededError, "generator", EXIT_GENERATOR_GAVE_UP),
+    (OSError, "io", EXIT_INPUT_ERROR),
+    (ValueError, "input", EXIT_INPUT_ERROR),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
+        stream = sys.stdout if args.command in ("analyze", "certify") else sys.stderr
+        print(canonical_json(_error_report(kind, str(exc))), file=stream)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ and identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -91,6 +92,8 @@ def _as_int(value: Any, path: str) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int too large for a float
+        raise DocumentError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -106,10 +109,16 @@ def _as_complex_list(value: Any, path: str) -> tuple[complex, ...]:
     return tuple(_as_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _as_holes(value: Any, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise DocumentError(path, "expected a list of integers")
+    return tuple(_as_int(k, f"{path}[{i}]") for i, k in enumerate(value))
+
+
 def load_json(text: str, source: str = "<input>") -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise DocumentError(source, f"not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise DocumentError(source, "top level must be an object")
@@ -131,10 +140,7 @@ class ProblemDocument:
 def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
     if data.get("type") not in (None, "problem"):
         raise DocumentError(source, f"expected a problem document, got type {data.get('type')!r}")
-    holes_raw = _require(data, "holes", source)
-    if not isinstance(holes_raw, list):
-        raise DocumentError(source + ".holes", "expected a list of integers")
-    holes = tuple(_as_int(k, f"{source}.holes[{i}]") for i, k in enumerate(holes_raw))
+    holes = _as_holes(_require(data, "holes", source), source + ".holes")
     zeros = _as_complex_list(data.get("inner_zeros", []), source + ".inner_zeros")
     constant = _as_complex_pair(
         data.get("inner_constant", [1.0, 0.0]), source + ".inner_constant"
@@ -165,6 +171,35 @@ def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
     return ProblemDocument(space, FactoredFunction(inner, outer), options)
+
+
+@dataclass(frozen=True)
+class GenSpec:
+    """Parsed gen_spec: the shape of the random member to draw."""
+
+    space: PuncturedSpace
+    inner_zeros: tuple[complex, ...]
+    denominator_parameters: tuple[complex, ...]
+    numerator_degree: int
+
+
+def parse_gen_spec(data: dict, source: str = "<gen_spec>") -> GenSpec:
+    if data.get("type") not in (None, "gen_spec"):
+        raise DocumentError(source, f"expected a gen_spec document, got type {data.get('type')!r}")
+    holes = _as_holes(data.get("holes", []), source + ".holes")
+    zeros = _as_complex_list(data.get("inner_zeros", []), source + ".inner_zeros")
+    denominator = _as_complex_list(data.get("outer_denominator", []),
+                                   source + ".outer_denominator")
+    degree = _as_int(_require(data, "numerator_degree", source), source + ".numerator_degree")
+    if degree < 0:
+        raise DocumentError(source + ".numerator_degree", f"must be >= 0, got {degree}")
+    try:
+        space = PuncturedSpace(holes)
+        BlaschkeProduct(zeros)
+        OuterRational((1.0,), denominator)  # checks the poles alone
+    except ValueError as exc:
+        raise DocumentError(source, str(exc)) from exc
+    return GenSpec(space, zeros, denominator, degree)
 
 
 def _pair(z: complex) -> list[float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CoefficientSequence, RationalDiskFunction, converged_circle_mean
+from .series import POLE_MARGIN, CoefficientSequence, RationalDiskFunction, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -77,7 +77,7 @@ class BlaschkeProduct:
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
         for a in self.zeros:
-            if abs(a) >= 1.0 - DEFAULT.pole_margin:
+            if abs(a) >= 1.0 - POLE_MARGIN:
                 raise ValueError(f"Blaschke zero {a} not inside the unit disk (margin)")
 
     @property
@@ -102,34 +102,22 @@ class BlaschkeProduct:
 
 
 @dataclass(frozen=True)
-class OuterRational:
-    """Rational outer factor: polynomial numerator with no roots in the open disk.
+class OuterRational(RationalDiskFunction):
+    """Rational outer factor: a :class:`~hardyball.series.RationalDiskFunction`
+    whose numerator has no roots in the open disk.
 
     Roots on the unit circle are allowed (they matter only for the
-    exposedness gate); poles are parametrized as in
-    :class:`~hardyball.series.RationalDiskFunction`.
+    exposedness gate).
     """
 
-    numerator: tuple[complex, ...]
-    denominator_parameters: tuple[complex, ...] = ()
-
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(complex(c) for c in self.numerator))
-        object.__setattr__(
-            self, "denominator_parameters", tuple(complex(b) for b in self.denominator_parameters)
-        )
+        # the outer checks run before the pole-margin check, so their errors win
         if not any(c != 0 for c in self.numerator):
             raise ValueError("outer numerator must not be identically zero")
         inside = [r for r in numerator_roots(self.numerator) if abs(r) < 1.0 - DEFAULT.root]
         if inside:
             raise NotOuterError(inside)
-        self.as_rational()  # pole-margin validation
-
-    def as_rational(self) -> RationalDiskFunction:
-        return RationalDiskFunction(self.numerator, self.denominator_parameters)
-
-    def __call__(self, z):
-        return self.as_rational()(z)
+        super().__post_init__()
 
     def scale(self, s: complex) -> "OuterRational":
         return OuterRational(tuple(s * c for c in self.numerator), self.denominator_parameters)
@@ -157,7 +145,7 @@ class FactoredFunction:
     outer: OuterRational
 
     def as_rational(self) -> RationalDiskFunction:
-        return self.inner.as_rational().multiply(self.outer.as_rational())
+        return self.inner.as_rational().multiply(self.outer)
 
     def __call__(self, z):
         return self.inner(z) * self.outer(z)

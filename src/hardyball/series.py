@@ -19,6 +19,9 @@ import numpy as np
 
 from .tolerances import DEFAULT, Tolerances
 
+# denominator parameters (and Blaschke zeros) must satisfy |b| < 1 - POLE_MARGIN
+POLE_MARGIN = 1e-9
+
 
 class PoleMarginError(ValueError):
     """A denominator parameter sits too close to (or outside) the unit circle."""
@@ -159,13 +162,10 @@ class RationalDiskFunction:
         object.__setattr__(
             self, "denominator_parameters", tuple(complex(b) for b in self.denominator_parameters)
         )
-        self.require_pole_margin(DEFAULT.pole_margin)
-
-    def require_pole_margin(self, margin: float) -> None:
         for b in self.denominator_parameters:
-            if abs(b) >= 1.0 - margin:
+            if abs(b) >= 1.0 - POLE_MARGIN:
                 raise PoleMarginError(
-                    f"denominator parameter {b} has modulus {abs(b):.17g} >= 1 - {margin:g}"
+                    f"denominator parameter {b} has modulus {abs(b):.17g} >= 1 - {POLE_MARGIN:g}"
                 )
 
     def __call__(self, z):
@@ -187,7 +187,6 @@ class RationalDiskFunction:
 
 def expand_rational(f: RationalDiskFunction, up_to: int) -> CoefficientSequence:
     """Taylor coefficients c_0..c_{up_to} of ``f`` at the origin (see :func:`expand`)."""
-    f.require_pole_margin(DEFAULT.pole_margin)
     return expand(f.numerator, f.denominator_parameters, up_to)
 
 

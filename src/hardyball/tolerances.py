@@ -13,8 +13,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # pole-location margin: denominator parameters must satisfy |b| < 1 - pole_margin
-    pole_margin: float = 1e-9
     # quadrature: grid doubling stops once successive means agree within quad
     quad: float = 1e-10
     quad_start_n: int = 1024

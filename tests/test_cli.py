@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyball.cli import main
 
@@ -319,6 +323,112 @@ def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsy
     report = json.loads(out)
     assert report["type"] == "error" and report["error"] == "numerics"
     assert "did not stabilise" in report["message"]
+
+
+# non-extreme by degree overflow (one inner zero, no holes), no circle roots
+OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("gen_negative_degree", "parse"),
+    ("gen_zero_outside_disk", "parse"),
+    ("gen_pole_inside_disk", "parse"),
+    ("analyze_witness_out_unwritable", "io"),
+    ("sweep_out_unwritable", "io"),
+    ("sweep_range_not_a_number", "parse"),
+    ("sweep_range_nan", "parse"),
+    ("sweep_range_inf", "parse"),
+    ("analyze_int_too_large_for_a_float", "parse"),
+    ("analyze_infinite_coefficient", "parse"),
+])
+def test_no_traceback(case, kind, tmp_path, capsys):
+    missing = tmp_path / "missing"  # a directory that does not exist
+    doc = write(tmp_path / "doc.json", {
+        "gen_negative_degree": dict(GEN_SPEC, numerator_degree=-1),
+        "gen_zero_outside_disk": dict(GEN_SPEC, inner_zeros=[[1.5, 0.0]]),
+        "gen_pole_inside_disk": dict(GEN_SPEC, outer_denominator=[[2.0, 0.0]]),
+        "analyze_int_too_large_for_a_float": problem_doc([[10 ** 400, 0]], holes=()),
+        "analyze_infinite_coefficient": problem_doc([[float("inf"), 0]], holes=()),
+        "analyze_witness_out_unwritable": OVERFLOW_PROBLEM,
+    }.get(case, problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]])))
+    sweep = ["sweep", doc, "--param", "beta", "--range"]
+    argv = {
+        "analyze_witness_out_unwritable":
+            ["analyze", doc, "--witness-out", str(missing / "w.json")],
+        "sweep_out_unwritable": sweep + ["0:1:0.5", "--out", str(missing / "x.csv")],
+        "sweep_range_not_a_number": sweep + ["0:x:0.25"],
+        "sweep_range_nan": sweep + ["0:nan:0.25"],
+        "sweep_range_inf": sweep + ["0:inf:0.25"],
+    }.get(case, [case.split("_")[0], doc])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    stream, other = (out, err) if argv[0] in ("analyze", "certify") else (err, out)
+    assert other == ""
+    report = json.loads(stream)  # exactly one document: a report before it would not parse
+    assert report["type"] == "error" and report["error"] == kind
+
+
+# small well-formed documents with at most one field replaced by junk.  The
+# numbers come from short lists: no outer numerator has a root on the circle,
+# and no witness epsilon is large enough to make 1 +- epsilon*(h - c) change
+# sign; such inputs are handled, but their circle means need large grids.
+_JUNK = st.sampled_from([None, "x", True, [], {}, [0], [3, 2], [[1.0, 0.0]], 1e300, -1, 0,
+                         float("inf"), float("nan"), 10 ** 400])
+_NUMBER = st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0])
+_PAIRS = st.lists(st.tuples(_NUMBER, _NUMBER).map(list), max_size=2)
+_HOLES = st.lists(st.integers(1, 4), max_size=2, unique=True).map(sorted)
+
+
+def _document(kind, **fields):
+    def corrupt(drawn):
+        doc, junk = drawn
+        return {"format_version": 1, "type": kind, **doc, **junk}
+
+    junk = st.dictionaries(st.sampled_from(["type", *fields]), _JUNK, max_size=1)
+    return st.tuples(st.fixed_dictionaries(fields), junk).map(corrupt)
+
+
+_PROBLEMS = _document(
+    "problem", holes=_HOLES, inner_zeros=_PAIRS,
+    inner_constant=st.sampled_from([[1.0, 0.0], [0.0, 1.0]]),
+    outer_numerator=st.sampled_from([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+                                     [[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    outer_denominator=st.lists(st.tuples(_NUMBER, st.just(0.0)).map(list), max_size=1),
+    options=st.dictionaries(st.just("tol_rank"), _NUMBER, max_size=1),
+)
+_WITNESSES = _document(
+    "witness", provenance=st.sampled_from(["kernel_path", "degree_overflow_path"]),
+    symmetric_order=st.just(1), coefficient_vector=st.lists(_NUMBER, min_size=3, max_size=3),
+    phi2_zeros=_PAIRS, epsilon=st.sampled_from([0.0, 0.05, 0.1]), recenter_c=_NUMBER,
+)
+_GEN_SPECS = _document(
+    "gen_spec", holes=_HOLES, inner_zeros=_PAIRS, outer_denominator=_PAIRS,
+    numerator_degree=st.integers(0, 3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    _PROBLEMS.map(lambda doc: ("analyze", doc)),
+    _WITNESSES.map(lambda doc: ("certify", doc)),
+    _GEN_SPECS.map(lambda doc: ("gen", doc)),
+))
+def test_no_exception_escapes_main(tmp_path_factory, case):
+    command, doc = case
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = write(directory / "doc.json", doc)
+    argv = {
+        "analyze": ["analyze", path],
+        "certify": ["certify", write(directory / "p.json", OVERFLOW_PROBLEM), path],
+        "gen": ["gen", path],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 10, 11)
+    if code in (2, 3):
+        stream = out if command in ("analyze", "certify") else err
+        assert json.loads(stream.getvalue())["type"] == "error"
 
 
 class TestGen:
