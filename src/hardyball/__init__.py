@@ -29,7 +29,6 @@ from .extremality import (
     assemble_criterion_matrix,
     build_criterion_matrix,
     canonical_kernel_vector,
-    criterion_coefficients,
     decide_extreme,
     hole_constraint_value,
     kernel_alignment,
@@ -52,13 +51,10 @@ from .model import (
 )
 from .series import (
     CircleGrid,
-    CoefficientSequence,
     PoleMarginError,
     QuadratureConvergenceError,
     RationalDiskFunction,
     converged_circle_mean,
-    convolve,
-    expand_rational,
 )
 from .tolerances import DEFAULT, Tolerances
 

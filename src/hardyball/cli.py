@@ -15,7 +15,9 @@ certify, stderr for sweep and gen, whose stdout is data):
 
 ``HARDY_TOL_RANK`` and ``HARDY_TOL_QUAD`` override the corresponding
 tolerances; per-problem ``options`` win over the environment, and explicit
-flags win over both.
+flags win over both.  Every tolerance must be a finite number > 0 and
+``--grid`` a power of two in [16, 2^19], below the quadrature cap; a sweep
+has at most :data:`MAX_SWEEP_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import itertools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +37,7 @@ import numpy as np
 from . import certificates, documents, extremality, model
 from .documents import DocumentError, canonical_json
 from .extremality import BORDERLINE, EXTREME, NON_EXTREME
-from .series import QuadratureConvergenceError
+from .series import QUAD_MAX_N, QuadratureConvergenceError
 from .tolerances import DEFAULT, Tolerances
 
 EXIT_EXTREME = 0
@@ -47,6 +50,8 @@ EXIT_BORDERLINE = 11
 
 _STATUS_EXIT = {EXTREME: EXIT_EXTREME, NON_EXTREME: EXIT_NON_EXTREME, BORDERLINE: EXIT_BORDERLINE}
 
+MAX_SWEEP_ROWS = 10 ** 6
+
 
 def _tolerances(options: dict | None = None, tol_rank: float | None = None,
                 grid: int | None = None) -> Tolerances:
@@ -54,9 +59,16 @@ def _tolerances(options: dict | None = None, tol_rank: float | None = None,
     for name, field in (("HARDY_TOL_RANK", "rank"), ("HARDY_TOL_QUAD", "quad")):
         if name in os.environ:
             try:
-                env[field] = float(os.environ[name])
+                value = float(os.environ[name])
             except ValueError:
                 raise DocumentError(name, f"expected a number, got {os.environ[name]!r}") from None
+            env[field] = documents.as_tolerance(value, name)
+    if tol_rank is not None:
+        documents.as_tolerance(tol_rank, "--tol-rank")
+    # the circle mean doubles its grid at least once, so the cap itself never converges
+    if grid is not None and not (16 <= grid < QUAD_MAX_N and grid & (grid - 1) == 0):
+        raise DocumentError("--grid",
+                            f"expected a power of two in [16, {QUAD_MAX_N // 2}], got {grid}")
     tol = DEFAULT.override(**env)
     if options:
         tol = tol.override(**options)
@@ -128,7 +140,7 @@ def cmd_analyze(args) -> int:
     problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
     tol = _tolerances(problem.options, args.tol_rank, args.grid)
     f, space = problem.function, problem.space
-    membership = model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol)
+    membership = model.check_membership(f.taylor(space.k_max), space, tol)
     if not membership.passed:
         hole, residual = membership.worst()
         print(canonical_json(_error_report(
@@ -143,7 +155,7 @@ def cmd_analyze(args) -> int:
     # coefficients (normalization rounds them off the rational member set)
     verdict = extremality.decide_extreme(
         f if args.exact else normalized, space, tol,
-        backend="exact" if args.exact else "svd",
+        backend="exact" if args.exact else "svd", membership=membership,
     )
 
     status = verdict.status
@@ -212,29 +224,23 @@ def cmd_certify(args) -> int:
     return EXIT_CERTIFIED if report.verifies else EXIT_FAILED_CERTIFICATE
 
 
+# the fields whose [re, im] slots a sweep template may fill with parameter names
+_SWEPT_FIELDS = ("inner_zeros", "outer_numerator", "outer_denominator")
+
+
 def _template_placeholders(data: dict) -> set[str]:
-    names = set()
-    for field in ("inner_zeros", "outer_numerator", "outer_denominator"):
-        for entry in data.get(field, []) or []:
-            if isinstance(entry, list):
-                for slot in entry:
-                    if isinstance(slot, str):
-                        names.add(slot)
-    return names
+    return {slot for field in _SWEPT_FIELDS if isinstance(data.get(field), list)
+            for entry in data[field] if isinstance(entry, list)
+            for slot in entry if isinstance(slot, str)}
 
 
 def _substitute(data: dict, assignment: dict[str, float]) -> dict:
+    """The template with its named slots filled; malformed fields are left for parsing to reject."""
     out = dict(data)
-    for field in ("inner_zeros", "outer_numerator", "outer_denominator"):
-        if field not in out or out[field] is None:
-            continue
-        rows = []
-        for entry in out[field]:
-            if isinstance(entry, list):
-                rows.append([assignment.get(s, s) if isinstance(s, str) else s for s in entry])
-            else:
-                rows.append(entry)
-        out[field] = rows
+    for field in _SWEPT_FIELDS:
+        if isinstance(out.get(field), list):
+            out[field] = [[assignment.get(s, s) if isinstance(s, str) else s for s in entry]
+                          if isinstance(entry, list) else entry for entry in out[field]]
     return out
 
 
@@ -246,11 +252,11 @@ def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ..
             _substitute(template, dict(zip(names, values))), source="<sweep>"
         )
         f, space = problem.function, problem.space
-        if not model.check_membership(f.taylor(space.k_max).to_array(space.k_max), space,
-                                      tol).passed:
+        membership = model.check_membership(f.taylor(space.k_max), space, tol)
+        if not membership.passed:
             return row + ["skip", "", "", ""]
         f, _ = model.normalize(f, tol)
-        verdict = extremality.decide_extreme(f, space, tol)
+        verdict = extremality.decide_extreme(f, space, tol, membership=membership)
         delta = ""
         if space.size == 1 and verdict.condition_a.m == 1:
             delta = documents.format_float(
@@ -264,7 +270,8 @@ def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ..
         return row + [f"error:{type(cause).__name__}", "", "", ""]
 
 
-def _parse_range(spec: str) -> list[float]:
+def _parse_range(spec: str) -> tuple[float, float, float]:
+    """(first point, step, point count) of an a:b:step spec; the count may be inf."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise DocumentError("--range", f"expected a:b:step, got {spec!r}")
@@ -276,14 +283,17 @@ def _parse_range(spec: str) -> list[float]:
         raise DocumentError("--range", f"expected finite a, b and step in {spec!r}")
     if step <= 0 or b < a:
         raise DocumentError("--range", f"need a <= b and step > 0 in {spec!r}")
-    count = int(np.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(count)]
+    return a, step, float(np.floor((b - a) / step + 1e-9)) + 1
 
 
 def cmd_sweep(args) -> int:
     template = _read_document(args.template)
     names = tuple(args.param or [])
-    ranges = [(_parse_range(r)) for r in (args.range or [])]
+    specs = [_parse_range(r) for r in (args.range or [])]
+    rows = math.prod(count for _, _, count in specs)
+    if not rows <= MAX_SWEEP_ROWS:  # an infinite point count fails too
+        raise DocumentError("--range", f"the sweep has {rows:g} rows, more than {MAX_SWEEP_ROWS}")
+    ranges = [[a + i * step for i in range(int(count))] for a, step, count in specs]
     if len(names) != len(ranges):
         raise DocumentError("--param/--range", "need one --range per --param")
     placeholders = _template_placeholders(template)

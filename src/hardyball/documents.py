@@ -17,6 +17,7 @@ from typing import Any
 from .certificates import PerturbationWitness
 from .extremality import SymmetricPolynomial
 from .model import BlaschkeProduct, FactoredFunction, OuterRational, PuncturedSpace
+from .series import check_pole_margin
 
 FORMAT_VERSION = 1
 
@@ -97,6 +98,14 @@ def _as_number(value: Any, path: str) -> float:
     return float(value)
 
 
+def as_tolerance(value: Any, path: str) -> float:
+    """A tolerance value: a finite number > 0."""
+    value = _as_number(value, path)
+    if not value > 0:
+        raise DocumentError(path, f"expected a number > 0, got {value!r}")
+    return value
+
+
 def _as_complex_pair(value: Any, path: str) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise DocumentError(path, f"expected [re, im] pair, got {value!r}")
@@ -158,7 +167,7 @@ def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
     for key, value in options_raw.items():
         if key not in _OPTION_FIELDS:
             raise DocumentError(f"{source}.options.{key}", "unknown option")
-        options[_OPTION_FIELDS[key]] = _as_number(value, f"{source}.options.{key}")
+        options[_OPTION_FIELDS[key]] = as_tolerance(value, f"{source}.options.{key}")
     try:
         space = PuncturedSpace(holes)
         inner = BlaschkeProduct(zeros)
@@ -196,7 +205,7 @@ def parse_gen_spec(data: dict, source: str = "<gen_spec>") -> GenSpec:
     try:
         space = PuncturedSpace(holes)
         BlaschkeProduct(zeros)
-        OuterRational((1.0,), denominator)  # checks the poles alone
+        check_pole_margin(denominator)
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
     return GenSpec(space, zeros, denominator, degree)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .extremality import criterion_coefficients
 from .model import FactoredFunction, PuncturedSpace
 
 
@@ -96,7 +95,7 @@ def exact_membership_defects(
 
     Only the data of the canonical pair are lifted (inner zeros, outer
     numerator and poles); the coefficients are those of f / P_0 = f, every
-    product formed exactly (see :func:`hardyball.extremality.criterion_coefficients`).
+    product formed exactly (see :meth:`hardyball.model.FactoredFunction.taylor`).
     """
-    coeffs = criterion_coefficients(f, space.k_max, lift, first=0).values
+    coeffs = f.taylor(space.k_max, lift)
     return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]

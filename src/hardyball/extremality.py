@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactoredFunction, NotInSpaceError, PuncturedSpace, check_membership
-from .series import CoefficientSequence, expand, polyval_ascending
+from .exactrank import exact_membership_defects, fraction_kernel, lift
+from .model import (FactoredFunction, MembershipReport, NotInSpaceError, PuncturedSpace,
+                    check_membership)
+from .series import polyval_ascending
 from .tolerances import DEFAULT, Tolerances
 
 EXTREME = "extreme"
@@ -103,22 +105,24 @@ def canonical_kernel_vector(zeros) -> SymmetricPolynomial:
     return SymmetricPolynomial.from_coefficients(coeffs, atol=1e-12)
 
 
-def hole_constraint_value(
-    p: SymmetricPolynomial, coeffs: CoefficientSequence, k: int
-) -> complex:
+def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:
     """Taylor coefficient at index k of (p * series with the given coefficients).
 
     Evaluates sum_{l=1..N} c_{k+l-N} conj(gamma_l) + sum_{l=0..N} c_{k-l-N} gamma_l
-    exactly; the real/imaginary parts of this bilinear form are what the rows
-    of the criterion matrix tabulate, so this is its independent audit oracle.
+    exactly, reading c_r = 0 outside the given c_0, c_1, ...; the real/imaginary
+    parts of this bilinear form are what the rows of the criterion matrix
+    tabulate, so this is its independent audit oracle.
     """
+    def c(r):
+        return coeffs[r] if 0 <= r < len(coeffs) else 0j
+
     n = p.order
     gammas = p.upper
     acc = 0j
     for l in range(1, n + 1):
-        acc += coeffs.at(k + l - n) * gammas[l].conjugate()
+        acc += c(k + l - n) * gammas[l].conjugate()
     for l in range(0, n + 1):
-        acc += coeffs.at(k - l - n) * gammas[l]
+        acc += c(k - l - n) * gammas[l]
     return acc
 
 
@@ -126,7 +130,7 @@ def hole_constraint_value(
 class CriterionMatrix:
     """Block matrix [[re_sum, im_diff], [im_sum, -re_diff]] with 2M rows, 2m+1 columns.
 
-    With c_r the stored coefficients (zero for r < 0) and row hole k_j:
+    With c_r the coefficients (zero for r < 0) and row hole k_j:
     re_sum[j, l]  = Re c_{k_j+l-m} + Re c_{k_j-l-m}   (l = 0..m)
     im_sum[j, l]  = Im c_{k_j+l-m} + Im c_{k_j-l-m}   (l = 0..m)
     re_diff[j, l] = Re c_{k_j+l-m} - Re c_{k_j-l-m}   (l = 1..m)
@@ -139,25 +143,24 @@ class CriterionMatrix:
     holes: tuple[int, ...]
     m: int
     assembled: np.ndarray
-    coefficients: CoefficientSequence
+    coefficients: np.ndarray
 
 
-def assemble_criterion_matrix(
-    coeffs: CoefficientSequence, holes, m: int
-) -> CriterionMatrix:
-    """Assemble the criterion blocks from a coefficient sequence (pure tabulation).
+def assemble_criterion_matrix(coeffs, holes, m: int) -> CriterionMatrix:
+    """Assemble the criterion blocks from coefficients c_0, c_1, ... (pure tabulation).
 
     Works on any scalars with ``.real``, ``.imag`` and exact ``+ -`` on those
     parts, so the same tabulation serves float and exact coefficients.
     """
     holes = tuple(int(k) for k in holes)
-    n = len(coeffs.values)
-    base = np.array(holes, dtype=int).reshape(-1, 1) - m - coeffs.start
+    values = np.asarray(coeffs).tolist()
+    n = len(values)
+    base = np.array(holes, dtype=int).reshape(-1, 1) - m
     offsets = np.arange(m + 1)
-    # positions of c_{k+l-m} and c_{k-l-m}; reads outside the window hit the trailing zero
+    # positions of c_{k+l-m} and c_{k-l-m}; reads outside 0..n-1 hit the trailing zero
     hi, lo = (np.where((i >= 0) & (i < n), i, n) for i in (base + offsets, base - offsets))
-    re = np.array([c.real for c in coeffs.values] + [0])
-    im = np.array([c.imag for c in coeffs.values] + [0])
+    re = np.array([c.real for c in values] + [0])
+    im = np.array([c.imag for c in values] + [0])
     re_sum, im_sum = re[hi] + re[lo], im[hi] + im[lo]
     re_diff = re[hi[:, 1:]] - re[lo[:, 1:]]
     im_diff = im[hi[:, 1:]] - im[lo[:, 1:]]
@@ -165,35 +168,12 @@ def assemble_criterion_matrix(
     return CriterionMatrix(holes, m, assembled, coeffs)
 
 
-def criterion_coefficients(
-    f: FactoredFunction, up_to: int, ring=complex, first: int | None = None
-) -> CoefficientSequence:
-    """Taylor coefficients of f / P_n, the hole-constraint weights of order n.
-
-    P_n = prod_{j<=n} (z - a_j)(1 - conj(a_j) z) runs over the first n = ``first``
-    inner zeros (default: all m of them), so f / P_n is
-    F * prod_{j>n} (z - a_j) / (prod_{j<=n} (1 - conj(a_j) z)^2 prod_{j>n} (1 - conj(a_j) z)).
-    n = m gives the criterion matrix, n = M + 1 the degree-overflow operator
-    and n = 0 the function itself.  The spare-zero numerator product and the
-    recurrence are formed in the scalar ring ``ring`` lifts into (see
-    :func:`hardyball.series.expand`).  Indices below zero read as zero.
-    """
-    zeros = f.inner.zeros
-    n = len(zeros) if first is None else first
-    numerator, zero = [ring(c) for c in f.outer.numerator], ring(0)
-    for a in map(ring, zeros[n:]):  # multiply by (z - a)
-        numerator = [x - a * y for x, y in zip([zero] + numerator, numerator + [zero])]
-    parameters = f.outer.denominator_parameters + zeros[:n] * 2 + zeros[n:]
-    return expand(numerator, parameters, up_to, ring)
-
-
 def build_criterion_matrix(
     f: FactoredFunction, space: PuncturedSpace, ring=complex, first: int | None = None
 ) -> CriterionMatrix:
     """Criterion matrix of order n = ``first`` (default: the inner degree) for the hole set."""
     n = f.inner.degree if first is None else first
-    coeffs = criterion_coefficients(f, space.k_max, ring, n)
-    return assemble_criterion_matrix(coeffs, space.holes, n)
+    return assemble_criterion_matrix(f.taylor(space.k_max, ring, n), space.holes, n)
 
 
 @dataclass(frozen=True)
@@ -270,24 +250,25 @@ def decide_extreme(
     space: PuncturedSpace,
     tol: Tolerances = DEFAULT,
     backend: str = "svd",
+    membership: MembershipReport | None = None,
 ) -> ExtremalityVerdict:
     """Decide extremality of f (assumed unit norm; the verdict is scale invariant).
 
     Refuses to classify functions outside the space (raises
-    :class:`~hardyball.model.NotInSpaceError`).  The inner-degree condition is
+    :class:`~hardyball.model.NotInSpaceError`).  The svd backend checks
+    ``membership``, the caller's report for f or any nonzero multiple of it
+    (the check is relative), and expands f itself only when none is given;
+    the exact backend always expands f exactly.  The inner-degree condition is
     checked first; when it fails the function is non-extreme regardless of the
     matrix, whose rank is still reported for diagnostics.  ``backend`` is
     either "svd" (default) or "exact" (Gauss-Jordan elimination over the
     binary-exact Gaussian-rational lift of the inputs; no tolerance, no
     borderline band).
     """
-    check_membership(f.taylor(space.k_max).to_array(space.k_max), space, tol).require()
     m = f.inner.degree
     cond = ConditionA(m, space.size)
 
     if backend == "exact":
-        from .exactrank import exact_membership_defects, fraction_kernel, lift
-
         # the exact rank of a function that is not an exact rational member
         # answers a question about a function outside the space
         for hole, defect in exact_membership_defects(f, space):
@@ -298,9 +279,11 @@ def decide_extreme(
         kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
         result = RankResult(2 * m + 1 - len(basis), kernel, np.zeros(0), False)
     elif backend == "svd":
+        if membership is None:
+            membership = check_membership(f.taylor(space.k_max), space, tol)
+        membership.require()
         matrix = build_criterion_matrix(f, space)
-        scale = float(np.abs(matrix.coefficients.to_array(space.k_max)).max()) \
-            if space.holes else 0.0
+        scale = float(np.abs(matrix.coefficients).max()) if space.holes else 0.0
         result = numeric_rank(matrix.assembled, tol.rank, scale_floor=scale)
     else:
         raise ValueError(f"unknown rank backend {backend!r}")
@@ -343,9 +326,9 @@ def single_hole_delta(
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
         return DeltaResult(float("inf"), EXTREME, (float("inf"), 0.0))
-    coeffs = criterion_coefficients(f, k)
-    lo = abs(coeffs.at(k - 2)) ** 2
-    hi = abs(coeffs.at(k)) ** 2
+    coeffs = f.taylor(k, first=1)
+    lo = abs(coeffs[k - 2]) ** 2 if k >= 2 else 0.0
+    hi = abs(coeffs[k]) ** 2
     delta = lo - hi
     status = EXTREME if abs(delta) > tol.delta * (lo + hi) else NON_EXTREME
     return DeltaResult(delta, status, (lo, hi))

@@ -3,7 +3,9 @@
 A function is carried as an explicit canonical pair: a finite Blaschke
 product (the inner factor) and a rational outer factor with poles outside the
 closed disk.  Factorization of raw boundary data is out of scope; inputs
-arrive already factored.
+arrive already factored.  :meth:`FactoredFunction.taylor` is the one producer
+of a function's Taylor coefficients: those of f / P_n, where n = 0 gives f
+itself and n = m the weights of the criterion matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import POLE_MARGIN, CoefficientSequence, RationalDiskFunction, converged_circle_mean
+from .series import (POLE_MARGIN, RationalDiskFunction, check_pole_margin,
+                     converged_circle_mean, expand)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -90,15 +93,12 @@ class BlaschkeProduct:
             acc = acc * (z - a) / (1 - a.conjugate() * z)
         return acc
 
-    def numerator_coefficients(self) -> tuple[complex, ...]:
+    def numerator_coefficients(self) -> list[complex]:
         """Expanded coefficients of prod_j (z - a_j), constant term first."""
         coeffs = np.array([1.0], dtype=complex)
         for a in self.zeros:
             coeffs = np.convolve(coeffs, np.array([-a, 1.0], dtype=complex))
-        return tuple(coeffs)
-
-    def as_rational(self) -> RationalDiskFunction:
-        return RationalDiskFunction(self.numerator_coefficients(), self.zeros)
+        return coeffs.tolist()
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,26 @@ class FactoredFunction:
     inner: BlaschkeProduct
     outer: OuterRational
 
-    def as_rational(self) -> RationalDiskFunction:
-        return self.inner.as_rational().multiply(self.outer)
-
     def __call__(self, z):
         return self.inner(z) * self.outer(z)
 
-    def taylor(self, up_to: int) -> CoefficientSequence:
-        """Exact Taylor coefficients of the product, via the rational form."""
-        return self.as_rational().taylor(up_to)
+    def taylor(self, up_to: int, ring=complex, first: int = 0) -> np.ndarray:
+        """Taylor coefficients 0..up_to of f / P_n, the hole-constraint weights of order n.
+
+        P_n = prod_{j<=n} (z - a_j)(1 - conj(a_j) z) runs over the first
+        n = ``first`` inner zeros, so f / P_n is
+        F * prod_{j>n} (z - a_j) / (prod_{j<=n} (1 - conj(a_j) z)^2 prod_{j>n} (1 - conj(a_j) z)).
+        n = 0 gives f itself, n = m the criterion matrix and n = M + 1 the
+        degree-overflow operator.  The spare-zero numerator product and the
+        recurrence are formed in the scalar ring ``ring`` lifts into (see
+        :func:`hardyball.series.expand`).
+        """
+        zeros = self.inner.zeros
+        numerator, zero = [ring(c) for c in self.outer.numerator], ring(0)
+        for a in map(ring, zeros[first:]):  # multiply by (z - a)
+            numerator = [x - a * y for x, y in zip([zero] + numerator, numerator + [zero])]
+        parameters = self.outer.denominator_parameters + zeros[:first] * 2 + zeros[first:]
+        return expand(numerator, parameters, up_to, ring)
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ def check_membership(
     """Check that every hole coefficient vanishes, relative to the largest one.
 
     ``coeffs`` is the dense Taylor coefficient vector 0..k_M of the function,
-    e.g. ``f.taylor(space.k_max).to_array(space.k_max)``.
+    e.g. ``f.taylor(space.k_max)``.
     """
     if not space.holes:
         return MembershipReport((), (), 0.0, tol.membership)
@@ -238,18 +249,18 @@ def sample_member(
     """
     rng = np.random.default_rng(seed)
     inner = BlaschkeProduct(tuple(zeros))
-    den = tuple(denominator_parameters)
+    den = tuple(complex(b) for b in denominator_parameters)
     d = int(numerator_degree)
     if d < 0:
         raise ValueError("numerator degree must be >= 0")
+    check_pole_margin(den)
 
     # weight function: coefficient t of the numerator contributes
     # w_{k-t} to the k-th Taylor coefficient of f
-    weight = RationalDiskFunction(
-        inner.numerator_coefficients(), inner.zeros + den
-    ).taylor(space.k_max)
+    weight = expand(inner.numerator_coefficients(), inner.zeros + den, space.k_max)
     constraints = np.array(
-        [[weight.at(k - t) for t in range(d + 1)] for k in space.holes], dtype=complex
+        [[weight[k - t] if t <= k else 0j for t in range(d + 1)] for k in space.holes],
+        dtype=complex,
     )
     if constraints.size:
         _, s, vh = np.linalg.svd(constraints)
@@ -272,7 +283,7 @@ def sample_member(
             continue  # not outer, or too close to the circle to quadrature well
         outer = OuterRational(tuple(candidate), den)
         member, _ = normalize(FactoredFunction(inner, outer), tol)
-        check_membership(member.taylor(space.k_max).to_array(space.k_max), space, tol).require()
+        check_membership(member.taylor(space.k_max), space, tol).require()
         return member
     raise MaxRetriesExceededError(
         f"no outer numerator found in {tol.sample_retries} draws (degree {d}, holes {space.holes})"

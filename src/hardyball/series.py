@@ -1,13 +1,16 @@
-"""Exact Taylor recurrences for rational disk functions and circle quadrature.
+"""The Taylor recurrence for rational disk functions, and circle quadrature.
 
 Everything the rank criterion consumes is a finite batch of Taylor
-coefficients, so coefficient computation is done by exact linear recurrence
-(no truncation error).  The recurrence needs only ring operations, so it runs
-unchanged on complex floats (rounding is its only error) and on the exact
-Gaussian rationals of :mod:`hardyball.exactrank`.  Quadrature on the unit
-circle is the uniform-node average, which is spectrally accurate for periodic
-smooth integrands; callers that need certified digits double the grid until
-two successive values agree.
+coefficients, and :func:`expand` is the one recurrence that produces them (no
+truncation error).  It needs only ring operations, so it runs unchanged on
+complex floats (rounding is its only error) and on the exact Gaussian
+rationals of :mod:`hardyball.exactrank`, and it returns a plain array: complex
+for floats, object for exact scalars.  Its callers choose the rational
+function: :meth:`hardyball.model.FactoredFunction.taylor` expands f / P_n, the
+generator its weight function, and the witness check the perturbation product.
+Quadrature on the unit circle is the uniform-node average, which is
+spectrally accurate for periodic smooth integrands; callers that need
+certified digits double the grid until two successive values agree.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .tolerances import DEFAULT, Tolerances
 
 # denominator parameters (and Blaschke zeros) must satisfy |b| < 1 - POLE_MARGIN
 POLE_MARGIN = 1e-9
+# circle means give up (QuadratureConvergenceError) beyond this many nodes
+QUAD_MAX_N = 2 ** 20
 
 
 class PoleMarginError(ValueError):
@@ -40,58 +45,13 @@ class QuadratureConvergenceError(RuntimeError):
     """Grid doubling hit the size cap before successive means agreed."""
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """Finitely supported window of Taylor coefficients.
-
-    Stores values for indices ``start, start+1, ...``; reads outside the
-    stored window return exactly zero (in particular every negative index,
-    matching the convention that coefficients of analytic functions vanish
-    below zero).  Values are complex floats, or exact ring elements when
-    :func:`expand` ran in an exact ring; ``at`` and ``to_array`` read complex
-    sequences.
-    """
-
-    start: int
-    values: tuple
-
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.values)
-
-    def at(self, k: int) -> complex:
-        if self.start <= k < self.stop:
-            return self.values[k - self.start]
-        return 0j
-
-    def to_array(self, up_to: int) -> np.ndarray:
-        """Coefficients 0..up_to as a dense complex vector."""
-        dense = np.zeros(up_to + 1, dtype=complex)
-        lo = max(self.start, 0)
-        hi = max(min(self.stop, up_to + 1), lo)
-        dense[lo:hi] = self.values[lo - self.start:hi - self.start]
-        return dense
-
-    @classmethod
-    def from_values(cls, values: Sequence[complex], start: int = 0) -> "CoefficientSequence":
-        return cls(start, tuple(complex(v) for v in values))
-
-
-def convolve(s: CoefficientSequence, t: CoefficientSequence, up_to: int) -> CoefficientSequence:
-    """Cauchy product of two coefficient sequences, truncated at ``up_to``.
-
-    Independent of the recurrence in :func:`expand_rational`; the two paths
-    are cross-checked against each other in the test suite.
-    """
-    if s.start < 0 or t.start < 0:
-        raise ValueError("convolution requires start indices >= 0")
-    out = []
-    for k in range(up_to + 1):
-        acc = 0j
-        for i in range(s.start, min(k - t.start, s.stop - 1) + 1):
-            acc += s.at(i) * t.at(k - i)
-        out.append(acc)
-    return CoefficientSequence(0, tuple(out))
+def check_pole_margin(parameters: Sequence[complex]) -> None:
+    """Raise :class:`PoleMarginError` unless every parameter b has |b| < 1 - POLE_MARGIN."""
+    for b in parameters:
+        if abs(b) >= 1.0 - POLE_MARGIN:
+            raise PoleMarginError(
+                f"denominator parameter {b} has modulus {abs(b):.17g} >= 1 - {POLE_MARGIN:g}"
+            )
 
 
 def expand_denominator(parameters: Sequence, ring: Callable = complex) -> list:
@@ -113,7 +73,7 @@ def expand_denominator(parameters: Sequence, ring: Callable = complex) -> list:
 
 
 def expand(numerator: Sequence, parameters: Sequence, up_to: int,
-           ring: Callable = complex) -> CoefficientSequence:
+           ring: Callable = complex) -> np.ndarray:
     """Taylor coefficients c_0..c_{up_to} of p(z) / prod_i (1 - conj(b_i) z).
 
     Writing the denominator as sum_n d_n z^n (d_0 = 1), the coefficients obey
@@ -121,7 +81,8 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     only; there is no truncation, and in an exact ring no error at all.  The
     numerator coefficients are ring elements already (complex numbers for the
     default ring); the parameters pass through ``ring`` (see
-    :func:`expand_denominator`), and every product is formed in it.
+    :func:`expand_denominator`), and every product is formed in it.  Returns
+    c_0..c_{up_to} as a complex array for ``ring=complex``, else an object array.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
@@ -134,7 +95,7 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
         for n in range(1, min(k, len(den) - 1) + 1):
             acc -= den[n] * coeffs[k - n]
         coeffs.append(acc)
-    return CoefficientSequence(0, tuple(coeffs))
+    return np.array(coeffs, dtype=complex if ring is complex else object)
 
 
 def polyval_ascending(coeffs: Sequence[complex], z):
@@ -162,11 +123,7 @@ class RationalDiskFunction:
         object.__setattr__(
             self, "denominator_parameters", tuple(complex(b) for b in self.denominator_parameters)
         )
-        for b in self.denominator_parameters:
-            if abs(b) >= 1.0 - POLE_MARGIN:
-                raise PoleMarginError(
-                    f"denominator parameter {b} has modulus {abs(b):.17g} >= 1 - {POLE_MARGIN:g}"
-                )
+        check_pole_margin(self.denominator_parameters)
 
     def __call__(self, z):
         num = polyval_ascending(self.numerator, z)
@@ -174,20 +131,6 @@ class RationalDiskFunction:
         for b in self.denominator_parameters:
             den = den * (1 - b.conjugate() * z)
         return num / den
-
-    def taylor(self, up_to: int) -> CoefficientSequence:
-        return expand_rational(self, up_to)
-
-    def multiply(self, other: "RationalDiskFunction") -> "RationalDiskFunction":
-        num = np.convolve(np.array(self.numerator), np.array(other.numerator))
-        return RationalDiskFunction(
-            tuple(num), self.denominator_parameters + other.denominator_parameters
-        )
-
-
-def expand_rational(f: RationalDiskFunction, up_to: int) -> CoefficientSequence:
-    """Taylor coefficients c_0..c_{up_to} of ``f`` at the origin (see :func:`expand`)."""
-    return expand(f.numerator, f.denominator_parameters, up_to)
 
 
 @dataclass(frozen=True)
@@ -224,18 +167,18 @@ def converged_circle_mean(
 
     Stops once successive values agree within ``target`` (default
     ``tol.quad``) scaled by max(1, |value|); raises
-    :class:`QuadratureConvergenceError` if the cap ``tol.quad_max_n`` is hit
+    :class:`QuadratureConvergenceError` if the cap :data:`QUAD_MAX_N` is hit
     while still moving.  Returns (value, final grid size).
     """
     goal = tol.quad if target is None else target
     n = tol.quad_start_n
     prev = float(np.real(_grid_values(integrand, CircleGrid(n))).mean())
-    while n < tol.quad_max_n:
+    while n < QUAD_MAX_N:
         n *= 2
         cur = float(np.real(_grid_values(integrand, CircleGrid(n))).mean())
         if abs(cur - prev) <= goal * max(1.0, abs(cur)):
             return cur, n
         prev = cur
     raise QuadratureConvergenceError(
-        f"circle mean did not stabilise to {goal:g} by n = {tol.quad_max_n}"
+        f"circle mean did not stabilise to {goal:g} by n = {QUAD_MAX_N}"
     )

@@ -1,9 +1,11 @@
 """Numerical tolerances shared across the decision pipeline.
 
-All thresholds live in one frozen dataclass so that a single object can be
-threaded through analysis, certificate generation and verification, and so
-that CLI flags / environment variables can override individual knobs without
-touching call sites.
+The thresholds that flags, environment variables, problem options or tests
+override live in one frozen dataclass, so that a single object can be
+threaded through analysis, certificate generation and verification.  Fixed
+thresholds are module constants beside their one reader:
+``series.POLE_MARGIN``, ``series.QUAD_MAX_N`` and the ``certificates.WITNESS_*``
+checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ class Tolerances:
     # quadrature: grid doubling stops once successive means agree within quad
     quad: float = 1e-10
     quad_start_n: int = 1024
-    quad_max_n: int = 2 ** 20
     # relative singular-value cutoff for the rank decision
     rank: float = 1e-8
     # numerator roots within root of the unit circle count as on-circle
@@ -25,11 +26,6 @@ class Tolerances:
     membership: float = 1e-9
     # relative threshold for the single-hole determinant sign test
     delta: float = 1e-8
-    # witness checks
-    witness_realness: float = 1e-10
-    witness_variation: float = 1e-6
-    witness_hole: float = 1e-9
-    witness_norm: float = 1e-7
     # random-member generator
     sample_retries: int = 500
 

@@ -113,8 +113,6 @@ def single_hole_member(seed: int, k_max: int = 20):
     rounding floor (holes far beyond the numerator support with a tiny inner
     zero) are redrawn: there the determinant test compares pure noise.
     """
-    from hardyball import criterion_coefficients
-
     for attempt in range(60):
         rng = np.random.default_rng((*_seed_tuple(seed), attempt, 11))
         a = complex(0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random()))
@@ -127,7 +125,7 @@ def single_hole_member(seed: int, k_max: int = 20):
                                    FAST_TOL)
         except MaxRetriesExceededError:
             continue
-        coeffs = criterion_coefficients(member, k).to_array(k)
+        coeffs = member.taylor(k, first=1)
         if max(abs(coeffs[k - 2]), abs(coeffs[k])) < 1e-6 * np.abs(coeffs).max():
             continue
         return member, space

@@ -166,8 +166,8 @@ class TestVerifyWitness:
         from hardyball.certificates import _perturbation_product
 
         k = space.k_max
-        f_coeffs = f.taylor(k).to_array(k)
-        g_coeffs = _perturbation_product(f, w).taylor(k).to_array(k)
+        f_coeffs = f.taylor(k)
+        g_coeffs = _perturbation_product(f, w, k)
         plus = f_coeffs + w.epsilon * (g_coeffs - w.recenter * f_coeffs)
         minus = f_coeffs - w.epsilon * (g_coeffs - w.recenter * f_coeffs)
         midpoint = (plus + minus) / 2.0

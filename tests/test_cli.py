@@ -3,6 +3,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,6 +326,87 @@ def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsy
     assert "did not stabilise" in report["message"]
 
 
+@pytest.mark.parametrize("argv, variable, value, options", [
+    (["--tol-rank", "nan"], None, None, None),
+    (["--tol-rank", "inf"], None, None, None),
+    (["--tol-rank", "0"], None, None, None),
+    (["--tol-rank=-1e-8"], None, None, None),
+    ([], "HARDY_TOL_RANK", "nan", None),
+    ([], "HARDY_TOL_RANK", "0", None),
+    ([], "HARDY_TOL_QUAD", "-1", None),
+    ([], "HARDY_TOL_QUAD", "inf", None),
+    ([], None, None, {"tol_rank": 0}),
+    ([], None, None, {"tol_quad": -1e-10}),
+    ([], None, None, {"tol_membership": -1.0}),
+    (["--grid", "8"], None, None, None),
+    (["--grid", "1000"], None, None, None),
+    (["--grid", str(2 ** 20)], None, None, None),  # the quadrature cap: never converges
+    (["--grid", str(2 ** 21)], None, None, None),
+    (["--grid=-16"], None, None, None),
+])
+def test_tolerance_values_must_be_finite_and_positive(
+    argv, variable, value, options, tmp_path, capsys, monkeypatch
+):
+    # the extreme fixture: a tolerance of nan, inf, 0 or below would turn it
+    # non-extreme or send the quadrature to its grid cap
+    extra = {"options": options} if options else {}
+    prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, **extra))
+    if variable:
+        monkeypatch.setenv(variable, value)
+    assert main(["analyze", prob, *argv]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["type"] == "error" and report["error"] == "parse"
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """(up_to, parameter count) of every Taylor recurrence run while a test runs."""
+    import sys
+
+    from hardyball import series
+
+    original, calls = series.expand, []
+
+    def counting(numerator, parameters, up_to, ring=complex):
+        calls.append((up_to, len(parameters)))
+        return original(numerator, parameters, up_to, ring)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardyball") and getattr(module, "expand", None) is original:
+            monkeypatch.setattr(module, "expand", counting)
+    return calls
+
+
+def test_analyze_runs_one_recurrence_per_operator(tmp_path, capsys, expansions):
+    # z + 0.5 z^3 in the space with holes {2, 4}: extreme, so no witness is built
+    prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, holes=(2, 4)))
+    assert main(["analyze", prob]) == 0
+    # f / P_0 = f (one pole: the zero) for the report, f / P_1 (a double pole) for the matrix
+    assert expansions == [(4, 1), (4, 2)]
+
+
+def test_one_hole_sweep_row_runs_three_recurrences(tmp_path, capsys, expansions):
+    template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+    assert main(["sweep", template, "--param", "beta", "--range", "0.5:0.5:1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("0.5,extreme,2,")
+    # membership (f), the criterion matrix and the single-hole determinant (f / P_1)
+    assert expansions == [(2, 1), (2, 2), (2, 2)]
+
+
+def test_clustered_zeros_near_the_circle_get_a_verdict(tmp_path, capsys):
+    # three inner zeros of modulus 0.99 within 0.02 rad: the coefficients of
+    # f / P_3 reach ~1e7 while f's stay below 1, so f read back as
+    # P_3 * (f / P_3) would carry rounding far above the membership tolerance
+    zeros = [[0.99 * np.cos(t), 0.99 * np.sin(t)] for t in (0.3, 0.31, 0.32)]
+    spec = write(tmp_path / "s.json", dict(GEN_SPEC, holes=[500], inner_zeros=zeros))
+    assert main(["gen", spec, "--seed", "3"]) == 0
+    member = tmp_path / "member.json"
+    member.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(member)]) in (0, 10, 11)
+    report = json.loads(capsys.readouterr().out)
+    assert report["type"] == "analysis_report" and report["membership"]["passed"]
+
+
 # non-extreme by degree overflow (one inner zero, no holes), no circle roots
 OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
 
@@ -338,6 +420,10 @@ OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
     ("sweep_range_not_a_number", "parse"),
     ("sweep_range_nan", "parse"),
     ("sweep_range_inf", "parse"),
+    ("sweep_range_count_overflows", "parse"),
+    ("sweep_range_too_many_points", "parse"),
+    ("sweep_product_too_many_rows", "parse"),
+    ("sweep_template_field_not_a_list", "parse"),
     ("analyze_int_too_large_for_a_float", "parse"),
     ("analyze_infinite_coefficient", "parse"),
 ])
@@ -350,6 +436,9 @@ def test_no_traceback(case, kind, tmp_path, capsys):
         "analyze_int_too_large_for_a_float": problem_doc([[10 ** 400, 0]], holes=()),
         "analyze_infinite_coefficient": problem_doc([[float("inf"), 0]], holes=()),
         "analyze_witness_out_unwritable": OVERFLOW_PROBLEM,
+        "sweep_product_too_many_rows": problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", "gamma"]]),
+        "sweep_template_field_not_a_list": dict(
+            problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]), inner_zeros=1e300),
     }.get(case, problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]])))
     sweep = ["sweep", doc, "--param", "beta", "--range"]
     argv = {
@@ -359,6 +448,13 @@ def test_no_traceback(case, kind, tmp_path, capsys):
         "sweep_range_not_a_number": sweep + ["0:x:0.25"],
         "sweep_range_nan": sweep + ["0:nan:0.25"],
         "sweep_range_inf": sweep + ["0:inf:0.25"],
+        "sweep_template_field_not_a_list": sweep + ["0:1:0.5"],
+        # more points than a float can count, and 10^12 points: refused before any row
+        "sweep_range_count_overflows": sweep + ["0:1e308:1e-300"],
+        "sweep_range_too_many_points": sweep + ["0:1:1e-12"],
+        # 1001 x 1001 rows: each range is small, their product is not
+        "sweep_product_too_many_rows": sweep + ["0:1000:1", "--param", "gamma", "--range",
+                                                "0:1000:1"],
     }.get(case, [case.split("_")[0], doc])
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -405,22 +501,39 @@ _GEN_SPECS = _document(
     "gen_spec", holes=_HOLES, inner_zeros=_PAIRS, outer_denominator=_PAIRS,
     numerator_degree=st.integers(0, 3),
 )
+# parameter values stay within [-0.5, 0.5], so no swept numerator has a circle root
+_TEMPLATES = _document(
+    "problem", holes=_HOLES, inner_zeros=_PAIRS,
+    outer_numerator=st.sampled_from([[[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]],
+                                     [[1.0, 0.0], ["beta", "gamma"]],
+                                     [["beta", 0.0], [1.0, 0.0]], [[1.0, 0.0]]]),
+    outer_denominator=st.lists(st.tuples(_NUMBER, st.just(0.0)).map(list), max_size=1),
+    options=st.dictionaries(st.just("tol_rank"), _NUMBER, max_size=1),
+)
+_SWEEP_FLAGS = st.lists(st.tuples(
+    st.sampled_from(["beta", "gamma", "delta"]),
+    st.sampled_from(["0:0.5:0.25", "-0.5:0:0.5", "0.5:0.5:1", "0:0.5", "0:x:1", "1:0:1",
+                     "0:1:0", "nan:0:1", "0:1e308:1e-300", "0:1:1e-12"]),
+).map(lambda pair: ["--param", pair[0], f"--range={pair[1]}"]), max_size=2).map(
+    lambda groups: sum(groups, []))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
-    _PROBLEMS.map(lambda doc: ("analyze", doc)),
-    _WITNESSES.map(lambda doc: ("certify", doc)),
-    _GEN_SPECS.map(lambda doc: ("gen", doc)),
+    _PROBLEMS.map(lambda doc: ("analyze", doc, [])),
+    _WITNESSES.map(lambda doc: ("certify", doc, [])),
+    _GEN_SPECS.map(lambda doc: ("gen", doc, [])),
+    st.tuples(st.just("sweep"), _TEMPLATES, _SWEEP_FLAGS),
 ))
 def test_no_exception_escapes_main(tmp_path_factory, case):
-    command, doc = case
+    command, doc, flags = case
     directory = tmp_path_factory.mktemp("fuzz")
     path = write(directory / "doc.json", doc)
     argv = {
         "analyze": ["analyze", path],
         "certify": ["certify", write(directory / "p.json", OVERFLOW_PROBLEM), path],
         "gen": ["gen", path],
+        "sweep": ["sweep", path, *flags],
     }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

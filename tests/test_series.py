@@ -7,38 +7,36 @@ from hardyball import (
     DEFAULT,
     BlaschkeProduct,
     CircleGrid,
-    CoefficientSequence,
     FactoredFunction,
     OuterRational,
     PoleMarginError,
     RationalDiskFunction,
     converged_circle_mean,
-    convolve,
-    expand_rational,
     l1_norm,
 )
-from hardyball.series import EvaluationError, _grid_values
+from hardyball.series import QUAD_MAX_N, EvaluationError, _grid_values, expand
 
 
-def seq(*values):
-    return CoefficientSequence.from_values(values)
+def taylor(f, up_to):
+    """Taylor coefficients 0..up_to of a rational disk function."""
+    return expand(f.numerator, f.denominator_parameters, up_to)
 
 
 class TestExpandRational:
     def test_geometric_series(self):
         f = RationalDiskFunction((1.0,), (0.5,))
-        assert expand_rational(f, 3).to_array(3) == pytest.approx([1, 0.5, 0.25, 0.125])
+        assert taylor(f, 3) == pytest.approx([1, 0.5, 0.25, 0.125])
 
     def test_double_pole_matches_derivative_series(self):
         # 1/(1 - a z)^2 = sum (n+1) a^n z^n
         f = RationalDiskFunction((1.0,), (0.5, 0.5))
-        got = expand_rational(f, 6).to_array(6)
+        got = taylor(f, 6)
         expected = [(n + 1) * 0.5**n for n in range(7)]
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_polynomial_passthrough(self):
         f = RationalDiskFunction((1.0, 0.0, 1.0))
-        assert expand_rational(f, 4).to_array(4) == pytest.approx([1, 0, 1, 0, 0])
+        assert taylor(f, 4) == pytest.approx([1, 0, 1, 0, 0])
 
     def test_pole_margin_rejected(self):
         with pytest.raises(PoleMarginError):
@@ -49,7 +47,7 @@ class TestExpandRational:
     def test_complex_parameter_uses_conjugate(self):
         b = 0.3 + 0.4j
         f = RationalDiskFunction((1.0,), (b,))
-        got = expand_rational(f, 5).to_array(5)
+        got = taylor(f, 5)
         expected = [b.conjugate() ** n for n in range(6)]
         assert got == pytest.approx(expected)
 
@@ -60,7 +58,7 @@ class TestExpandRational:
             den = tuple(0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             f = RationalDiskFunction(num, den)
             up_to = 60
-            coeffs = expand_rational(f, up_to).to_array(up_to)
+            coeffs = taylor(f, up_to)
             z = 0.5 * np.exp(2j * np.pi * rng.random())
             partial = sum(c * z**k for k, c in enumerate(coeffs))
             # tail of the dominating geometric series at |z| = 1/2
@@ -69,18 +67,24 @@ class TestExpandRational:
 
 
 class TestConvolve:
+    """Products of expansions against np.convolve, the independent reference."""
+
     def test_square_of_one_plus_z(self):
-        assert convolve(seq(1, 1), seq(1, 1), 2).to_array(2) == pytest.approx([1, 2, 1])
+        # (1 + z)^2 / (1 + z) = 1 + z
+        square = np.convolve([1.0, 1.0], [1.0, 1.0])
+        assert expand(square.tolist(), (-1.0,), 3) == pytest.approx([1, 1, 0, 0])
 
     def test_identity_element(self):
-        s = seq(2.0, -1.0, 3.5)
-        assert convolve(s, seq(1), 4).to_array(4) == pytest.approx([2, -1, 3.5, 0, 0])
+        # multiplying by (1 - z/2) and expanding over it gives the sequence back
+        s = [2.0, -1.0, 3.5]
+        product = np.convolve(s, [1.0, -0.5]).tolist()
+        assert expand(product, (0.5,), 4) == pytest.approx([2, -1, 3.5, 0, 0])
 
     def test_matches_expand_of_squared_factor(self):
-        geom = expand_rational(RationalDiskFunction((1.0,), (0.5,)), 8)
-        squared = expand_rational(RationalDiskFunction((1.0,), (0.5, 0.5)), 8)
-        product = convolve(geom, geom, 8)
-        assert product.to_array(8) == pytest.approx(squared.to_array(8), rel=1e-14)
+        geom = taylor(RationalDiskFunction((1.0,), (0.5,)), 8)
+        squared = taylor(RationalDiskFunction((1.0,), (0.5, 0.5)), 8)
+        product = np.convolve(geom, geom)[:9]
+        assert product == pytest.approx(squared, rel=1e-14)
 
     def test_product_pipeline_equivalence(self):
         # expand(f*g) == expand(f) * expand(g) for random rational f, g
@@ -91,25 +95,28 @@ class TestConvolve:
                 num = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
                 den = tuple(0.7 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
                 fs.append(RationalDiskFunction(num, den))
-            direct = expand_rational(fs[0].multiply(fs[1]), 12).to_array(12)
-            convolved = convolve(
-                expand_rational(fs[0], 12), expand_rational(fs[1], 12), 12
-            ).to_array(12)
+            numerator = np.convolve(fs[0].numerator, fs[1].numerator).tolist()
+            parameters = fs[0].denominator_parameters + fs[1].denominator_parameters
+            direct = expand(numerator, parameters, 12)
+            convolved = np.convolve(taylor(fs[0], 12), taylor(fs[1], 12))[:13]
             scale = np.abs(direct).max()
             assert np.abs(direct - convolved).max() <= 1e-12 * scale
 
 
 class TestCoefficientSequence:
+    """expand returns the plain coefficient array c_0..c_up_to."""
+
     def test_reads_outside_window_are_zero(self):
-        s = CoefficientSequence(2, (1.0 + 0j, 2.0 + 0j))
-        assert s.at(1) == 0 and s.at(2) == 1 and s.at(3) == 2 and s.at(4) == 0
-        assert s.at(-7) == 0
+        # coefficients past the numerator's support are exact zeros
+        coeffs = expand([1.0 + 0j, 2.0 + 0j], (), 4)
+        assert coeffs.dtype == complex and coeffs.shape == (5,)
+        assert coeffs.tolist() == [1, 2, 0, 0, 0]
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
     def test_convolving_with_one_is_identity(self, values):
-        s = CoefficientSequence.from_values([complex(v) for v in values])
-        out = convolve(s, seq(1), len(values) - 1)
-        assert out.to_array(len(values) - 1) == pytest.approx(s.to_array(len(values) - 1))
+        values = [complex(v) for v in values]
+        out = expand(values, (), len(values) - 1)
+        assert out.tolist() == values == np.convolve(values, [1.0]).tolist()
 
 
 def grid_mean_modulus(f, grid):
@@ -127,7 +134,7 @@ class TestCircleQuadrature:
     def test_one_plus_z_squared_converges_to_4_over_pi(self):
         value, n = converged_circle_mean(lambda z: np.abs(1 + z**2), DEFAULT)
         assert abs(value - 4 / np.pi) < 1e-10
-        assert n <= DEFAULT.quad_max_n
+        assert n <= QUAD_MAX_N
 
     def test_modulus_one_factor_does_not_change_norm(self):
         outer = OuterRational((1.0, 0.3), (0.2,))
@@ -196,7 +203,7 @@ class TestLogMeanModulus:
 )
 def test_expansion_reproduces_function_inside_disk(coeffs, pole):
     f = RationalDiskFunction(tuple(coeffs), (pole,))
-    series = expand_rational(f, 80).to_array(80)
+    series = taylor(f, 80)
     z = 0.4 + 0.2j
     partial = np.polyval(series[::-1], z)
     tail = np.abs(series).max() * abs(z) ** 81 / (1 - abs(z))
