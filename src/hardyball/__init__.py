@@ -53,7 +53,7 @@ from .series import (
     CircleGrid,
     PoleMarginError,
     QuadratureConvergenceError,
-    RationalDiskFunction,
+    Rational,
     converged_circle_mean,
 )
 from .tolerances import DEFAULT, Tolerances

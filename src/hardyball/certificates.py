@@ -27,15 +27,13 @@ from .extremality import (
     numeric_rank,
 )
 from .model import (
-    BlaschkeProduct,
     FactoredFunction,
     MembershipReport,
     PuncturedSpace,
     check_membership,
-    l1_norm,
     numerator_roots,
 )
-from .series import CircleGrid, converged_circle_mean, expand
+from .series import CircleGrid, Rational, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
 KERNEL_PATH = "kernel_path"
@@ -108,33 +106,36 @@ class WitnessReport:
         return abs(self.norm_minus - self.norm_f)
 
 
-def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.ndarray):
-    """h = p * Phi_N * phi2 / I on given circle nodes (N = order of p).
+def _witness_factor(f: FactoredFunction, witness: PerturbationWitness) -> Rational:
+    """G = p * Phi_N * phi2, the rational function with f * h = F * G on the circle.
 
-    Phi_N runs over the first N inner zeros of f; phi2 over the witness's
-    spare zeros.  For valid witnesses h is real on the circle.
+    Phi_N = prod_{j<=N} (1 - conj(a_j) z)^-2 runs over the first N inner
+    zeros of f (N = order of p); phi2 is the Blaschke product of the
+    witness's spare zeros.
     """
-    n = witness.polynomial.order
-    first = f.inner.zeros[:n]
-    vals = witness.polynomial(z)
-    for a in first:
-        vals = vals / (1 - a.conjugate() * z) ** 2
-    vals = vals * BlaschkeProduct(witness.phi2_zeros)(z)
-    return vals / f.inner(z)
+    first = f.inner.zeros[:witness.polynomial.order]
+    return Rational(witness.polynomial.coefficients(), first * 2 + witness.phi2_zeros,
+                    witness.phi2_zeros)
+
+
+def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.ndarray):
+    """h = G / I on given circle nodes; for valid witnesses h is real on the circle."""
+    return _witness_factor(f, witness)(z) / f.inner(z)
+
+
+def _modulus_and_h(f: FactoredFunction, g: Rational, z: np.ndarray):
+    """|f| and h = G / I on circle nodes, evaluating the inner factor once."""
+    inner = f.inner(z)
+    return np.abs(inner * f.outer(z)), g(z) / inner
 
 
 def _perturbation_product(
     f: FactoredFunction, witness: PerturbationWitness, up_to: int
 ) -> np.ndarray:
-    """Taylor coefficients 0..up_to of F * G = F * p * Phi_N * phi2 (equals f * h on the circle)."""
-    n = witness.polynomial.order
-    first = f.inner.zeros[:n]
-    num = np.array(witness.polynomial.coefficients())
-    for a in witness.phi2_zeros:
-        num = np.convolve(num, np.array([-a, 1.0 + 0j]))
-    numerator = np.convolve(np.array(f.outer.numerator), num).tolist()
-    return expand(numerator, f.outer.denominator_parameters + first * 2 + witness.phi2_zeros,
-                  up_to)
+    """Taylor coefficients 0..up_to of F * G (equals f * h on the circle)."""
+    g = _witness_factor(f, witness)
+    return Rational(np.convolve(f.outer.numerator, g.numerator), f.outer.poles + g.poles,
+                    g.zeros).taylor(up_to)
 
 
 def _package_witness(
@@ -150,17 +151,16 @@ def _package_witness(
     |f| (the two coincide for unit-norm f), which kills the first-order norm
     change; epsilon = 1/(2 sup|h - c|) keeps both perturbation factors >= 1/2.
     """
-    probe = PerturbationWitness(polynomial, phi2_zeros, 1.0, 0.0, provenance)
+    g = _witness_factor(f, PerturbationWitness(polynomial, phi2_zeros, 1.0, 0.0, provenance))
 
     def weighted_h(z):
-        return np.abs(f(z)) * np.real(witness_h_values(f, probe, z))
+        modulus, h = _modulus_and_h(f, g, z)
+        return modulus * np.real(h), modulus
 
-    mean_fh, _ = converged_circle_mean(weighted_h, tol)
-    c = mean_fh / l1_norm(f, tol)
-    sup = 0.0
-    for n in (8192, 16384):
-        h = np.real(witness_h_values(f, probe, CircleGrid(n).nodes))
-        sup = max(sup, float(np.abs(h - c).max()))
+    (mean_fh, norm), _ = converged_circle_mean(weighted_h, tol)
+    c = mean_fh / norm
+    nodes = CircleGrid(16384).nodes
+    sup = float(np.abs(np.real(g(nodes) / f.inner(nodes)) - c).max())
     if sup == 0.0:
         raise DegenerateKernelError("perturbation h is constant on the circle")
     return PerturbationWitness(polynomial, phi2_zeros, 1.0 / (2.0 * sup), c, provenance)
@@ -219,8 +219,9 @@ def verify_witness(
     """
     failures: list[str] = []
     try:
-        grid = CircleGrid(8192)
-        h = witness_h_values(f, witness, grid.nodes)
+        g = _witness_factor(f, witness)
+        nodes = CircleGrid(8192).nodes
+        h = g(nodes) / f.inner(nodes)
         realness = float(np.abs(h.imag).max())
         h_re = h.real
         variation = float(h_re.max() - h_re.min())
@@ -229,13 +230,10 @@ def verify_witness(
         eps, c = witness.epsilon, witness.recenter
         if space.holes:
             product_coeffs = _perturbation_product(f, witness, space.k_max)
-            scale = float(np.abs(product_coeffs).max())
-            if scale == 0.0:
+            product = check_membership(product_coeffs, space, tol)
+            if product.max_coefficient == 0.0:
                 failures.append("perturbation product is identically zero to expansion order")
-                scale = 1.0
-            hole_residuals = tuple(
-                (k, float(abs(product_coeffs[k])) / scale) for k in space.holes
-            )
+            hole_residuals = tuple(zip(product.holes, product.residuals))
             f_coeffs = f.taylor(space.k_max)
             plus = f_coeffs + eps * (product_coeffs - c * f_coeffs)
             minus = f_coeffs - eps * (product_coeffs - c * f_coeffs)
@@ -246,17 +244,13 @@ def verify_witness(
             membership_plus = check_membership(np.zeros(1, dtype=complex), space, tol)
             membership_minus = membership_plus
 
-        norm_f = l1_norm(f, tol)
+        def endpoint_moduli(z):
+            modulus, h = _modulus_and_h(f, g, z)
+            shift = eps * (np.real(h) - c)
+            return modulus, modulus * np.abs(1.0 + shift), modulus * np.abs(1.0 - shift)
 
-        def endpoint_modulus(sign):
-            def integrand(z):
-                factor = 1.0 + sign * eps * (np.real(witness_h_values(f, witness, z)) - c)
-                return np.abs(f(z)) * np.abs(factor)
-
-            return integrand
-
-        norm_plus, _ = converged_circle_mean(endpoint_modulus(+1.0), tol)
-        norm_minus, _ = converged_circle_mean(endpoint_modulus(-1.0), tol)
+        # one ladder: f and h are evaluated once per node for all three norms
+        (norm_f, norm_plus, norm_minus), _ = converged_circle_mean(endpoint_moduli, tol)
 
         if realness > WITNESS_REALNESS:
             failures.append(f"h not real on the circle (residual {realness:.3e})")

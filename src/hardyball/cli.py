@@ -9,7 +9,9 @@ certify, stderr for sweep and gen, whose stdout is data):
     parse         2     malformed document, flag or environment value (DocumentError)
     input         2     well-formed input the pipeline rejects (ValueError)
     not_in_space  2     analyze: a hole coefficient is nonzero (with a residual table)
-    numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError)
+    numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError),
+                        a function is not finite on a grid node (EvaluationError), or
+                        the root finder failed (RootFindingError)
     io            2     an output path cannot be written (OSError)
     generator     3     gen exhausted its retries (MaxRetriesExceededError)
 
@@ -37,7 +39,7 @@ import numpy as np
 from . import certificates, documents, extremality, model
 from .documents import DocumentError, canonical_json
 from .extremality import BORDERLINE, EXTREME, NON_EXTREME
-from .series import QUAD_MAX_N, QuadratureConvergenceError
+from .series import QUAD_MAX_N, EvaluationError, QuadratureConvergenceError
 from .tolerances import DEFAULT, Tolerances
 
 EXIT_EXTREME = 0
@@ -376,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 _ERRORS = (
     (DocumentError, "parse", EXIT_INPUT_ERROR),
     (QuadratureConvergenceError, "numerics", EXIT_INPUT_ERROR),
+    (EvaluationError, "numerics", EXIT_INPUT_ERROR),
+    (model.RootFindingError, "numerics", EXIT_INPUT_ERROR),
     (model.MaxRetriesExceededError, "generator", EXIT_GENERATOR_GAVE_UP),
     (OSError, "io", EXIT_INPUT_ERROR),
     (ValueError, "input", EXIT_INPUT_ERROR),

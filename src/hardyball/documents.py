@@ -223,7 +223,7 @@ def problem_to_dict(space: PuncturedSpace, f: FactoredFunction, options: dict | 
         "inner_zeros": [_pair(a) for a in f.inner.zeros],
         "inner_constant": [1.0, 0.0],
         "outer_numerator": [_pair(c) for c in f.outer.numerator],
-        "outer_denominator": [_pair(b) for b in f.outer.denominator_parameters],
+        "outer_denominator": [_pair(b) for b in f.outer.poles],
     }
     if options:
         doc["options"] = dict(options)

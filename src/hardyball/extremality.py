@@ -23,7 +23,6 @@ import numpy as np
 from .exactrank import exact_membership_defects, fraction_kernel, lift
 from .model import (FactoredFunction, MembershipReport, NotInSpaceError, PuncturedSpace,
                     check_membership)
-from .series import polyval_ascending
 from .tolerances import DEFAULT, Tolerances
 
 EXTREME = "extreme"
@@ -69,40 +68,24 @@ class SymmetricPolynomial:
         coeffs[:n] = np.conj(gammas[1:][::-1])
         return coeffs
 
-    def __call__(self, z):
-        return polyval_ascending(tuple(self.coefficients()), z)
-
-    @classmethod
-    def from_coefficients(cls, coeffs, atol: float = 1e-9) -> "SymmetricPolynomial":
-        """Read a coefficient vector back, asserting the conjugate symmetry."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if len(coeffs) % 2 == 0:
-            raise ValueError("symmetric polynomials have odd coefficient count 2N+1")
-        n = (len(coeffs) - 1) // 2
-        scale = float(np.abs(coeffs).max()) or 1.0
-        defect = float(np.abs(coeffs[:n][::-1] - np.conj(coeffs[n + 1 :])).max()) if n else 0.0
-        defect = max(defect, abs(coeffs[n].imag))
-        if defect > atol * scale:
-            raise ValueError(f"coefficients are not conjugate-symmetric (defect {defect:.3e})")
-        vector = [coeffs[n].real / 2.0]
-        vector += [coeffs[n + l].real for l in range(1, n + 1)]
-        vector += [coeffs[n + l].imag for l in range(1, n + 1)]
-        return cls(n, tuple(vector))
-
 
 def canonical_kernel_vector(zeros) -> SymmetricPolynomial:
     """The symmetric polynomial prod_j (z - a_j)(1 - conj(a_j) z).
 
     Its coefficient vector always lies in the kernel of the criterion matrix
     (the product times the weighted outer factor reproduces f itself, whose
-    hole coefficients vanish); extremality means it spans that kernel.
+    hole coefficients vanish); extremality means it spans that kernel.  The
+    product is conjugate-symmetric exactly but not in floating point, so the
+    vector is read from its upper half gamma_l = P_{n+l} alone.
     """
     coeffs = np.array([1.0 + 0j])
     for a in zeros:
         a = complex(a)
         coeffs = np.convolve(coeffs, np.array([-a, 1.0]))
         coeffs = np.convolve(coeffs, np.array([1.0, -a.conjugate()]))
-    return SymmetricPolynomial.from_coefficients(coeffs, atol=1e-12)
+    n = len(zeros)
+    upper = coeffs[n:]
+    return SymmetricPolynomial(n, (upper[0].real / 2.0, *upper[1:].real, *upper[1:].imag))
 
 
 def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:

@@ -10,12 +10,11 @@ itself and n = m the weights of the criterion matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import (POLE_MARGIN, RationalDiskFunction, check_pole_margin,
-                     converged_circle_mean, expand)
+from .series import POLE_MARGIN, Rational, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -82,33 +81,27 @@ class BlaschkeProduct:
         for a in self.zeros:
             if abs(a) >= 1.0 - POLE_MARGIN:
                 raise ValueError(f"Blaschke zero {a} not inside the unit disk (margin)")
+        # built once: circle means evaluate the product on every grid
+        object.__setattr__(self, "_rational", Rational((1,), self.zeros, self.zeros))
 
     @property
     def degree(self) -> int:
         return len(self.zeros)
 
     def __call__(self, z):
-        acc = np.ones_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 1 + 0j
-        for a in self.zeros:
-            acc = acc * (z - a) / (1 - a.conjugate() * z)
-        return acc
-
-    def numerator_coefficients(self) -> list[complex]:
-        """Expanded coefficients of prod_j (z - a_j), constant term first."""
-        coeffs = np.array([1.0], dtype=complex)
-        for a in self.zeros:
-            coeffs = np.convolve(coeffs, np.array([-a, 1.0], dtype=complex))
-        return coeffs.tolist()
+        return self._rational(z)
 
 
 @dataclass(frozen=True)
-class OuterRational(RationalDiskFunction):
-    """Rational outer factor: a :class:`~hardyball.series.RationalDiskFunction`
-    whose numerator has no roots in the open disk.
+class OuterRational(Rational):
+    """Rational outer factor: a :class:`~hardyball.series.Rational` without
+    zeros whose numerator has no roots in the open disk.
 
     Roots on the unit circle are allowed (they matter only for the
     exposedness gate).
     """
+
+    zeros: tuple[complex, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         # the outer checks run before the pole-margin check, so their errors win
@@ -120,7 +113,7 @@ class OuterRational(RationalDiskFunction):
         super().__post_init__()
 
     def scale(self, s: complex) -> "OuterRational":
-        return OuterRational(tuple(s * c for c in self.numerator), self.denominator_parameters)
+        return OuterRational(tuple(s * c for c in self.numerator), self.poles)
 
 
 def numerator_roots(coefficients) -> np.ndarray:
@@ -133,7 +126,7 @@ def numerator_roots(coefficients) -> np.ndarray:
     lead = int(np.argmax(descending != 0))
     try:
         return np.roots(descending[lead:])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+    except np.linalg.LinAlgError as exc:
         raise RootFindingError(str(exc)) from exc
 
 
@@ -154,16 +147,12 @@ class FactoredFunction:
         n = ``first`` inner zeros, so f / P_n is
         F * prod_{j>n} (z - a_j) / (prod_{j<=n} (1 - conj(a_j) z)^2 prod_{j>n} (1 - conj(a_j) z)).
         n = 0 gives f itself, n = m the criterion matrix and n = M + 1 the
-        degree-overflow operator.  The spare-zero numerator product and the
-        recurrence are formed in the scalar ring ``ring`` lifts into (see
-        :func:`hardyball.series.expand`).
+        degree-overflow operator.  Every product is formed in the scalar ring
+        ``ring`` lifts into (see :meth:`hardyball.series.Rational.taylor`).
         """
         zeros = self.inner.zeros
-        numerator, zero = [ring(c) for c in self.outer.numerator], ring(0)
-        for a in map(ring, zeros[first:]):  # multiply by (z - a)
-            numerator = [x - a * y for x, y in zip([zero] + numerator, numerator + [zero])]
-        parameters = self.outer.denominator_parameters + zeros[:first] * 2 + zeros[first:]
-        return expand(numerator, parameters, up_to, ring)
+        poles = self.outer.poles + zeros[:first] * 2 + zeros[first:]
+        return Rational(self.outer.numerator, poles, zeros[first:]).taylor(up_to, ring)
 
 
 @dataclass(frozen=True)
@@ -253,11 +242,10 @@ def sample_member(
     d = int(numerator_degree)
     if d < 0:
         raise ValueError("numerator degree must be >= 0")
-    check_pole_margin(den)
 
-    # weight function: coefficient t of the numerator contributes
-    # w_{k-t} to the k-th Taylor coefficient of f
-    weight = expand(inner.numerator_coefficients(), inner.zeros + den, space.k_max)
+    # weight function I / prod(1 - conj(b) z): coefficient t of the numerator
+    # contributes w_{k-t} to the k-th Taylor coefficient of f
+    weight = Rational((1,), inner.zeros + den, inner.zeros).taylor(space.k_max)
     constraints = np.array(
         [[weight[k - t] if t <= k else 0j for t in range(d + 1)] for k in space.holes],
         dtype=complex,

@@ -5,9 +5,11 @@ coefficients, and :func:`expand` is the one recurrence that produces them (no
 truncation error).  It needs only ring operations, so it runs unchanged on
 complex floats (rounding is its only error) and on the exact Gaussian
 rationals of :mod:`hardyball.exactrank`, and it returns a plain array: complex
-for floats, object for exact scalars.  Its callers choose the rational
-function: :meth:`hardyball.model.FactoredFunction.taylor` expands f / P_n, the
-generator its weight function, and the witness check the perturbation product.
+for floats, object for exact scalars.  :class:`Rational` is the one
+rational-function type on the disk; it evaluates itself on circle nodes and
+feeds :func:`expand` for its Taylor coefficients.  Every function the
+criterion reads is one: f / P_n (:meth:`hardyball.model.FactoredFunction.taylor`),
+the generator's weight function, and the witness factor.
 Quadrature on the unit circle is the uniform-node average, which is
 spectrally accurate for periodic smooth integrands; callers that need
 certified digits double the grid until two successive values agree.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .tolerances import DEFAULT, Tolerances
 
-# denominator parameters (and Blaschke zeros) must satisfy |b| < 1 - POLE_MARGIN
+# poles (and Blaschke zeros) must satisfy |b| < 1 - POLE_MARGIN
 POLE_MARGIN = 1e-9
 # circle means give up (QuadratureConvergenceError) beyond this many nodes
 QUAD_MAX_N = 2 ** 20
@@ -98,39 +100,62 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     return np.array(coeffs, dtype=complex if ring is complex else object)
 
 
-def polyval_ascending(coeffs: Sequence[complex], z):
+def _polyval(coeffs: Sequence[complex], z):
     """Evaluate sum_k coeffs[k] z^k (Horner, ascending coefficient order)."""
-    acc = np.zeros_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 0j
-    for c in reversed(tuple(coeffs)):
+    acc = np.full_like(z, coeffs[-1], dtype=complex) if isinstance(z, np.ndarray) else coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
 
 
 @dataclass(frozen=True)
-class RationalDiskFunction:
-    """p(z) / prod_i (1 - conj(b_i) z), analytic on a neighbourhood of the closed disk.
+class Rational:
+    """numerator(z) * prod_i (z - a_i) / prod_i (1 - conj(b_i) z), analytic near the closed disk.
 
-    Denominators are kept as parameter lists (one entry per factor, repeats
-    encode multiplicity) rather than expanded coefficients, so the
+    The one rational-function type on the disk: an outer factor has no zeros,
+    a Blaschke product is ``Rational((1,), zeros, zeros)``, and the
+    hole-constraint weights f / P_n and the witness factor are built from
+    their data the same way.  Zeros a_i and poles b_i are kept as parameter
+    lists (repeats encode multiplicity) rather than multiplied out, so the
     poles-outside-the-disk invariant is checkable by construction.
     """
 
     numerator: tuple[complex, ...]
-    denominator_parameters: tuple[complex, ...] = ()
+    poles: tuple[complex, ...] = ()
+    zeros: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(complex(c) for c in self.numerator))
-        object.__setattr__(
-            self, "denominator_parameters", tuple(complex(b) for b in self.denominator_parameters)
-        )
-        check_pole_margin(self.denominator_parameters)
+        for name in ("numerator", "poles", "zeros"):
+            object.__setattr__(self, name, tuple(map(complex, getattr(self, name))))
+        check_pole_margin(self.poles)
 
     def __call__(self, z):
-        num = polyval_ascending(self.numerator, z)
-        den = np.ones_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 1 + 0j
-        for b in self.denominator_parameters:
-            den = den * (1 - b.conjugate() * z)
-        return num / den
+        """Value at z.  Zero i is applied together with pole i, so on the circle the
+        partial products stay near modulus one; unpaired poles divide once at the end."""
+        acc = _polyval(self.numerator, z)
+        paired = min(len(self.zeros), len(self.poles))
+        for a, b in zip(self.zeros, self.poles):
+            acc = acc * (z - a) / (1 - b.conjugate() * z)
+        for a in self.zeros[paired:]:
+            acc = acc * (z - a)
+        if len(self.poles) > paired:
+            den = 1 + 0j
+            for b in self.poles[paired:]:
+                den = den * (1 - b.conjugate() * z)
+            acc = acc / den
+        return acc
+
+    def taylor(self, up_to: int, ring: Callable = complex) -> np.ndarray:
+        """Taylor coefficients c_0..c_{up_to}, every product formed in ``ring``.
+
+        The zeros are multiplied into the numerator by convolution (on object
+        arrays for an exact ring), and :func:`expand` runs the recurrence on
+        Python scalars, which it handles much faster than numpy scalars.
+        """
+        numerator = [ring(c) for c in self.numerator]
+        for a in self.zeros:
+            numerator = np.convolve(numerator, [-ring(a), ring(1)]).tolist()
+        return expand(numerator, self.poles, up_to, ring)
 
 
 @dataclass(frozen=True)
@@ -153,7 +178,7 @@ def _grid_values(f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid) -> np.
     vals = np.asarray(f(nodes))
     bad = ~np.isfinite(vals)
     if bad.any():
-        idx = int(np.argmax(bad))
+        idx = int(np.argmax(bad.reshape(-1, grid.n).any(axis=0)))
         raise EvaluationError(complex(nodes[idx]), idx)
     return vals
 
@@ -162,22 +187,25 @@ def converged_circle_mean(
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances = DEFAULT,
     target: float | None = None,
-) -> tuple[float, int]:
+) -> tuple[float | np.ndarray, int]:
     """Grid average of a real-valued integrand, doubling n until stable.
 
     Stops once successive values agree within ``target`` (default
     ``tol.quad``) scaled by max(1, |value|); raises
     :class:`QuadratureConvergenceError` if the cap :data:`QUAD_MAX_N` is hit
-    while still moving.  Returns (value, final grid size).
+    while still moving.  Returns (value, final grid size).  An integrand that
+    returns rows (shape (r, n) on n nodes) integrates them on one ladder: it
+    stops when every row passes the test and the value is the array of row
+    means, so each row ends on a grid at least as fine as its own ladder's.
     """
     goal = tol.quad if target is None else target
     n = tol.quad_start_n
-    prev = float(np.real(_grid_values(integrand, CircleGrid(n))).mean())
+    prev = np.real(_grid_values(integrand, CircleGrid(n))).mean(axis=-1)
     while n < QUAD_MAX_N:
         n *= 2
-        cur = float(np.real(_grid_values(integrand, CircleGrid(n))).mean())
-        if abs(cur - prev) <= goal * max(1.0, abs(cur)):
-            return cur, n
+        cur = np.real(_grid_values(integrand, CircleGrid(n))).mean(axis=-1)
+        if (np.abs(cur - prev) <= goal * np.maximum(1.0, np.abs(cur))).all():
+            return (float(cur) if cur.ndim == 0 else cur), n
         prev = cur
     raise QuadratureConvergenceError(
         f"circle mean did not stabilise to {goal:g} by n = {QUAD_MAX_N}"

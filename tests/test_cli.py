@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hardyball.cli import main
 
+from _instances import random_zeros
+
 
 def write(path, data):
     path.write_text(json.dumps(data))
@@ -407,6 +409,18 @@ def test_clustered_zeros_near_the_circle_get_a_verdict(tmp_path, capsys):
     assert report["type"] == "analysis_report" and report["membership"]["passed"]
 
 
+def test_zeros_near_the_circle_reach_a_verdict(tmp_path, capsys):
+    # the two halves of P_n for these 40 zeros (modulus <= 0.999) differ by
+    # more than 1e-12 relative, so the canonical vector must not demand symmetry
+    zeros = random_zeros(np.random.default_rng(6), 40, max_modulus=0.999)
+    path = write(tmp_path / "p.json",
+                 problem_doc([[1.0, 0.0]], holes=(), zeros=[(a.real, a.imag) for a in zeros]))
+    assert main(["analyze", path]) == 10
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["canonical_alignment"] == pytest.approx(1.0)
+    assert report["witness_report"]["verifies"]
+
+
 # non-extreme by degree overflow (one inner zero, no holes), no circle roots
 OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
 
@@ -426,6 +440,8 @@ OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
     ("sweep_template_field_not_a_list", "parse"),
     ("analyze_int_too_large_for_a_float", "parse"),
     ("analyze_infinite_coefficient", "parse"),
+    ("analyze_evaluation_overflow", "numerics"),
+    ("analyze_root_finding_failure", "numerics"),
 ])
 def test_no_traceback(case, kind, tmp_path, capsys):
     missing = tmp_path / "missing"  # a directory that does not exist
@@ -435,6 +451,9 @@ def test_no_traceback(case, kind, tmp_path, capsys):
         "gen_pole_inside_disk": dict(GEN_SPEC, outer_denominator=[[2.0, 0.0]]),
         "analyze_int_too_large_for_a_float": problem_doc([[10 ** 400, 0]], holes=()),
         "analyze_infinite_coefficient": problem_doc([[float("inf"), 0]], holes=()),
+        # |F| overflows on the circle; np.roots fails on the companion matrix
+        "analyze_evaluation_overflow": problem_doc([[1e308, 0], [1e308, 0]], zeros=()),
+        "analyze_root_finding_failure": problem_doc([[1e308, 0], [0, 0], [1e-308, 0]], zeros=()),
         "analyze_witness_out_unwritable": OVERFLOW_PROBLEM,
         "sweep_product_too_many_rows": problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", "gamma"]]),
         "sweep_template_field_not_a_list": dict(

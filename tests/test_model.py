@@ -53,6 +53,16 @@ class TestBlaschkeProduct:
             values = BlaschkeProduct(zeros)(grid.nodes)
             assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
 
+    def test_pairs_each_zero_with_its_pole(self):
+        # bit for bit the factor-by-factor product
+        rng = np.random.default_rng(4)
+        nodes = CircleGrid(256).nodes
+        zeros = random_zeros(rng, 5)
+        expected = np.ones_like(nodes)
+        for a in zeros:
+            expected = expected * (nodes - a) / (1 - a.conjugate() * nodes)
+        assert np.array_equal(BlaschkeProduct(zeros)(nodes), expected)
+
     def test_zero_outside_disk_rejected(self):
         with pytest.raises(ValueError):
             BlaschkeProduct((1.2,))
@@ -96,9 +106,10 @@ class TestTaylorOfProduct:
                 continue
             up_to = 25
             direct = f.taylor(up_to)
+            inner_numerator = np.atleast_1d(np.poly(f.inner.zeros))[::-1].tolist()
             piecewise = np.convolve(
-                expand(f.inner.numerator_coefficients(), f.inner.zeros, up_to),
-                expand(f.outer.numerator, f.outer.denominator_parameters, up_to),
+                expand(inner_numerator, f.inner.zeros, up_to),
+                expand(f.outer.numerator, f.outer.poles, up_to),
             )[: up_to + 1]
             assert np.abs(direct - piecewise).max() <= 1e-12 * np.abs(direct).max()
 

@@ -10,44 +10,39 @@ from hardyball import (
     FactoredFunction,
     OuterRational,
     PoleMarginError,
-    RationalDiskFunction,
+    Rational,
     converged_circle_mean,
     l1_norm,
 )
 from hardyball.series import QUAD_MAX_N, EvaluationError, _grid_values, expand
 
 
-def taylor(f, up_to):
-    """Taylor coefficients 0..up_to of a rational disk function."""
-    return expand(f.numerator, f.denominator_parameters, up_to)
-
-
 class TestExpandRational:
     def test_geometric_series(self):
-        f = RationalDiskFunction((1.0,), (0.5,))
-        assert taylor(f, 3) == pytest.approx([1, 0.5, 0.25, 0.125])
+        f = Rational((1.0,), (0.5,))
+        assert f.taylor(3) == pytest.approx([1, 0.5, 0.25, 0.125])
 
     def test_double_pole_matches_derivative_series(self):
         # 1/(1 - a z)^2 = sum (n+1) a^n z^n
-        f = RationalDiskFunction((1.0,), (0.5, 0.5))
-        got = taylor(f, 6)
+        f = Rational((1.0,), (0.5, 0.5))
+        got = f.taylor(6)
         expected = [(n + 1) * 0.5**n for n in range(7)]
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_polynomial_passthrough(self):
-        f = RationalDiskFunction((1.0, 0.0, 1.0))
-        assert taylor(f, 4) == pytest.approx([1, 0, 1, 0, 0])
+        f = Rational((1.0, 0.0, 1.0))
+        assert f.taylor(4) == pytest.approx([1, 0, 1, 0, 0])
 
     def test_pole_margin_rejected(self):
         with pytest.raises(PoleMarginError):
-            RationalDiskFunction((1.0,), (1.0,))
+            Rational((1.0,), (1.0,))
         with pytest.raises(PoleMarginError):
-            RationalDiskFunction((1.0,), (1.0 - 1e-12,))
+            Rational((1.0,), (1.0 - 1e-12,))
 
     def test_complex_parameter_uses_conjugate(self):
         b = 0.3 + 0.4j
-        f = RationalDiskFunction((1.0,), (b,))
-        got = taylor(f, 5)
+        f = Rational((1.0,), (b,))
+        got = f.taylor(5)
         expected = [b.conjugate() ** n for n in range(6)]
         assert got == pytest.approx(expected)
 
@@ -56,9 +51,12 @@ class TestExpandRational:
         for _ in range(25):
             num = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
             den = tuple(0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
-            f = RationalDiskFunction(num, den)
+            # 0..3 zeros: paired with poles, and unpaired on either side
+            k = int(rng.integers(0, 4))
+            zeros = tuple(0.9 * rng.random(k) * np.exp(2j * np.pi * rng.random(k)))
+            f = Rational(num, den, zeros)
             up_to = 60
-            coeffs = taylor(f, up_to)
+            coeffs = f.taylor(up_to)
             z = 0.5 * np.exp(2j * np.pi * rng.random())
             partial = sum(c * z**k for k, c in enumerate(coeffs))
             # tail of the dominating geometric series at |z| = 1/2
@@ -81,8 +79,8 @@ class TestConvolve:
         assert expand(product, (0.5,), 4) == pytest.approx([2, -1, 3.5, 0, 0])
 
     def test_matches_expand_of_squared_factor(self):
-        geom = taylor(RationalDiskFunction((1.0,), (0.5,)), 8)
-        squared = taylor(RationalDiskFunction((1.0,), (0.5, 0.5)), 8)
+        geom = Rational((1.0,), (0.5,)).taylor(8)
+        squared = Rational((1.0,), (0.5, 0.5)).taylor(8)
         product = np.convolve(geom, geom)[:9]
         assert product == pytest.approx(squared, rel=1e-14)
 
@@ -94,11 +92,11 @@ class TestConvolve:
             for _f in range(2):
                 num = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
                 den = tuple(0.7 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
-                fs.append(RationalDiskFunction(num, den))
+                fs.append(Rational(num, den))
             numerator = np.convolve(fs[0].numerator, fs[1].numerator).tolist()
-            parameters = fs[0].denominator_parameters + fs[1].denominator_parameters
+            parameters = fs[0].poles + fs[1].poles
             direct = expand(numerator, parameters, 12)
-            convolved = np.convolve(taylor(fs[0], 12), taylor(fs[1], 12))[:13]
+            convolved = np.convolve(fs[0].taylor(12), fs[1].taylor(12))[:13]
             scale = np.abs(direct).max()
             assert np.abs(direct - convolved).max() <= 1e-12 * scale
 
@@ -145,7 +143,7 @@ class TestCircleQuadrature:
 
     def test_grid_rotation_invariance(self):
         grid = CircleGrid(512)
-        g = RationalDiskFunction((1.0, 0.5j, -0.2), (0.4,))
+        g = Rational((1.0, 0.5j, -0.2), (0.4,))
         # exact for rotations by a grid node
         rot = np.exp(2j * np.pi * 3 / 512)
         assert grid_mean_modulus(lambda z: g(rot * z), grid) == pytest.approx(
@@ -163,6 +161,15 @@ class TestCircleQuadrature:
         with pytest.raises(ValueError):
             CircleGrid(100)
 
+    def test_rows_share_one_ladder(self):
+        # each row ends on a grid at least as fine as its own ladder, and agrees
+        rows = (lambda z: np.abs(1 + z**2), lambda z: np.abs(1 + 0.3 * z))
+        alone = [converged_circle_mean(row, DEFAULT) for row in rows]
+        values, n = converged_circle_mean(lambda z: [row(z) for row in rows], DEFAULT)
+        assert n >= max(m for _, m in alone)
+        for value, (single, _) in zip(values, alone):
+            assert abs(value - single) < 1e-10
+
     def test_non_finite_evaluation_reports_node(self):
         def bad(z):
             out = np.ones_like(z)
@@ -171,6 +178,9 @@ class TestCircleQuadrature:
 
         with pytest.raises(EvaluationError) as err:
             converged_circle_mean(bad, DEFAULT)
+        assert err.value.index == 3
+        with pytest.raises(EvaluationError) as err:  # in the second of two rows
+            converged_circle_mean(lambda z: [np.ones_like(z), bad(z)], DEFAULT)
         assert err.value.index == 3
 
 
@@ -182,7 +192,7 @@ class TestLogMeanModulus:
         assert value == pytest.approx(np.log(2.0))
 
     def test_outer_function_matches_value_at_zero(self):
-        f = RationalDiskFunction((1.0, -0.5))
+        f = Rational((1.0, -0.5))
         value, _ = converged_circle_mean(lambda z: np.log(np.abs(f(z))), target=1e-10)
         assert abs(value - 0.0) < 1e-8  # log|f(0)| = log 1 = 0
 
@@ -202,8 +212,8 @@ class TestLogMeanModulus:
     pole=st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinity=False),
 )
 def test_expansion_reproduces_function_inside_disk(coeffs, pole):
-    f = RationalDiskFunction(tuple(coeffs), (pole,))
-    series = taylor(f, 80)
+    f = Rational(tuple(coeffs), (pole,))
+    series = f.taylor(80)
     z = 0.4 + 0.2j
     partial = np.polyval(series[::-1], z)
     tail = np.abs(series).max() * abs(z) ** 81 / (1 - abs(z))
