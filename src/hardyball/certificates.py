@@ -26,13 +26,7 @@ from .extremality import (
     canonical_kernel_vector,
     numeric_rank,
 )
-from .model import (
-    FactoredFunction,
-    MembershipReport,
-    PuncturedSpace,
-    check_membership,
-    numerator_roots,
-)
+from .model import FactoredFunction, MembershipReport, PuncturedSpace, check_membership
 from .series import CircleGrid, Rational, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
@@ -214,8 +208,9 @@ def verify_witness(
 
     Checks: h real and nonconstant on the circle; 1 +- epsilon*(h - c) keeps a
     positive margin; f*h stays in the space (exact expansion of F*G); both
-    perturbation endpoints have the same circle average as f and pass
-    membership.
+    perturbation endpoints pass membership and have the same circle average
+    as f.  The circle averages run only when every other check passed; a
+    witness that failed one reports its norms as NaN.
     """
     failures: list[str] = []
     try:
@@ -228,30 +223,17 @@ def verify_witness(
         margin = 1.0 - witness.epsilon * float(np.abs(h_re - witness.recenter).max())
 
         eps, c = witness.epsilon, witness.recenter
-        if space.holes:
-            product_coeffs = _perturbation_product(f, witness, space.k_max)
-            product = check_membership(product_coeffs, space, tol)
-            if product.max_coefficient == 0.0:
-                failures.append("perturbation product is identically zero to expansion order")
-            hole_residuals = tuple(zip(product.holes, product.residuals))
-            f_coeffs = f.taylor(space.k_max)
-            plus = f_coeffs + eps * (product_coeffs - c * f_coeffs)
-            minus = f_coeffs - eps * (product_coeffs - c * f_coeffs)
-            membership_plus = check_membership(plus, space, tol)
-            membership_minus = check_membership(minus, space, tol)
-        else:
-            hole_residuals = ()
-            membership_plus = check_membership(np.zeros(1, dtype=complex), space, tol)
-            membership_minus = membership_plus
+        product_coeffs = _perturbation_product(f, witness, space.k_max)
+        product = check_membership(product_coeffs, space, tol)
+        hole_residuals = tuple(zip(product.holes, product.residuals))
+        f_coeffs = f.taylor(space.k_max)
+        membership_plus = check_membership(
+            f_coeffs + eps * (product_coeffs - c * f_coeffs), space, tol)
+        membership_minus = check_membership(
+            f_coeffs - eps * (product_coeffs - c * f_coeffs), space, tol)
 
-        def endpoint_moduli(z):
-            modulus, h = _modulus_and_h(f, g, z)
-            shift = eps * (np.real(h) - c)
-            return modulus, modulus * np.abs(1.0 + shift), modulus * np.abs(1.0 - shift)
-
-        # one ladder: f and h are evaluated once per node for all three norms
-        (norm_f, norm_plus, norm_minus), _ = converged_circle_mean(endpoint_moduli, tol)
-
+        if space.holes and product.max_coefficient == 0.0:
+            failures.append("perturbation product is identically zero to expansion order")
         if realness > WITNESS_REALNESS:
             failures.append(f"h not real on the circle (residual {realness:.3e})")
         if variation <= WITNESS_VARIATION:
@@ -263,14 +245,25 @@ def verify_witness(
         for k, residual in hole_residuals:
             if residual > WITNESS_HOLE:
                 failures.append(f"perturbation leaves the space at hole {k} (residual {residual:.3e})")
-        if abs(norm_plus - norm_f) > WITNESS_NORM:
-            failures.append(f"plus endpoint norm off by {abs(norm_plus - norm_f):.3e}")
-        if abs(norm_minus - norm_f) > WITNESS_NORM:
-            failures.append(f"minus endpoint norm off by {abs(norm_minus - norm_f):.3e}")
         if not membership_plus.passed:
             failures.append("plus endpoint fails membership")
         if not membership_minus.passed:
             failures.append("minus endpoint fails membership")
+
+        # the norm ladder is the expensive check: a witness that already failed skips it
+        norm_f = norm_plus = norm_minus = float("nan")
+        if not failures:
+            def endpoint_moduli(z):
+                modulus, h = _modulus_and_h(f, g, z)
+                shift = eps * (np.real(h) - c)
+                return modulus, modulus * np.abs(1.0 + shift), modulus * np.abs(1.0 - shift)
+
+            # one ladder: f and h are evaluated once per node for all three norms
+            (norm_f, norm_plus, norm_minus), _ = converged_circle_mean(endpoint_moduli, tol)
+            if abs(norm_plus - norm_f) > WITNESS_NORM:
+                failures.append(f"plus endpoint norm off by {abs(norm_plus - norm_f):.3e}")
+            if abs(norm_minus - norm_f) > WITNESS_NORM:
+                failures.append(f"minus endpoint norm off by {abs(norm_minus - norm_f):.3e}")
 
         return WitnessReport(
             realness, variation, margin, hole_residuals,
@@ -286,23 +279,19 @@ def verify_witness(
         )
 
 
-def check_exposed(
-    f: FactoredFunction,
-    space: PuncturedSpace,
-    verdict: ExtremalityVerdict,
-    tol: Tolerances = DEFAULT,
-) -> ExposednessResult:
+def check_exposed(f: FactoredFunction, verdict: ExtremalityVerdict) -> ExposednessResult:
     """Sufficient exposedness gate: extreme plus 1/f integrable on the circle.
 
     For rational f with a finite Blaschke inner factor, 1/f is integrable iff
     the outer numerator has no roots on the unit circle (|I| = 1 there, and a
-    boundary zero of any order makes 1/|f| non-integrable).  The condition is
-    sufficient only, so circle roots yield "unknown", never a guess.
+    boundary zero of any order makes 1/|f| non-integrable).  The circle roots
+    are those the outer factor found when it was built (see
+    :class:`~hardyball.model.OuterRational`).  The condition is sufficient
+    only, so circle roots yield "unknown", never a guess.
     """
     if verdict.status != EXTREME:
         return ExposednessResult("not_extreme", ())
-    roots = numerator_roots(f.outer.numerator)
-    circle_roots = tuple(complex(r) for r in roots if abs(abs(r) - 1.0) <= tol.root)
+    circle_roots = f.outer.circle_roots
     if circle_roots:
         return ExposednessResult("unknown", circle_roots)
     return ExposednessResult("exposed", ())

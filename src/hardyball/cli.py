@@ -176,7 +176,7 @@ def cmd_analyze(args) -> int:
     delta = None
     if space.size == 1 and verdict.condition_a.m <= 1:
         delta = extremality.single_hole_delta(normalized, space.holes[0], tol)
-    exposedness = certificates.check_exposed(normalized, space, verdict, tol)
+    exposedness = certificates.check_exposed(normalized, verdict)
 
     report = {
         "format_version": documents.FORMAT_VERSION,
@@ -246,6 +246,8 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
     return out
 
 
+# pool workers do not inherit the error state main sets
+@np.errstate(all="ignore")
 def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ...],
                  tol: Tolerances) -> list[str]:
     row = [documents.format_float(v) for v in values]
@@ -389,7 +391,10 @@ _ERRORS = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow turns into a non-finite value, which the checks report as a
+        # numerics error; numpy's own warnings would only add noise on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except tuple(cls for cls, _, _ in _ERRORS) as exc:
         kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
         stream = sys.stdout if args.command in ("analyze", "certify") else sys.stderr

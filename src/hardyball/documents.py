@@ -25,7 +25,6 @@ FORMAT_VERSION = 1
 _OPTION_FIELDS = {
     "tol_rank": "rank",
     "tol_quad": "quad",
-    "tol_root": "root",
     "tol_membership": "membership",
     "tol_delta": "delta",
 }

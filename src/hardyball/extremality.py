@@ -292,7 +292,6 @@ class DeltaResult:
 
     delta: float
     status: str
-    magnitudes: tuple[float, float]  # (|c_{k-2}|^2, |c_k|^2)
 
 
 def single_hole_delta(
@@ -308,13 +307,13 @@ def single_hole_delta(
     if m not in (0, 1):
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
-        return DeltaResult(float("inf"), EXTREME, (float("inf"), 0.0))
+        return DeltaResult(float("inf"), EXTREME)
     coeffs = f.taylor(k, first=1)
     lo = abs(coeffs[k - 2]) ** 2 if k >= 2 else 0.0
     hi = abs(coeffs[k]) ** 2
     delta = lo - hi
     status = EXTREME if abs(delta) > tol.delta * (lo + hi) else NON_EXTREME
-    return DeltaResult(delta, status, (lo, hi))
+    return DeltaResult(delta, status)
 
 
 def kernel_alignment(verdict: ExtremalityVerdict, zeros) -> float:

@@ -10,6 +10,7 @@ itself and n = m the weights of the criterion matrix.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,28 +93,44 @@ class BlaschkeProduct:
         return self._rational(z)
 
 
+# numerator roots with modulus below 1 - ROOT_TOL lie inside the disk (not
+# outer), and those within ROOT_TOL of modulus one lie on the circle
+ROOT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class OuterRational(Rational):
     """Rational outer factor: a :class:`~hardyball.series.Rational` without
     zeros whose numerator has no roots in the open disk.
 
-    Roots on the unit circle are allowed (they matter only for the
-    exposedness gate).
+    The numerator roots are found once, at construction, and kept in
+    ``roots`` for every later reader.  Roots on the unit circle are allowed
+    (they matter only for the exposedness gate).
     """
 
     zeros: tuple[complex, ...] = field(default=(), init=False)
+    roots: tuple[complex, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the outer checks run before the pole-margin check, so their errors win
         if not any(c != 0 for c in self.numerator):
             raise ValueError("outer numerator must not be identically zero")
-        inside = [r for r in numerator_roots(self.numerator) if abs(r) < 1.0 - DEFAULT.root]
+        roots = tuple(complex(r) for r in numerator_roots(self.numerator))
+        inside = [r for r in roots if abs(r) < 1.0 - ROOT_TOL]
         if inside:
             raise NotOuterError(inside)
         super().__post_init__()
+        object.__setattr__(self, "roots", roots)
+
+    @property
+    def circle_roots(self) -> tuple[complex, ...]:
+        return tuple(r for r in self.roots if abs(abs(r) - 1.0) <= ROOT_TOL)
 
     def scale(self, s: complex) -> "OuterRational":
-        return OuterRational(tuple(s * c for c in self.numerator), self.poles)
+        """The factor times a nonzero constant, with the same roots: a constant moves none."""
+        scaled = copy.copy(self)
+        object.__setattr__(scaled, "numerator", tuple(complex(s * c) for c in self.numerator))
+        return scaled
 
 
 def numerator_roots(coefficients) -> np.ndarray:
@@ -266,10 +283,12 @@ def sample_member(
         candidate = null_basis @ (null_basis.conj().T @ raw)
         if np.abs(candidate).max() < 1e-12:
             continue
-        roots = numerator_roots(candidate)
-        if any(abs(r) < 1.0 + _SAMPLE_CIRCLE_MARGIN for r in roots):
-            continue  # not outer, or too close to the circle to quadrature well
-        outer = OuterRational(tuple(candidate), den)
+        try:
+            outer = OuterRational(tuple(candidate), den)
+        except NotOuterError:
+            continue
+        if any(abs(r) < 1.0 + _SAMPLE_CIRCLE_MARGIN for r in outer.roots):
+            continue  # too close to the circle to quadrature well
         member, _ = normalize(FactoredFunction(inner, outer), tol)
         check_membership(member.taylor(space.k_max), space, tol).require()
         return member

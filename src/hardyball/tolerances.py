@@ -4,8 +4,9 @@ The thresholds that flags, environment variables, problem options or tests
 override live in one frozen dataclass, so that a single object can be
 threaded through analysis, certificate generation and verification.  Fixed
 thresholds are module constants beside their one reader:
-``series.POLE_MARGIN``, ``series.QUAD_MAX_N`` and the ``certificates.WITNESS_*``
-checks.
+``series.POLE_MARGIN``, ``series.QUAD_MAX_N``, ``model.ROOT_TOL`` (the outer
+check and the circle roots of the exposedness gate) and the
+``certificates.WITNESS_*`` checks.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ class Tolerances:
     quad_start_n: int = 1024
     # relative singular-value cutoff for the rank decision
     rank: float = 1e-8
-    # numerator roots within root of the unit circle count as on-circle
-    root: float = 1e-8
     # relative hole-coefficient threshold for space membership
     membership: float = 1e-9
     # relative threshold for the single-hole determinant sign test

@@ -312,17 +312,17 @@ def test_criterion_09_exposedness_gate(single_hole_pool):
     f, _ = normalize(FactoredFunction(BlaschkeProduct((0.0,)),
                                       OuterRational((1.0, 0.0, 0.5))), FAST_TOL)
     space = PuncturedSpace((2,))
-    gate1 = check_exposed(f, space, decide_extreme(f, space, FAST_TOL), FAST_TOL)
+    gate1 = check_exposed(f, decide_extreme(f, space, FAST_TOL))
 
     g, _ = normalize(FactoredFunction(BlaschkeProduct(()),
                                       OuterRational((1.0, 0.0, 1.0))), FAST_TOL)
     space1 = PuncturedSpace((1,))
-    gate2 = check_exposed(g, space1, decide_extreme(g, space1, FAST_TOL), FAST_TOL)
+    gate2 = check_exposed(g, decide_extreme(g, space1, FAST_TOL))
 
     sound = True
     for member, space_i in single_hole_pool[:150]:
         verdict = decide_extreme(member, space_i, FAST_TOL)
-        result = check_exposed(member, space_i, verdict, FAST_TOL)
+        result = check_exposed(member, verdict)
         if result.status == "exposed":
             roots = numerator_roots(member.outer.numerator)
             sound &= verdict.status == EXTREME

@@ -126,6 +126,24 @@ class TestVerifyWitness:
         assert not report.verifies
         assert any("positivity" in failure for failure in report.failures)
 
+    def test_failed_cheap_check_skips_the_norm_ladder(self, rank_deficient_fixture, monkeypatch):
+        from hardyball import certificates
+
+        f, space, verdict = rank_deficient_fixture
+        w = make_witness(f, space, verdict)
+        tampered = PerturbationWitness(
+            w.polynomial, w.phi2_zeros, 40.0 * w.epsilon, w.recenter, w.provenance
+        )
+        ladders = []
+        original = certificates.converged_circle_mean
+        monkeypatch.setattr(certificates, "converged_circle_mean",
+                            lambda *args, **kwargs: ladders.append(1) or original(*args, **kwargs))
+        report = verify_witness(f, space, tampered)
+        assert ladders == []
+        assert any("positivity" in failure for failure in report.failures)
+        assert np.isnan([report.norm_f, report.norm_plus, report.norm_minus]).all()
+        assert verify_witness(f, space, w).verifies and len(ladders) == 1
+
     def test_wrong_space_fails_hole_check(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
         w = make_witness(f, space, verdict)
@@ -187,7 +205,7 @@ class TestCheckExposed:
         f, _ = normalize(factored([0.0], [1.0, 0.0, 0.5]))
         space = PuncturedSpace((2,))
         verdict = decide_extreme(f, space)
-        result = check_exposed(f, space, verdict)
+        result = check_exposed(f, verdict)
         assert result.status == "exposed"
         assert result.circle_roots == ()
 
@@ -196,11 +214,11 @@ class TestCheckExposed:
         space = PuncturedSpace((1,))
         verdict = decide_extreme(f, space)
         assert verdict.status == EXTREME
-        result = check_exposed(f, space, verdict)
+        result = check_exposed(f, verdict)
         assert result.status == "unknown"
         assert len(result.circle_roots) == 2
 
     def test_non_extreme_guard(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
-        result = check_exposed(f, space, verdict)
+        result = check_exposed(f, verdict)
         assert result.status == "not_extreme"

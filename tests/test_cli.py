@@ -395,6 +395,47 @@ def test_one_hole_sweep_row_runs_three_recurrences(tmp_path, capsys, expansions)
     assert expansions == [(2, 1), (2, 2), (2, 2)]
 
 
+@pytest.fixture
+def root_finds(monkeypatch):
+    """Degree of every numerator root find made while a test runs."""
+    from hardyball import model
+
+    original, calls = model.numerator_roots, []
+
+    def counting(coefficients):
+        roots = original(coefficients)
+        calls.append(len(roots))
+        return roots
+
+    monkeypatch.setattr(model, "numerator_roots", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command, finds", [("analyze", 1), ("certify", 1), ("sweep", 4)])
+def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_finds):
+    # the outer factor finds its roots when it is built, and normalizing,
+    # the exposedness gate and the witness checks reuse them
+    if command == "analyze":
+        # 1 + z^2 with hole {1}: extreme, with circle roots +-i
+        prob = write(tmp_path / "p.json", problem_doc([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                                      holes=(1,), zeros=()))
+        assert main(["analyze", prob]) == 0
+        assert len(json.loads(capsys.readouterr().out)["exposedness"]["circle_roots"]) == 2
+    elif command == "certify":
+        prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+        wit = str(tmp_path / "w.json")
+        assert main(["analyze", prob, "--witness-out", wit]) == 10
+        del root_finds[:]
+        assert main(["certify", prob, wit]) == 0
+    else:
+        # the first point, then three rows that all pass membership
+        template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+        assert main(["sweep", template, "--param", "beta", "--range", "0:0.5:0.25"]) == 0
+        assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == \
+            ["extreme"] * 3
+    assert len(root_finds) == finds
+
+
 def test_clustered_zeros_near_the_circle_get_a_verdict(tmp_path, capsys):
     # three inner zeros of modulus 0.99 within 0.02 rad: the coefficients of
     # f / P_3 reach ~1e7 while f's stay below 1, so f read back as
@@ -425,6 +466,7 @@ def test_zeros_near_the_circle_reach_a_verdict(tmp_path, capsys):
 OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case, kind", [
     ("gen_negative_degree", "parse"),
     ("gen_zero_outside_disk", "parse"),
@@ -494,6 +536,21 @@ _PAIRS = st.lists(st.tuples(_NUMBER, _NUMBER).map(list), max_size=2)
 _HOLES = st.lists(st.integers(1, 4), max_size=2, unique=True).map(sorted)
 
 
+def _numerators(*bases):
+    """The base numerators with each numeric coefficient scaled by 1, 1e300 or 1e-300.
+
+    No base has a root on the circle, and scaling coefficients by different
+    powers of 1e300 moves every root by such powers, so none lands on it.
+    """
+    def scale(drawn):
+        base, factors = drawn
+        return [[c * s if isinstance(c, float) else c for c in pair]
+                for pair, s in zip(base, factors)]
+
+    factors = st.lists(st.sampled_from([1.0, 1e300, 1e-300]), min_size=3, max_size=3)
+    return st.tuples(st.sampled_from(bases), factors).map(scale)
+
+
 def _document(kind, **fields):
     def corrupt(drawn):
         doc, junk = drawn
@@ -506,8 +563,8 @@ def _document(kind, **fields):
 _PROBLEMS = _document(
     "problem", holes=_HOLES, inner_zeros=_PAIRS,
     inner_constant=st.sampled_from([[1.0, 0.0], [0.0, 1.0]]),
-    outer_numerator=st.sampled_from([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
-                                     [[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    outer_numerator=_numerators([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+                                [[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
     outer_denominator=st.lists(st.tuples(_NUMBER, st.just(0.0)).map(list), max_size=1),
     options=st.dictionaries(st.just("tol_rank"), _NUMBER, max_size=1),
 )
@@ -523,9 +580,9 @@ _GEN_SPECS = _document(
 # parameter values stay within [-0.5, 0.5], so no swept numerator has a circle root
 _TEMPLATES = _document(
     "problem", holes=_HOLES, inner_zeros=_PAIRS,
-    outer_numerator=st.sampled_from([[[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]],
-                                     [[1.0, 0.0], ["beta", "gamma"]],
-                                     [["beta", 0.0], [1.0, 0.0]], [[1.0, 0.0]]]),
+    outer_numerator=_numerators([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]],
+                                [[1.0, 0.0], ["beta", "gamma"]],
+                                [["beta", 0.0], [1.0, 0.0]], [[1.0, 0.0]]),
     outer_denominator=st.lists(st.tuples(_NUMBER, st.just(0.0)).map(list), max_size=1),
     options=st.dictionaries(st.just("tol_rank"), _NUMBER, max_size=1),
 )
@@ -537,6 +594,7 @@ _SWEEP_FLAGS = st.lists(st.tuples(
     lambda groups: sum(groups, []))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
     _PROBLEMS.map(lambda doc: ("analyze", doc, [])),

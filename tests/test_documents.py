@@ -77,6 +77,13 @@ class TestProblemParsing:
         with pytest.raises(DocumentError, match="tol_bogus"):
             parse_problem(bad)
 
+    def test_tol_root_is_not_an_option(self):
+        # the outer check and the exposedness gate share the fixed model.ROOT_TOL
+        bad = valid_problem()
+        bad["options"] = {"tol_root": 1e-8}
+        with pytest.raises(DocumentError, match=r"options\.tol_root: unknown option"):
+            parse_problem(bad)
+
     def test_options_mapped(self):
         doc = valid_problem()
         doc["options"] = {"tol_rank": 1e-6}

@@ -148,7 +148,7 @@ class TestCheckOuter:
         f, _ = normalize(factored([0.0], [1.0, 0.0, 0.0, 0.0, 1.0]))  # F = 1 + z^4
         space = PuncturedSpace((2,))
         verdict = decide_extreme(f, space)
-        result = check_exposed(f, space, verdict)
+        result = check_exposed(f, verdict)
         assert result.status == "unknown"
         assert len(result.circle_roots) == 4
 
@@ -176,6 +176,35 @@ class TestNormalize:
         h, scale = normalize(g)
         assert scale == pytest.approx(1.0, abs=1e-10)
         assert np.abs(np.array(h.outer.numerator) - np.array(g.outer.numerator)).max() < 1e-12
+
+
+    def test_keeps_the_roots_of_every_factor_that_constructed(self):
+        # (z - zeta)^2 (z - w) with |zeta| = 1 and |w| = 2: np.roots splits the
+        # double root by about sqrt(eps), so some of these factors are rejected
+        # at construction; normalize must accept every one that was built,
+        # because a nonzero constant moves no root
+        rng = np.random.default_rng(0)
+        built = 0
+        for _ in range(200):
+            zeta, w = np.exp(2j * np.pi * rng.random(2)) * (1.0, 2.0)
+            numerator = np.convolve(np.convolve([-zeta, 1], [-zeta, 1]), [-w, 1])
+            try:
+                outer = OuterRational(tuple(numerator))
+            except NotOuterError:
+                continue
+            built += 1
+            normalize(FactoredFunction(BlaschkeProduct(()), outer))
+        assert 0 < built < 200
+
+    def test_scaled_factor_keeps_its_roots(self, monkeypatch):
+        from hardyball import model
+
+        f = factored([0.2], [1.0, 0.0, 1.0])  # circle roots +-i
+        monkeypatch.setattr(model, "numerator_roots", None)  # no second root find
+        g, scale = normalize(f)
+        assert g.outer.roots == f.outer.roots
+        assert g.outer.circle_roots == f.outer.circle_roots and len(g.outer.circle_roots) == 2
+        assert g.outer.numerator == tuple(scale * c for c in f.outer.numerator)
 
 
 class TestSampleMember:
