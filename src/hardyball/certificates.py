@@ -27,7 +27,7 @@ from .extremality import (
     numeric_rank,
 )
 from .model import FactoredFunction, MembershipReport, PuncturedSpace, check_membership
-from .series import CircleGrid, Rational, converged_circle_mean
+from .series import CircleGrid, QuadratureConvergenceError, Rational, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
 KERNEL_PATH = "kernel_path"
@@ -151,7 +151,7 @@ def _package_witness(
         modulus, h = _modulus_and_h(f, g, z)
         return modulus * np.real(h), modulus
 
-    (mean_fh, norm), _ = converged_circle_mean(weighted_h, tol)
+    (mean_fh, norm), _ = converged_circle_mean(weighted_h, tol, roots=f.outer.circle_roots)
     c = mean_fh / norm
     nodes = CircleGrid(16384).nodes
     sup = float(np.abs(np.real(g(nodes) / f.inner(nodes)) - c).max())
@@ -210,7 +210,9 @@ def verify_witness(
     positive margin; f*h stays in the space (exact expansion of F*G); both
     perturbation endpoints pass membership and have the same circle average
     as f.  The circle averages run only when every other check passed; a
-    witness that failed one reports its norms as NaN.
+    witness that failed one reports its norms as NaN.  The one error raised is
+    :class:`~hardyball.series.QuadratureConvergenceError`: norms that never
+    stabilise say nothing about the witness data.
     """
     failures: list[str] = []
     try:
@@ -259,7 +261,8 @@ def verify_witness(
                 return modulus, modulus * np.abs(1.0 + shift), modulus * np.abs(1.0 - shift)
 
             # one ladder: f and h are evaluated once per node for all three norms
-            (norm_f, norm_plus, norm_minus), _ = converged_circle_mean(endpoint_moduli, tol)
+            (norm_f, norm_plus, norm_minus), _ = converged_circle_mean(
+                endpoint_moduli, tol, roots=f.outer.circle_roots)
             if abs(norm_plus - norm_f) > WITNESS_NORM:
                 failures.append(f"plus endpoint norm off by {abs(norm_plus - norm_f):.3e}")
             if abs(norm_minus - norm_f) > WITNESS_NORM:
@@ -270,6 +273,8 @@ def verify_witness(
             norm_f, norm_plus, norm_minus,
             membership_plus, membership_minus, tuple(failures),
         )
+    except QuadratureConvergenceError:
+        raise  # the norms could not be computed: a numerics failure, not a verdict on the data
     except Exception as exc:  # invalid witness data: report, never raise
         failures.append(f"witness data rejected: {exc}")
         return WitnessReport(

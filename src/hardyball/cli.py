@@ -10,16 +10,18 @@ certify, stderr for sweep and gen, whose stdout is data):
     input         2     well-formed input the pipeline rejects (ValueError)
     not_in_space  2     analyze: a hole coefficient is nonzero (with a residual table)
     numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError),
-                        a function is not finite on a grid node (EvaluationError), or
-                        the root finder failed (RootFindingError)
+                        a function is not finite on a grid node (EvaluationError),
+                        the root finder failed (RootFindingError), or the
+                        normalized scale is not finite (NormalizationError)
     io            2     an output path cannot be written (OSError)
     generator     3     gen exhausted its retries (MaxRetriesExceededError)
 
 ``HARDY_TOL_RANK`` and ``HARDY_TOL_QUAD`` override the corresponding
 tolerances; per-problem ``options`` win over the environment, and explicit
 flags win over both.  Every tolerance must be a finite number > 0 and
-``--grid`` a power of two in [16, 2^19], below the quadrature cap; a sweep
-has at most :data:`MAX_SWEEP_ROWS` rows.
+``--grid`` (the trapezoid ladder's first grid; circle means split at the
+circle roots of an outer factor do not use it) a power of two in [16, 2^19],
+below the quadrature cap; a sweep has at most :data:`MAX_SWEEP_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -350,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a problem file and emit a full report")
     p.add_argument("problem")
     p.add_argument("--tol-rank", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None, help="starting quadrature grid size")
+    p.add_argument("--grid", type=int, default=None,
+                   help="first trapezoid grid size (unused when the outer factor has circle roots)")
     p.add_argument("--exact", action="store_true", help="use the exact-arithmetic rank backend")
     p.add_argument("--witness-out", default=None, help="write the witness document here")
     p.set_defaults(func=cmd_analyze)
@@ -382,6 +385,7 @@ _ERRORS = (
     (QuadratureConvergenceError, "numerics", EXIT_INPUT_ERROR),
     (EvaluationError, "numerics", EXIT_INPUT_ERROR),
     (model.RootFindingError, "numerics", EXIT_INPUT_ERROR),
+    (model.NormalizationError, "numerics", EXIT_INPUT_ERROR),
     (model.MaxRetriesExceededError, "generator", EXIT_GENERATOR_GAVE_UP),
     (OSError, "io", EXIT_INPUT_ERROR),
     (ValueError, "input", EXIT_INPUT_ERROR),

@@ -10,6 +10,7 @@ itself and n = m the weights of the criterion matrix.
 
 from __future__ import annotations
 
+import cmath
 import copy
 from dataclasses import dataclass, field
 
@@ -42,6 +43,10 @@ class MaxRetriesExceededError(RuntimeError):
 
 class RootFindingError(RuntimeError):
     """The polynomial root finder did not converge."""
+
+
+class NormalizationError(RuntimeError):
+    """The unit-norm rescaling of a function is not finite (a subnormal norm)."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,10 @@ class BlaschkeProduct:
 # numerator roots with modulus below 1 - ROOT_TOL lie inside the disk (not
 # outer), and those within ROOT_TOL of modulus one lie on the circle
 ROOT_TOL = 1e-8
+# roots closer than CLUSTER_TOL * max(1, |r|) are one multiple root: the root
+# finder splits an r-fold root by about eps^(1/r), while the centroid of the
+# cluster stays accurate to O(eps) (Zeng, Math. Comp. 74, 2005)
+CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,11 @@ class OuterRational(Rational):
     zeros whose numerator has no roots in the open disk.
 
     The numerator roots are found once, at construction, and kept in
-    ``roots`` for every later reader.  Roots on the unit circle are allowed
-    (they matter only for the exposedness gate).
+    ``roots`` for every later reader, each cluster of nearby roots replaced by
+    its centroid (one copy per root, so repeats encode multiplicity).  The
+    centroids decide the outer check and the circle roots.  Roots on the unit
+    circle are allowed; the exposedness gate reads them, and circle means of
+    |F| split the circle at them.
     """
 
     zeros: tuple[complex, ...] = field(default=(), init=False)
@@ -115,7 +127,7 @@ class OuterRational(Rational):
         # the outer checks run before the pole-margin check, so their errors win
         if not any(c != 0 for c in self.numerator):
             raise ValueError("outer numerator must not be identically zero")
-        roots = tuple(complex(r) for r in numerator_roots(self.numerator))
+        roots = _cluster([complex(r) for r in numerator_roots(self.numerator)])
         inside = [r for r in roots if abs(r) < 1.0 - ROOT_TOL]
         if inside:
             raise NotOuterError(inside)
@@ -131,6 +143,22 @@ class OuterRational(Rational):
         scaled = copy.copy(self)
         object.__setattr__(scaled, "numerator", tuple(complex(s * c) for c in self.numerator))
         return scaled
+
+
+def _cluster(roots: list[complex]) -> tuple[complex, ...]:
+    """Each root replaced by the centroid of its cluster: the roots linked by
+    chains of gaps below CLUSTER_TOL * max(1, |r|)."""
+    label = list(range(len(roots)))
+    for i, r in enumerate(roots):
+        for j in range(i):
+            if label[j] != label[i] and abs(r - roots[j]) <= CLUSTER_TOL * max(1.0, abs(r)):
+                old = label[i]
+                label = [label[j] if g == old else g for g in label]
+    if len(set(label)) == len(roots):  # the common case, kept cheap for sweeps
+        return tuple(roots)
+    centroid = {g: sum(r for r, h in zip(roots, label) if h == g) / label.count(g)
+                for g in set(label)}
+    return tuple(centroid[g] for g in label)
 
 
 def numerator_roots(coefficients) -> np.ndarray:
@@ -214,8 +242,8 @@ def check_membership(
 
 
 def l1_norm(f: FactoredFunction, tol: Tolerances = DEFAULT) -> float:
-    """Certified circle average of |f| (grid doubling)."""
-    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol)
+    """Certified circle average of |f|, split at the outer factor's circle roots."""
+    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol, roots=f.outer.circle_roots)
     return value
 
 
@@ -229,7 +257,11 @@ def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredF
     if norm == 0.0:
         raise ValueError("cannot normalize the zero function")
     scale = 1.0 / norm
-    return FactoredFunction(f.inner, f.outer.scale(scale)), scale
+    outer = f.outer.scale(scale)
+    if not all(map(cmath.isfinite, (scale,) + outer.numerator)):
+        raise NormalizationError(f"normalized scale 1/{norm:.17g} = {scale:g} "
+                                 "leaves the outer numerator non-finite")
+    return FactoredFunction(f.inner, outer), scale
 
 
 # the generator redraws when numerator roots come this close to the circle:

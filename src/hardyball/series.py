@@ -10,13 +10,19 @@ rational-function type on the disk; it evaluates itself on circle nodes and
 feeds :func:`expand` for its Taylor coefficients.  Every function the
 criterion reads is one: f / P_n (:meth:`hardyball.model.FactoredFunction.taylor`),
 the generator's weight function, and the witness factor.
-Quadrature on the unit circle is the uniform-node average, which is
-spectrally accurate for periodic smooth integrands; callers that need
-certified digits double the grid until two successive values agree.
+Circle means have two rules, both refined until two successive values agree.
+A smooth periodic integrand gets the uniform-node average (trapezoid), which
+converges exponentially, on a doubling grid.  An integrand |F| * (smooth)
+with F vanishing on the circle has a kink at each root, where the trapezoid
+rule converges only like 1/n^2; the circle is split at the roots' arguments
+and each arc, on which the integrand is analytic up to its ends, gets
+composite Gauss-Legendre with doubling panels (Trefethen & Weideman, SIAM
+Review 56, 2014).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,6 +34,8 @@ from .tolerances import DEFAULT, Tolerances
 POLE_MARGIN = 1e-9
 # circle means give up (QuadratureConvergenceError) beyond this many nodes
 QUAD_MAX_N = 2 ** 20
+# nodes per panel of the composite Gauss-Legendre rule on circle arcs
+GAUSS_NODES = 16
 
 
 class PoleMarginError(ValueError):
@@ -173,38 +181,81 @@ class CircleGrid:
         return np.exp(2j * np.pi * np.arange(self.n) / self.n)
 
 
-def _grid_values(f: Callable[[np.ndarray], np.ndarray], grid: CircleGrid) -> np.ndarray:
-    nodes = grid.nodes
-    vals = np.asarray(f(nodes))
+def _finite_values(integrand: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """The integrand on the given circle nodes; a non-finite value raises
+    :class:`EvaluationError` naming the first node where any row has one."""
+    vals = np.asarray(integrand(nodes))
     bad = ~np.isfinite(vals)
     if bad.any():
-        idx = int(np.argmax(bad.reshape(-1, grid.n).any(axis=0)))
+        idx = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
         raise EvaluationError(complex(nodes[idx]), idx)
     return vals
+
+
+def _trapezoid_means(integrand, start_n: int):
+    """(mean, n) on uniform grids of n = start_n, 2 start_n, ... up to QUAD_MAX_N nodes."""
+    n = start_n
+    while n <= QUAD_MAX_N:
+        yield np.real(_finite_values(integrand, CircleGrid(n).nodes)).mean(axis=-1), n
+        n *= 2
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # imported on first use, so root-free runs never load numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(GAUSS_NODES)
+
+
+def _arc_means(integrand, roots: Sequence[complex]):
+    """(mean, n) of composite Gauss-Legendre rules on the arcs between the roots'
+    arguments, with 1, 2, 4, ... equal panels per arc and n nodes in all, up to
+    QUAD_MAX_N nodes."""
+    cuts = np.unique(np.mod(np.angle(np.asarray(roots, dtype=complex)), 2 * np.pi))
+    lengths = np.diff(np.append(cuts, cuts[0] + 2 * np.pi))
+    x, w = _gauss_legendre()
+    panels = 1
+    while cuts.size * panels * GAUSS_NODES <= QUAD_MAX_N:
+        half = lengths / (2 * panels)  # half the panel length on each arc
+        mids = cuts[:, None] + half[:, None] * (2 * np.arange(panels) + 1)
+        theta = (mids[:, :, None] + half[:, None, None] * x).ravel()
+        weights = np.outer(np.repeat(half, panels), w).ravel() / (2 * np.pi)
+        yield np.real(_finite_values(integrand, np.exp(1j * theta))) @ weights, theta.size
+        panels *= 2
 
 
 def converged_circle_mean(
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances = DEFAULT,
     target: float | None = None,
+    roots: Sequence[complex] = (),
 ) -> tuple[float | np.ndarray, int]:
-    """Grid average of a real-valued integrand, doubling n until stable.
+    """Circle average of a real-valued integrand, refining the rule until stable.
 
+    Without ``roots`` the rule is the uniform-node average (trapezoid), with
+    the grid doubling from ``tol.quad_start_n``.  With ``roots`` (points on
+    the circle where the integrand may have a kink, e.g. the circle roots of
+    an outer factor F in |F|) the circle is split at their arguments and each
+    arc gets composite :data:`GAUSS_NODES`-point Gauss-Legendre, the panels
+    per arc doubling from one; the integrand must be smooth on each closed arc.
     Stops once successive values agree within ``target`` (default
     ``tol.quad``) scaled by max(1, |value|); raises
-    :class:`QuadratureConvergenceError` if the cap :data:`QUAD_MAX_N` is hit
-    while still moving.  Returns (value, final grid size).  An integrand that
-    returns rows (shape (r, n) on n nodes) integrates them on one ladder: it
-    stops when every row passes the test and the value is the array of row
-    means, so each row ends on a grid at least as fine as its own ladder's.
+    :class:`QuadratureConvergenceError` if the next rule would exceed
+    :data:`QUAD_MAX_N` nodes while still moving.  Returns (value, node count of
+    the final rule).  An integrand that returns rows (shape (r, n) on n nodes)
+    integrates them on one ladder: it stops when every row passes the test and
+    the value is the array of row means, so each row ends on a rule at least
+    as fine as its own ladder's.
     """
     goal = tol.quad if target is None else target
-    n = tol.quad_start_n
-    prev = np.real(_grid_values(integrand, CircleGrid(n))).mean(axis=-1)
-    while n < QUAD_MAX_N:
-        n *= 2
-        cur = np.real(_grid_values(integrand, CircleGrid(n))).mean(axis=-1)
-        if (np.abs(cur - prev) <= goal * np.maximum(1.0, np.abs(cur))).all():
+    if len(roots):
+        rule = _arc_means(integrand, roots)
+    else:
+        rule = _trapezoid_means(integrand, tol.quad_start_n)
+    prev = None
+    for cur, n in rule:
+        if prev is not None and (np.abs(cur - prev) <= goal * np.maximum(1.0, np.abs(cur))).all():
             return (float(cur) if cur.ndim == 0 else cur), n
         prev = cur
     raise QuadratureConvergenceError(

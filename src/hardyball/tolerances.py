@@ -4,8 +4,9 @@ The thresholds that flags, environment variables, problem options or tests
 override live in one frozen dataclass, so that a single object can be
 threaded through analysis, certificate generation and verification.  Fixed
 thresholds are module constants beside their one reader:
-``series.POLE_MARGIN``, ``series.QUAD_MAX_N``, ``model.ROOT_TOL`` (the outer
-check and the circle roots of the exposedness gate) and the
+``series.POLE_MARGIN``, ``series.QUAD_MAX_N``, ``series.GAUSS_NODES`` (nodes
+per panel of the arc rule), ``model.ROOT_TOL`` (the outer check and the
+circle roots), ``model.CLUSTER_TOL`` (multiple roots) and the
 ``certificates.WITNESS_*`` checks.
 """
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # quadrature: grid doubling stops once successive means agree within quad
+    # quadrature: refinement stops once successive means agree within quad;
+    # the trapezoid grid starts at quad_start_n (the arc rule at one panel)
     quad: float = 1e-10
     quad_start_n: int = 1024
     # relative singular-value cutoff for the rank decision

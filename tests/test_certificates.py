@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardyball import (
+    DEFAULT,
     EXTREME,
     NON_EXTREME,
     BlaschkeProduct,
@@ -10,6 +11,7 @@ from hardyball import (
     OuterRational,
     PerturbationWitness,
     PuncturedSpace,
+    QuadratureConvergenceError,
     SymmetricPolynomial,
     check_exposed,
     canonical_kernel_vector,
@@ -177,6 +179,13 @@ class TestVerifyWitness:
         report = verify_witness(f, space, bad)
         assert not report.verifies
         assert any("rejected" in failure for failure in report.failures)
+
+    def test_unconverged_norms_raise_not_report(self, rank_deficient_fixture):
+        # a norm ladder that never stabilises is a numerics failure, not a verdict on the data
+        f, space, verdict = rank_deficient_fixture
+        w = make_witness(f, space, verdict)
+        with pytest.raises(QuadratureConvergenceError):
+            verify_witness(f, space, w, DEFAULT.override(quad=1e-30))
 
     def test_midpoint_of_endpoints_is_f(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture

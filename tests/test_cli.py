@@ -328,6 +328,29 @@ def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsy
     assert "did not stabilise" in report["message"]
 
 
+def test_subnormal_norm_is_a_numerics_error(tmp_path, capsys):
+    # 1 / 5e-324 overflows: the normalized factor cannot be represented
+    prob = write(tmp_path / "p.json", problem_doc([[5e-324, 0.0]], holes=(), zeros=()))
+    assert main(["analyze", prob]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["type"] == "error" and report["error"] == "numerics"
+    assert "scale" in report["message"]
+
+
+def test_double_circle_root_is_outer(tmp_path, capsys):
+    # (1 + z)^2 (1 - z/2) in the space without z^2: np.roots splits the root -1
+    prob = write(tmp_path / "p.json", problem_doc([[1.0, 0.0], [1.5, 0.0], [0.0, 0.0],
+                                                   [-0.5, 0.0]], zeros=()))
+    assert main(["analyze", prob]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["status"] == "extreme"
+    exposedness = report["exposedness"]
+    assert exposedness["status"] == "unknown"
+    assert len(exposedness["circle_roots"]) == 2
+    assert exposedness["circle_roots"][0] == exposedness["circle_roots"][1]
+    assert exposedness["circle_roots"][0] == pytest.approx([-1.0, 0.0], abs=1e-15)
+
+
 @pytest.mark.parametrize("argv, variable, value, options", [
     (["--tol-rank", "nan"], None, None, None),
     (["--tol-rank", "inf"], None, None, None),

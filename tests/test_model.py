@@ -156,12 +156,25 @@ class TestCheckOuter:
         with pytest.raises(NotOuterError):
             OuterRational((0.0, 1.0))  # F = z
 
+    def test_double_root_listed_once_per_multiplicity(self):
+        # np.roots puts the two roots of (1 + z)^2 about 3e-8 apart
+        split = numerator_roots((1.0, 2.0, 1.0))
+        assert 1e-9 < abs(split[0] - split[1]) < 1e-6
+        outer = OuterRational((1.0, 2.0, 1.0))
+        assert outer.roots == outer.circle_roots == (outer.roots[0],) * 2
+        assert abs(outer.roots[0] + 1.0) < 1e-15
+
+    def test_distinct_roots_stay_apart(self):
+        outer = OuterRational(tuple(np.poly([1.0 + 1e-5, 1.0 - 1e-5j, -2.0])[::-1]))
+        assert len(set(outer.roots)) == 3
+
 
 class TestNormalize:
     def test_one_plus_z_squared(self):
         f = factored([], [1.0, 0.0, 1.0])
         g, scale = normalize(f)
-        assert scale == pytest.approx(np.pi / 4, abs=1e-9)
+        # the arcs between the circle roots +-i carry the kinks of |F| at their ends
+        assert abs(scale - np.pi / 4) <= 2 * np.spacing(np.pi / 4)
         assert g.outer.numerator[0] == pytest.approx(np.pi / 4, abs=1e-9)
         assert l1_norm(g) == pytest.approx(1.0, abs=1e-9)
 
@@ -180,21 +193,25 @@ class TestNormalize:
 
     def test_keeps_the_roots_of_every_factor_that_constructed(self):
         # (z - zeta)^2 (z - w) with |zeta| = 1 and |w| = 2: np.roots splits the
-        # double root by about sqrt(eps), so some of these factors are rejected
-        # at construction; normalize must accept every one that was built,
-        # because a nonzero constant moves no root
+        # double root by about sqrt(eps), which put one root of the pair inside
+        # the disk for most of these; judged by its centroid, every factor is
+        # outer, and normalize keeps the roots, since a nonzero constant moves none
         rng = np.random.default_rng(0)
-        built = 0
         for _ in range(200):
             zeta, w = np.exp(2j * np.pi * rng.random(2)) * (1.0, 2.0)
             numerator = np.convolve(np.convolve([-zeta, 1], [-zeta, 1]), [-w, 1])
-            try:
-                outer = OuterRational(tuple(numerator))
-            except NotOuterError:
-                continue
-            built += 1
-            normalize(FactoredFunction(BlaschkeProduct(()), outer))
-        assert 0 < built < 200
+            outer = OuterRational(tuple(numerator))
+            centroid, again = outer.circle_roots
+            assert centroid == again and abs(abs(centroid) - 1.0) < 1e-14
+            assert abs(centroid - zeta) < 1e-7
+            g, _ = normalize(FactoredFunction(BlaschkeProduct(()), outer))
+            assert g.outer.roots == outer.roots
+
+    def test_double_circle_root_has_norm_two(self):
+        # mean of |1 + z|^2 = 1 + |z|^2 over the circle: exactly 2
+        f = factored([], [1.0, 2.0, 1.0])
+        assert f.outer.circle_roots == (f.outer.circle_roots[0],) * 2
+        assert l1_norm(f) == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
     def test_scaled_factor_keeps_its_roots(self, monkeypatch):
         from hardyball import model

@@ -36,11 +36,11 @@ PINS = {
         "stdout": "113d486515159e3a8aa46d430c1788bccbc8a64abd7798b076394b61dfaeaa57",
     },
     "analyze_readme_fixture": {
-        "stdout": "bc6c9f3f627fa40a6f0d9d1641a791e25dc0cfcdd8ccd450cff69998c25238ba",
-        "witness": "e850614304a5b801cc1aee5103a2310a22b889d03855b3f2672a52715e31e654",
+        "stdout": "5986936c3bdd6b996114d7842c104c63fdafeea2c1e6dffc4d77a89cace2cce7",
+        "witness": "a52e3faf8bd20a558c37d4f668b0a7f4f8c49da0d21d2430222130fc0264d45d",
     },
     "certify_readme_fixture": {
-        "stdout": "213e01da3bacc50ad4e22df553d15884e6b675f281ced044da74a9845773664e",
+        "stdout": "36eef3b12f1ea3cbaa69dde0195b27c5fb35fb91968485f6ab682aebd97d6447",
     },
     "gen_fixed_seed": {
         "stdout": "0b5451e2886191a6962e92685a1f5f33dbd2a40991391655c4f65908d2a8c0c0",

@@ -14,7 +14,13 @@ from hardyball import (
     converged_circle_mean,
     l1_norm,
 )
-from hardyball.series import QUAD_MAX_N, EvaluationError, _grid_values, expand
+from hardyball.series import (
+    QUAD_MAX_N,
+    EvaluationError,
+    QuadratureConvergenceError,
+    _finite_values,
+    expand,
+)
 
 
 class TestExpandRational:
@@ -119,7 +125,7 @@ class TestCoefficientSequence:
 
 def grid_mean_modulus(f, grid):
     """Average of |f| over one fixed grid."""
-    return float(np.abs(_grid_values(f, grid)).mean())
+    return float(np.abs(_finite_values(f, grid.nodes)).mean())
 
 
 class TestCircleQuadrature:
@@ -182,6 +188,57 @@ class TestCircleQuadrature:
         with pytest.raises(EvaluationError) as err:  # in the second of two rows
             converged_circle_mean(lambda z: [np.ones_like(z), bad(z)], DEFAULT)
         assert err.value.index == 3
+
+
+def _roots_of_one_plus(c, n):
+    """The n roots of 1 + c z^n, all on the circle for unit c."""
+    return np.exp(1j * (np.pi - np.angle(c) + 2 * np.pi * np.arange(n)) / n)
+
+
+class TestArcQuadrature:
+    """Composite Gauss-Legendre on the arcs between given circle roots."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_mean_of_one_plus_c_z_n_is_4_over_pi(self, n):
+        for j in range(16):
+            c = np.exp(2j * np.pi * j / 16)
+            value, nodes = converged_circle_mean(lambda z: np.abs(1 + c * z**n), DEFAULT,
+                                                 roots=_roots_of_one_plus(c, n))
+            assert abs(value - 4 / np.pi) <= 1e-15 * (4 / np.pi)
+            assert nodes <= 1024
+
+    def test_double_root_gives_two(self):
+        value, _ = converged_circle_mean(lambda z: np.abs((1 + z) ** 2), DEFAULT, roots=(-1, -1))
+        assert value == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
+
+    def test_rows_share_one_ladder(self):
+        roots = (1j, -1j)
+        rows = (lambda z: np.abs(1 + z**2), lambda z: np.abs(1 + 0.3 * z))
+        alone = [converged_circle_mean(row, DEFAULT, roots=roots) for row in rows]
+        values, n = converged_circle_mean(lambda z: [row(z) for row in rows], DEFAULT, roots=roots)
+        assert values.shape == (2,) and n >= max(m for _, m in alone)
+        assert abs(values[0] - 4 / np.pi) < 1e-15
+        for value, (single, _) in zip(values, alone):
+            assert abs(value - single) < 1e-14
+
+    def test_non_finite_evaluation_reports_a_circle_node(self):
+        def bad(z):
+            out = np.abs(1 + z**2)
+            out[5] = np.inf
+            return out
+
+        with pytest.raises(EvaluationError) as err:
+            converged_circle_mean(bad, DEFAULT, roots=(1j, -1j))
+        assert err.value.index == 5 and abs(abs(err.value.node) - 1.0) < 1e-15
+        with pytest.raises(EvaluationError) as err:  # in the second of two rows
+            converged_circle_mean(lambda z: [np.ones(z.shape), bad(z)], DEFAULT, roots=(1j,))
+        assert err.value.index == 5
+
+    def test_grid_cap_still_applies(self):
+        # a kink away from every given root keeps the rule moving until the cap
+        with pytest.raises(QuadratureConvergenceError):
+            converged_circle_mean(lambda z: np.abs(z.real - 0.3), DEFAULT.override(quad=1e-30),
+                                  roots=(1,))
 
 
 class TestLogMeanModulus:
