@@ -1,11 +1,11 @@
 """Exact rank backend: Gaussian rationals lifted bit-exactly from the inputs.
 
 Every float is a dyadic rational, so problem data lift exactly to Gaussian
-rationals.  The Taylor recurrence (:func:`hardyball.series.expand`) and the
-criterion assembly need only ring operations (the denominator's constant term
-is 1), so run on :class:`Gaussian` scalars they give the criterion matrix as
-exact rationals.  Its kernel, and with it the rank, then comes from exact
-Gauss-Jordan elimination with no tolerance at all.  Floating point stays the
+rationals.  The Taylor recurrence (:func:`hardyball.series.expand`, one
+first-order section y_k = x_k + conj(b) y_{k-1} per pole) and the criterion
+assembly need only ring operations, so run on :class:`Gaussian` scalars they
+give the criterion matrix as exact rationals.  Its kernel, and with it the
+rank, then comes from exact Gauss-Jordan elimination with no tolerance at all.  Floating point stays the
 default backend; this one removes rank ambiguity for borderline inputs.
 """
 
@@ -30,9 +30,6 @@ class Gaussian:
 
     def __add__(self, other: "Gaussian") -> "Gaussian":
         return Gaussian(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "Gaussian") -> "Gaussian":
-        return Gaussian(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other: "Gaussian") -> "Gaussian":
         return Gaussian(

@@ -101,9 +101,9 @@ class BlaschkeProduct:
 # numerator roots with modulus below 1 - ROOT_TOL lie inside the disk (not
 # outer), and those within ROOT_TOL of modulus one lie on the circle
 ROOT_TOL = 1e-8
-# roots closer than CLUSTER_TOL * max(1, |r|) are one multiple root: the root
-# finder splits an r-fold root by about eps^(1/r), while the centroid of the
-# cluster stays accurate to O(eps) (Zeng, Math. Comp. 74, 2005)
+# m roots within CLUSTER_TOL ** (2 / m) * max(1, |root|) of one of them are one
+# m-fold root: np.roots splits it by about (K eps)^(1/m), K its condition, but
+# leaves the centroid accurate to O(eps) (Zeng, Math. Comp. 74, 2005)
 CLUSTER_TOL = 1e-6
 
 
@@ -146,19 +146,23 @@ class OuterRational(Rational):
 
 
 def _cluster(roots: list[complex]) -> tuple[complex, ...]:
-    """Each root replaced by the centroid of its cluster: the roots linked by
-    chains of gaps below CLUSTER_TOL * max(1, |r|)."""
-    label = list(range(len(roots)))
-    for i, r in enumerate(roots):
-        for j in range(i):
-            if label[j] != label[i] and abs(r - roots[j]) <= CLUSTER_TOL * max(1.0, abs(r)):
-                old = label[i]
-                label = [label[j] if g == old else g for g in label]
-    if len(set(label)) == len(roots):  # the common case, kept cheap for sweeps
-        return tuple(roots)
-    centroid = {g: sum(r for r, h in zip(roots, label) if h == g) / label.count(g)
-                for g in set(label)}
-    return tuple(centroid[g] for g in label)
+    """Each root replaced by the centroid of its cluster: in index order, a free
+    root claims the m - 1 free roots nearest it, for the largest m that puts
+    them all within CLUSTER_TOL ** (2 / m) * max(1, |root|) of it."""
+    out = list(roots)
+    free = list(range(len(roots)))
+    while free:
+        i = free.pop(0)
+        near = sorted(free, key=lambda j: abs(roots[j] - roots[i]))
+        reach = max(1.0, abs(roots[i]))
+        m = next((k for k in range(len(near) + 1, 1, -1)
+                  if abs(roots[near[k - 2]] - roots[i]) <= CLUSTER_TOL ** (2 / k) * reach), 1)
+        if m > 1:
+            members = sorted([i] + near[:m - 1])
+            centroid = sum(roots[j] for j in members) / m
+            out = [centroid if j in members else r for j, r in enumerate(out)]
+            free = [j for j in free if j not in members]
+    return tuple(out)
 
 
 def numerator_roots(coefficients) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""The Taylor recurrence for rational disk functions, and circle quadrature.
+"""The Taylor expansion of rational disk functions, and circle quadrature.
 
 Everything the rank criterion consumes is a finite batch of Taylor
 coefficients, and :func:`expand` is the one recurrence that produces them (no
-truncation error).  It needs only ring operations, so it runs unchanged on
-complex floats (rounding is its only error) and on the exact Gaussian
-rationals of :mod:`hardyball.exactrank`, and it returns a plain array: complex
+truncation error): the numerator divided by one first-order section
+1 / (1 - conj(b) z) per pole, in turn, as a doubling scan in numpy on complex
+floats (rounding is its only error) and as a plain loop on the exact Gaussian
+rationals of :mod:`hardyball.exactrank`.  It returns a plain array: complex
 for floats, object for exact scalars.  :class:`Rational` is the one
 rational-function type on the disk; it evaluates itself on circle nodes and
 feeds :func:`expand` for its Taylor coefficients.  Every function the
@@ -64,48 +65,46 @@ def check_pole_margin(parameters: Sequence[complex]) -> None:
             )
 
 
-def expand_denominator(parameters: Sequence, ring: Callable = complex) -> list:
-    """Expanded coefficients of prod_i (1 - conj(b_i) z), constant term first.
-
-    ``ring`` maps a number into the scalar type the product is formed in:
-    ``complex`` for floats, or an exact lift.  The scalars need only
-    ``+ - *`` and ``conjugate()``.
-    """
-    coeffs = [ring(1)]
-    for b in parameters:
-        factor = -ring(b).conjugate()
-        nxt = [ring(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 1] += factor * c
-        coeffs = nxt
-    return coeffs
-
-
 def expand(numerator: Sequence, parameters: Sequence, up_to: int,
            ring: Callable = complex) -> np.ndarray:
     """Taylor coefficients c_0..c_{up_to} of p(z) / prod_i (1 - conj(b_i) z).
 
-    Writing the denominator as sum_n d_n z^n (d_0 = 1), the coefficients obey
-    sum_n d_n c_{k-n} = p_k, which is solved forward using ring operations
-    only; there is no truncation, and in an exact ring no error at all.  The
-    numerator coefficients are ring elements already (complex numbers for the
-    default ring); the parameters pass through ``ring`` (see
-    :func:`expand_denominator`), and every product is formed in it.  Returns
-    c_0..c_{up_to} as a complex array for ``ring=complex``, else an object array.
+    p (cut or padded to up_to + 1 terms, its coefficients already in the ring)
+    passes through one first-order section y_k = x_k + a y_{k-1},
+    a = conj(b_i), per pole in turn; the denominator, whose coefficients cancel
+    when poles cluster near the circle, is never multiplied out.  A zero pole
+    is skipped, so with no other pole p comes back bit for bit.  On complex
+    floats a section is a doubling scan: after the step with shift s, y_k sums
+    a^j x_{k-j} over j < 2s.  An exact ring (``ring`` lifts a number into it,
+    e.g. :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*``
+    and ``conjugate()``) runs the sections as a plain loop, term by term.
+    Returns a complex array for ``ring=complex``, else an object array.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    den = expand_denominator(parameters, ring)
-    num = list(numerator)
-    zero = ring(0)
-    coeffs: list = []
-    for k in range(up_to + 1):
-        acc = num[k] if k < len(num) else zero
-        for n in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[n] * coeffs[k - n]
-        coeffs.append(acc)
-    return np.array(coeffs, dtype=complex if ring is complex else object)
+    n = up_to + 1
+    poles = [b for b in parameters if b != 0]
+    if ring is complex:
+        head = np.asarray(numerator, dtype=complex)[:n]
+        coeffs = np.concatenate([head, np.zeros(n - head.size, dtype=complex)])
+        scratch = np.empty(n, dtype=complex)
+        for b in poles:
+            a, s = complex(b).conjugate(), 1
+            while s < n:
+                np.multiply(coeffs[:n - s], a, out=scratch[s:])
+                coeffs[s:] += scratch[s:]
+                a *= a
+                s *= 2
+        return coeffs
+    # term by term: of each section's growing exact values only the last is live
+    factors = [ring(b).conjugate() for b in poles]
+    last, coeffs = [ring(0)] * len(factors), []
+    for k in range(n):
+        y = numerator[k] if k < len(numerator) else ring(0)
+        for i, a in enumerate(factors):
+            y = last[i] = y + a * last[i]
+        coeffs.append(y)
+    return np.array(coeffs, dtype=object)
 
 
 def _polyval(coeffs: Sequence[complex], z):
@@ -157,12 +156,12 @@ class Rational:
         """Taylor coefficients c_0..c_{up_to}, every product formed in ``ring``.
 
         The zeros are multiplied into the numerator by convolution (on object
-        arrays for an exact ring), and :func:`expand` runs the recurrence on
-        Python scalars, which it handles much faster than numpy scalars.
+        arrays for an exact ring), and :func:`expand` divides the product by
+        one first-order section per pole.
         """
         numerator = [ring(c) for c in self.numerator]
         for a in self.zeros:
-            numerator = np.convolve(numerator, [-ring(a), ring(1)]).tolist()
+            numerator = np.convolve(numerator, [-ring(a), ring(1)])
         return expand(numerator, self.poles, up_to, ring)
 
 

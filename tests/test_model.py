@@ -168,6 +168,28 @@ class TestCheckOuter:
         outer = OuterRational(tuple(np.poly([1.0 + 1e-5, 1.0 - 1e-5j, -2.0])[::-1]))
         assert len(set(outer.roots)) == 3
 
+    def test_triple_root_listed_three_times(self):
+        # np.roots splits the triple root of (1 + z)^3 by about 1e-5, so a pair
+        # radius alone would leave one root of the three inside the disk
+        split = numerator_roots((1.0, 3.0, 3.0, 1.0))
+        assert min(abs(split[i] - split[j]) for i, j in ((0, 1), (0, 2), (1, 2))) > 1e-6
+        outer = OuterRational((1.0, 3.0, 3.0, 1.0))
+        assert outer.roots == outer.circle_roots == (outer.roots[0],) * 3
+        assert abs(abs(outer.roots[0]) - 1.0) < 1e-12 and abs(outer.roots[0] + 1.0) < 1e-12
+
+    def test_every_triple_circle_root_constructs(self):
+        # (z - zeta)^3 (z - w) with |zeta| = 1 and |w| = 2: the triple root is
+        # one cluster, judged by its centroid, and w stays apart
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            zeta, w = np.exp(2j * np.pi * rng.random(2)) * (1.0, 2.0)
+            numerator = np.convolve(np.poly([zeta] * 3)[::-1], [-w, 1])
+            outer = OuterRational(tuple(numerator))
+            centroid = outer.circle_roots[0]
+            assert outer.circle_roots == (centroid,) * 3
+            assert abs(abs(centroid) - 1.0) < 1e-12 and abs(centroid - zeta) < 1e-10
+            assert len(set(outer.roots)) == 2
+
 
 class TestNormalize:
     def test_one_plus_z_squared(self):

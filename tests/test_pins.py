@@ -43,7 +43,7 @@ PINS = {
         "stdout": "36eef3b12f1ea3cbaa69dde0195b27c5fb35fb91968485f6ab682aebd97d6447",
     },
     "gen_fixed_seed": {
-        "stdout": "0b5451e2886191a6962e92685a1f5f33dbd2a40991391655c4f65908d2a8c0c0",
+        "stdout": "7cd64b54bf8e7dec7df67755a088dcb9358e20c965495bc693cd05b5a99b8c7f",
     },
     "sweep_readme_template": {
         "stdout": "fe49b3ec7830197d301ebba75cc2bbe43b88c09b1a024a0e934703cba3f1cee5",

@@ -14,6 +14,7 @@ from hardyball import (
     converged_circle_mean,
     l1_norm,
 )
+from hardyball.exactrank import lift
 from hardyball.series import (
     QUAD_MAX_N,
     EvaluationError,
@@ -121,6 +122,84 @@ class TestCoefficientSequence:
         values = [complex(v) for v in values]
         out = expand(values, (), len(values) - 1)
         assert out.tolist() == values == np.convolve(values, [1.0]).tolist()
+
+    def test_up_to_zero_is_the_constant_term(self):
+        assert expand([3 + 1j, 2.0], (0.5, 0.25j), 0).tolist() == [3 + 1j]
+        exact = expand([lift(3 + 1j), lift(2.0)], (0.5, 0.25j), 0, lift)
+        assert exact.shape == (1,) and complex(exact[0].real, exact[0].imag) == 3 + 1j
+
+    def test_numerator_longer_than_the_window_is_cut(self):
+        numerator = [1.0, -2.0 + 1j, 0.5, 4.0, 3j]
+        cut = expand(numerator, (0.5, -0.3j), 2)
+        assert cut.shape == (3,)
+        # c_k reads only p_0..p_k, and every scan step past the window is skipped
+        assert cut.tobytes() == expand(numerator[:3], (0.5, -0.3j), 2).tobytes()
+        assert cut.tobytes() == expand(numerator, (0.5, -0.3j), 4)[:3].tobytes()
+
+    def test_zero_pole_is_skipped(self):
+        numerator = [1.0, -2.0 + 1j, 0.5]
+        with_zero = expand(numerator, (0.5, 0.0, -0.3j, 0j), 20)
+        assert with_zero.tobytes() == expand(numerator, (0.5, -0.3j), 20).tobytes()
+        exact = expand([lift(c) for c in numerator], (0.5, 0.0), 20, lift)
+        once = expand([lift(c) for c in numerator], (0.5,), 20, lift)
+        assert [(c.real, c.imag) for c in exact] == [(c.real, c.imag) for c in once]
+
+    def test_zero_poles_return_the_numerator_bit_for_bit(self):
+        # 0.1 has no short binary expansion and -0.0 keeps its sign bit
+        numerator = [0.1 + 0.7j, complex(-0.0, 0.3), -1 / 3]
+        out = expand(numerator, (0.0, 0j, 0.0), 5)
+        padded = np.array(numerator + [0j] * 3, dtype=complex)
+        assert out.tobytes() == padded.tobytes()
+
+
+def _as_complex(exact) -> np.ndarray:
+    """Exact coefficients rounded to complex floats."""
+    return np.array([complex(float(c.real), float(c.imag)) for c in exact])
+
+
+def _dyadic(bits: int, bound: float):
+    """Dyadic rationals j / 2^bits in [-bound, bound]."""
+    top = int(bound * 2**bits)
+    return st.integers(-top, top).map(lambda j: j / 2**bits)
+
+
+@st.composite
+def _poles(draw):
+    """Up to four dyadic poles with |b| <= 0.999, some repeated, some zero."""
+    pole = st.builds(complex, _dyadic(10, 0.999), _dyadic(10, 0.999)).filter(
+        lambda b: abs(b) <= 0.999)
+    distinct = draw(st.lists(st.one_of(st.just(0j), pole), max_size=3))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=2)) if distinct else []
+    return tuple(distinct + repeats)
+
+
+class TestFloatMatchesExact:
+    """The complex expansion against the exact expansion of the same (dyadic) data."""
+
+    def test_clustered_poles_near_the_circle(self):
+        # the poles of f / P_3 for three inner zeros of modulus 0.99 within 0.02
+        # rad, each doubled: the coefficients grow to ~3e8, and a multiplied-out
+        # denominator lost 2.7e-6 of them to cancellation
+        zeros = [0.99 * complex(np.cos(t), np.sin(t)) for t in (0.3, 0.31, 0.32)]
+        numerator = [1.0 + 0j, -0.5 + 0.25j]
+        exact = _as_complex(expand([lift(c) for c in numerator], zeros * 2, 300, lift))
+        approx = expand(numerator, zeros * 2, 300)
+        assert (np.abs(approx - exact) <= 1e-12 * np.abs(exact)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        numerator=st.lists(st.builds(complex, _dyadic(6, 4.0), _dyadic(6, 4.0)),
+                           min_size=1, max_size=4),
+        poles=_poles(),
+        up_to=st.integers(0, 40),
+    )
+    def test_dyadic_data(self, numerator, poles, up_to):
+        approx = expand(numerator, poles, up_to)
+        exact = _as_complex(expand([lift(c) for c in numerator], poles, up_to, lift))
+        # relative per coefficient, to the same expansion of |p_k| over |b|: it
+        # bounds every partial sum, so cancelling coefficients are judged fairly
+        majorant = expand(np.abs(numerator), np.abs(poles), up_to).real
+        assert (np.abs(approx - exact) <= 1e-12 * majorant).all()
 
 
 def grid_mean_modulus(f, grid):
