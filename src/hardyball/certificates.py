@@ -174,7 +174,8 @@ def make_witness(
     n = m the operator is the criterion matrix, whose kernel the verdict
     carries; for n = M + 1 < m it has 2M rows and 2n + 1 columns, so its
     kernel has dimension at least 3.  The canonical direction is stripped out
-    and the largest remainder taken; a kernel with nothing beyond the
+    and the witness direction read off the projection onto what remains, so it
+    does not depend on the kernel basis; a kernel with nothing beyond the
     canonical vector contradicts the verdict and raises
     :class:`DegenerateKernelError`.
     """
@@ -189,11 +190,15 @@ def make_witness(
     canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
     canonical = canonical / np.linalg.norm(canonical)
     remainders = kernel - np.outer(kernel @ canonical, canonical)
-    norms = np.linalg.norm(remainders, axis=1)
-    if not (norms > 1e-10).any():
+    if not np.linalg.norm(remainders) > 1e-10:
         raise DegenerateKernelError("all kernel vectors are parallel to the canonical vector")
-    best = int(np.argmax(norms))
-    polynomial = SymmetricPolynomial(n, tuple(remainders[best] / norms[best]))
+    # the Gram matrix of the remainders is the same for every orthonormal kernel
+    # basis; its column at the first (near-)largest diagonal entry fixes the
+    # direction, and that entry, positive, fixes the sign
+    gram = remainders.T @ remainders
+    diagonal = np.diag(gram)
+    column = gram[:, int(np.argmax(diagonal >= (1 - 1e-9) * diagonal.max()))]
+    polynomial = SymmetricPolynomial(n, tuple(column / np.linalg.norm(column)))
     provenance = KERNEL_PATH if verdict.condition_a.holds else DEGREE_OVERFLOW_PATH
     return _package_witness(f, polynomial, zeros[n:], provenance, tol)
 

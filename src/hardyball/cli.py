@@ -6,7 +6,7 @@ certificate.  Commands raise; :func:`main` alone maps an exception to one JSON
 certify, stderr for sweep and gen, whose stdout is data):
 
     kind          exit  cause
-    parse         2     malformed document, flag or environment value (DocumentError)
+    parse         2     malformed document or command line (DocumentError)
     input         2     well-formed input the pipeline rejects (ValueError)
     not_in_space  2     analyze: a hole coefficient is nonzero (with a residual table)
     numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError),
@@ -16,12 +16,10 @@ certify, stderr for sweep and gen, whose stdout is data):
     io            2     an output path cannot be written (OSError)
     generator     3     gen exhausted its retries (MaxRetriesExceededError)
 
-``HARDY_TOL_RANK`` and ``HARDY_TOL_QUAD`` override the corresponding
-tolerances; per-problem ``options`` win over the environment, and explicit
-flags win over both.  Every tolerance must be a finite number > 0 and
-``--grid`` (the trapezoid ladder's first grid; circle means split at the
-circle roots of an outer factor do not use it) a power of two in [16, 2^19],
-below the quadrature cap; a sweep has at most :data:`MAX_SWEEP_ROWS` rows.
+A problem document's ``options`` are the only way to set a tolerance, so a
+report depends on its documents and flags alone; ``gen`` uses the defaults.
+Every tolerance must be a finite number > 0, a sweep has at most
+:data:`MAX_SWEEP_ROWS` rows and ``--jobs`` must be >= 1.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +38,7 @@ import numpy as np
 from . import certificates, documents, extremality, model
 from .documents import DocumentError, canonical_json
 from .extremality import BORDERLINE, EXTREME, NON_EXTREME
-from .series import QUAD_MAX_N, EvaluationError, QuadratureConvergenceError
-from .tolerances import DEFAULT, Tolerances
+from .series import EvaluationError, QuadratureConvergenceError
 
 EXIT_EXTREME = 0
 EXIT_CERTIFIED = 0
@@ -55,28 +51,6 @@ EXIT_BORDERLINE = 11
 _STATUS_EXIT = {EXTREME: EXIT_EXTREME, NON_EXTREME: EXIT_NON_EXTREME, BORDERLINE: EXIT_BORDERLINE}
 
 MAX_SWEEP_ROWS = 10 ** 6
-
-
-def _tolerances(options: dict | None = None, tol_rank: float | None = None,
-                grid: int | None = None) -> Tolerances:
-    env = {}
-    for name, field in (("HARDY_TOL_RANK", "rank"), ("HARDY_TOL_QUAD", "quad")):
-        if name in os.environ:
-            try:
-                value = float(os.environ[name])
-            except ValueError:
-                raise DocumentError(name, f"expected a number, got {os.environ[name]!r}") from None
-            env[field] = documents.as_tolerance(value, name)
-    if tol_rank is not None:
-        documents.as_tolerance(tol_rank, "--tol-rank")
-    # the circle mean doubles its grid at least once, so the cap itself never converges
-    if grid is not None and not (16 <= grid < QUAD_MAX_N and grid & (grid - 1) == 0):
-        raise DocumentError("--grid",
-                            f"expected a power of two in [16, {QUAD_MAX_N // 2}], got {grid}")
-    tol = DEFAULT.override(**env)
-    if options:
-        tol = tol.override(**options)
-    return tol.override(rank=tol_rank, quad_start_n=grid)
 
 
 def _read_document(path: str) -> dict:
@@ -142,8 +116,7 @@ def _error_report(kind: str, message: str, extra: dict | None = None) -> dict:
 
 def cmd_analyze(args) -> int:
     problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
-    tol = _tolerances(problem.options, args.tol_rank, args.grid)
-    f, space = problem.function, problem.space
+    f, space, tol = problem.function, problem.space, problem.tolerances
     membership = model.check_membership(f.taylor(space.k_max), space, tol)
     if not membership.passed:
         hole, residual = membership.worst()
@@ -219,7 +192,7 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
     witness = documents.parse_witness(_read_document(args.witness), source=args.witness)
-    tol = _tolerances(problem.options)
+    tol = problem.tolerances
     normalized, _ = model.normalize(problem.function, tol)
     report = certificates.verify_witness(normalized, problem.space, witness, tol)
     doc = {"format_version": documents.FORMAT_VERSION, "type": "witness_report"}
@@ -250,14 +223,13 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 
 # pool workers do not inherit the error state main sets
 @np.errstate(all="ignore")
-def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ...],
-                 tol: Tolerances) -> list[str]:
+def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ...]) -> list[str]:
     row = [documents.format_float(v) for v in values]
     try:
         problem = documents.parse_problem(
             _substitute(template, dict(zip(names, values))), source="<sweep>"
         )
-        f, space = problem.function, problem.space
+        f, space, tol = problem.function, problem.space, problem.tolerances
         membership = model.check_membership(f.taylor(space.k_max), space, tol)
         if not membership.passed:
             return row + ["skip", "", "", ""]
@@ -293,6 +265,8 @@ def _parse_range(spec: str) -> tuple[float, float, float]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise DocumentError("--jobs", f"expected an integer >= 1, got {args.jobs}")
     template = _read_document(args.template)
     names = tuple(args.param or [])
     specs = [_parse_range(r) for r in (args.range or [])]
@@ -308,22 +282,25 @@ def cmd_sweep(args) -> int:
             args.template,
             f"template sweeps {sorted(placeholders)} but parameters are {sorted(names)}",
         )
-    first_point = documents.parse_problem(
+    # the schema is the same at every point; the values of a point, the first
+    # included, can still give an invalid function, which is an error row
+    documents.check_problem(
         _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}),
         source=args.template,
     )
-    tol = _tolerances(first_point.options)
 
     combos = list(itertools.product(*ranges))
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks every worker up front, so it is sized to the work and the machine
+    workers = min(args.jobs, len(combos), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
-                _sweep_point,
-                itertools.repeat(template), itertools.repeat(names), combos,
-                itertools.repeat(tol),
+                _sweep_point, itertools.repeat(template), itertools.repeat(names), combos,
             ))
     else:
-        rows = [_sweep_point(template, names, combo, tol) for combo in combos]
+        rows = [_sweep_point(template, names, combo) for combo in combos]
 
     header = list(names) + ["status", "rank", "delta", "min_singular_value"]
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
@@ -335,15 +312,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen(args) -> int:
     spec = documents.parse_gen_spec(_read_document(args.spec), source=args.spec)
-    tol = _tolerances()
     member = model.sample_member(spec.space, spec.inner_zeros, spec.denominator_parameters,
-                                 spec.numerator_degree, args.seed, tol)
+                                 spec.numerator_degree, args.seed)
     print(canonical_json(documents.problem_to_dict(spec.space, member)))
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so main reports them as one document."""
+
+    def error(self, message):
+        raise DocumentError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardyball",
         description="Decide extremality of punctured-space functions, with checkable certificates.",
     )
@@ -351,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify a problem file and emit a full report")
     p.add_argument("problem")
-    p.add_argument("--tol-rank", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None,
-                   help="first trapezoid grid size (unused when the outer factor has circle roots)")
     p.add_argument("--exact", action="store_true", help="use the exact-arithmetic rank backend")
     p.add_argument("--witness-out", default=None, help="write the witness document here")
     p.set_defaults(func=cmd_analyze)
@@ -393,15 +373,17 @@ _ERRORS = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(argv)
         # overflow turns into a non-finite value, which the checks report as a
         # numerics error; numpy's own warnings would only add noise on stderr
         with np.errstate(all="ignore"):
             return args.func(args)
     except tuple(cls for cls, _, _ in _ERRORS) as exc:
         kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
-        stream = sys.stdout if args.command in ("analyze", "certify") else sys.stderr
+        # the command word comes first, so a usage error knows its stream too
+        stream = sys.stdout if argv[:1] in (["analyze"], ["certify"]) else sys.stderr
         print(canonical_json(_error_report(kind, str(exc))), file=stream)
         return code
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .certificates import PerturbationWitness
 from .extremality import SymmetricPolynomial
 from .model import BlaschkeProduct, FactoredFunction, OuterRational, PuncturedSpace
 from .series import check_pole_margin
+from .tolerances import DEFAULT, Tolerances
 
 FORMAT_VERSION = 1
 
@@ -97,7 +98,7 @@ def _as_number(value: Any, path: str) -> float:
     return float(value)
 
 
-def as_tolerance(value: Any, path: str) -> float:
+def _as_tolerance(value: Any, path: str) -> float:
     """A tolerance value: a finite number > 0."""
     value = _as_number(value, path)
     if not value > 0:
@@ -138,14 +139,20 @@ def load_json(text: str, source: str = "<input>") -> dict:
 
 @dataclass(frozen=True)
 class ProblemDocument:
-    """Parsed problem: hole set, factored function, tolerance overrides."""
+    """Parsed problem: hole set, factored function, tolerances."""
 
     space: PuncturedSpace
     function: FactoredFunction
-    options: dict
+    tolerances: Tolerances
 
 
-def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
+def check_problem(data: dict, source: str = "<problem>") -> tuple:
+    """Schema-check a problem document without building its function.
+
+    Returns (space, inner zeros, outer numerator, outer denominator,
+    tolerances); the numerator already carries the inner constant.  The
+    tolerances are the defaults with the document's ``options`` applied.
+    """
     if data.get("type") not in (None, "problem"):
         raise DocumentError(source, f"expected a problem document, got type {data.get('type')!r}")
     holes = _as_holes(_require(data, "holes", source), source + ".holes")
@@ -166,19 +173,26 @@ def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
     for key, value in options_raw.items():
         if key not in _OPTION_FIELDS:
             raise DocumentError(f"{source}.options.{key}", "unknown option")
-        options[_OPTION_FIELDS[key]] = as_tolerance(value, f"{source}.options.{key}")
+        options[_OPTION_FIELDS[key]] = _as_tolerance(value, f"{source}.options.{key}")
     try:
         space = PuncturedSpace(holes)
-        inner = BlaschkeProduct(zeros)
         # the constant of the canonical pair lives in the outer factor
         if abs(abs(constant) - 1.0) > 1e-12:
             raise ValueError(f"constant must be unimodular, got |c| = {abs(constant):.17g}")
-        if constant != 1:
-            numerator = tuple(constant * c for c in numerator)
-        outer = OuterRational(numerator, denominator)
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
-    return ProblemDocument(space, FactoredFunction(inner, outer), options)
+    if constant != 1:
+        numerator = tuple(constant * c for c in numerator)
+    return space, zeros, numerator, denominator, replace(DEFAULT, **options)
+
+
+def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
+    space, zeros, numerator, denominator, tolerances = check_problem(data, source)
+    try:
+        function = FactoredFunction(BlaschkeProduct(zeros), OuterRational(numerator, denominator))
+    except ValueError as exc:
+        raise DocumentError(source, str(exc)) from exc
+    return ProblemDocument(space, function, tolerances)
 
 
 @dataclass(frozen=True)
@@ -214,8 +228,8 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def problem_to_dict(space: PuncturedSpace, f: FactoredFunction, options: dict | None = None) -> dict:
-    doc = {
+def problem_to_dict(space: PuncturedSpace, f: FactoredFunction) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "type": "problem",
         "holes": list(space.holes),
@@ -224,9 +238,6 @@ def problem_to_dict(space: PuncturedSpace, f: FactoredFunction, options: dict | 
         "outer_numerator": [_pair(c) for c in f.outer.numerator],
         "outer_denominator": [_pair(b) for b in f.outer.poles],
     }
-    if options:
-        doc["options"] = dict(options)
-    return doc
 
 
 def witness_to_dict(w: PerturbationWitness) -> dict:

@@ -271,6 +271,8 @@ def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredF
 # the generator redraws when numerator roots come this close to the circle:
 # such members are legal inputs but need enormous quadrature grids
 _SAMPLE_CIRCLE_MARGIN = 1e-3
+# draws of the outer numerator before the generator gives up
+SAMPLE_RETRIES = 500
 
 
 def sample_member(
@@ -314,7 +316,7 @@ def sample_member(
         raise MaxRetriesExceededError("hole constraints leave no free numerator coefficients")
 
     decay = 0.5 ** np.arange(d + 1)
-    for _ in range(tol.sample_retries):
+    for _ in range(SAMPLE_RETRIES):
         raw = (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) * decay
         candidate = null_basis @ (null_basis.conj().T @ raw)
         if np.abs(candidate).max() < 1e-12:
@@ -329,5 +331,5 @@ def sample_member(
         check_membership(member.taylor(space.k_max), space, tol).require()
         return member
     raise MaxRetriesExceededError(
-        f"no outer numerator found in {tol.sample_retries} draws (degree {d}, holes {space.holes})"
+        f"no outer numerator found in {SAMPLE_RETRIES} draws (degree {d}, holes {space.holes})"
     )

@@ -227,7 +227,6 @@ def _arc_means(integrand, roots: Sequence[complex]):
 def converged_circle_mean(
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances = DEFAULT,
-    target: float | None = None,
     roots: Sequence[complex] = (),
 ) -> tuple[float | np.ndarray, int]:
     """Circle average of a real-valued integrand, refining the rule until stable.
@@ -238,8 +237,8 @@ def converged_circle_mean(
     an outer factor F in |F|) the circle is split at their arguments and each
     arc gets composite :data:`GAUSS_NODES`-point Gauss-Legendre, the panels
     per arc doubling from one; the integrand must be smooth on each closed arc.
-    Stops once successive values agree within ``target`` (default
-    ``tol.quad``) scaled by max(1, |value|); raises
+    Stops once successive values agree within ``tol.quad`` scaled by
+    max(1, |value|); raises
     :class:`QuadratureConvergenceError` if the next rule would exceed
     :data:`QUAD_MAX_N` nodes while still moving.  Returns (value, node count of
     the final rule).  An integrand that returns rows (shape (r, n) on n nodes)
@@ -247,12 +246,11 @@ def converged_circle_mean(
     the value is the array of row means, so each row ends on a rule at least
     as fine as its own ladder's.
     """
-    goal = tol.quad if target is None else target
     if len(roots):
         rule = _arc_means(integrand, roots)
     else:
         rule = _trapezoid_means(integrand, tol.quad_start_n)
-    prev = None
+    goal, prev = tol.quad, None
     for cur, n in rule:
         if prev is not None and (np.abs(cur - prev) <= goal * np.maximum(1.0, np.abs(cur))).all():
             return (float(cur) if cur.ndim == 0 else cur), n

@@ -7,20 +7,26 @@ every test run sees the same instances.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
 from hardyball import (
-    DEFAULT,
     BlaschkeProduct,
     FactoredFunction,
     MaxRetriesExceededError,
     OuterRational,
     PuncturedSpace,
+    model,
     normalize,
     sample_member,
 )
 
-FAST_TOL = DEFAULT.override(sample_retries=120)
+
+def quick_sample_member(*args):
+    """``sample_member`` giving up after 120 draws: the builders redraw the configuration."""
+    with mock.patch.object(model, "SAMPLE_RETRIES", 120):
+        return sample_member(*args)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -74,8 +80,7 @@ def random_member(seed: int, m_range=(0, 4), max_holes: int = 4, k_max: int = 30
         den = random_zeros(rng, int(rng.integers(0, 2)), max_modulus=0.5)
         degree = int(rng.integers(space.size + 1, space.size + 5))
         try:
-            member = sample_member(space, zeros, den, degree, int(rng.integers(2**31)),
-                                   FAST_TOL)
+            member = quick_sample_member(space, zeros, den, degree, int(rng.integers(2**31)))
         except MaxRetriesExceededError:
             continue
         return member, space
@@ -91,15 +96,14 @@ def overflow_member(seed: int, max_holes: int = 3, excess: int = 1):
         zeros = random_zeros(rng, m)
         if M == 0:
             member, _ = normalize(
-                FactoredFunction(BlaschkeProduct(zeros), random_outer(rng, 4)), FAST_TOL
+                FactoredFunction(BlaschkeProduct(zeros), random_outer(rng, 4))
             )
             return member, PuncturedSpace(())
         holes = sorted(rng.choice(np.arange(m + 1, 21), size=M, replace=False))
         space = PuncturedSpace(tuple(int(k) for k in holes))
         degree = int(rng.integers(space.size + 2, space.size + 6))
         try:
-            member = sample_member(space, zeros, (), degree, int(rng.integers(2**31)),
-                                   FAST_TOL)
+            member = quick_sample_member(space, zeros, (), degree, int(rng.integers(2**31)))
         except MaxRetriesExceededError:
             continue
         return member, space
@@ -121,8 +125,7 @@ def single_hole_member(seed: int, k_max: int = 20):
         degree = int(rng.integers(2, 7))
         den = random_zeros(rng, int(rng.integers(0, 2)), max_modulus=0.5)
         try:
-            member = sample_member(space, (a,), den, degree, int(rng.integers(2**31)),
-                                   FAST_TOL)
+            member = quick_sample_member(space, (a,), den, degree, int(rng.integers(2**31)))
         except MaxRetriesExceededError:
             continue
         coeffs = member.taylor(k, first=1)
@@ -158,5 +161,5 @@ def single_hole_locus_member(seed: int, k_max: int = 12):
     )
     numerator = np.convolve(profile, square)
     f = FactoredFunction(BlaschkeProduct((a,)), OuterRational(tuple(numerator)))
-    member, _ = normalize(f, FAST_TOL)
+    member, _ = normalize(f)
     return member, PuncturedSpace((k,))

@@ -28,15 +28,14 @@ from hardyball import (
     make_witness,
     normalize,
     numeric_rank,
-    sample_member,
     single_hole_delta,
     verify_witness,
     witness_h_values,
 )
 
 from _instances import (
-    FAST_TOL,
     overflow_member,
+    quick_sample_member,
     random_member,
     random_outer,
     random_zeros,
@@ -57,7 +56,7 @@ def baseline_pool():
     for i in range(200):
         rng = np.random.default_rng((1000, i))
         outer = random_outer(rng, max_degree=6)
-        member, _ = normalize(FactoredFunction(BlaschkeProduct(()), outer), FAST_TOL)
+        member, _ = normalize(FactoredFunction(BlaschkeProduct(()), outer), DEFAULT)
         zeros = random_zeros(rng, int(rng.integers(1, 4)))
         non_outer = FactoredFunction(BlaschkeProduct(zeros), member.outer)
         pool.append((member, non_outer))
@@ -79,14 +78,14 @@ def test_criterion_01_de_leeuw_rudin_baseline(baseline_pool):
     space = PuncturedSpace(())
     worst_norm = 0.0
     for member, non_outer in baseline_pool:
-        verdict = decide_extreme(member, space, FAST_TOL)
+        verdict = decide_extreme(member, space, DEFAULT)
         assert verdict.status == EXTREME and verdict.rank == 0
 
-        verdict2 = decide_extreme(non_outer, space, FAST_TOL)
+        verdict2 = decide_extreme(non_outer, space, DEFAULT)
         assert verdict2.status == NON_EXTREME
         assert not verdict2.condition_a.holds
-        witness = make_witness(non_outer, space, verdict2, FAST_TOL)
-        rep = verify_witness(non_outer, space, witness, FAST_TOL)
+        witness = make_witness(non_outer, space, verdict2, DEFAULT)
+        rep = verify_witness(non_outer, space, witness, DEFAULT)
         assert rep.verifies, rep.failures
         worst_norm = max(worst_norm, abs(rep.norm_plus - 1.0), abs(rep.norm_minus - 1.0))
     ok = worst_norm < 1e-7
@@ -108,15 +107,14 @@ def test_criterion_02_outer_members_zero_matrix():
             degree = int(rng.integers(space.size + 1, space.size + 7))
             den = random_zeros(rng, int(rng.integers(0, 3)), max_modulus=0.5)
             try:
-                member = sample_member(space, (), den, degree,
-                                       int(rng.integers(2**31)), FAST_TOL)
+                member = quick_sample_member(space, (), den, degree, int(rng.integers(2**31)))
                 break
             except Exception:
                 continue
         assert member is not None
         matrix = build_criterion_matrix(member, space)
         worst = max(worst, float(np.abs(matrix.assembled).max()))
-        verdict = decide_extreme(member, space, FAST_TOL)
+        verdict = decide_extreme(member, space, DEFAULT)
         assert verdict.status == EXTREME and verdict.rank == 0
     ok = worst <= 1e-12
     report_line(2, "outer members have the zero matrix", ok,
@@ -142,8 +140,8 @@ def test_criterion_03_single_hole_equivalence(single_hole_pool):
         scale = np.abs(coeffs).max()
         worst_identity = max(worst_identity, residual / scale)
 
-        verdict = decide_extreme(member, space, FAST_TOL)
-        shortcut = single_hole_delta(member, k, FAST_TOL)
+        verdict = decide_extreme(member, space, DEFAULT)
+        shortcut = single_hole_delta(member, k, DEFAULT)
         if verdict.status != BORDERLINE:
             decided += 1
             if verdict.status == shortcut.status:
@@ -174,7 +172,7 @@ def test_criterion_04_canonical_kernel_invariant():
         residual = np.linalg.norm(matrix.assembled @ vec)
         bound = np.linalg.norm(matrix.assembled, 2) * np.linalg.norm(vec)
         worst_ratio = max(worst_ratio, residual / bound)
-        result = numeric_rank(matrix.assembled, FAST_TOL.rank)
+        result = numeric_rank(matrix.assembled, DEFAULT.rank)
         assert result.rank <= 2 * member.inner.degree
         count += 1
     ok = worst_ratio <= 1e-9
@@ -216,11 +214,11 @@ def test_criterion_06_certificate_round_trip(baseline_pool, single_hole_pool):
 
     def certify(f, space):
         nonlocal checked
-        verdict = decide_extreme(f, space, FAST_TOL)
+        verdict = decide_extreme(f, space, DEFAULT)
         if verdict.status != NON_EXTREME:
             return
-        witness = make_witness(f, space, verdict, FAST_TOL)
-        rep = verify_witness(f, space, witness, FAST_TOL)
+        witness = make_witness(f, space, verdict, DEFAULT)
+        rep = verify_witness(f, space, witness, DEFAULT)
         assert rep.verifies, rep.failures
         assert rep.membership_plus.passed and rep.membership_minus.passed
         worst["real"] = max(worst["real"], rep.h_realness_residual)
@@ -233,7 +231,7 @@ def test_criterion_06_certificate_round_trip(baseline_pool, single_hole_pool):
     for _, non_outer in baseline_pool[:120]:
         certify(non_outer, PuncturedSpace(()))
     for member, space in single_hole_pool:
-        if single_hole_delta(member, space.holes[0], FAST_TOL).status == NON_EXTREME:
+        if single_hole_delta(member, space.holes[0], DEFAULT).status == NON_EXTREME:
             certify(member, space)
 
     ok = (checked >= 120
@@ -252,23 +250,23 @@ def test_criterion_07_worked_instance():
     )
     matrix = build_criterion_matrix(f_extreme, space)
     matrix_ok = np.allclose(matrix.assembled, [[0, 1.5, 0], [0, 0, 0.5]], atol=1e-15)
-    verdict = decide_extreme(f_extreme, space, FAST_TOL)
+    verdict = decide_extreme(f_extreme, space, DEFAULT)
     extreme_ok = verdict.status == EXTREME and verdict.rank == 2
 
     f_flat = FactoredFunction(
         BlaschkeProduct((0.0,)), OuterRational((1.0, 0.0, 1.0))
     )
-    normalized, _ = normalize(f_flat, FAST_TOL)
-    verdict2 = decide_extreme(normalized, space, FAST_TOL)
+    normalized, _ = normalize(f_flat, DEFAULT)
+    verdict2 = decide_extreme(normalized, space, DEFAULT)
     rank_ok = verdict2.status == NON_EXTREME and verdict2.rank == 1
-    witness = make_witness(normalized, space, verdict2, FAST_TOL)
+    witness = make_witness(normalized, space, verdict2, DEFAULT)
     nodes = CircleGrid(4096).nodes
     h = witness_h_values(normalized, witness, nodes)
     target = -2.0 * np.sin(np.angle(nodes))
     sign_fit = min(
         float(np.abs(h.real - target).max()), float(np.abs(h.real + target).max())
     )
-    rep = verify_witness(normalized, space, witness, FAST_TOL)
+    rep = verify_witness(normalized, space, witness, DEFAULT)
     witness_ok = (
         sign_fit < 1e-12
         and abs(witness.recenter) < 1e-12
@@ -291,13 +289,13 @@ def test_criterion_08_degree_overflow():
         member, space = overflow_member((8000, i))
         if space.size:
             operator = build_criterion_matrix(member, space, first=space.size + 1)
-            result = numeric_rank(operator.assembled, FAST_TOL.rank)
+            result = numeric_rank(operator.assembled, DEFAULT.rank)
             min_kernel = min(min_kernel, result.kernel.shape[0])
             assert result.kernel.shape[0] >= 3
-        verdict = decide_extreme(member, space, FAST_TOL)
+        verdict = decide_extreme(member, space, DEFAULT)
         assert verdict.status == NON_EXTREME and not verdict.condition_a.holds
-        witness = make_witness(member, space, verdict, FAST_TOL)
-        rep = verify_witness(member, space, witness, FAST_TOL)
+        witness = make_witness(member, space, verdict, DEFAULT)
+        rep = verify_witness(member, space, witness, DEFAULT)
         assert rep.verifies, rep.failures
         verified += 1
     ok = verified == 50
@@ -310,18 +308,18 @@ def test_criterion_09_exposedness_gate(single_hole_pool):
     from hardyball.model import numerator_roots
 
     f, _ = normalize(FactoredFunction(BlaschkeProduct((0.0,)),
-                                      OuterRational((1.0, 0.0, 0.5))), FAST_TOL)
+                                      OuterRational((1.0, 0.0, 0.5))), DEFAULT)
     space = PuncturedSpace((2,))
-    gate1 = check_exposed(f, decide_extreme(f, space, FAST_TOL))
+    gate1 = check_exposed(f, decide_extreme(f, space, DEFAULT))
 
     g, _ = normalize(FactoredFunction(BlaschkeProduct(()),
-                                      OuterRational((1.0, 0.0, 1.0))), FAST_TOL)
+                                      OuterRational((1.0, 0.0, 1.0))), DEFAULT)
     space1 = PuncturedSpace((1,))
-    gate2 = check_exposed(g, decide_extreme(g, space1, FAST_TOL))
+    gate2 = check_exposed(g, decide_extreme(g, space1, DEFAULT))
 
     sound = True
     for member, space_i in single_hole_pool[:150]:
-        verdict = decide_extreme(member, space_i, FAST_TOL)
+        verdict = decide_extreme(member, space_i, DEFAULT)
         result = check_exposed(member, verdict)
         if result.status == "exposed":
             roots = numerator_roots(member.outer.numerator)

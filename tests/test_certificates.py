@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,20 @@ class TestDegreeOverflowWitness:
             report = verify_witness(member, space, w)
             assert report.verifies, report.failures
 
+    def test_witness_does_not_depend_on_the_kernel_basis(self):
+        # m = M + 1 takes the kernel from the verdict; it has dimension 5 - 2 = 3
+        for seed in range(4):
+            member, space = overflow_member((seed, 5), max_holes=1, excess=1)
+            verdict = decide_extreme(member, space)
+            assert verdict.kernel_dimension >= 3
+            vector = make_witness(member, space, verdict).polynomial.vector
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                rotation, _ = np.linalg.qr(rng.standard_normal((verdict.kernel_dimension,) * 2))
+                rotated = replace(verdict, kernel_basis=rotation @ verdict.kernel_basis)
+                again = make_witness(member, space, rotated).polynomial.vector
+                np.testing.assert_allclose(again, vector, rtol=0, atol=1e-12)
+
 
 class TestVerifyWitness:
     def test_doubled_epsilon_fails(self, rank_deficient_fixture):
@@ -185,7 +201,7 @@ class TestVerifyWitness:
         f, space, verdict = rank_deficient_fixture
         w = make_witness(f, space, verdict)
         with pytest.raises(QuadratureConvergenceError):
-            verify_witness(f, space, w, DEFAULT.override(quad=1e-30))
+            verify_witness(f, space, w, replace(DEFAULT, quad=1e-30))
 
     def test_midpoint_of_endpoints_is_f(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture

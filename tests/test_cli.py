@@ -1,7 +1,9 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -113,26 +115,16 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]["status"] == "borderline"
 
-    def test_tol_rank_flag_beats_environment(self, tmp_path, capsys, monkeypatch):
-        path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM))
+    def test_tol_rank_option_sets_the_cutoff(self, tmp_path, capsys, monkeypatch):
+        # rank collapses under an absurd cutoff; the environment no longer sets one
         monkeypatch.setenv("HARDY_TOL_RANK", "0.99")
-        # rank collapses under the absurd environment tolerance
-        code_env = main(["analyze", path])
-        assert code_env != 0
-        capsys.readouterr()
-        assert main(["analyze", path, "--tol-rank", "1e-8"]) == 0
-
-    def test_tol_rank_flag_beats_problem_option(self, tmp_path, capsys):
-        # precedence is environment < per-problem options < flags
-        path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, options={"tol_rank": 0.99}))
+        assert main(["analyze", write(tmp_path / "p.json", problem_doc(EXTREME_NUM))]) == 0
+        path = write(tmp_path / "q.json", problem_doc(EXTREME_NUM, options={"tol_rank": 0.99}))
         assert main(["analyze", path]) != 0
-        capsys.readouterr()
-        assert main(["analyze", path, "--tol-rank", "1e-8"]) == 0
 
-    def test_quad_environment_and_grid_flag(self, tmp_path, capsys, monkeypatch):
-        path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM))
-        monkeypatch.setenv("HARDY_TOL_QUAD", "1e-8")
-        assert main(["analyze", path, "--grid", "4096"]) == 0
+    def test_quad_option(self, tmp_path, capsys):
+        path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, options={"tol_quad": 1e-8}))
+        assert main(["analyze", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]["status"] == "extreme"
 
@@ -269,6 +261,64 @@ class TestSweep:
                      "--jobs", "2", "--out", str(parallel)]) == 0
         assert serial.read_text() == parallel.read_text()
 
+    def test_first_point_does_not_decide_the_sweep(self, tmp_path, capsys):
+        # beta = 0 puts a double root at the origin: not outer, wherever it falls in the grid
+        template = problem_doc([["beta", 0.0], [0.0, 0.0], [1.0, 0.0]], holes=(3,))
+        tpath = write(tmp_path / "t.json", template)
+        rows = {}
+        for spec in ("0:2:0.5", "-2:0:0.5"):
+            assert main(["sweep", tpath, "--param", "beta", f"--range={spec}"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            lines = out.splitlines()
+            assert len(lines) == 6
+            rows[spec] = next(line for line in lines if line.startswith("0,"))
+        assert rows["0:2:0.5"] == rows["-2:0:0.5"] == "0,error:NotOuterError,,,"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_parse_error(self, jobs, tmp_path, capsys):
+        tpath = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+        assert main(["sweep", tpath, "--param", "beta", "--range", "0:1:0.5",
+                     f"--jobs={jobs}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "parse" and "--jobs" in report["message"]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        pytest.param("64", 8, [3], id="no-more-workers-than-rows"),
+        pytest.param("64", 2, [2], id="no-more-workers-than-processors"),
+        pytest.param("2", 8, [2], id="fewer-jobs-than-rows-and-processors"),
+        pytest.param("4", 1, [], id="one-processor-runs-in-process"),
+        pytest.param("1", 8, [], id="one-job-runs-in-process"),
+    ])
+    def test_pool_is_sized_to_the_rows_and_the_machine(self, jobs, cpus, workers, tmp_path,
+                                                       capsys, monkeypatch):
+        started = []
+
+        class RecordingExecutor:
+            """Runs the rows in this process; never forks."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        tpath = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+        assert main(["sweep", tpath, "--param", "beta", "--range", "0:0.5:0.25",
+                     "--jobs", jobs]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert started == workers
+
 
 GEN_SPEC = {
     "format_version": 1,
@@ -280,45 +330,52 @@ GEN_SPEC = {
 }
 
 
-@pytest.mark.parametrize("variable", ["HARDY_TOL_RANK", "HARDY_TOL_QUAD"])
-@pytest.mark.parametrize("command", ["analyze", "certify", "sweep", "gen"])
-def test_malformed_tolerance_environment_is_a_parse_error(
-    command, variable, tmp_path, capsys, monkeypatch
-):
-    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
-    template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
-    wit = write(tmp_path / "w.json", {
-        "format_version": 1, "type": "witness", "provenance": "kernel_path",
-        "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 1.0], "phi2_zeros": [],
-        "epsilon": 0.25, "recenter_c": 0.0,
-    })
-    argv = {
-        "analyze": ["analyze", prob],
-        "certify": ["certify", prob, wit],
-        "sweep": ["sweep", template, "--param", "beta", "--range", "0:1:0.5"],
-        "gen": ["gen", write(tmp_path / "s.json", GEN_SPEC)],
-    }[command]
-    monkeypatch.setenv(variable, "abc")
-    assert main(argv) == 2
+@pytest.mark.parametrize("command, flags, message", [
+    # tolerances come only from the problem's options
+    pytest.param("analyze", ["--tol-rank", "1e-8"], "unrecognized arguments: --tol-rank 1e-8",
+                 id="analyze-tol-rank"),
+    pytest.param("analyze", ["--grid", "4096"], "unrecognized arguments: --grid 4096",
+                 id="analyze-grid"),
+    pytest.param("analyze", ["--bogus", "1"], "unrecognized arguments: --bogus 1",
+                 id="analyze-unknown-flag"),
+    pytest.param("certify", [], "the following arguments are required: witness",
+                 id="certify-missing-witness"),
+    pytest.param("sweep", ["--jobs", "x"], "argument --jobs: invalid int value: 'x'",
+                 id="sweep-jobs-not-an-integer"),
+    pytest.param("gen", ["--seed", "1.5"], "argument --seed: invalid int value: '1.5'",
+                 id="gen-seed-not-an-integer"),
+])
+def test_usage_error_is_a_parse_document(command, flags, message, tmp_path, capsys):
+    doc = problem_doc(NON_EXTREME_NUM) if command != "gen" else GEN_SPEC
+    path = write(tmp_path / "doc.json", doc)
+    assert main([command, path, *flags]) == 2
     out, err = capsys.readouterr()
     # analyze and certify report on stdout, sweep and gen (whose stdout is data) on stderr
     stream, other = (out, err) if command in ("analyze", "certify") else (err, out)
     assert other == ""
     report = json.loads(stream)
     assert report["type"] == "error" and report["error"] == "parse"
-    assert variable in report["message"] and "'abc'" in report["message"]
+    assert report["message"].endswith(message)
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hardyball analyze")
+    assert "--exact" in out and "--tol-rank" not in out and "--grid" not in out
 
 
 @pytest.mark.parametrize("command", ["analyze", "certify"])
-def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsys, monkeypatch):
+def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsys):
     # no circle mean of 1 + z^2 (roots on the circle) stabilises to 1e-30
-    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM, options={"tol_quad": 1e-30}))
     wit = write(tmp_path / "w.json", {
         "format_version": 1, "type": "witness", "provenance": "kernel_path",
         "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 1.0], "phi2_zeros": [],
         "epsilon": 0.25, "recenter_c": 0.0,
     })
-    monkeypatch.setenv("HARDY_TOL_QUAD", "1e-30")
     argv = ["analyze", prob] if command == "analyze" else ["certify", prob, wit]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -351,36 +408,25 @@ def test_double_circle_root_is_outer(tmp_path, capsys):
     assert exposedness["circle_roots"][0] == pytest.approx([-1.0, 0.0], abs=1e-15)
 
 
-@pytest.mark.parametrize("argv, variable, value, options", [
-    (["--tol-rank", "nan"], None, None, None),
-    (["--tol-rank", "inf"], None, None, None),
-    (["--tol-rank", "0"], None, None, None),
-    (["--tol-rank=-1e-8"], None, None, None),
-    ([], "HARDY_TOL_RANK", "nan", None),
-    ([], "HARDY_TOL_RANK", "0", None),
-    ([], "HARDY_TOL_QUAD", "-1", None),
-    ([], "HARDY_TOL_QUAD", "inf", None),
-    ([], None, None, {"tol_rank": 0}),
-    ([], None, None, {"tol_quad": -1e-10}),
-    ([], None, None, {"tol_membership": -1.0}),
-    (["--grid", "8"], None, None, None),
-    (["--grid", "1000"], None, None, None),
-    (["--grid", str(2 ** 20)], None, None, None),  # the quadrature cap: never converges
-    (["--grid", str(2 ** 21)], None, None, None),
-    (["--grid=-16"], None, None, None),
-])
-def test_tolerance_values_must_be_finite_and_positive(
-    argv, variable, value, options, tmp_path, capsys, monkeypatch
-):
+@pytest.mark.parametrize("options", [
+    {"tol_rank": float("nan")},
+    {"tol_rank": float("inf")},
+    {"tol_rank": 0},
+    {"tol_rank": -1e-8},
+    {"tol_quad": -1},
+    {"tol_quad": float("inf")},
+    {"tol_quad": -1e-10},
+    {"tol_membership": -1.0},
+    {"tol_delta": 0.0},
+], ids=lambda options: "{}={}".format(*next(iter(options.items()))))
+def test_tolerance_values_must_be_finite_and_positive(options, tmp_path, capsys):
     # the extreme fixture: a tolerance of nan, inf, 0 or below would turn it
     # non-extreme or send the quadrature to its grid cap
-    extra = {"options": options} if options else {}
-    prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, **extra))
-    if variable:
-        monkeypatch.setenv(variable, value)
-    assert main(["analyze", prob, *argv]) == 2
+    prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, options=options))
+    assert main(["analyze", prob]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["type"] == "error" and report["error"] == "parse"
+    assert "options." + next(iter(options)) in report["message"]
 
 
 @pytest.fixture
@@ -434,7 +480,7 @@ def root_finds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command, finds", [("analyze", 1), ("certify", 1), ("sweep", 4)])
+@pytest.mark.parametrize("command, finds", [("analyze", 1), ("certify", 1), ("sweep", 3)])
 def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_finds):
     # the outer factor finds its roots when it is built, and normalizing,
     # the exposedness gate and the witness checks reuse them
@@ -451,7 +497,8 @@ def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_f
         del root_finds[:]
         assert main(["certify", prob, wit]) == 0
     else:
-        # the first point, then three rows that all pass membership
+        # three rows that all pass membership; the template's schema is checked
+        # on the first point without building its function
         template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
         assert main(["sweep", template, "--param", "beta", "--range", "0:0.5:0.25"]) == 0
         assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == \
@@ -489,7 +536,6 @@ def test_zeros_near_the_circle_reach_a_verdict(tmp_path, capsys):
 OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case, kind", [
     ("gen_negative_degree", "parse"),
     ("gen_zero_outside_disk", "parse"),
@@ -617,7 +663,6 @@ _SWEEP_FLAGS = st.lists(st.tuples(
     lambda groups: sum(groups, []))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
     _PROBLEMS.map(lambda doc: ("analyze", doc, [])),

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hardyball import PerturbationWitness, SymmetricPolynomial
+from hardyball import DEFAULT, PerturbationWitness, SymmetricPolynomial
 from hardyball.documents import (
     DocumentError,
     canonical_json,
@@ -87,7 +88,7 @@ class TestProblemParsing:
     def test_options_mapped(self):
         doc = valid_problem()
         doc["options"] = {"tol_rank": 1e-6}
-        assert parse_problem(doc).options == {"rank": 1e-6}
+        assert parse_problem(doc).tolerances == replace(DEFAULT, rank=1e-6)
 
     def test_domain_violation_located(self):
         bad = valid_problem()

@@ -15,6 +15,7 @@ from hardyball import (
     check_membership,
     decide_extreme,
     l1_norm,
+    model,
     normalize,
     sample_member,
 )
@@ -22,8 +23,6 @@ from hardyball.documents import DocumentError, parse_problem
 from hardyball.model import numerator_roots
 
 from _instances import random_zeros
-
-QUICK = DEFAULT.override(sample_retries=120)
 
 
 def factored(zeros, numerator, den=()):
@@ -236,8 +235,6 @@ class TestNormalize:
         assert l1_norm(f) == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
     def test_scaled_factor_keeps_its_roots(self, monkeypatch):
-        from hardyball import model
-
         f = factored([0.2], [1.0, 0.0, 1.0])  # circle roots +-i
         monkeypatch.setattr(model, "numerator_roots", None)  # no second root find
         g, scale = normalize(f)
@@ -249,32 +246,32 @@ class TestNormalize:
 class TestSampleMember:
     def test_projects_out_constrained_coefficient(self):
         # inner factor z with hole {2} forces the degree-1 outer coefficient to zero
-        member = sample_member(PuncturedSpace((2,)), [0.0], [], 2, seed=4, tol=QUICK)
+        member = sample_member(PuncturedSpace((2,)), [0.0], [], 2, seed=4)
         assert abs(member.outer.numerator[1]) < 1e-14
 
     def test_output_contract(self):
         rng = np.random.default_rng(21)
         for seed in range(6):
             space = PuncturedSpace((int(rng.integers(2, 8)),))
-            member = sample_member(space, [0.1 * seed], [], 4, seed=seed, tol=QUICK)
-            assert membership(member, space, QUICK).passed
+            member = sample_member(space, [0.1 * seed], [], 4, seed=seed)
+            assert membership(member, space).passed
             assert np.abs(numerator_roots(member.outer.numerator)).min() > 1.0
-            assert l1_norm(member, QUICK) == pytest.approx(1.0, abs=1e-9)
+            assert l1_norm(member) == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic_per_seed(self):
-        a = sample_member(PuncturedSpace((3,)), [0.2], [], 3, seed=9, tol=QUICK)
-        b = sample_member(PuncturedSpace((3,)), [0.2], [], 3, seed=9, tol=QUICK)
+        a = sample_member(PuncturedSpace((3,)), [0.2], [], 3, seed=9)
+        b = sample_member(PuncturedSpace((3,)), [0.2], [], 3, seed=9)
         assert a.outer.numerator == b.outer.numerator
 
-    def test_infeasible_exhausts_retries(self):
+    def test_infeasible_exhausts_retries(self, monkeypatch):
         # hole {1} with inner factor z forces F(0) = 0: never outer
-        with pytest.raises(MaxRetriesExceededError):
-            sample_member(PuncturedSpace((1,)), [0.0], [], 2, seed=1,
-                          tol=QUICK.override(sample_retries=40))
+        monkeypatch.setattr(model, "SAMPLE_RETRIES", 40)
+        with pytest.raises(MaxRetriesExceededError, match="in 40 draws"):
+            sample_member(PuncturedSpace((1,)), [0.0], [], 2, seed=1)
 
     def test_unconstrained_space(self):
-        member = sample_member(PuncturedSpace(()), [], [], 2, seed=5, tol=QUICK)
-        assert l1_norm(member, QUICK) == pytest.approx(1.0, abs=1e-9)
+        member = sample_member(PuncturedSpace(()), [], [], 2, seed=5)
+        assert l1_norm(member) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPuncturedSpace:
