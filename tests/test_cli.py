@@ -408,25 +408,38 @@ def test_double_circle_root_is_outer(tmp_path, capsys):
     assert exposedness["circle_roots"][0] == pytest.approx([-1.0, 0.0], abs=1e-15)
 
 
-@pytest.mark.parametrize("options", [
-    {"tol_rank": float("nan")},
-    {"tol_rank": float("inf")},
-    {"tol_rank": 0},
-    {"tol_rank": -1e-8},
-    {"tol_quad": -1},
-    {"tol_quad": float("inf")},
-    {"tol_quad": -1e-10},
-    {"tol_membership": -1.0},
-    {"tol_delta": 0.0},
-], ids=lambda options: "{}={}".format(*next(iter(options.items()))))
-def test_tolerance_values_must_be_finite_and_positive(options, tmp_path, capsys):
+# the argvN ids are those the cases had when the environment was a third channel
+@pytest.mark.parametrize("argv, options", [
+    # the removed flags are usage errors whatever value they carry
+    pytest.param(["--tol-rank", "nan"], None, id="argv0-None-None-None"),
+    pytest.param(["--tol-rank", "inf"], None, id="argv1-None-None-None"),
+    pytest.param(["--tol-rank", "0"], None, id="argv2-None-None-None"),
+    pytest.param(["--tol-rank=-1e-8"], None, id="argv3-None-None-None"),
+    pytest.param([], {"tol_rank": 0}, id="argv8-None-None-options8"),
+    pytest.param([], {"tol_quad": -1e-10}, id="argv9-None-None-options9"),
+    pytest.param([], {"tol_membership": -1.0}, id="argv10-None-None-options10"),
+    pytest.param(["--grid", "8"], None, id="argv11-None-None-None"),
+    pytest.param(["--grid", "1000"], None, id="argv12-None-None-None"),
+    pytest.param(["--grid", str(2 ** 20)], None, id="argv13-None-None-None"),
+    pytest.param(["--grid", str(2 ** 21)], None, id="argv14-None-None-None"),
+    pytest.param(["--grid=-16"], None, id="argv15-None-None-None"),
+    *(pytest.param([], options, id="{}={}".format(*next(iter(options.items()))))
+      for options in ({"tol_rank": float("nan")}, {"tol_rank": float("inf")},
+                      {"tol_rank": -1e-8}, {"tol_quad": -1}, {"tol_quad": float("inf")},
+                      {"tol_delta": 0.0})),
+])
+def test_tolerance_values_must_be_finite_and_positive(argv, options, tmp_path, capsys):
     # the extreme fixture: a tolerance of nan, inf, 0 or below would turn it
     # non-extreme or send the quadrature to its grid cap
-    prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, options=options))
-    assert main(["analyze", prob]) == 2
+    extra = {"options": options} if options else {}
+    prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, **extra))
+    assert main(["analyze", prob, *argv]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["type"] == "error" and report["error"] == "parse"
-    assert "options." + next(iter(options)) in report["message"]
+    if options:
+        assert "options." + next(iter(options)) in report["message"]
+    else:
+        assert report["message"].endswith("unrecognized arguments: " + " ".join(argv))
 
 
 @pytest.fixture
