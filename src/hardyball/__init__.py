@@ -30,7 +30,6 @@ from .extremality import (
     build_criterion_matrix,
     canonical_kernel_vector,
     decide_extreme,
-    hole_constraint_value,
     kernel_alignment,
     numeric_rank,
     single_hole_delta,

@@ -7,13 +7,27 @@ assembly need only ring operations, so run on :class:`Gaussian` scalars they
 give the criterion matrix as exact rationals.  Its kernel, and with it the
 rank, then comes from exact Gauss-Jordan elimination with no tolerance at all.  Floating point stays the
 default backend; this one removes rank ambiguity for borderline inputs.
+
+Membership is filtered modulo the prime :data:`MODULUS` first.  The recurrence
+only adds and multiplies dyadic data, so every coefficient lies in Z[1/2][i],
+and reducing it modulo p (2 is a unit mod p) is a ring map: a hole coefficient
+that is nonzero mod p is nonzero exactly (:func:`holes_nonzero_mod_p`).  An
+input flagged there is expanded in Fractions only up to its first flagged
+hole, to name the first nonzero one; an input that passes takes the Fraction
+path unchanged, its hole coefficients read back from the exact criterion
+weights (:func:`defects_from_weights`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import FactoredFunction, PuncturedSpace
+import numpy as np
+
+from .model import FactoredFunction, PuncturedSpace, canonical_product
+
+# the prime of the membership filter, 2^31 - 1
+MODULUS = 2**31 - 1
 
 
 class Gaussian:
@@ -48,6 +62,48 @@ def lift(z: complex) -> Gaussian:
     """Exact rational image of a complex float."""
     z = complex(z)
     return Gaussian(Fraction(z.real), Fraction(z.imag))
+
+
+class GaussianModP:
+    """Image real + i*imag of a Gaussian dyadic rational in Z_p[x]/(x^2 + 1), p = MODULUS.
+
+    Parts are ints in [0, p); a value is true when the image is nonzero.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other: "GaussianModP") -> "GaussianModP":
+        return GaussianModP((self.real + other.real) % MODULUS, (self.imag + other.imag) % MODULUS)
+
+    def __mul__(self, other: "GaussianModP") -> "GaussianModP":
+        return GaussianModP(
+            (self.real * other.real - self.imag * other.imag) % MODULUS,
+            (self.real * other.imag + self.imag * other.real) % MODULUS,
+        )
+
+    def __neg__(self) -> "GaussianModP":
+        return GaussianModP(-self.real % MODULUS, -self.imag % MODULUS)
+
+    def conjugate(self) -> "GaussianModP":
+        return GaussianModP(self.real, -self.imag % MODULUS)
+
+    def __bool__(self) -> bool:
+        return bool(self.real or self.imag)
+
+
+def _mod_p(x: float) -> int:
+    q = Fraction(x)
+    return q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
+
+
+def lift_mod_p(z: complex) -> GaussianModP:
+    """Image mod p of the exact rational value of a complex float."""
+    z = complex(z)
+    return GaussianModP(_mod_p(z.real), _mod_p(z.imag))
 
 
 def fraction_kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
@@ -96,3 +152,31 @@ def exact_membership_defects(
     """
     coeffs = f.taylor(space.k_max, lift)
     return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]
+
+
+def holes_nonzero_mod_p(f: FactoredFunction, space: PuncturedSpace) -> list[int]:
+    """The holes whose coefficient of f is nonzero modulo p, hence nonzero exactly.
+
+    A hole missing here may still be nonzero (a multiple of p); only
+    :func:`exact_membership_defects` or :func:`defects_from_weights` can tell.
+    """
+    coeffs = f.taylor(space.k_max, lift_mod_p)
+    return [k for k in space.holes if coeffs[k]]
+
+
+def defects_from_weights(
+    f: FactoredFunction, space: PuncturedSpace, weights
+) -> list[tuple[int, Fraction]]:
+    """:func:`exact_membership_defects`, read from the exact criterion weights.
+
+    ``weights`` are the exact coefficients c of f / P_m (``f.taylor(k, lift,
+    m)``, m the inner degree), so f = P_m * c gives each hole coefficient
+    f_k = sum_{j <= 2m} P_m[j] c_{k-j} with no second expansion of f.
+    """
+    product = canonical_product(f.inner.zeros, lift)
+    defects = []
+    for k in space.holes:
+        n = min(k, len(product) - 1)
+        c = np.dot(product[:n + 1], weights[k - n:k + 1][::-1])
+        defects.append((k, abs(c.real) + abs(c.imag)))
+    return defects

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactrank import exact_membership_defects, fraction_kernel, lift
+from .exactrank import (defects_from_weights, exact_membership_defects, fraction_kernel,
+                        holes_nonzero_mod_p, lift)
 from .model import (FactoredFunction, MembershipReport, NotInSpaceError, PuncturedSpace,
-                    check_membership)
+                    canonical_product, check_membership)
 from .tolerances import DEFAULT, Tolerances
 
 EXTREME = "extreme"
@@ -78,35 +79,10 @@ def canonical_kernel_vector(zeros) -> SymmetricPolynomial:
     product is conjugate-symmetric exactly but not in floating point, so the
     vector is read from its upper half gamma_l = P_{n+l} alone.
     """
-    coeffs = np.array([1.0 + 0j])
-    for a in zeros:
-        a = complex(a)
-        coeffs = np.convolve(coeffs, np.array([-a, 1.0]))
-        coeffs = np.convolve(coeffs, np.array([1.0, -a.conjugate()]))
+    coeffs = canonical_product(zeros)
     n = len(zeros)
     upper = coeffs[n:]
     return SymmetricPolynomial(n, (upper[0].real / 2.0, *upper[1:].real, *upper[1:].imag))
-
-
-def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:
-    """Taylor coefficient at index k of (p * series with the given coefficients).
-
-    Evaluates sum_{l=1..N} c_{k+l-N} conj(gamma_l) + sum_{l=0..N} c_{k-l-N} gamma_l
-    exactly, reading c_r = 0 outside the given c_0, c_1, ...; the real/imaginary
-    parts of this bilinear form are what the rows of the criterion matrix
-    tabulate, so this is its independent audit oracle.
-    """
-    def c(r):
-        return coeffs[r] if 0 <= r < len(coeffs) else 0j
-
-    n = p.order
-    gammas = p.upper
-    acc = 0j
-    for l in range(1, n + 1):
-        acc += c(k + l - n) * gammas[l].conjugate()
-    for l in range(0, n + 1):
-        acc += c(k - l - n) * gammas[l]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -152,11 +128,11 @@ def assemble_criterion_matrix(coeffs, holes, m: int) -> CriterionMatrix:
 
 
 def build_criterion_matrix(
-    f: FactoredFunction, space: PuncturedSpace, ring=complex, first: int | None = None
+    f: FactoredFunction, space: PuncturedSpace, first: int | None = None
 ) -> CriterionMatrix:
-    """Criterion matrix of order n = ``first`` (default: the inner degree) for the hole set."""
+    """Float criterion matrix of order n = ``first`` (default: the inner degree) for the hole set."""
     n = f.inner.degree if first is None else first
-    return assemble_criterion_matrix(f.taylor(space.k_max, ring, n), space.holes, n)
+    return assemble_criterion_matrix(f.taylor(space.k_max, first=n), space.holes, n)
 
 
 @dataclass(frozen=True)
@@ -241,7 +217,8 @@ def decide_extreme(
     :class:`~hardyball.model.NotInSpaceError`).  The svd backend checks
     ``membership``, the caller's report for f or any nonzero multiple of it
     (the check is relative), and expands f itself only when none is given;
-    the exact backend always expands f exactly.  The inner-degree condition is
+    the exact backend checks f itself: modulo a prime first, then exactly
+    from the criterion weights (see :mod:`hardyball.exactrank`).  The inner-degree condition is
     checked first; when it fails the function is non-extreme regardless of the
     matrix, whose rank is still reported for diagnostics.  ``backend`` is
     either "svd" (default) or "exact" (Gauss-Jordan elimination over the
@@ -253,11 +230,21 @@ def decide_extreme(
 
     if backend == "exact":
         # the exact rank of a function that is not an exact rational member
-        # answers a question about a function outside the space
-        for hole, defect in exact_membership_defects(f, space):
+        # answers a question about a function outside the space.  A hole that
+        # is nonzero mod p is nonzero, so the exact expansion then goes only as
+        # far as the first such hole, to name the first hole that is nonzero
+        flagged = holes_nonzero_mod_p(f, space)
+        if flagged:
+            head = PuncturedSpace(tuple(k for k in space.holes if k <= flagged[0]))
+            defects = exact_membership_defects(f, head)
+        else:
+            weights = f.taylor(space.k_max, lift, m)
+            defects = defects_from_weights(f, space, weights)
+        for hole, defect in defects:
             if defect != 0:
                 raise NotInSpaceError(hole, float(defect))
-        matrix = build_criterion_matrix(f, space, lift).assembled
+        assert not flagged, "a hole coefficient nonzero mod p is nonzero"
+        matrix = assemble_criterion_matrix(weights, space.holes, m).assembled
         basis = fraction_kernel(matrix.tolist(), 2 * m + 1)
         kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
         result = RankResult(2 * m + 1 - len(basis), kernel, np.zeros(0), False)

@@ -204,6 +204,14 @@ class FactoredFunction:
         return Rational(self.outer.numerator, poles, zeros[first:]).taylor(up_to, ring)
 
 
+def canonical_product(zeros, ring=complex) -> np.ndarray:
+    """Coefficients of P = prod_j (z - a_j)(1 - conj(a_j) z), every product formed in ``ring``."""
+    coeffs = [ring(1)]
+    for a in map(ring, zeros):
+        coeffs = np.convolve(np.convolve(coeffs, [-a, ring(1)]), [ring(1), -a.conjugate()])
+    return np.asarray(coeffs)
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     """Per-hole residuals of the Taylor coefficients, relative to the largest one."""

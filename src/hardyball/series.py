@@ -5,7 +5,7 @@ coefficients, and :func:`expand` is the one recurrence that produces them (no
 truncation error): the numerator divided by one first-order section
 1 / (1 - conj(b) z) per pole, in turn, as a doubling scan in numpy on complex
 floats (rounding is its only error) and as a plain loop on the exact Gaussian
-rationals of :mod:`hardyball.exactrank`.  It returns a plain array: complex
+rationals of :mod:`hardyball.exactrank` or on their residues modulo a prime.  It returns a plain array: complex
 for floats, object for exact scalars.  :class:`Rational` is the one
 rational-function type on the disk; it evaluates itself on circle nodes and
 feeds :func:`expand` for its Taylor coefficients.  Every function the
@@ -76,8 +76,9 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     is skipped, so with no other pole p comes back bit for bit.  On complex
     floats a section is a doubling scan: after the step with shift s, y_k sums
     a^j x_{k-j} over j < 2s.  An exact ring (``ring`` lifts a number into it,
-    e.g. :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*``
-    and ``conjugate()``) runs the sections as a plain loop, term by term.
+    e.g. :func:`hardyball.exactrank.lift` or :func:`~hardyball.exactrank.lift_mod_p`;
+    its scalars need only ``+``, ``*`` and ``conjugate()``) runs the sections
+    as a plain loop, term by term.
     Returns a complex array for ``ring=complex``, else an object array.
     """
     if up_to < 0:
@@ -98,9 +99,10 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
         return coeffs
     # term by term: of each section's growing exact values only the last is live
     factors = [ring(b).conjugate() for b in poles]
-    last, coeffs = [ring(0)] * len(factors), []
+    zero = ring(0)
+    last, coeffs = [zero] * len(factors), []
     for k in range(n):
-        y = numerator[k] if k < len(numerator) else ring(0)
+        y = numerator[k] if k < len(numerator) else zero
         for i, a in enumerate(factors):
             y = last[i] = y + a * last[i]
         coeffs.append(y)

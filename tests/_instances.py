@@ -2,7 +2,8 @@
 
 Builders take explicit seeds and redraw infeasible configurations (hole sets
 that no outer numerator can satisfy exist; the generator reports them), so
-every test run sees the same instances.
+every test run sees the same instances.  :func:`hole_constraint_value` is the
+independent audit oracle of the criterion matrix entries.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hardyball import (
     MaxRetriesExceededError,
     OuterRational,
     PuncturedSpace,
+    SymmetricPolynomial,
     model,
     normalize,
     sample_member,
@@ -163,3 +165,24 @@ def single_hole_locus_member(seed: int, k_max: int = 12):
     f = FactoredFunction(BlaschkeProduct((a,)), OuterRational(tuple(numerator)))
     member, _ = normalize(f)
     return member, PuncturedSpace((k,))
+
+
+def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:
+    """Taylor coefficient at index k of (p * series with the given coefficients).
+
+    Evaluates sum_{l=1..N} c_{k+l-N} conj(gamma_l) + sum_{l=0..N} c_{k-l-N} gamma_l
+    exactly, reading c_r = 0 outside the given c_0, c_1, ...; the real/imaginary
+    parts of this bilinear form are what the rows of the criterion matrix
+    tabulate, so this is its independent audit oracle.
+    """
+    def c(r):
+        return coeffs[r] if 0 <= r < len(coeffs) else 0j
+
+    n = p.order
+    gammas = p.upper
+    acc = 0j
+    for l in range(1, n + 1):
+        acc += c(k + l - n) * gammas[l].conjugate()
+    for l in range(0, n + 1):
+        acc += c(k - l - n) * gammas[l]
+    return acc

@@ -23,7 +23,6 @@ from hardyball import (
     canonical_kernel_vector,
     check_exposed,
     decide_extreme,
-    hole_constraint_value,
     kernel_alignment,
     make_witness,
     normalize,
@@ -34,6 +33,7 @@ from hardyball import (
 )
 
 from _instances import (
+    hole_constraint_value,
     overflow_member,
     quick_sample_member,
     random_member,

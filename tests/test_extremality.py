@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyball import (
     BORDERLINE,
@@ -18,14 +20,15 @@ from hardyball import (
     build_criterion_matrix,
     canonical_kernel_vector,
     decide_extreme,
-    hole_constraint_value,
     kernel_alignment,
     numeric_rank,
     single_hole_delta,
 )
-from hardyball.exactrank import exact_membership_defects, fraction_kernel, lift
+from hardyball import sample_member, series
+from hardyball.exactrank import (defects_from_weights, exact_membership_defects, fraction_kernel,
+                                 holes_nonzero_mod_p, lift)
 
-from _instances import random_member, random_zeros, single_hole_member
+from _instances import hole_constraint_value, random_member, random_zeros, single_hole_member
 
 
 def factored(zeros, numerator, den=()):
@@ -315,6 +318,44 @@ class TestKernelAlignment:
                 assert kernel_alignment(verdict, member.inner.zeros) > 1 - 1e-8
 
 
+def dyadic_locus_with_offset_zero():
+    # a = 1/2; weighted coefficients built so the hole vanishes exactly in
+    # rational arithmetic and |c_lo| = |c_hi| exactly (3-4-5 scaling)
+    a = 0.5
+    s = 1 + a * a  # 1.25, dyadic
+    k = 4
+    c_lo = 5 * s / 128
+    c_hi = (3 + 4j) * s / 128
+    c_mid = (a * c_hi + a * c_lo) / s  # conj(a) = a here; quotient is dyadic
+    profile = np.zeros(k + 1, dtype=complex)
+    profile[0] = 1.0
+    profile[k - 2] = c_lo
+    profile[k - 1] = c_mid
+    profile[k] = c_hi
+    square = np.convolve([1.0, -a], [1.0, -a])
+    return factored([a], tuple(np.convolve(profile, square))), PuncturedSpace((k,))
+
+
+# the exact members the tests decide with backend="exact", as (f, space) builders
+EXACT_FIXTURES = {
+    "readme_member": lambda: (factored([0.0], [1.0, 0.0, 0.5]), PuncturedSpace((2,))),
+    "readme_locus": lambda: (factored([0.0], [1.0, 0.0, 1.0]), PuncturedSpace((2,))),
+    "offset_zero_locus": dyadic_locus_with_offset_zero,
+    # f = (z - a)(1 + g z) and (z - a1)(z - a2)(1 + g z), as in the benchmark
+    "polynomial_two_holes": lambda: (
+        factored([0.25], np.convolve([1, -0.25], [1, 0.125 + 0.25j])), PuncturedSpace((3, 40))),
+    "overflow": lambda: (
+        factored([0.5, -0.25], np.convolve(np.convolve([1, -0.5], [1, 0.25]), [1, 0.375j])),
+        PuncturedSpace((30,))),
+}
+# functions whose hole coefficients do not all vanish
+NON_MEMBERS = {
+    # a^3 for a = 1/2 + 2^-20 has more bits than a double holds
+    "triple_zero": lambda: (factored([0.5 + 2.0**-20] * 3, [1.0, 0.25]), PuncturedSpace((2, 5))),
+    "generated_float_member": lambda: random_member(3, m_range=(1, 3), k_max=40),
+}
+
+
 class TestExactBackend:
     def test_fraction_rank_small_cases(self):
         from fractions import Fraction as F
@@ -420,23 +461,72 @@ class TestExactBackend:
         assert v.status == NON_EXTREME and v.rank == 1
 
     def test_exact_dyadic_locus_with_offset_zero(self):
-        # a = 1/2; weighted coefficients built so the hole vanishes exactly in
-        # rational arithmetic and |c_lo| = |c_hi| exactly (3-4-5 scaling)
-        a = 0.5
-        s = 1 + a * a  # 1.25, dyadic
-        k = 4
-        c_lo = 5 * s / 128
-        c_hi = (3 + 4j) * s / 128
-        c_mid = (a * c_hi + a * c_lo) / s  # conj(a) = a here; quotient is dyadic
-        profile = np.zeros(k + 1, dtype=complex)
-        profile[0] = 1.0
-        profile[k - 2] = c_lo
-        profile[k - 1] = c_mid
-        profile[k] = c_hi
-        square = np.convolve([1.0, -a], [1.0, -a])
-        f = factored([a], tuple(np.convolve(profile, square)))
-        space = PuncturedSpace((k,))
+        f, space = dyadic_locus_with_offset_zero()
         v = decide_extreme(f, space, backend="exact")
         assert v.status == NON_EXTREME and v.rank == 1
         # the same data under SVD agrees (sigma_2 is at rounding level)
         assert decide_extreme(f, space).status == NON_EXTREME
+
+    def test_rejection_expands_only_to_the_first_failing_hole(self, monkeypatch):
+        f = sample_member(PuncturedSpace((3, 400)), (0.5 + 0.2j, -0.3 + 0.4j), (0.3,), 4, 7)
+        lift_expansions = []
+        expand = series.expand
+
+        def counting(numerator, parameters, up_to, ring=complex):
+            if ring is lift:
+                lift_expansions.append(up_to)
+            return expand(numerator, parameters, up_to, ring)
+
+        monkeypatch.setattr(series, "expand", counting)
+        with pytest.raises(NotInSpaceError) as error:
+            decide_extreme(f, PuncturedSpace((3, 400)), backend="exact")
+        assert error.value.hole == 3
+        assert lift_expansions == [3]
+
+    @pytest.mark.parametrize("name", sorted(EXACT_FIXTURES) + sorted(NON_MEMBERS))
+    def test_defects_from_weights_equal_the_direct_defects(self, name):
+        f, space = {**EXACT_FIXTURES, **NON_MEMBERS}[name]()
+        weights = f.taylor(space.k_max, lift, f.inner.degree)
+        defects = exact_membership_defects(f, space)
+        assert defects_from_weights(f, space, weights) == defects
+        assert any(d != 0 for _, d in defects) == (name in NON_MEMBERS)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_FIXTURES))
+    def test_exact_fixtures_pass_the_modular_filter(self, name):
+        f, space = EXACT_FIXTURES[name]()
+        assert holes_nonzero_mod_p(f, space) == []
+        assert decide_extreme(f, space, backend="exact").backend == "exact"
+
+
+# dyadic parts in [-1/2, 1/2]: zeros, poles and the roots -1/g of 1 + g z all
+# stay clear of the circle
+DYADIC = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)).map(lambda z: z / 16)
+
+
+@st.composite
+def dyadic_members(draw):
+    """f = I * G * prod_{cancelled a} (1 - conj(a) z) / prod (1 - conj(b) z) on dyadic data.
+
+    Cancelling every zero with no pole left makes f a polynomial, so holes
+    beyond its degree vanish exactly; other draws leave them nonzero.
+    """
+    zeros = draw(st.lists(DYADIC, max_size=2))
+    numerator = np.array([1.0 + 0j])
+    for a in zeros:
+        if draw(st.booleans()):
+            numerator = np.convolve(numerator, [1.0, -a.conjugate()])
+    for g in draw(st.lists(DYADIC, max_size=3)):
+        numerator = np.convolve(numerator, [1.0, g])
+    poles = draw(st.lists(DYADIC.filter(bool), max_size=1))
+    holes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+    return factored(zeros, tuple(numerator), tuple(poles)), PuncturedSpace(tuple(sorted(holes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dyadic_members(),
+                 st.integers(0, 10**6).map(lambda seed: random_member(seed, k_max=40))))
+def test_modular_filter_flags_exactly_the_nonzero_holes(instance):
+    # a ring map sends 0 to 0, and p = 2^31 - 1 divides none of these defects
+    f, space = instance
+    nonzero = [k for k, defect in exact_membership_defects(f, space) if defect != 0]
+    assert holes_nonzero_mod_p(f, space) == nonzero

@@ -30,8 +30,13 @@ README_TEMPLATE = dict(README_FIXTURE, outer_numerator=[[1.0, 0.0], [0.0, 0.0], 
 GEN_SPEC = {"format_version": 1, "type": "gen_spec", "holes": [3, 7],
             "inner_zeros": [[0.2, 0.1]], "outer_denominator": [[0.3, 0.0]],
             "numerator_degree": 4}
+# a generated float member with holes {4, 150}: never an exact rational member
+FLOAT_MEMBER_SPEC = dict(GEN_SPEC, holes=[4, 150], inner_zeros=[[0.5, 0.2], [-0.3, 0.4]])
 
 PINS = {
+    "analyze_exact_float_member_rejected": {
+        "stdout": "dd1bd95a95906eb846a0310e8e6d2fa227e77ff3619eb9b7307bbff22634f3e4",
+    },
     "analyze_exact_dyadic_member": {
         "stdout": "113d486515159e3a8aa46d430c1788bccbc8a64abd7798b076394b61dfaeaa57",
     },
@@ -75,6 +80,12 @@ def outputs(case: str, directory) -> dict[str, bytes]:
         assert _run(["analyze", problem, "--witness-out", str(witness)])[0] == 10
         code, stdout = _run(["certify", problem, str(witness)])
         assert code == 0
+        return {"stdout": stdout}
+    if case == "analyze_exact_float_member_rejected":
+        code, member = _run(["gen", write("s.json", FLOAT_MEMBER_SPEC), "--seed", "5"])
+        assert code == 0
+        code, stdout = _run(["analyze", write("p.json", json.loads(member)), "--exact"])
+        assert code == 2 and json.loads(stdout)["error"] == "input"
         return {"stdout": stdout}
     argv, expected = {
         "analyze_exact_dyadic_member": (["analyze", write("p.json", README_PROBLEM), "--exact"], 0),
