@@ -49,10 +49,10 @@ from .model import (
     sample_member,
 )
 from .series import (
-    CircleGrid,
     PoleMarginError,
     QuadratureConvergenceError,
     Rational,
+    circle_nodes,
     converged_circle_mean,
 )
 from .tolerances import DEFAULT, Tolerances

@@ -27,7 +27,7 @@ from .extremality import (
     numeric_rank,
 )
 from .model import FactoredFunction, MembershipReport, PuncturedSpace, check_membership
-from .series import CircleGrid, QuadratureConvergenceError, Rational, converged_circle_mean
+from .series import QuadratureConvergenceError, Rational, circle_nodes, converged_circle_mean
 from .tolerances import DEFAULT, Tolerances
 
 KERNEL_PATH = "kernel_path"
@@ -153,7 +153,7 @@ def _package_witness(
 
     (mean_fh, norm), _ = converged_circle_mean(weighted_h, tol, roots=f.outer.circle_roots)
     c = mean_fh / norm
-    nodes = CircleGrid(16384).nodes
+    nodes = circle_nodes(16384)
     sup = float(np.abs(np.real(g(nodes) / f.inner(nodes)) - c).max())
     if sup == 0.0:
         raise DegenerateKernelError("perturbation h is constant on the circle")
@@ -222,7 +222,7 @@ def verify_witness(
     failures: list[str] = []
     try:
         g = _witness_factor(f, witness)
-        nodes = CircleGrid(8192).nodes
+        nodes = circle_nodes(8192)
         h = g(nodes) / f.inner(nodes)
         realness = float(np.abs(h.imag).max())
         h_re = h.real

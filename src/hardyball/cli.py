@@ -205,10 +205,12 @@ def cmd_certify(args) -> int:
 _SWEPT_FIELDS = ("inner_zeros", "outer_numerator", "outer_denominator")
 
 
-def _template_placeholders(data: dict) -> set[str]:
-    return {slot for field in _SWEPT_FIELDS if isinstance(data.get(field), list)
-            for entry in data[field] if isinstance(entry, list)
-            for slot in entry if isinstance(slot, str)}
+def _template_slots(data: dict) -> list[tuple[int, int, int, str]]:
+    """(field, entry, part, name) of each [re, im] slot that holds a parameter name."""
+    return [(f, i, part, slot) for f, field in enumerate(_SWEPT_FIELDS)
+            if isinstance(data.get(field), list)
+            for i, entry in enumerate(data[field]) if isinstance(entry, list)
+            for part, slot in enumerate(entry) if isinstance(slot, str)]
 
 
 def _substitute(data: dict, assignment: dict[str, float]) -> dict:
@@ -223,13 +225,17 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 
 # pool workers do not inherit the error state main sets
 @np.errstate(all="ignore")
-def _sweep_point(template: dict, names: tuple[str, ...], values: tuple[float, ...]) -> list[str]:
+def _sweep_point(parsed: tuple, values: tuple[float, ...]) -> list[str]:
+    """One CSV row: the point's values put into the parsed template's slots, then decided."""
     row = [documents.format_float(v) for v in values]
+    space, tol, constant, fields, slots = parsed
     try:
-        problem = documents.parse_problem(
-            _substitute(template, dict(zip(names, values))), source="<sweep>"
-        )
-        f, space, tol = problem.function, problem.space, problem.tolerances
+        zeros, numerator, denominator = fields = [list(field) for field in fields]
+        for field, entry, part, j in slots:
+            c = fields[field][entry]
+            fields[field][entry] = (complex(values[j], c.imag) if part == 0
+                                    else complex(c.real, values[j]))
+        f = documents.build_function(zeros, constant, numerator, denominator, "<sweep>")
         membership = model.check_membership(f.taylor(space.k_max), space, tol)
         if not membership.passed:
             return row + ["skip", "", "", ""]
@@ -276,18 +282,20 @@ def cmd_sweep(args) -> int:
     ranges = [[a + i * step for i in range(int(count))] for a, step, count in specs]
     if len(names) != len(ranges):
         raise DocumentError("--param/--range", "need one --range per --param")
-    placeholders = _template_placeholders(template)
+    slots = _template_slots(template)
+    placeholders = {name for *_, name in slots}
     if set(names) != placeholders:
         raise DocumentError(
             args.template,
             f"template sweeps {sorted(placeholders)} but parameters are {sorted(names)}",
         )
-    # the schema is the same at every point; the values of a point, the first
-    # included, can still give an invalid function, which is an error row
-    documents.check_problem(
-        _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}),
-        source=args.template,
-    )
+    # the schema is the same at every point, so it is checked once, on the first; a
+    # point's values, the first included, can still give an invalid function: an error row
+    space, zeros, constant, numerator, denominator, tol = documents.check_problem(
+        _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}), args.template)
+    index = {name: j for j, name in enumerate(names)}  # a repeated name takes its last range
+    parsed = (space, tol, constant, (zeros, numerator, denominator),
+              tuple((f, i, part, index[name]) for f, i, part, name in slots))
 
     combos = list(itertools.product(*ranges))
     # the pool forks every worker up front, so it is sized to the work and the machine
@@ -296,11 +304,9 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                _sweep_point, itertools.repeat(template), itertools.repeat(names), combos,
-            ))
+            rows = list(pool.map(_sweep_point, itertools.repeat(parsed), combos))
     else:
-        rows = [_sweep_point(template, names, combo) for combo in combos]
+        rows = [_sweep_point(parsed, combo) for combo in combos]
 
     header = list(names) + ["status", "rank", "delta", "min_singular_value"]
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:

@@ -149,8 +149,8 @@ class ProblemDocument:
 def check_problem(data: dict, source: str = "<problem>") -> tuple:
     """Schema-check a problem document without building its function.
 
-    Returns (space, inner zeros, outer numerator, outer denominator,
-    tolerances); the numerator already carries the inner constant.  The
+    Returns (space, inner zeros, inner constant, outer numerator, outer
+    denominator, tolerances), the fields :func:`build_function` takes.  The
     tolerances are the defaults with the document's ``options`` applied.
     """
     if data.get("type") not in (None, "problem"):
@@ -181,18 +181,21 @@ def check_problem(data: dict, source: str = "<problem>") -> tuple:
             raise ValueError(f"constant must be unimodular, got |c| = {abs(constant):.17g}")
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
-    if constant != 1:
-        numerator = tuple(constant * c for c in numerator)
-    return space, zeros, numerator, denominator, replace(DEFAULT, **options)
+    return space, zeros, constant, numerator, denominator, replace(DEFAULT, **options)
+
+
+def build_function(zeros, constant, numerator, denominator, source="<problem>") -> FactoredFunction:
+    """The function of checked problem fields; the inner constant goes into the outer numerator."""
+    numerator = tuple(constant * c for c in numerator) if constant != 1 else numerator
+    try:
+        return FactoredFunction(BlaschkeProduct(zeros), OuterRational(numerator, denominator))
+    except ValueError as exc:
+        raise DocumentError(source, str(exc)) from exc
 
 
 def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
-    space, zeros, numerator, denominator, tolerances = check_problem(data, source)
-    try:
-        function = FactoredFunction(BlaschkeProduct(zeros), OuterRational(numerator, denominator))
-    except ValueError as exc:
-        raise DocumentError(source, str(exc)) from exc
-    return ProblemDocument(space, function, tolerances)
+    space, *fields, tolerances = check_problem(data, source)
+    return ProblemDocument(space, build_function(*fields, source), tolerances)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,8 @@ def assemble_criterion_matrix(coeffs, holes, m: int) -> CriterionMatrix:
     re_sum, im_sum = re[hi] + re[lo], im[hi] + im[lo]
     re_diff = re[hi[:, 1:]] - re[lo[:, 1:]]
     im_diff = im[hi[:, 1:]] - im[lo[:, 1:]]
-    assembled = np.block([[re_sum, im_diff], [im_sum, -re_diff]])
+    assembled = np.concatenate([np.concatenate([re_sum, im_diff], axis=1),
+                                np.concatenate([im_sum, -re_diff], axis=1)])
     return CriterionMatrix(holes, m, assembled, coeffs)
 
 
@@ -242,7 +243,7 @@ def decide_extreme(
             defects = defects_from_weights(f, space, weights)
         for hole, defect in defects:
             if defect != 0:
-                raise NotInSpaceError(hole, float(defect))
+                raise NotInSpaceError(hole, float(defect), "exact defect |Re| + |Im| =")
         assert not flagged, "a hole coefficient nonzero mod p is nonzero"
         matrix = assemble_criterion_matrix(weights, space.holes, m).assembled
         basis = fraction_kernel(matrix.tolist(), 2 * m + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,12 @@ class NotOuterError(ValueError):
 
 
 class NotInSpaceError(ValueError):
-    """A hole coefficient is nonzero beyond tolerance."""
+    """A hole coefficient is nonzero beyond tolerance (``measure`` names the residual)."""
 
-    def __init__(self, hole: int, residual: float):
+    def __init__(self, hole: int, residual: float, measure: str = "relative residual"):
         self.hole = hole
         self.residual = residual
-        super().__init__(f"coefficient at hole {hole} has relative residual {residual:.3e}")
+        super().__init__(f"coefficient at hole {hole} has {measure} {residual:.3e}")
 
 
 class MaxRetriesExceededError(RuntimeError):
@@ -254,8 +255,11 @@ def check_membership(
 
 
 def l1_norm(f: FactoredFunction, tol: Tolerances = DEFAULT) -> float:
-    """Certified circle average of |f|, split at the outer factor's circle roots."""
-    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol, roots=f.outer.circle_roots)
+    """Certified circle average of |f|, split at the outer factor's circle roots, else on a
+    trapezoid ladder started from the roots r and poles b of F (|B| = 1 on the circle)."""
+    alpha = min([math.log(abs(r)) for r in f.outer.roots]
+                + [-math.log(abs(b)) for b in f.outer.poles if b], default=math.inf)
+    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol, f.outer.circle_roots, alpha)
     return value
 
 

@@ -13,7 +13,8 @@ criterion reads is one: f / P_n (:meth:`hardyball.model.FactoredFunction.taylor`
 the generator's weight function, and the witness factor.
 Circle means have two rules, both refined until two successive values agree.
 A smooth periodic integrand gets the uniform-node average (trapezoid), which
-converges exponentially, on a doubling grid.  An integrand |F| * (smooth)
+converges exponentially, on a doubling grid of nested nodes that starts where
+the integrand's known singularities say the rate meets the tolerance.  An integrand |F| * (smooth)
 with F vanishing on the circle has a kink at each root, where the trapezoid
 rule converges only like 1/n^2; the circle is split at the roots' arguments
 and each arc, on which the integrand is analytic up to its ends, gets
@@ -24,6 +25,7 @@ Review 56, 2014).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -167,38 +169,51 @@ class Rational:
         return expand(numerator, self.poles, up_to, ring)
 
 
-@dataclass(frozen=True)
-class CircleGrid:
-    """Uniform grid of n-th roots of unity with weights 1/n (n a power of two, >= 16)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.n) / self.n)
+# integrands see at most this many nodes per call, so that their temporaries on
+# large grids stay small; grids up to this size are computed once and kept
+_CHUNK = 2 ** 12
 
 
-def _finite_values(integrand: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """The integrand on the given circle nodes; a non-finite value raises
-    :class:`EvaluationError` naming the first node where any row has one."""
-    vals = np.asarray(integrand(nodes))
+def circle_nodes(n: int, odd: bool = False) -> np.ndarray:
+    """The n-th roots of unity e^{2 pi i j / n}, j = 0..n-1 (n a power of two >= 16), or
+    with ``odd`` only those of odd j, which a doubling adds to the grid of n / 2: node j of
+    that grid is bit for bit node 2j of this one.  Read-only; kept for n <= _CHUNK."""
+    if n < 16 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+    return (_roots_of_unity if n <= _CHUNK else _roots_of_unity.__wrapped__)(n, odd)
+
+
+@functools.cache
+def _roots_of_unity(n: int, odd: bool) -> np.ndarray:
+    nodes = np.exp(2j * np.pi * np.arange(int(odd), n, 1 + odd) / n)
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _finite_values(integrand, nodes: np.ndarray, first: int = 0, step: int = 1) -> np.ndarray:
+    """The integrand on the given nodes, _CHUNK at a time; a non-finite value raises
+    :class:`EvaluationError` naming the first node where any row has one, by its
+    index first + step * i in the grid the nodes come from."""
+    vals = np.concatenate([np.asarray(integrand(nodes[i:i + _CHUNK]))
+                           for i in range(0, nodes.size, _CHUNK)], axis=-1)
     bad = ~np.isfinite(vals)
     if bad.any():
-        idx = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
-        raise EvaluationError(complex(nodes[idx]), idx)
+        i = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
+        raise EvaluationError(complex(nodes[i]), first + step * i)
     return vals
 
 
 def _trapezoid_means(integrand, start_n: int):
-    """(mean, n) on uniform grids of n = start_n, 2 start_n, ... up to QUAD_MAX_N nodes."""
-    n = start_n
-    while n <= QUAD_MAX_N:
-        yield np.real(_finite_values(integrand, CircleGrid(n).nodes)).mean(axis=-1), n
+    """(mean, n) on uniform grids of n = start_n, 2 start_n, ... up to QUAD_MAX_N nodes; each
+    doubling evaluates only the new (odd) nodes, so each mean is bit for bit its full grid's."""
+    n, vals = start_n, _finite_values(integrand, circle_nodes(start_n))
+    while True:
+        yield np.real(vals).mean(axis=-1), n
         n *= 2
+        if n > QUAD_MAX_N:
+            return
+        odd = _finite_values(integrand, circle_nodes(n, odd=True), 1, 2)
+        vals = np.stack([vals, odd], axis=-1).reshape(vals.shape[:-1] + (n,))  # interleaved
 
 
 @functools.cache
@@ -230,11 +245,16 @@ def converged_circle_mean(
     integrand: Callable[[np.ndarray], np.ndarray],
     tol: Tolerances = DEFAULT,
     roots: Sequence[complex] = (),
+    alpha: float | None = None,
 ) -> tuple[float | np.ndarray, int]:
     """Circle average of a real-valued integrand, refining the rule until stable.
 
-    Without ``roots`` the rule is the uniform-node average (trapezoid), with
-    the grid doubling from ``tol.quad_start_n``.  With ``roots`` (points on
+    Without ``roots`` the rule is the uniform-node average (trapezoid) on a
+    doubling grid.  Its error decays like e^{-alpha n} for an integrand analytic
+    in e^{-alpha} < |z| < e^{alpha} (Trefethen & Weideman, section 3), so given
+    ``alpha`` (inf: no singularity) the grid starts at the power of two at or
+    above max(16, log(1 / tol.quad) / alpha + 1), at most QUAD_MAX_N / 2 so one
+    doubling fits, and else at ``tol.quad_start_n``.  With ``roots`` (points on
     the circle where the integrand may have a kink, e.g. the circle roots of
     an outer factor F in |F|) the circle is split at their arguments and each
     arc gets composite :data:`GAUSS_NODES`-point Gauss-Legendre, the panels
@@ -250,8 +270,11 @@ def converged_circle_mean(
     """
     if len(roots):
         rule = _arc_means(integrand, roots)
-    else:
+    elif alpha is None:
         rule = _trapezoid_means(integrand, tol.quad_start_n)
+    else:
+        need = max(16.0, math.log(1.0 / tol.quad) / alpha + 1)
+        rule = _trapezoid_means(integrand, min(QUAD_MAX_N // 2, 2 ** math.ceil(math.log2(need))))
     goal, prev = tol.quad, None
     for cur, n in rule:
         if prev is not None and (np.abs(cur - prev) <= goal * np.maximum(1.0, np.abs(cur))).all():

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # quadrature: refinement stops once successive means agree within quad;
-    # the trapezoid grid starts at quad_start_n (the arc rule at one panel)
+    # quadrature: refinement stops once successive means agree within quad; the trapezoid
+    # grid starts at quad_start_n only for integrands with no known singularity (l1_norm
+    # starts from the outer factor's roots and poles; the arc rule at one panel)
     quad: float = 1e-10
     quad_start_n: int = 1024  # no option sets it; perfbench/tracing.py reads it per mean
     # relative singular-value cutoff for the rank decision

@@ -13,7 +13,6 @@ from hardyball import (
     EXTREME,
     NON_EXTREME,
     BlaschkeProduct,
-    CircleGrid,
     FactoredFunction,
     OuterRational,
     PuncturedSpace,
@@ -22,6 +21,7 @@ from hardyball import (
     build_criterion_matrix,
     canonical_kernel_vector,
     check_exposed,
+    circle_nodes,
     decide_extreme,
     kernel_alignment,
     make_witness,
@@ -260,7 +260,7 @@ def test_criterion_07_worked_instance():
     verdict2 = decide_extreme(normalized, space, DEFAULT)
     rank_ok = verdict2.status == NON_EXTREME and verdict2.rank == 1
     witness = make_witness(normalized, space, verdict2, DEFAULT)
-    nodes = CircleGrid(4096).nodes
+    nodes = circle_nodes(4096)
     h = witness_h_values(normalized, witness, nodes)
     target = -2.0 * np.sin(np.angle(nodes))
     sign_fit = min(
@@ -335,7 +335,7 @@ def test_criterion_09_exposedness_gate(single_hole_pool):
 
 
 def test_criterion_10_circle_grid_identity():
-    nodes = CircleGrid(4096).nodes
+    nodes = circle_nodes(4096)
     worst = 0.0
     for i in range(100):
         rng = np.random.default_rng((10_000, i))

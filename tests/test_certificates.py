@@ -8,7 +8,6 @@ from hardyball import (
     EXTREME,
     NON_EXTREME,
     BlaschkeProduct,
-    CircleGrid,
     FactoredFunction,
     OuterRational,
     PerturbationWitness,
@@ -17,6 +16,7 @@ from hardyball import (
     SymmetricPolynomial,
     check_exposed,
     canonical_kernel_vector,
+    circle_nodes,
     decide_extreme,
     make_witness,
     normalize,
@@ -51,7 +51,7 @@ class TestKernelWitness:
         assert w.epsilon == pytest.approx(0.25, abs=1e-12)
         assert w.recenter == pytest.approx(0.0, abs=1e-12)
         # h = -2 sin(theta) up to the sign of the kernel vector
-        nodes = CircleGrid(1024).nodes
+        nodes = circle_nodes(1024)
         h = witness_h_values(f, w, nodes)
         theta = np.angle(nodes)
         assert np.abs(h.imag).max() < 1e-13

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyball import cli, documents, extremality, model
 from hardyball.cli import main
 
 from _instances import random_zeros
@@ -318,6 +320,73 @@ class TestSweep:
                      "--jobs", jobs]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert started == workers
+
+
+def per_row_sweep_csv(template, names, specs):
+    """The sweep CSV as it was made when every row parsed its own problem document."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(list(names) + ["status", "rank", "delta", "min_singular_value"])
+    ranges = [[a + i * step for i in range(int(count))]
+              for a, step, count in map(cli._parse_range, specs)]
+    for values in itertools.product(*ranges):
+        row = [documents.format_float(v) for v in values]
+        try:
+            with np.errstate(all="ignore"):
+                problem = documents.parse_problem(
+                    cli._substitute(template, dict(zip(names, values))), source="<sweep>")
+                f, space, tol = problem.function, problem.space, problem.tolerances
+                membership = model.check_membership(f.taylor(space.k_max), space, tol)
+                if not membership.passed:
+                    writer.writerow(row + ["skip", "", "", ""])
+                    continue
+                f, _ = model.normalize(f, tol)
+                verdict = extremality.decide_extreme(f, space, tol, membership=membership)
+                delta = ""
+                if space.size == 1 and verdict.condition_a.m == 1:
+                    delta = documents.format_float(
+                        extremality.single_hole_delta(f, space.holes[0], tol).delta)
+                sigmas = verdict.singular_values
+                min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
+                writer.writerow(row + [verdict.status, str(verdict.rank), delta, min_sigma])
+        except Exception as exc:
+            cause = exc.__cause__ or exc
+            writer.writerow(row + [f"error:{type(cause).__name__}", "", "", ""])
+    return out.getvalue()
+
+
+# template, swept names, their ranges, and statuses that some rows must have
+PARSED_ONCE = {
+    "inner_constant": (
+        problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", "gamma"]], inner_constant=[0.6, -0.8]),
+        ("beta", "gamma"), ("-0.5:1.5:0.25", "0:0.5:0.25"), ["error:NotOuterError"]),
+    "inner_zero": (
+        problem_doc(NON_EXTREME_NUM, zeros=(["a_re", "a_im"],), inner_constant=[0.0, 1.0]),
+        ("a_re", "a_im"), ("-0.5:1:0.25", "-0.25:0.25:0.25"), ["error:ValueError"]),
+    # f = z (1 + z^2 / 4) / ((1 - conj(b) z)(1 - conj(c) z)) has f_2 = 0 where c = -b
+    "denominator": (
+        problem_doc([[1.0, 0.0], [0.0, 0.0], [0.25, 0.0]],
+                    outer_denominator=[["b", 0.1], ["c", -0.1]]),
+        ("b", "c"), ("-1.25:1.25:0.3125",) * 2, ["error:PoleMarginError", "skip"]),
+    "not_outer": (
+        problem_doc([["c", 0.5], [1.0, 0.0], [0.0, 0.0]], holes=(3,), zeros=()),
+        ("c",), ("-2:2:0.25",), ["error:NotOuterError"]),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(PARSED_ONCE))
+def test_parsed_template_rows_match_per_row_parsing(name, jobs, tmp_path):
+    template, names, specs, errors = PARSED_ONCE[name]
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", write(tmp_path / "t.json", template), "--jobs", jobs, "--out", str(out)]
+    for param, spec in zip(names, specs):
+        argv += ["--param", param, f"--range={spec}"]
+    assert main(argv) == 0
+    expected = per_row_sweep_csv(template, names, specs)
+    assert out.read_bytes() == expected.encode()
+    statuses = {row["status"] for row in csv.DictReader(expected.splitlines())}
+    assert set(errors) <= statuses and statuses - set(errors)
 
 
 GEN_SPEC = {

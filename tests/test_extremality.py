@@ -9,7 +9,6 @@ from hardyball import (
     EXTREME,
     NON_EXTREME,
     BlaschkeProduct,
-    CircleGrid,
     FactoredFunction,
     NotInSpaceError,
     OuterRational,
@@ -19,6 +18,7 @@ from hardyball import (
     assemble_criterion_matrix,
     build_criterion_matrix,
     canonical_kernel_vector,
+    circle_nodes,
     decide_extreme,
     kernel_alignment,
     numeric_rank,
@@ -221,7 +221,7 @@ class TestSymmetricPolynomial:
 
     def test_real_on_circle_after_recentring(self):
         rng = np.random.default_rng(3)
-        nodes = CircleGrid(256).nodes
+        nodes = circle_nodes(256)
         for n in range(4):
             p = SymmetricPolynomial(n, tuple(rng.standard_normal(2 * n + 1)))
             values = Rational(p.coefficients())(nodes) * nodes ** (-n)
@@ -453,6 +453,16 @@ class TestExactBackend:
         member, space = random_member(1, m_range=(1, 2))
         with pytest.raises(NotInSpaceError):
             decide_extreme(member, space, backend="exact")
+
+    def test_rejection_reports_the_exact_defect(self):
+        f, space = NON_MEMBERS["triple_zero"]()
+        defects = dict(exact_membership_defects(f, space))
+        with pytest.raises(NotInSpaceError) as error:
+            decide_extreme(f, space, backend="exact")
+        # the absolute |Re| + |Im| of the exact coefficient, not scaled by any other
+        assert error.value.residual == float(defects[error.value.hole]) > 0
+        assert "exact defect |Re| + |Im|" in str(error.value)
+        assert "relative" not in str(error.value)
 
     def test_exact_decides_borderline_locus(self):
         # a float-exact rank-deficient instance: delta = 0 exactly

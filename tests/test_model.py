@@ -4,7 +4,6 @@ import pytest
 from hardyball import (
     DEFAULT,
     BlaschkeProduct,
-    CircleGrid,
     FactoredFunction,
     MaxRetriesExceededError,
     NotInSpaceError,
@@ -13,6 +12,7 @@ from hardyball import (
     PuncturedSpace,
     check_exposed,
     check_membership,
+    circle_nodes,
     decide_extreme,
     l1_norm,
     model,
@@ -46,16 +46,16 @@ def membership(f, space, tol=DEFAULT):
 class TestBlaschkeProduct:
     def test_unimodular_on_circle(self):
         rng = np.random.default_rng(2)
-        grid = CircleGrid(4096)
+        nodes = circle_nodes(4096)
         for _ in range(12):
             zeros = random_zeros(rng, int(rng.integers(0, 5)))
-            values = BlaschkeProduct(zeros)(grid.nodes)
+            values = BlaschkeProduct(zeros)(nodes)
             assert np.abs(np.abs(values) - 1.0).max() <= 1e-12
 
     def test_pairs_each_zero_with_its_pole(self):
         # bit for bit the factor-by-factor product
         rng = np.random.default_rng(4)
-        nodes = CircleGrid(256).nodes
+        nodes = circle_nodes(256)
         zeros = random_zeros(rng, 5)
         expected = np.ones_like(nodes)
         for a in zeros:

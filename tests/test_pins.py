@@ -35,7 +35,7 @@ FLOAT_MEMBER_SPEC = dict(GEN_SPEC, holes=[4, 150], inner_zeros=[[0.5, 0.2], [-0.
 
 PINS = {
     "analyze_exact_float_member_rejected": {
-        "stdout": "dd1bd95a95906eb846a0310e8e6d2fa227e77ff3619eb9b7307bbff22634f3e4",
+        "stdout": "a7037d3cb43be55bc3c8ac561196b896e32ffc78c87765667ffe4eff601460f0",
     },
     "analyze_exact_dyadic_member": {
         "stdout": "113d486515159e3a8aa46d430c1788bccbc8a64abd7798b076394b61dfaeaa57",

@@ -8,22 +8,26 @@ from hypothesis import strategies as st
 from hardyball import (
     DEFAULT,
     BlaschkeProduct,
-    CircleGrid,
     FactoredFunction,
     OuterRational,
     PoleMarginError,
     Rational,
+    circle_nodes,
     converged_circle_mean,
     l1_norm,
 )
+from hardyball import series
 from hardyball.exactrank import lift
 from hardyball.series import (
     QUAD_MAX_N,
     EvaluationError,
     QuadratureConvergenceError,
     _finite_values,
+    _trapezoid_means,
     expand,
 )
+
+from _instances import random_zeros
 
 
 class TestExpandRational:
@@ -204,9 +208,9 @@ class TestFloatMatchesExact:
         assert (np.abs(approx - exact) <= 1e-12 * majorant).all()
 
 
-def grid_mean_modulus(f, grid):
+def grid_mean_modulus(f, nodes):
     """Average of |f| over one fixed grid."""
-    return float(np.abs(_finite_values(f, grid.nodes)).mean())
+    return float(np.abs(_finite_values(f, nodes)).mean())
 
 
 class TestCircleQuadrature:
@@ -229,7 +233,7 @@ class TestCircleQuadrature:
             assert l1_norm(FactoredFunction(inner, outer)) == pytest.approx(bare, abs=1e-12)
 
     def test_grid_rotation_invariance(self):
-        grid = CircleGrid(512)
+        grid = circle_nodes(512)
         g = Rational((1.0, 0.5j, -0.2), (0.4,))
         # exact for rotations by a grid node
         rot = np.exp(2j * np.pi * 3 / 512)
@@ -244,9 +248,9 @@ class TestCircleQuadrature:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            CircleGrid(8)
+            circle_nodes(8)
         with pytest.raises(ValueError):
-            CircleGrid(100)
+            circle_nodes(100)
 
     def test_rows_share_one_ladder(self):
         # each row ends on a grid at least as fine as its own ladder, and agrees
@@ -270,6 +274,113 @@ class TestCircleQuadrature:
             converged_circle_mean(lambda z: [np.ones_like(z), bad(z)], DEFAULT)
         assert err.value.index == 3
 
+
+class TestNestedLadder:
+    """Each doubling evaluates the integrand on the new (odd-indexed) nodes only."""
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
+    def test_every_rung_is_the_mean_over_its_full_grid(self, rows):
+        g = Rational((1.0, 0.5j, -0.2), (0.4,))
+        if rows:
+            def integrand(z):
+                return [np.abs(g(z)), np.abs(1 + 0.3 * z), np.real(g(z))]
+        else:
+            def integrand(z):
+                return np.abs(g(z))
+        sizes = []
+        ladder = _trapezoid_means(lambda z: sizes.append(z.size) or integrand(z), 16)
+        for n in 16 * 2 ** np.arange(9):
+            mean, rung = next(ladder)
+            assert rung == n
+            fresh = np.real(np.asarray(integrand(circle_nodes(n)))).mean(axis=-1)
+            assert np.array_equal(mean, fresh)  # bit for bit
+        assert sizes == [16] + [int(n) for n in 16 * 2 ** np.arange(8)]
+
+    def test_converged_mean_is_the_mean_over_its_final_grid(self):
+        g = Rational((1.0, 0.5j, -0.2), (0.7,))
+        value, n = converged_circle_mean(lambda z: np.abs(g(z)), replace(DEFAULT, quad_start_n=16))
+        assert n > 32
+        assert value == np.abs(g(circle_nodes(n))).mean()
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
+    def test_non_finite_value_on_a_new_node_names_its_full_grid_index(self, rows):
+        target = circle_nodes(64)[37]  # odd: first evaluated on the rung of 64
+
+        def bad(z):
+            out = np.abs(1 + 0.5 * z)
+            out[z == target] = np.nan
+            return [np.ones(z.shape), out] if rows else out
+
+        with pytest.raises(EvaluationError) as err:
+            converged_circle_mean(bad, replace(DEFAULT, quad=1e-30, quad_start_n=16))
+        assert err.value.index == 37 and err.value.node == complex(target)
+
+    def test_nodes_are_read_only_and_shared(self):
+        nodes = circle_nodes(64)
+        assert circle_nodes(64) is nodes and not nodes.flags.writeable
+        assert np.array_equal(circle_nodes(128)[::2], nodes)  # nested bit for bit
+        assert np.array_equal(circle_nodes(128, odd=True), circle_nodes(128)[1::2])
+
+
+def _root_free_family(count=40, seed=12):
+    """Seeded root-free functions: outer roots at 1.001 <= |r| <= 20 (some with none
+    at all) and poles at |b| <= 0.9, times a Blaschke product.  The first has both
+    bounds: a root at 1.001 and a pole at 0.9."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        degree, npoles = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+        roots = np.exp(rng.uniform(np.log(1.001), np.log(20.0), degree)
+                       + 2j * np.pi * rng.random(degree))
+        poles = rng.uniform(0.0, 0.9, npoles) * np.exp(2j * np.pi * rng.random(npoles))
+        if i == 0:
+            roots, poles = np.array([1.001j]), np.array([-0.9])
+        numerator = tuple(np.poly(roots)[::-1]) if degree else (1.5 - 0.5j,)
+        inner = BlaschkeProduct(tuple(random_zeros(rng, int(rng.integers(0, 3)))))
+        yield FactoredFunction(inner, OuterRational(numerator, tuple(poles)))
+
+
+class TestSingularityStart:
+    """l1_norm starts its trapezoid ladder from the outer factor's singularities."""
+
+    def test_norms_match_a_fine_trapezoid_reference(self):
+        for f in _root_free_family():
+            value = l1_norm(f)
+            reference = np.abs(f(circle_nodes(2 ** 18))).mean()
+            assert abs(value - reference) <= 1e-10 * max(1.0, abs(value))
+
+    @staticmethod
+    def node_counts(monkeypatch, start_from_alpha=True):
+        """Sizes of the node arrays that each circle mean of l1_norm evaluates."""
+        from hardyball import model
+
+        original, means = series.converged_circle_mean, []
+
+        def counting(integrand, tol, roots=(), alpha=None):
+            sizes = []
+            means.append(sizes)
+            return original(lambda z: sizes.append(z.size) or integrand(z), tol, roots,
+                            alpha if start_from_alpha else None)
+
+        monkeypatch.setattr(model, "converged_circle_mean", counting)
+        return means
+
+    def test_fewer_nodes_than_a_start_of_1024(self, monkeypatch):
+        assert DEFAULT.quad_start_n == 1024
+        totals = []
+        for start_from_alpha in (True, False):
+            means = self.node_counts(monkeypatch, start_from_alpha)
+            for f in _root_free_family():
+                l1_norm(f)
+            totals.append(sum(map(sum, means)))
+        assert totals[0] < totals[1]
+
+    def test_root_next_to_the_circle_starts_at_most_half_the_cap(self, monkeypatch):
+        f = FactoredFunction(BlaschkeProduct(()), OuterRational((1.0, -1.0 / (1 + 1e-6))))
+        assert f.outer.circle_roots == ()
+        means = self.node_counts(monkeypatch)
+        value = l1_norm(f)
+        assert means[0][0] <= QUAD_MAX_N // 2
+        assert abs(value - 4 / np.pi) < 1e-5
 
 def _roots_of_one_plus(c, n):
     """The n roots of 1 + c z^n, all on the circle for unit c."""
