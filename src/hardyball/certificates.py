@@ -42,6 +42,10 @@ WITNESS_REALNESS = 1e-10
 WITNESS_VARIATION = 1e-6
 WITNESS_HOLE = 1e-9
 WITNESS_NORM = 1e-7
+# uniform circle nodes of the sup of |h - c| that fixes epsilon, and of the
+# realness, variation and positivity samples that verification takes
+WITNESS_SUP_NODES = 16384
+WITNESS_SAMPLE_NODES = 8192
 
 
 class DegenerateKernelError(RuntimeError):
@@ -153,7 +157,7 @@ def _package_witness(
 
     (mean_fh, norm), _ = converged_circle_mean(weighted_h, tol, roots=f.outer.circle_roots)
     c = mean_fh / norm
-    nodes = circle_nodes(16384)
+    nodes = circle_nodes(WITNESS_SUP_NODES)
     sup = float(np.abs(np.real(g(nodes) / f.inner(nodes)) - c).max())
     if sup == 0.0:
         raise DegenerateKernelError("perturbation h is constant on the circle")
@@ -222,7 +226,7 @@ def verify_witness(
     failures: list[str] = []
     try:
         g = _witness_factor(f, witness)
-        nodes = circle_nodes(8192)
+        nodes = circle_nodes(WITNESS_SAMPLE_NODES)
         h = g(nodes) / f.inner(nodes)
         realness = float(np.abs(h.imag).max())
         h_re = h.real

@@ -1,21 +1,24 @@
-"""Exact rank backend: Gaussian rationals lifted bit-exactly from the inputs.
+"""Exact rank backend: Gaussian dyadic rationals lifted bit-exactly from the inputs.
 
-Every float is a dyadic rational, so problem data lift exactly to Gaussian
-rationals.  The Taylor recurrence (:func:`hardyball.series.expand`, one
-first-order section y_k = x_k + conj(b) y_{k-1} per pole) and the criterion
-assembly need only ring operations, so run on :class:`Gaussian` scalars they
-give the criterion matrix as exact rationals.  Its kernel, and with it the
-rank, then comes from exact Gauss-Jordan elimination with no tolerance at all.  Floating point stays the
-default backend; this one removes rank ambiguity for borderline inputs.
+Every float is dyadic, so problem data lift exactly to :class:`Gaussian`
+scalars (re + i im) / 2^e with int parts.  The Taylor recurrence
+(:func:`hardyball.series.expand`, one first-order section
+y_k = x_k + conj(b) y_{k-1} per pole) needs only ring operations, and on these
+scalars a sum is an int shift and add and a product an int multiply, with no
+gcd.  Fractions appear only where parts are read: the criterion entries in the
+hole windows, the membership defects and the Gauss-Jordan elimination that
+gives the kernel, and with it the rank, with no tolerance at all.  Floating
+point stays the default backend; this one removes rank ambiguity for
+borderline inputs.
 
 Membership is filtered modulo the prime :data:`MODULUS` first.  The recurrence
 only adds and multiplies dyadic data, so every coefficient lies in Z[1/2][i],
 and reducing it modulo p (2 is a unit mod p) is a ring map: a hole coefficient
 that is nonzero mod p is nonzero exactly (:func:`holes_nonzero_mod_p`).  An
-input flagged there is expanded in Fractions only up to its first flagged
-hole, to name the first nonzero one; an input that passes takes the Fraction
-path unchanged, its hole coefficients read back from the exact criterion
-weights (:func:`defects_from_weights`).
+input flagged there is expanded exactly only up to its first flagged hole, to
+name the first nonzero one; an input that passes takes the exact path
+unchanged, its hole coefficients read back from the exact criterion weights
+(:func:`defects_from_weights`).
 """
 
 from __future__ import annotations
@@ -31,37 +34,54 @@ MODULUS = 2**31 - 1
 
 
 class Gaussian:
-    """Exact complex number real + i*imag with Fraction parts.
+    """Exact complex number (re + i*im) / 2^e with int re, im and e >= 0.
 
     A plain slotted class: the recurrence constructs one per ring operation.
+    A sum shifts the operand with the smaller exponent, a product adds the
+    exponents, and nothing is reduced.  ``real`` and ``imag`` are Fractions.
     """
 
-    __slots__ = ("real", "imag")
+    __slots__ = ("re", "im", "e")
 
-    def __init__(self, real: Fraction, imag: Fraction):
-        self.real = real
-        self.imag = imag
+    def __init__(self, re: int, im: int, e: int):
+        self.re = re
+        self.im = im
+        self.e = e
 
     def __add__(self, other: "Gaussian") -> "Gaussian":
-        return Gaussian(self.real + other.real, self.imag + other.imag)
+        shift = self.e - other.e
+        if shift >= 0:
+            return Gaussian(self.re + (other.re << shift), self.im + (other.im << shift), self.e)
+        return Gaussian((self.re << -shift) + other.re, (self.im << -shift) + other.im, other.e)
 
     def __mul__(self, other: "Gaussian") -> "Gaussian":
         return Gaussian(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+            self.e + other.e,
         )
 
     def __neg__(self) -> "Gaussian":
-        return Gaussian(-self.real, -self.imag)
+        return Gaussian(-self.re, -self.im, self.e)
 
     def conjugate(self) -> "Gaussian":
-        return Gaussian(self.real, -self.imag)
+        return Gaussian(self.re, -self.im, self.e)
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self.re, 1 << self.e)
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self.im, 1 << self.e)
 
 
 def lift(z: complex) -> Gaussian:
-    """Exact rational image of a complex float."""
+    """Exact dyadic image of a complex float."""
     z = complex(z)
-    return Gaussian(Fraction(z.real), Fraction(z.imag))
+    (re, p), (im, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    e = max(p, q).bit_length() - 1  # p and q are powers of two
+    return Gaussian(re * (2**e // p), im * (2**e // q), e)
 
 
 class GaussianModP:
@@ -95,15 +115,11 @@ class GaussianModP:
         return bool(self.real or self.imag)
 
 
-def _mod_p(x: float) -> int:
-    q = Fraction(x)
-    return q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
-
-
 def lift_mod_p(z: complex) -> GaussianModP:
-    """Image mod p of the exact rational value of a complex float."""
-    z = complex(z)
-    return GaussianModP(_mod_p(z.real), _mod_p(z.imag))
+    """Image mod p of the exact dyadic value of a complex float."""
+    g = lift(z)
+    scale = pow(2, -g.e, MODULUS)
+    return GaussianModP(g.re * scale % MODULUS, g.im * scale % MODULUS)
 
 
 def fraction_kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:

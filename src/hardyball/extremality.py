@@ -108,21 +108,23 @@ class CriterionMatrix:
 def assemble_criterion_matrix(coeffs, holes, m: int) -> CriterionMatrix:
     """Assemble the criterion blocks from coefficients c_0, c_1, ... (pure tabulation).
 
-    Works on any scalars with ``.real``, ``.imag`` and exact ``+ -`` on those
-    parts, so the same tabulation serves float and exact coefficients.
+    Only the 2M(m+1) coefficients in the windows c_{k_j-2m..k_j} are read, and
+    split into ``.real`` and ``.imag`` parts with exact ``+ -``, so the same
+    tabulation serves float and exact coefficients.
     """
     holes = tuple(int(k) for k in holes)
-    values = np.asarray(coeffs).tolist()
-    n = len(values)
+    count = len(holes)
     base = np.array(holes, dtype=int).reshape(-1, 1) - m
     offsets = np.arange(m + 1)
-    # positions of c_{k+l-m} and c_{k-l-m}; reads outside 0..n-1 hit the trailing zero
-    hi, lo = (np.where((i >= 0) & (i < n), i, n) for i in (base + offsets, base - offsets))
-    re = np.array([c.real for c in values] + [0])
-    im = np.array([c.imag for c in values] + [0])
-    re_sum, im_sum = re[hi] + re[lo], im[hi] + im[lo]
-    re_diff = re[hi[:, 1:]] - re[lo[:, 1:]]
-    im_diff = im[hi[:, 1:]] - im[lo[:, 1:]]
+    # positions of c_{k+l-m} (first M rows) and c_{k-l-m} (last M rows); outside 0..n-1, zero
+    index = np.concatenate([base + offsets, base - offsets])
+    inside = (index >= 0) & (index < len(coeffs))
+    values = np.where(inside, np.asarray(coeffs)[np.where(inside, index, 0)], 0).ravel().tolist()
+    re = np.array([c.real for c in values]).reshape(index.shape)
+    im = np.array([c.imag for c in values]).reshape(index.shape)
+    re_sum, im_sum = re[:count] + re[count:], im[:count] + im[count:]
+    re_diff = re[:count, 1:] - re[count:, 1:]
+    im_diff = im[:count, 1:] - im[count:, 1:]
     assembled = np.concatenate([np.concatenate([re_sum, im_diff], axis=1),
                                 np.concatenate([im_sum, -re_diff], axis=1)])
     return CriterionMatrix(holes, m, assembled, coeffs)
@@ -222,9 +224,9 @@ def decide_extreme(
     from the criterion weights (see :mod:`hardyball.exactrank`).  The inner-degree condition is
     checked first; when it fails the function is non-extreme regardless of the
     matrix, whose rank is still reported for diagnostics.  ``backend`` is
-    either "svd" (default) or "exact" (Gauss-Jordan elimination over the
-    binary-exact Gaussian-rational lift of the inputs; no tolerance, no
-    borderline band).
+    either "svd" (default) or "exact" (Gauss-Jordan elimination on the exact
+    criterion entries of the Gaussian dyadic lift of the inputs; no tolerance,
+    no borderline band).
     """
     m = f.inner.degree
     cond = ConditionA(m, space.size)

@@ -5,8 +5,10 @@ coefficients, and :func:`expand` is the one recurrence that produces them (no
 truncation error): the numerator divided by one first-order section
 1 / (1 - conj(b) z) per pole, in turn, as a doubling scan in numpy on complex
 floats (rounding is its only error) and as a plain loop on the exact Gaussian
-rationals of :mod:`hardyball.exactrank` or on their residues modulo a prime.  It returns a plain array: complex
-for floats, object for exact scalars.  :class:`Rational` is the one
+dyadic rationals of :mod:`hardyball.exactrank` (int parts over a power of two,
+no gcd; Fractions only where the criterion reads parts) or on their residues
+modulo a prime.  It returns a plain array: complex for floats, object for
+exact scalars.  :class:`Rational` is the one
 rational-function type on the disk; it evaluates itself on circle nodes and
 feeds :func:`expand` for its Taylor coefficients.  Every function the
 criterion reads is one: f / P_n (:meth:`hardyball.model.FactoredFunction.taylor`),
@@ -170,17 +172,22 @@ class Rational:
 
 
 # integrands see at most this many nodes per call, so that their temporaries on
-# large grids stay small; grids up to this size are computed once and kept
+# large grids stay small; odd halves up to this size are computed once and kept
 _CHUNK = 2 ** 12
+# full grids up to this size are computed once and kept: the witness grids of
+# :mod:`hardyball.certificates` among them (384 KB for the two above _CHUNK)
+_KEPT = 2 ** 14
 
 
 def circle_nodes(n: int, odd: bool = False) -> np.ndarray:
     """The n-th roots of unity e^{2 pi i j / n}, j = 0..n-1 (n a power of two >= 16), or
     with ``odd`` only those of odd j, which a doubling adds to the grid of n / 2: node j of
-    that grid is bit for bit node 2j of this one.  Read-only; kept for n <= _CHUNK."""
+    that grid is bit for bit node 2j of this one.  Read-only; kept for n <= _KEPT (odd
+    halves: n <= _CHUNK)."""
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
-    return (_roots_of_unity if n <= _CHUNK else _roots_of_unity.__wrapped__)(n, odd)
+    kept = n <= (_CHUNK if odd else _KEPT)
+    return (_roots_of_unity if kept else _roots_of_unity.__wrapped__)(n, odd)
 
 
 @functools.cache

@@ -7,8 +7,9 @@ change them.  Fixed thresholds are module constants beside their one reader:
 ``series.POLE_MARGIN``, ``series.QUAD_MAX_N``, ``series.GAUSS_NODES`` (nodes
 per panel of the arc rule), ``model.ROOT_TOL`` (the outer check and the
 circle roots), ``model.CLUSTER_TOL`` (multiple roots),
-``model.SAMPLE_RETRIES`` (draws of the member generator) and the
-``certificates.WITNESS_*`` checks.
+``model.SAMPLE_RETRIES`` (draws of the member generator), the
+``certificates.WITNESS_*`` checks and the two witness grid sizes
+``certificates.WITNESS_SUP_NODES`` and ``certificates.WITNESS_SAMPLE_NODES``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 Builders take explicit seeds and redraw infeasible configurations (hole sets
 that no outer numerator can satisfy exist; the generator reports them), so
 every test run sees the same instances.  :func:`hole_constraint_value` is the
-independent audit oracle of the criterion matrix entries.
+independent audit oracle of the criterion matrix entries, and
+:class:`FractionGaussian` the reference exact ring.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -186,3 +188,35 @@ def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:
     for l in range(0, n + 1):
         acc += c(k - l - n) * gammas[l]
     return acc
+
+
+class FractionGaussian:
+    """Exact complex number with Fraction parts: the reference for the exact ring.
+
+    Every operation reduces its parts to lowest terms, which the dyadic ring of
+    :mod:`hardyball.exactrank` never does; both must give the same values.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: Fraction, imag: Fraction):
+        self.real = real
+        self.imag = imag
+
+    def __add__(self, other):
+        return FractionGaussian(self.real + other.real, self.imag + other.imag)
+
+    def __mul__(self, other):
+        return FractionGaussian(self.real * other.real - self.imag * other.imag,
+                                self.real * other.imag + self.imag * other.real)
+
+    def __neg__(self):
+        return FractionGaussian(-self.real, -self.imag)
+
+    def conjugate(self):
+        return FractionGaussian(self.real, -self.imag)
+
+
+def fraction_lift(z: complex) -> FractionGaussian:
+    z = complex(z)
+    return FractionGaussian(Fraction(z.real), Fraction(z.imag))

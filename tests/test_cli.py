@@ -436,6 +436,30 @@ def test_help_is_unchanged(capsys):
     assert "--exact" in out and "--tol-rank" not in out and "--grid" not in out
 
 
+def test_command_is_looked_up_per_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so it must not hold the command functions:
+    # a command replaced on the module after the first call is the one the next call runs
+    path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM))
+    assert main(["analyze", path]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args.problem) or 7)
+    assert main(["analyze", path]) == 7
+    assert calls == [path]
+
+
+def test_usage_error_leaves_no_parser_state(tmp_path, capsys):
+    path = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+    witness = tmp_path / "w.json"
+    assert main(["analyze", path]) == 10
+    first = capsys.readouterr().out
+    # the error comes after --exact and a witness path were parsed
+    assert main(["analyze", path, "--exact", "--witness-out", str(witness), "--bogus"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "parse"
+    assert main(["analyze", path]) == 10
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["verdict"]["backend"] == "svd" and not witness.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "certify"])
 def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsys):
     # no circle mean of 1 + z^2 (roots on the circle) stabilises to 1e-30

@@ -28,7 +28,8 @@ from hardyball import sample_member, series
 from hardyball.exactrank import (defects_from_weights, exact_membership_defects, fraction_kernel,
                                  holes_nonzero_mod_p, lift)
 
-from _instances import hole_constraint_value, random_member, random_zeros, single_hole_member
+from _instances import (fraction_lift, hole_constraint_value, random_member, random_zeros,
+                        single_hole_member)
 
 
 def factored(zeros, numerator, den=()):
@@ -404,6 +405,46 @@ class TestExactBackend:
             assert floats.assembled.dtype == np.float64
             assert all(isinstance(x, (Fraction, int)) for x in exact.assembled.flat)
             assert exact.assembled.tolist() == floats.assembled.tolist()
+
+    def test_exact_assembly_reads_only_the_hole_windows(self):
+        class Unread:
+            @property
+            def real(self):
+                raise AssertionError("a coefficient outside the hole windows was read")
+
+            imag = real
+
+        rng = np.random.default_rng(43)
+        values = (rng.integers(-64, 64, 41) + 1j * rng.integers(-64, 64, 41)) / 32
+        for holes, m in [((1, 6, 40), 2), ((3, 17), 1), ((9,), 0), ((2, 30), 3)]:
+            windows = {k - j for k in holes for j in range(2 * m + 1)}
+            for ring in (complex, lift):
+                full = np.array([ring(v) for v in values], dtype=object)
+                guarded = full.copy()
+                guarded[[i for i in range(values.size) if i not in windows]] = Unread()
+                got = assemble_criterion_matrix(guarded, holes, m)
+                want = assemble_criterion_matrix(full, holes, m)
+                assert got.assembled.tolist() == want.assembled.tolist()
+                assert got.coefficients is guarded
+
+    @pytest.mark.parametrize("data", ["dyadic", "float", "special"])
+    def test_dyadic_ring_matches_the_fraction_ring(self, data):
+        # special: negative zeros, a subnormal part and a part >= 2^60
+        f = {
+            "dyadic": lambda: factored([0.5 + 0.25j, -0.125j], [1.0, -0.5 + 0.25j, 0.0625],
+                                       (0.25,)),
+            "float": lambda: random_member(7, k_max=60)[0],
+            "special": lambda: factored([complex(-0.0, 0.3), complex(5e-324, -0.2)],
+                                        [2.0 ** 61, complex(-0.0, 1.0)], (complex(0.1, -0.0),)),
+        }[data]()
+        m = f.inner.degree
+        assert m > 0
+        # the subnormal zero adds 1074 bits per term, which the oracle's gcds make slow
+        for up_to in (0, 1, 17, 24 if data == "special" else 60):
+            for first in (0, m):
+                got = f.taylor(up_to, lift, first)
+                want = f.taylor(up_to, fraction_lift, first)
+                assert [(c.real, c.imag) for c in got] == [(c.real, c.imag) for c in want]
 
     def test_exact_membership_checks_the_input_itself(self):
         # f = ((z - a) / (1 - a z))^3 (1 + z/4) with a = 1/2 + 2^-20: a^3 has more

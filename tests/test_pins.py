@@ -32,10 +32,30 @@ GEN_SPEC = {"format_version": 1, "type": "gen_spec", "holes": [3, 7],
             "numerator_degree": 4}
 # a generated float member with holes {4, 150}: never an exact rational member
 FLOAT_MEMBER_SPEC = dict(GEN_SPEC, holes=[4, 150], inner_zeros=[[0.5, 0.2], [-0.3, 0.4]])
+# a dyadic member on the non-extreme locus |c_5| = |c_7| (hole {7}, inner zero 1/4): the
+# weighted coefficients 1, 5 s / 128, (1 + 3i) / 512, (-4 + 3i) s / 128 at 0, 5, 6, 7 with
+# s = 17/16, times (1 - z/4)^2; the exact kernel has dimension 2 and gives the witness
+EXACT_LOCUS_MEMBER = dict(
+    README_PROBLEM, holes=[7], inner_zeros=[[0.25, 0.0]], options={},
+    outer_numerator=[[1.0, 0.0], [-0.5, 0.0], [0.0625, 0.0], [0.0, 0.0], [0.0, 0.0],
+                     [0.04150390625, 0.0], [-0.018798828125, 0.005859375],
+                     [-0.031585693359375, 0.02197265625], [0.0167236328125, -0.0120849609375],
+                     [-0.0020751953125, 0.001556396484375]])
+# f = z - a with a 53-bit zero a: an exact member whose far hole k = 800 needs long dyadics
+A_53 = [0.3123456789012345, 0.4198765432109876]
+EXACT_FAR_MEMBER = dict(README_PROBLEM, holes=[2, 800], inner_zeros=[A_53], options={},
+                        outer_numerator=[[1.0, 0.0], [-A_53[0], A_53[1]]])
 
 PINS = {
     "analyze_exact_float_member_rejected": {
         "stdout": "a7037d3cb43be55bc3c8ac561196b896e32ffc78c87765667ffe4eff601460f0",
+    },
+    "analyze_exact_far_member": {
+        "stdout": "36836ed7d3026423bd01983851f896ea21ba55cb18b3f3c03d916277f27328fe",
+    },
+    "analyze_exact_locus_member": {
+        "stdout": "c81d5a249455610f1a931199e6fea9052f8bcef84e03eb53902bb6b90f653949",
+        "witness": "e569d88384914845daa5b9493278daac8f0b9db6d51c3faefd7b455e29d2829a",
     },
     "analyze_exact_dyadic_member": {
         "stdout": "113d486515159e3a8aa46d430c1788bccbc8a64abd7798b076394b61dfaeaa57",
@@ -76,6 +96,11 @@ def outputs(case: str, directory) -> dict[str, bytes]:
         code, stdout = _run(["analyze", problem, "--witness-out", str(witness)])
         assert code == 10
         return {"stdout": stdout, "witness": witness.read_bytes()}
+    if case == "analyze_exact_locus_member":
+        code, stdout = _run(["analyze", write("p.json", EXACT_LOCUS_MEMBER), "--exact",
+                             "--witness-out", str(witness)])
+        assert code == 10
+        return {"stdout": stdout, "witness": witness.read_bytes()}
     if case == "certify_readme_fixture":
         assert _run(["analyze", problem, "--witness-out", str(witness)])[0] == 10
         code, stdout = _run(["certify", problem, str(witness)])
@@ -89,6 +114,7 @@ def outputs(case: str, directory) -> dict[str, bytes]:
         return {"stdout": stdout}
     argv, expected = {
         "analyze_exact_dyadic_member": (["analyze", write("p.json", README_PROBLEM), "--exact"], 0),
+        "analyze_exact_far_member": (["analyze", write("f.json", EXACT_FAR_MEMBER), "--exact"], 0),
         "sweep_readme_template": (["sweep", write("t.json", README_TEMPLATE), "--param", "beta",
                                    "--range=-1:1:0.5"], 0),
         "gen_fixed_seed": (["gen", write("s.json", GEN_SPEC), "--seed", "11"], 0),
