@@ -14,13 +14,16 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .certificates import PerturbationWitness
+from .certificates import DEGREE_OVERFLOW_PATH, KERNEL_PATH, PerturbationWitness
 from .extremality import SymmetricPolynomial
 from .model import BlaschkeProduct, FactoredFunction, OuterRational, PuncturedSpace
 from .series import check_pole_margin
 from .tolerances import DEFAULT, Tolerances
 
 FORMAT_VERSION = 1
+
+# the largest hole index a document may name: the Taylor expansion runs to it
+MAX_HOLE = 10 ** 6
 
 # problem "options" keys -> Tolerances field names
 _OPTION_FIELDS = {
@@ -118,10 +121,17 @@ def _as_complex_list(value: Any, path: str) -> tuple[complex, ...]:
     return tuple(_as_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _as_hole(value: Any, path: str) -> int:
+    k = _as_int(value, path)
+    if k > MAX_HOLE:
+        raise DocumentError(path, f"expected a hole index <= {MAX_HOLE}, got {k}")
+    return k
+
+
 def _as_holes(value: Any, path: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise DocumentError(path, "expected a list of integers")
-    return tuple(_as_int(k, f"{path}[{i}]") for i, k in enumerate(value))
+    return tuple(_as_hole(k, f"{path}[{i}]") for i, k in enumerate(value))
 
 
 def load_json(text: str, source: str = "<input>") -> dict:
@@ -275,7 +285,7 @@ def parse_witness(data: dict, source: str = "<witness>") -> PerturbationWitness:
     epsilon = _as_number(_require(data, "epsilon", source), source + ".epsilon")
     recenter = _as_number(_require(data, "recenter_c", source), source + ".recenter_c")
     provenance = _require(data, "provenance", source)
-    if provenance not in ("kernel_path", "degree_overflow_path"):
+    if provenance not in (KERNEL_PATH, DEGREE_OVERFLOW_PATH):
         raise DocumentError(source + ".provenance", f"unknown provenance {provenance!r}")
     try:
         polynomial = SymmetricPolynomial(order, vector)

@@ -10,15 +10,6 @@ hole windows, the membership defects and the Gauss-Jordan elimination that
 gives the kernel, and with it the rank, with no tolerance at all.  Floating
 point stays the default backend; this one removes rank ambiguity for
 borderline inputs.
-
-Membership is filtered modulo the prime :data:`MODULUS` first.  The recurrence
-only adds and multiplies dyadic data, so every coefficient lies in Z[1/2][i],
-and reducing it modulo p (2 is a unit mod p) is a ring map: a hole coefficient
-that is nonzero mod p is nonzero exactly (:func:`holes_nonzero_mod_p`).  An
-input flagged there is expanded exactly only up to its first flagged hole, to
-name the first nonzero one; an input that passes takes the exact path
-unchanged, its hole coefficients read back from the exact criterion weights
-(:func:`defects_from_weights`).
 """
 
 from __future__ import annotations
@@ -28,9 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .model import FactoredFunction, PuncturedSpace, canonical_product
-
-# the prime of the membership filter, 2^31 - 1
-MODULUS = 2**31 - 1
 
 
 class Gaussian:
@@ -84,44 +72,6 @@ def lift(z: complex) -> Gaussian:
     return Gaussian(re * (2**e // p), im * (2**e // q), e)
 
 
-class GaussianModP:
-    """Image real + i*imag of a Gaussian dyadic rational in Z_p[x]/(x^2 + 1), p = MODULUS.
-
-    Parts are ints in [0, p); a value is true when the image is nonzero.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __add__(self, other: "GaussianModP") -> "GaussianModP":
-        return GaussianModP((self.real + other.real) % MODULUS, (self.imag + other.imag) % MODULUS)
-
-    def __mul__(self, other: "GaussianModP") -> "GaussianModP":
-        return GaussianModP(
-            (self.real * other.real - self.imag * other.imag) % MODULUS,
-            (self.real * other.imag + self.imag * other.real) % MODULUS,
-        )
-
-    def __neg__(self) -> "GaussianModP":
-        return GaussianModP(-self.real % MODULUS, -self.imag % MODULUS)
-
-    def conjugate(self) -> "GaussianModP":
-        return GaussianModP(self.real, -self.imag % MODULUS)
-
-    def __bool__(self) -> bool:
-        return bool(self.real or self.imag)
-
-
-def lift_mod_p(z: complex) -> GaussianModP:
-    """Image mod p of the exact dyadic value of a complex float."""
-    g = lift(z)
-    scale = pow(2, -g.e, MODULUS)
-    return GaussianModP(g.re * scale % MODULUS, g.im * scale % MODULUS)
-
-
 def fraction_kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
     """Exact kernel basis via reduced row echelon form (free-column parametrization).
 
@@ -158,36 +108,15 @@ def fraction_kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fracti
 
 
 def exact_membership_defects(
-    f: FactoredFunction, space: PuncturedSpace
-) -> list[tuple[int, Fraction]]:
-    """Exact |Re| + |Im| of each hole coefficient of the rational lift of f.
-
-    Only the data of the canonical pair are lifted (inner zeros, outer
-    numerator and poles); the coefficients are those of f / P_0 = f, every
-    product formed exactly (see :meth:`hardyball.model.FactoredFunction.taylor`).
-    """
-    coeffs = f.taylor(space.k_max, lift)
-    return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]
-
-
-def holes_nonzero_mod_p(f: FactoredFunction, space: PuncturedSpace) -> list[int]:
-    """The holes whose coefficient of f is nonzero modulo p, hence nonzero exactly.
-
-    A hole missing here may still be nonzero (a multiple of p); only
-    :func:`exact_membership_defects` or :func:`defects_from_weights` can tell.
-    """
-    coeffs = f.taylor(space.k_max, lift_mod_p)
-    return [k for k in space.holes if coeffs[k]]
-
-
-def defects_from_weights(
     f: FactoredFunction, space: PuncturedSpace, weights
 ) -> list[tuple[int, Fraction]]:
-    """:func:`exact_membership_defects`, read from the exact criterion weights.
+    """Exact |Re| + |Im| of each hole coefficient of f, read from the criterion weights.
 
-    ``weights`` are the exact coefficients c of f / P_m (``f.taylor(k, lift,
-    m)``, m the inner degree), so f = P_m * c gives each hole coefficient
-    f_k = sum_{j <= 2m} P_m[j] c_{k-j} with no second expansion of f.
+    ``weights`` are the exact coefficients c_0..c_K of f / P_m (``f.taylor(K,
+    lift, m)``, m the inner degree, K >= every hole), so f = P_m * c gives
+    each hole coefficient f_k = sum_{j <= 2m} P_m[j] c_{k-j} with no second
+    expansion of f.  Only the data of the canonical pair are lifted, so the
+    defects are those of the input itself.
     """
     product = canonical_product(f.inner.zeros, lift)
     defects = []

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactrank import (defects_from_weights, exact_membership_defects, fraction_kernel,
-                        holes_nonzero_mod_p, lift)
+from .exactrank import exact_membership_defects, fraction_kernel, lift
 from .model import (FactoredFunction, MembershipReport, NotInSpaceError, PuncturedSpace,
                     canonical_product, check_membership)
 from .tolerances import DEFAULT, Tolerances
@@ -220,33 +219,30 @@ def decide_extreme(
     :class:`~hardyball.model.NotInSpaceError`).  The svd backend checks
     ``membership``, the caller's report for f or any nonzero multiple of it
     (the check is relative), and expands f itself only when none is given;
-    the exact backend checks f itself: modulo a prime first, then exactly
-    from the criterion weights (see :mod:`hardyball.exactrank`).  The inner-degree condition is
-    checked first; when it fails the function is non-extreme regardless of the
-    matrix, whose rank is still reported for diagnostics.  ``backend`` is
-    either "svd" (default) or "exact" (Gauss-Jordan elimination on the exact
-    criterion entries of the Gaussian dyadic lift of the inputs; no tolerance,
-    no borderline band).
+    the exact backend checks f itself, exactly, on the criterion weights: it
+    expands them to the first hole k_1, where a float member that is not an
+    exact rational one is typically nonzero already, and then to k_max (one
+    expansion for at most one hole).  The price: a non-member that is exactly
+    zero at k_1 and nonzero at a middle hole k_j expands to k_max, not to k_j.
+    The inner-degree condition is checked first; when it fails the function
+    is non-extreme regardless of the matrix, whose rank is still reported for
+    diagnostics.  ``backend`` is either "svd" (default) or "exact"
+    (Gauss-Jordan elimination on the exact criterion entries of the Gaussian
+    dyadic lift of the inputs; no tolerance, no borderline band).
     """
     m = f.inner.degree
     cond = ConditionA(m, space.size)
 
     if backend == "exact":
         # the exact rank of a function that is not an exact rational member
-        # answers a question about a function outside the space.  A hole that
-        # is nonzero mod p is nonzero, so the exact expansion then goes only as
-        # far as the first such hole, to name the first hole that is nonzero
-        flagged = holes_nonzero_mod_p(f, space)
-        if flagged:
-            head = PuncturedSpace(tuple(k for k in space.holes if k <= flagged[0]))
-            defects = exact_membership_defects(f, head)
-        else:
-            weights = f.taylor(space.k_max, lift, m)
-            defects = defects_from_weights(f, space, weights)
-        for hole, defect in defects:
-            if defect != 0:
-                raise NotInSpaceError(hole, float(defect), "exact defect |Re| + |Im| =")
-        assert not flagged, "a hole coefficient nonzero mod p is nonzero"
+        # answers a question about a function outside the space; the first
+        # hole alone, then all of them (once when the two are the same)
+        for holes in dict.fromkeys((space.holes[:1], space.holes)):
+            head = PuncturedSpace(holes)
+            weights = f.taylor(head.k_max, lift, m)
+            for hole, defect in exact_membership_defects(f, head, weights):
+                if defect != 0:
+                    raise NotInSpaceError(hole, float(defect), "exact defect |Re| + |Im| =")
         matrix = assemble_criterion_matrix(weights, space.holes, m).assembled
         basis = fraction_kernel(matrix.tolist(), 2 * m + 1)
         kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T

@@ -6,10 +6,9 @@ truncation error): the numerator divided by one first-order section
 1 / (1 - conj(b) z) per pole, in turn, as a doubling scan in numpy on complex
 floats (rounding is its only error) and as a plain loop on the exact Gaussian
 dyadic rationals of :mod:`hardyball.exactrank` (int parts over a power of two,
-no gcd; Fractions only where the criterion reads parts) or on their residues
-modulo a prime.  It returns a plain array: complex for floats, object for
-exact scalars.  :class:`Rational` is the one
-rational-function type on the disk; it evaluates itself on circle nodes and
+no gcd; Fractions only where the criterion reads parts).  It returns a plain
+array: complex for floats, object for exact scalars.  :class:`Rational` is the
+one rational-function type on the disk; it evaluates itself on circle nodes and
 feeds :func:`expand` for its Taylor coefficients.  Every function the
 criterion reads is one: f / P_n (:meth:`hardyball.model.FactoredFunction.taylor`),
 the generator's weight function, and the witness factor.
@@ -80,9 +79,8 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     is skipped, so with no other pole p comes back bit for bit.  On complex
     floats a section is a doubling scan: after the step with shift s, y_k sums
     a^j x_{k-j} over j < 2s.  An exact ring (``ring`` lifts a number into it,
-    e.g. :func:`hardyball.exactrank.lift` or :func:`~hardyball.exactrank.lift_mod_p`;
-    its scalars need only ``+``, ``*`` and ``conjugate()``) runs the sections
-    as a plain loop, term by term.
+    e.g. :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*``
+    and ``conjugate()``) runs the sections as a plain loop, term by term.
     Returns a complex array for ``ring=complex``, else an object array.
     """
     if up_to < 0:

@@ -3,8 +3,9 @@
 Builders take explicit seeds and redraw infeasible configurations (hole sets
 that no outer numerator can satisfy exist; the generator reports them), so
 every test run sees the same instances.  :func:`hole_constraint_value` is the
-independent audit oracle of the criterion matrix entries, and
-:class:`FractionGaussian` the reference exact ring.
+independent audit oracle of the criterion matrix entries,
+:class:`FractionGaussian` the reference exact ring and :func:`direct_defects`
+the oracle of the exact membership defects.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from hardyball import (
     normalize,
     sample_member,
 )
+from hardyball.exactrank import lift
 
 
 def quick_sample_member(*args):
@@ -220,3 +222,13 @@ class FractionGaussian:
 def fraction_lift(z: complex) -> FractionGaussian:
     z = complex(z)
     return FractionGaussian(Fraction(z.real), Fraction(z.imag))
+
+
+def direct_defects(f: FactoredFunction, space: PuncturedSpace) -> list[tuple[int, Fraction]]:
+    """Exact |Re| + |Im| of each hole coefficient of f, from f itself expanded to k_max.
+
+    :func:`hardyball.exactrank.exact_membership_defects` reads the same values
+    back from the criterion weights f / P_m.
+    """
+    coeffs = f.taylor(space.k_max, lift)
+    return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]

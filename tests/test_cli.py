@@ -646,6 +646,8 @@ OVERFLOW_PROBLEM = problem_doc([[1.0, 0.0]], holes=(), zeros=((0.5, 0.0),))
     ("gen_negative_degree", "parse"),
     ("gen_zero_outside_disk", "parse"),
     ("gen_pole_inside_disk", "parse"),
+    ("gen_hole_too_large", "parse"),
+    ("analyze_hole_too_large", "parse"),
     ("analyze_witness_out_unwritable", "io"),
     ("sweep_out_unwritable", "io"),
     ("sweep_range_not_a_number", "parse"),
@@ -666,6 +668,9 @@ def test_no_traceback(case, kind, tmp_path, capsys):
         "gen_negative_degree": dict(GEN_SPEC, numerator_degree=-1),
         "gen_zero_outside_disk": dict(GEN_SPEC, inner_zeros=[[1.5, 0.0]]),
         "gen_pole_inside_disk": dict(GEN_SPEC, outer_denominator=[[2.0, 0.0]]),
+        # the Taylor expansion to 10^12 would not fit in memory: refused as it is parsed
+        "gen_hole_too_large": dict(GEN_SPEC, holes=[3, 10 ** 12]),
+        "analyze_hole_too_large": problem_doc([[1.0, 0.0]], holes=(2, 10 ** 12)),
         "analyze_int_too_large_for_a_float": problem_doc([[10 ** 400, 0]], holes=()),
         "analyze_infinite_coefficient": problem_doc([[float("inf"), 0]], holes=()),
         # |F| overflows on the circle; np.roots fails on the companion matrix

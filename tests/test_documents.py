@@ -6,8 +6,10 @@ import pytest
 
 from hardyball import DEFAULT, PerturbationWitness, SymmetricPolynomial
 from hardyball.documents import (
+    MAX_HOLE,
     DocumentError,
     canonical_json,
+    check_problem,
     format_float,
     load_json,
     parse_problem,
@@ -77,6 +79,13 @@ class TestProblemParsing:
         bad["options"] = {"tol_bogus": 1e-3}
         with pytest.raises(DocumentError, match="tol_bogus"):
             parse_problem(bad)
+
+    def test_hole_index_is_bounded(self):
+        # the expansion runs to the largest hole, so an unbounded one would exhaust memory
+        space = check_problem(dict(valid_problem(), holes=[2, MAX_HOLE]))[0]
+        assert space.k_max == MAX_HOLE == 10 ** 6
+        with pytest.raises(DocumentError, match=r"holes\[1\]: expected a hole index <= 1000000"):
+            check_problem(dict(valid_problem(), holes=[2, MAX_HOLE + 1]), source="p.json")
 
     def test_tol_root_is_not_an_option(self):
         # the outer check and the exposedness gate share the fixed model.ROOT_TOL

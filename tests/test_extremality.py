@@ -25,11 +25,10 @@ from hardyball import (
     single_hole_delta,
 )
 from hardyball import sample_member, series
-from hardyball.exactrank import (defects_from_weights, exact_membership_defects, fraction_kernel,
-                                 holes_nonzero_mod_p, lift)
+from hardyball.exactrank import exact_membership_defects, fraction_kernel, lift
 
-from _instances import (fraction_lift, hole_constraint_value, random_member, random_zeros,
-                        single_hole_member)
+from _instances import (direct_defects, fraction_lift, hole_constraint_value, random_member,
+                        random_zeros, single_hole_member)
 
 
 def factored(zeros, numerator, den=()):
@@ -357,6 +356,20 @@ NON_MEMBERS = {
 }
 
 
+@pytest.fixture
+def lift_expansions(monkeypatch):
+    """up_to of every exact Taylor recurrence run while a test runs."""
+    calls, expand = [], series.expand
+
+    def counting(numerator, parameters, up_to, ring=complex):
+        if ring is lift:
+            calls.append(up_to)
+        return expand(numerator, parameters, up_to, ring)
+
+    monkeypatch.setattr(series, "expand", counting)
+    return calls
+
+
 class TestExactBackend:
     def test_fraction_rank_small_cases(self):
         from fractions import Fraction as F
@@ -469,7 +482,8 @@ class TestExactBackend:
             (k, abs(sum(numerator[t] * weights[k - t] for t in range(min(k, 4) + 1))))
             for k in space.holes
         ]
-        assert exact_membership_defects(f, space) == expected
+        assert direct_defects(f, space) == expected
+        assert exact_membership_defects(f, space, f.taylor(space.k_max, lift, 3)) == expected
 
     def test_agrees_with_svd_on_exact_members(self):
         # numerator support {0, k-2, k} with the inner zero at the origin keeps
@@ -497,7 +511,7 @@ class TestExactBackend:
 
     def test_rejection_reports_the_exact_defect(self):
         f, space = NON_MEMBERS["triple_zero"]()
-        defects = dict(exact_membership_defects(f, space))
+        defects = dict(direct_defects(f, space))
         with pytest.raises(NotInSpaceError) as error:
             decide_extreme(f, space, backend="exact")
         # the absolute |Re| + |Im| of the exact coefficient, not scaled by any other
@@ -518,35 +532,44 @@ class TestExactBackend:
         # the same data under SVD agrees (sigma_2 is at rounding level)
         assert decide_extreme(f, space).status == NON_EXTREME
 
-    def test_rejection_expands_only_to_the_first_failing_hole(self, monkeypatch):
+    def test_rejection_expands_only_to_the_first_failing_hole(self, lift_expansions):
         f = sample_member(PuncturedSpace((3, 400)), (0.5 + 0.2j, -0.3 + 0.4j), (0.3,), 4, 7)
-        lift_expansions = []
-        expand = series.expand
-
-        def counting(numerator, parameters, up_to, ring=complex):
-            if ring is lift:
-                lift_expansions.append(up_to)
-            return expand(numerator, parameters, up_to, ring)
-
-        monkeypatch.setattr(series, "expand", counting)
         with pytest.raises(NotInSpaceError) as error:
             decide_extreme(f, PuncturedSpace((3, 400)), backend="exact")
         assert error.value.hole == 3
         assert lift_expansions == [3]
 
+    @pytest.mark.parametrize("name, expansions", [
+        ("polynomial_two_holes", [3, 40]), ("overflow", [30])])
+    def test_exact_member_expands_to_the_first_hole_then_to_the_last(self, name, expansions,
+                                                                     lift_expansions):
+        f, space = EXACT_FIXTURES[name]()
+        decide_extreme(f, space, backend="exact")
+        assert lift_expansions == expansions
+
+    def test_non_member_zero_at_the_first_hole_expands_to_the_last(self, lift_expansions):
+        # f = 1 + z^3 / 8: the coefficient at hole 2 is exactly zero, the one at 3 is not
+        with pytest.raises(NotInSpaceError) as error:
+            decide_extreme(factored([], [1.0, 0.0, 0.0, 0.125]), PuncturedSpace((2, 3, 40)),
+                           backend="exact")
+        assert (error.value.hole, error.value.residual) == (3, 0.125)
+        assert lift_expansions == [2, 40]
+
     @pytest.mark.parametrize("name", sorted(EXACT_FIXTURES) + sorted(NON_MEMBERS))
     def test_defects_from_weights_equal_the_direct_defects(self, name):
         f, space = {**EXACT_FIXTURES, **NON_MEMBERS}[name]()
         weights = f.taylor(space.k_max, lift, f.inner.degree)
-        defects = exact_membership_defects(f, space)
-        assert defects_from_weights(f, space, weights) == defects
+        defects = direct_defects(f, space)
+        assert exact_membership_defects(f, space, weights) == defects
         assert any(d != 0 for _, d in defects) == (name in NON_MEMBERS)
 
     @pytest.mark.parametrize("name", sorted(EXACT_FIXTURES))
     def test_exact_fixtures_pass_the_modular_filter(self, name):
+        # every exact fixture is a member the exact backend decides, with no tolerance
         f, space = EXACT_FIXTURES[name]()
-        assert holes_nonzero_mod_p(f, space) == []
-        assert decide_extreme(f, space, backend="exact").backend == "exact"
+        verdict = decide_extreme(f, space, backend="exact")
+        assert verdict.backend == "exact" and verdict.status in (EXTREME, NON_EXTREME)
+        assert verdict.rank + verdict.kernel_dimension == 2 * f.inner.degree + 1
 
 
 # dyadic parts in [-1/2, 1/2]: zeros, poles and the roots -1/g of 1 + g z all
@@ -577,7 +600,12 @@ def dyadic_members(draw):
 @given(st.one_of(dyadic_members(),
                  st.integers(0, 10**6).map(lambda seed: random_member(seed, k_max=40))))
 def test_modular_filter_flags_exactly_the_nonzero_holes(instance):
-    # a ring map sends 0 to 0, and p = 2^31 - 1 divides none of these defects
+    # the exact backend raises exactly when a hole coefficient is nonzero, at the first such hole
     f, space = instance
-    nonzero = [k for k, defect in exact_membership_defects(f, space) if defect != 0]
-    assert holes_nonzero_mod_p(f, space) == nonzero
+    nonzero = [(k, float(defect)) for k, defect in direct_defects(f, space) if defect != 0]
+    if nonzero:
+        with pytest.raises(NotInSpaceError) as error:
+            decide_extreme(f, space, backend="exact")
+        assert (error.value.hole, error.value.residual) == nonzero[0]
+    else:
+        assert decide_extreme(f, space, backend="exact").backend == "exact"

@@ -45,10 +45,16 @@ EXACT_LOCUS_MEMBER = dict(
 A_53 = [0.3123456789012345, 0.4198765432109876]
 EXACT_FAR_MEMBER = dict(README_PROBLEM, holes=[2, 800], inner_zeros=[A_53], options={},
                         outer_numerator=[[1.0, 0.0], [-A_53[0], A_53[1]]])
+# z + 2^-60 z^3 with holes {2, 3, 40}: a float member, exactly zero at hole 2 but not at 3
+ZERO_AT_FIRST_HOLE = dict(README_PROBLEM, holes=[2, 3, 40],
+                          outer_numerator=[[1.0, 0.0], [0.0, 0.0], [2.0 ** -60, 0.0]])
 
 PINS = {
     "analyze_exact_float_member_rejected": {
         "stdout": "a7037d3cb43be55bc3c8ac561196b896e32ffc78c87765667ffe4eff601460f0",
+    },
+    "analyze_exact_zero_at_first_hole_rejected": {
+        "stdout": "d23309c4ae5a18077dfa7324280f23ac5e61302b59eb3abf124b0a67e434a633",
     },
     "analyze_exact_far_member": {
         "stdout": "36836ed7d3026423bd01983851f896ea21ba55cb18b3f3c03d916277f27328fe",
@@ -115,6 +121,8 @@ def outputs(case: str, directory) -> dict[str, bytes]:
     argv, expected = {
         "analyze_exact_dyadic_member": (["analyze", write("p.json", README_PROBLEM), "--exact"], 0),
         "analyze_exact_far_member": (["analyze", write("f.json", EXACT_FAR_MEMBER), "--exact"], 0),
+        "analyze_exact_zero_at_first_hole_rejected":
+            (["analyze", write("z.json", ZERO_AT_FIRST_HOLE), "--exact"], 2),
         "sweep_readme_template": (["sweep", write("t.json", README_TEMPLATE), "--param", "beta",
                                    "--range=-1:1:0.5"], 0),
         "gen_fixed_seed": (["gen", write("s.json", GEN_SPEC), "--seed", "11"], 0),
