@@ -20,6 +20,12 @@ A problem document's ``options`` are the only way to set a tolerance, so a
 report depends on its documents and flags alone; ``gen`` uses the defaults.
 Every tolerance must be a finite number > 0, a sweep has at most
 :data:`MAX_SWEEP_ROWS` rows and ``--jobs`` must be >= 1.
+
+A sweep builds and checks each row's function on its own and decides its rows
+in blocks of stacked arrays (at most ``series.STACK_ELEMENTS`` Taylor
+coefficients a block): every stage, from root finding to the SVD, runs once
+per group of rows of one shape and gives each row the bytes it gets alone.
+With ``--jobs N`` each worker decides one contiguous share of the rows.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certificates, documents, extremality, model
+from . import certificates, documents, extremality, model, series
 from .documents import DocumentError, canonical_json
 from .extremality import BORDERLINE, EXTREME, NON_EXTREME
 from .series import EvaluationError, QuadratureConvergenceError
@@ -226,33 +232,83 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 
 # pool workers do not inherit the error state main sets
 @np.errstate(all="ignore")
-def _sweep_point(parsed: tuple, values: tuple[float, ...]) -> list[str]:
-    """One CSV row: the point's values put into the parsed template's slots, then decided."""
-    row = [documents.format_float(v) for v in values]
+def _sweep_rows(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
+    """The CSV rows of consecutive points, decided in blocks of at most
+    series.STACK_ELEMENTS Taylor coefficients, so memory grows with neither the point count
+    nor k_max."""
+    size = max(1, series.STACK_ELEMENTS // (parsed[0].k_max + 1))
+    return [row for i in range(0, len(combos), size)
+            for row in _decide_block(parsed, combos[i:i + size])]
+
+
+def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
+    """Each point's values put into the parsed template's slots, then decided.
+
+    Every row is built, and so checked, on its own.  The numerics run on stacked rows, one
+    stage at a time, and give each row the bits it gets alone: root finding, the membership
+    expansion, the L1 norm, the criterion weights and their SVD; with one hole and inner
+    degree 1, the determinant reads the same weights.  A row leaves at its skip or error.
+    """
     space, tol, constant, fields, slots = parsed
-    try:
-        zeros, numerator, denominator = fields = [list(field) for field in fields]
-        for field, entry, part, j in slots:
-            c = fields[field][entry]
-            fields[field][entry] = (complex(values[j], c.imag) if part == 0
-                                    else complex(c.real, values[j]))
-        f = documents.build_function(zeros, constant, numerator, denominator, "<sweep>")
-        membership = model.check_membership(f.taylor(space.k_max), space, tol)
-        if not membership.passed:
-            return row + ["skip", "", "", ""]
-        f, _ = model.normalize(f, tol)
-        verdict = extremality.decide_extreme(f, space, tol, membership=membership)
-        delta = ""
-        if space.size == 1 and verdict.condition_a.m == 1:
-            delta = documents.format_float(
-                extremality.single_hole_delta(f, space.holes[0], tol).delta
-            )
-        sigmas = verdict.singular_values
-        min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
-        return row + [verdict.status, str(verdict.rank), delta, min_sigma]
-    except Exception as exc:
-        cause = exc.__cause__ or exc
-        return row + [f"error:{type(cause).__name__}", "", "", ""]
+    m = len(fields[0])
+    values = np.array(combos, dtype=float)  # (rows, parameters)
+    zeros, numerator, denominator = parts = [
+        np.tile(np.array(field, dtype=complex), (len(combos), 1)) for field in fields]
+    for field, entry, part, j in slots:
+        column = parts[field][:, entry]
+        if part == 0:
+            column.real = values[:, j]
+        else:
+            column.imag = values[:, j]
+    if constant != 1:  # formed as build_function forms it
+        numerator = series._product(constant, numerator)
+    tails: list = [None] * len(combos)
+    fs = {}
+    for i, roots in enumerate(model._roots_rows(numerator)):
+        try:
+            fs[i] = documents.build_function(
+                zeros[i].tolist(), 1, numerator[i].tolist(), denominator[i].tolist(), "<sweep>",
+                None if isinstance(roots, Exception) else roots)  # a failed group: its own
+        except Exception as exc:
+            tails[i] = _error_tail(exc)
+    if fs:
+        _, residuals = model._residuals(model._weights_rows(list(fs.values()), space.k_max),
+                                        space.holes)
+        for i, passed in zip(list(fs), (residuals <= tol.membership).all(axis=-1)):
+            if not passed:
+                tails[i] = ["skip", "", "", ""]
+                del fs[i]
+    for i, f in zip(list(fs), model._normalize_rows(list(fs.values()), tol)):
+        if isinstance(f, Exception):
+            tails[i] = _error_tail(f)
+            del fs[i]
+        else:
+            fs[i] = f
+    if fs:
+        weights = model._weights_rows(list(fs.values()), space.k_max, m)
+        verdicts = extremality._decide_rows(weights, space, m, tol)
+        for i, w, verdict in zip(fs, weights, verdicts):
+            if isinstance(verdict, Exception):
+                tails[i] = _error_tail(verdict)
+                continue
+            status, rank, sigmas = verdict
+            try:
+                delta = ""
+                if space.size == 1 and m == 1:
+                    delta = documents.format_float(
+                        extremality._delta(w, space.holes[0], tol).delta)
+                min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
+            except ValueError as exc:  # a delta whose squares overflow is not finite
+                tails[i] = _error_tail(exc)
+                continue
+            tails[i] = [status, str(rank), delta, min_sigma]
+    return [[documents.format_float(v) for v in point] + tail
+            for point, tail in zip(combos, tails)]
+
+
+def _error_tail(exc: Exception) -> list[str]:
+    cause = exc.__cause__ or exc
+    return [f"error:{type(cause).__name__}", "", "", ""]
 
 
 def _parse_range(spec: str) -> tuple[float, float, float]:
@@ -304,10 +360,14 @@ def cmd_sweep(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # one contiguous share of the rows per worker
+        shares = [combos[len(combos) * w // workers:len(combos) * (w + 1) // workers]
+                  for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, itertools.repeat(parsed), combos))
+            rows = [row for share in pool.map(_sweep_rows, itertools.repeat(parsed), shares)
+                    for row in share]
     else:
-        rows = [_sweep_point(parsed, combo) for combo in combos]
+        rows = _sweep_rows(parsed, combos)
 
     header = list(names) + ["status", "rank", "delta", "min_singular_value"]
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:

@@ -194,11 +194,17 @@ def check_problem(data: dict, source: str = "<problem>") -> tuple:
     return space, zeros, constant, numerator, denominator, replace(DEFAULT, **options)
 
 
-def build_function(zeros, constant, numerator, denominator, source="<problem>") -> FactoredFunction:
-    """The function of checked problem fields; the inner constant goes into the outer numerator."""
+def build_function(zeros, constant, numerator, denominator, source="<problem>",
+                   roots=None) -> FactoredFunction:
+    """The function of checked problem fields; the inner constant goes into the outer numerator.
+
+    ``roots``, when given, are the roots of that product, already found (see
+    :class:`~hardyball.model.OuterRational`).
+    """
     numerator = tuple(constant * c for c in numerator) if constant != 1 else numerator
     try:
-        return FactoredFunction(BlaschkeProduct(zeros), OuterRational(numerator, denominator))
+        return FactoredFunction(BlaschkeProduct(zeros),
+                                OuterRational(numerator, denominator, roots))
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
 

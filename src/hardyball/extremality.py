@@ -112,21 +112,30 @@ def assemble_criterion_matrix(coeffs, holes, m: int) -> CriterionMatrix:
     tabulation serves float and exact coefficients.
     """
     holes = tuple(int(k) for k in holes)
+    return CriterionMatrix(holes, m, _assemble(coeffs, holes, m), coeffs)
+
+
+def _assemble(coeffs, holes: tuple[int, ...], m: int) -> np.ndarray:
+    """The assembled blocks; coefficient rows (shape (r, n)) give one matrix per row."""
     count = len(holes)
     base = np.array(holes, dtype=int).reshape(-1, 1) - m
     offsets = np.arange(m + 1)
     # positions of c_{k+l-m} (first M rows) and c_{k-l-m} (last M rows); outside 0..n-1, zero
     index = np.concatenate([base + offsets, base - offsets])
-    inside = (index >= 0) & (index < len(coeffs))
-    values = np.where(inside, np.asarray(coeffs)[np.where(inside, index, 0)], 0).ravel().tolist()
-    re = np.array([c.real for c in values]).reshape(index.shape)
-    im = np.array([c.imag for c in values]).reshape(index.shape)
-    re_sum, im_sum = re[:count] + re[count:], im[:count] + im[count:]
-    re_diff = re[:count, 1:] - re[count:, 1:]
-    im_diff = im[:count, 1:] - im[count:, 1:]
-    assembled = np.concatenate([np.concatenate([re_sum, im_diff], axis=1),
-                                np.concatenate([im_sum, -re_diff], axis=1)])
-    return CriterionMatrix(holes, m, assembled, coeffs)
+    coeffs = np.asarray(coeffs)
+    inside = (index >= 0) & (index < coeffs.shape[-1])
+    values = np.where(inside, coeffs[..., np.where(inside, index, 0)], 0)
+    if values.dtype == object:  # exact scalars: their Fraction parts, one by one
+        re, im = (np.array([getattr(c, part) for c in values.flat]).reshape(values.shape)
+                  for part in ("real", "imag"))
+    else:
+        re, im = values.real, values.imag
+    re_sum = re[..., :count, :] + re[..., count:, :]
+    im_sum = im[..., :count, :] + im[..., count:, :]
+    re_diff = re[..., :count, 1:] - re[..., count:, 1:]
+    im_diff = im[..., :count, 1:] - im[..., count:, 1:]
+    return np.concatenate([np.concatenate([re_sum, im_diff], axis=-1),
+                           np.concatenate([im_sum, -re_diff], axis=-1)], axis=-2)
 
 
 def build_criterion_matrix(
@@ -170,10 +179,19 @@ def numeric_rank(
     smax = float(s[0]) if s.size else 0.0
     if max(smax, scale_floor) == 0.0:
         return RankResult(0, np.eye(matrix.shape[1]), s, False)
-    cutoff = tol_rank * max(smax, scale_floor)
-    rank = int((s > cutoff).sum())
-    borderline = bool(((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff)).any())
-    return RankResult(rank, vh[rank:], s, borderline)
+    rank, borderline = _rank_rule(s, tol_rank, scale_floor)
+    return RankResult(int(rank), vh[rank:], s, bool(borderline))
+
+
+def _rank_rule(s: np.ndarray, tol_rank: float, scale_floor) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, borderline) of descending singular values along the last axis (each row with
+    its own scale floor); rank 0 and not borderline where sigma_max and the floor are 0."""
+    smax = s[..., 0]
+    top = np.where(scale_floor > smax, scale_floor, smax)  # max(smax, floor), as Python's max
+    cutoff = (tol_rank * top)[..., None]
+    rank = (s > cutoff).sum(axis=-1)
+    borderline = ((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff)).any(axis=-1) & (top != 0)
+    return rank, borderline
 
 
 @dataclass(frozen=True)
@@ -257,19 +275,42 @@ def decide_extreme(
     else:
         raise ValueError(f"unknown rank backend {backend!r}")
 
+    return ExtremalityVerdict(_status(cond, result.rank, result.borderline), result.rank,
+                              result.kernel, cond, result.singular_values, backend)
+
+
+def _status(cond: ConditionA, rank: int, borderline: bool) -> str:
     if not cond.holds:
         # rank <= 2M < 2m is structural: the matrix only has 2M rows
-        assert result.rank < 2 * m
-        status = NON_EXTREME
-    elif result.borderline:
-        status = BORDERLINE
-    elif result.rank == 2 * m:
-        status = EXTREME
-    else:
-        status = NON_EXTREME
-    return ExtremalityVerdict(
-        status, result.rank, result.kernel, cond, result.singular_values, backend
-    )
+        assert rank < 2 * cond.m
+        return NON_EXTREME
+    if borderline:
+        return BORDERLINE
+    return EXTREME if rank == 2 * cond.m else NON_EXTREME
+
+
+def _decide_rows(weights: np.ndarray, space: PuncturedSpace, m: int,
+                 tol: Tolerances = DEFAULT) -> list:
+    """The svd verdict of :func:`decide_extreme` for members of inner degree m, from rows of
+    their criterion weights f / P_m (shape (r, k_max + 1)): per row (status, rank, singular
+    values), or the ValueError of a matrix that is not finite.  The matrices are assembled
+    and their SVDs taken as one stack, each with the bits numeric_rank gives it alone."""
+    cond = ConditionA(m, space.size)
+    if not space.holes:  # the empty matrix has rank 0
+        return [(_status(cond, 0, False), 0, np.zeros(0))] * len(weights)
+    matrices = _assemble(weights, space.holes, m)
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    sigmas = np.linalg.svd(matrices[finite])[1]
+    ranks, borderline = _rank_rule(sigmas, tol.rank, np.abs(weights[finite]).max(axis=-1))
+    verdicts = iter(zip(sigmas, ranks.tolist(), borderline.tolist()))
+    out = []
+    for ok in finite:
+        if ok:
+            s, rank, flag = next(verdicts)
+            out.append((_status(cond, rank, flag), rank, s))
+        else:
+            out.append(ValueError("matrix must be finite"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -294,7 +335,11 @@ def single_hole_delta(
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
         return DeltaResult(float("inf"), EXTREME)
-    coeffs = f.taylor(k, first=1)
+    return _delta(f.taylor(k, first=1), k, tol)
+
+
+def _delta(coeffs: np.ndarray, k: int, tol: Tolerances = DEFAULT) -> DeltaResult:
+    """The m = 1 determinant test on the weights c_0..c_k of f / P_1."""
     lo = abs(coeffs[k - 2]) ** 2 if k >= 2 else 0.0
     hi = abs(coeffs[k]) ** 2
     delta = lo - hi

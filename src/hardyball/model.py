@@ -13,11 +13,14 @@ from __future__ import annotations
 import cmath
 import copy
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import InitVar, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .series import POLE_MARGIN, Rational, converged_circle_mean
+from .series import (POLE_MARGIN, STACK_ELEMENTS, Rational, _rational_values, _row_means,
+                     _taylor_rows, _trapezoid_start, converged_circle_mean)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -118,17 +121,22 @@ class OuterRational(Rational):
     its centroid (one copy per root, so repeats encode multiplicity).  The
     centroids decide the outer check and the circle roots.  Roots on the unit
     circle are allowed; the exposedness gate reads them, and circle means of
-    |F| split the circle at them.
+    |F| split the circle at them.  ``known_roots``, when given, are the
+    numerator's roots as :func:`numerator_roots` returns them, found for many
+    factors at once (a sweep); they pass the same clustering and checks.
     """
 
     zeros: tuple[complex, ...] = field(default=(), init=False)
     roots: tuple[complex, ...] = field(default=(), init=False, compare=False, repr=False)
+    known_roots: InitVar[Sequence[complex] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_roots):
         # the outer checks run before the pole-margin check, so their errors win
         if not any(c != 0 for c in self.numerator):
             raise ValueError("outer numerator must not be identically zero")
-        roots = _cluster([complex(r) for r in numerator_roots(self.numerator)])
+        if known_roots is None:
+            known_roots = numerator_roots(self.numerator)
+        roots = _cluster([complex(r) for r in known_roots])
         inside = [r for r in roots if abs(r) < 1.0 - ROOT_TOL]
         if inside:
             raise NotOuterError(inside)
@@ -171,13 +179,43 @@ def numerator_roots(coefficients) -> np.ndarray:
     coeffs = np.array(tuple(coefficients), dtype=complex)
     if not coeffs.any():
         raise ValueError("root finding needs a nonzero polynomial")
-    # np.roots wants descending order without leading zeros
-    descending = coeffs[::-1]
-    lead = int(np.argmax(descending != 0))
-    try:
-        return np.roots(descending[lead:])
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(str(exc)) from exc
+    roots = _roots_rows(coeffs[None])[0]
+    if isinstance(roots, np.linalg.LinAlgError):
+        raise RootFindingError(str(roots)) from roots
+    return roots
+
+
+def _roots_rows(coeffs: np.ndarray) -> list:
+    """The roots of each row of ascending coefficients (shape (r, L)), as ``np.roots`` finds
+    them: the eigenvalues of the companion matrix of the row cut to its nonzero ends, then
+    one zero root per trailing zero.  Rows cut to the same shape share one ``eigvals`` call,
+    which gives each matrix the bits it gets alone.  Per row: the roots, the LinAlgError of
+    its group's call (which may come from another row), or None for an all-zero row."""
+    nonzero = coeffs[:, ::-1] != 0  # descending, as np.roots reads them
+    lead = nonzero.argmax(axis=1).tolist()
+    trail = nonzero[:, ::-1].argmax(axis=1).tolist()
+    found = nonzero.any(axis=1).tolist()
+    out: list = [None] * len(coeffs)
+    for cut in {(lo, hi) for lo, hi, ok in zip(lead, trail, found) if ok}:
+        rows = [i for i, ok in enumerate(found) if ok and (lead[i], trail[i]) == cut]
+        p = coeffs[rows, ::-1][:, cut[0]:coeffs.shape[1] - cut[1]]
+        size = p.shape[1] - 1
+        roots = np.zeros((len(rows), 0))  # a constant has none
+        if size:
+            companion = np.zeros((len(rows), size, size), dtype=complex)
+            companion[:, 1:, :-1] = np.eye(size - 1)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            try:
+                roots = np.linalg.eigvals(companion)
+            except np.linalg.LinAlgError as exc:
+                roots = None
+                for i in rows:
+                    out[i] = exc
+        if roots is not None:
+            roots = np.hstack([roots, np.zeros((len(rows), cut[1]), roots.dtype)])
+            for i, r in zip(rows, roots):
+                out[i] = r
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,9 +238,18 @@ class FactoredFunction:
         degree-overflow operator.  Every product is formed in the scalar ring
         ``ring`` lifts into (see :meth:`hardyball.series.Rational.taylor`).
         """
+        return self._weights(first).taylor(up_to, ring)
+
+    def _weights(self, first: int) -> Rational:
+        """f / P_n for n = ``first`` as one :class:`~hardyball.series.Rational`."""
         zeros = self.inner.zeros
         poles = self.outer.poles + zeros[:first] * 2 + zeros[first:]
-        return Rational(self.outer.numerator, poles, zeros[first:]).taylor(up_to, ring)
+        return Rational(self.outer.numerator, poles, zeros[first:])
+
+
+def _weights_rows(fs: Sequence[FactoredFunction], up_to: int, first: int = 0) -> np.ndarray:
+    """``f.taylor(up_to, first=first)`` of functions of equal shape, as rows of one array."""
+    return _taylor_rows([f._weights(first) for f in fs], up_to)
 
 
 def canonical_product(zeros, ring=complex) -> np.ndarray:
@@ -247,20 +294,36 @@ def check_membership(
     """
     if not space.holes:
         return MembershipReport((), (), 0.0, tol.membership)
-    scale = float(np.abs(coeffs).max())
-    if scale == 0.0:
-        return MembershipReport(space.holes, (0.0,) * space.size, 0.0, tol.membership)
-    residuals = tuple(float(abs(coeffs[k])) / scale for k in space.holes)
-    return MembershipReport(space.holes, residuals, scale, tol.membership)
+    scale, residuals = _residuals(coeffs, space.holes)
+    return MembershipReport(space.holes, tuple(map(float, residuals)), float(scale),
+                            tol.membership)
+
+
+def _residuals(coeffs: np.ndarray, holes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(max_j |c_j|, |c_k| / max_j |c_j| at each hole k) along the last axis, the residuals
+    0 where every coefficient is."""
+    scale = np.abs(coeffs).max(axis=-1)
+    at_holes = coeffs[..., list(holes)]
+    residuals = np.zeros(at_holes.shape)
+    with np.errstate(invalid="ignore"):  # inf / inf: nan, which fails the check
+        # hypot, the scalar abs: numpy's complex abs on arrays may differ in the last bit
+        np.divide(np.hypot(at_holes.real, at_holes.imag), scale[..., None], out=residuals,
+                  where=scale[..., None] != 0)
+    return scale, residuals
 
 
 def l1_norm(f: FactoredFunction, tol: Tolerances = DEFAULT) -> float:
     """Certified circle average of |f|, split at the outer factor's circle roots, else on a
     trapezoid ladder started from the roots r and poles b of F (|B| = 1 on the circle)."""
-    alpha = min([math.log(abs(r)) for r in f.outer.roots]
-                + [-math.log(abs(b)) for b in f.outer.poles if b], default=math.inf)
-    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol, f.outer.circle_roots, alpha)
+    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol, f.outer.circle_roots,
+                                     _alpha(f))
     return value
+
+
+def _alpha(f: FactoredFunction) -> float:
+    """|F| is analytic in e^{-alpha} < |z| < e^{alpha} (inf: F has no root and no pole)."""
+    return min([math.log(abs(r)) for r in f.outer.roots]
+               + [-math.log(abs(b)) for b in f.outer.poles if b], default=math.inf)
 
 
 def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredFunction, float]:
@@ -269,7 +332,11 @@ def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredF
     Returns (normalized function, applied scale).  Only the outer factor is
     touched, preserving the factorization shape.
     """
-    norm = l1_norm(f, tol)
+    return _rescaled(f, l1_norm(f, tol))
+
+
+def _rescaled(f: FactoredFunction, norm: float) -> tuple[FactoredFunction, float]:
+    """f / norm with its scale, as :func:`normalize` returns them."""
     if norm == 0.0:
         raise ValueError("cannot normalize the zero function")
     scale = 1.0 / norm
@@ -278,6 +345,57 @@ def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredF
         raise NormalizationError(f"normalized scale 1/{norm:.17g} = {scale:g} "
                                  "leaves the outer numerator non-finite")
     return FactoredFunction(f.inner, outer), scale
+
+
+def _normalize_rows(fs: Sequence[FactoredFunction], tol: Tolerances = DEFAULT) -> list:
+    """:func:`normalize` of functions of equal shape: per row the normalized function or the
+    error normalize raises, bit for bit.  Root-free rows with the same first trapezoid grid
+    share one ladder of rows (at most STACK_ELEMENTS values at the first doubling); rows with
+    circle roots (the arc rule), and rows put off a ladder, run normalize alone."""
+    out: list = [None] * len(fs)
+    ladders = defaultdict(list)
+    for i, f in enumerate(fs):
+        if f.outer.circle_roots:
+            out[i] = _attempt(normalize, f, tol)
+        else:
+            ladders[_trapezoid_start(_alpha(f), tol)].append(i)
+    for start, rows in ladders.items():
+        size = max(1, STACK_ELEMENTS // (2 * start))
+        for chunk in (rows[j:j + size] for j in range(0, len(rows), size)):
+            means = _row_means(_rows_integrand([fs[i] for i in chunk]), len(chunk), start, tol)
+            for i, mean in zip(chunk, means):
+                if mean is None:
+                    out[i] = _attempt(normalize, fs[i], tol)
+                elif isinstance(mean, Exception):
+                    out[i] = mean
+                else:
+                    out[i] = _attempt(_rescaled, fs[i], mean[0])
+    return out
+
+
+def _attempt(step, *args):
+    """The function ``step`` returns first, or the error it raises."""
+    try:
+        return step(*args)[0]
+    except Exception as exc:
+        return exc
+
+
+def _rows_integrand(fs: Sequence[FactoredFunction]):
+    """|f(z)| of functions of equal shape as rows: ``integrand(z, rows)`` evaluates the rows
+    of the index array ``rows``, each bit for bit ``np.abs(f(z))``."""
+    def stack(part):
+        return np.array([part(f) for f in fs], dtype=complex).reshape(len(fs), -1)
+
+    parts = (stack(lambda f: f.inner.zeros), stack(lambda f: f.outer.numerator),
+             stack(lambda f: f.outer.poles))
+
+    def integrand(z, rows):
+        zeros, numerator, poles = ([c[:, None] for c in part[rows].T] for part in parts)
+        return np.abs(_rational_values((1,), zeros, zeros, z)
+                      * _rational_values(numerator, (), poles, z))
+
+    return integrand
 
 
 # the generator redraws when numerator roots come this close to the circle:

@@ -40,6 +40,9 @@ POLE_MARGIN = 1e-9
 QUAD_MAX_N = 2 ** 20
 # nodes per panel of the composite Gauss-Legendre rule on circle arcs
 GAUSS_NODES = 16
+# arrays of stacked rows (a sweep's rows times Taylor terms or circle nodes) hold at most
+# this many elements, so a sweep's memory grows with neither its row count nor k_max
+STACK_ELEMENTS = 2 ** 14
 
 
 class PoleMarginError(ValueError):
@@ -47,12 +50,14 @@ class PoleMarginError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """An integrand produced a non-finite value at a grid node."""
+    """An integrand produced a non-finite value at a grid node (``rows``: for an integrand of
+    rows, which of them have one)."""
 
-    def __init__(self, node: complex, index: int):
+    def __init__(self, node: complex, index: int, rows: np.ndarray | None = None):
         super().__init__(f"non-finite evaluation at node {index} ({node})")
         self.node = node
         self.index = index
+        self.rows = rows
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -78,25 +83,32 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     when poles cluster near the circle, is never multiplied out.  A zero pole
     is skipped, so with no other pole p comes back bit for bit.  On complex
     floats a section is a doubling scan: after the step with shift s, y_k sums
-    a^j x_{k-j} over j < 2s.  An exact ring (``ring`` lifts a number into it,
-    e.g. :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*``
-    and ``conjugate()``) runs the sections as a plain loop, term by term.
-    Returns a complex array for ``ring=complex``, else an object array.
+    a^j x_{k-j} over j < 2s, and a^{2s} is formed as Python forms a complex
+    product (:func:`_product`).  On complex floats the numerator may also be
+    rows (shape (r, L)) with each pole an array of r values: every row gets its
+    own recurrence, bit for bit, and a pole that is zero in every row is
+    skipped, so rows whose poles are zero in different places go apart.  An
+    exact ring (``ring`` lifts a number into it, e.g.
+    :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*`` and
+    ``conjugate()``) runs the sections as a plain loop, term by term.  Returns
+    a complex array (rows: shape (r, up_to + 1)) for ``ring=complex``, else an
+    object array.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     n = up_to + 1
-    poles = [b for b in parameters if b != 0]
+    poles = [b for b in parameters if np.any(b != 0)]
     if ring is complex:
-        head = np.asarray(numerator, dtype=complex)[:n]
-        coeffs = np.concatenate([head, np.zeros(n - head.size, dtype=complex)])
-        scratch = np.empty(n, dtype=complex)
+        head = np.asarray(numerator, dtype=complex)[..., :n]
+        coeffs = np.zeros(head.shape[:-1] + (n,), dtype=complex)
+        coeffs[..., :head.shape[-1]] = head
+        scratch = np.empty_like(coeffs)
         for b in poles:
-            a, s = complex(b).conjugate(), 1
+            a, s = np.conj(np.asarray(b, dtype=complex))[..., None], 1
             while s < n:
-                np.multiply(coeffs[:n - s], a, out=scratch[s:])
-                coeffs[s:] += scratch[s:]
-                a *= a
+                np.multiply(coeffs[..., :n - s], a, out=scratch[..., s:])
+                coeffs[..., s:] += scratch[..., s:]
+                a = _product(a, a)
                 s *= 2
         return coeffs
     # term by term: of each section's growing exact values only the last is live
@@ -111,11 +123,44 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     return np.array(coeffs, dtype=object)
 
 
-def _polyval(coeffs: Sequence[complex], z):
-    """Evaluate sum_k coeffs[k] z^k (Horner, ascending coefficient order)."""
-    acc = np.full_like(z, coeffs[-1], dtype=complex) if isinstance(z, np.ndarray) else coeffs[-1]
+def _product(x, y):
+    """x * y formed as Python forms a complex product, each part from the parts of x and y
+    with one rounding per operation; numpy's own complex multiply may fuse them."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _polyval(coeffs: Sequence, z):
+    """Evaluate sum_k coeffs[k] z^k (Horner, ascending coefficient order); a coefficient may
+    be a column of rows (shape (r, 1)), giving one row of values per row."""
+    if isinstance(z, np.ndarray):
+        acc = np.empty(np.broadcast_shapes(z.shape, np.shape(coeffs[-1])), dtype=complex)
+        acc[...] = coeffs[-1]
+    else:
+        acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * z + c
+    return acc
+
+
+def _rational_values(numerator: Sequence, zeros: Sequence, poles: Sequence, z):
+    """numerator(z) * prod_i (z - a_i) / prod_i (1 - conj(b_i) z).  Zero i is applied together
+    with pole i, so on the circle the partial products stay near modulus one; unpaired poles
+    divide once at the end.  Each coefficient and parameter may be a column of rows (shape
+    (r, 1)): the values are then rows, each bit for bit its own rational's."""
+    acc = _polyval(numerator, z)
+    paired = min(len(zeros), len(poles))
+    for a, b in zip(zeros, poles):
+        acc = acc * (z - a) / (1 - b.conjugate() * z)
+    for a in zeros[paired:]:
+        acc = acc * (z - a)
+    if len(poles) > paired:
+        den = 1 + 0j
+        for b in poles[paired:]:
+            den = den * (1 - b.conjugate() * z)
+        acc = acc / den
     return acc
 
 
@@ -141,20 +186,8 @@ class Rational:
         check_pole_margin(self.poles)
 
     def __call__(self, z):
-        """Value at z.  Zero i is applied together with pole i, so on the circle the
-        partial products stay near modulus one; unpaired poles divide once at the end."""
-        acc = _polyval(self.numerator, z)
-        paired = min(len(self.zeros), len(self.poles))
-        for a, b in zip(self.zeros, self.poles):
-            acc = acc * (z - a) / (1 - b.conjugate() * z)
-        for a in self.zeros[paired:]:
-            acc = acc * (z - a)
-        if len(self.poles) > paired:
-            den = 1 + 0j
-            for b in self.poles[paired:]:
-                den = den * (1 - b.conjugate() * z)
-            acc = acc / den
-        return acc
+        """Value at z (see :func:`_rational_values`)."""
+        return _rational_values(self.numerator, self.zeros, self.poles, z)
 
     def taylor(self, up_to: int, ring: Callable = complex) -> np.ndarray:
         """Taylor coefficients c_0..c_{up_to}, every product formed in ``ring``.
@@ -163,10 +196,29 @@ class Rational:
         arrays for an exact ring), and :func:`expand` divides the product by
         one first-order section per pole.
         """
+        return expand(self._with_zeros(ring), self.poles, up_to, ring)
+
+    def _with_zeros(self, ring: Callable) -> list | np.ndarray:
+        """The numerator times prod_i (z - a_i), formed in ``ring``."""
         numerator = [ring(c) for c in self.numerator]
         for a in self.zeros:
             numerator = np.convolve(numerator, [-ring(a), ring(1)])
-        return expand(numerator, self.poles, up_to, ring)
+        return numerator
+
+
+def _taylor_rows(rationals: Sequence[Rational], up_to: int) -> np.ndarray:
+    """Complex :meth:`Rational.taylor` of rationals with equal numerator and pole counts, as
+    rows (shape (r, up_to + 1)): rows whose poles are zero in the same places share one
+    :func:`expand`, and each row's coefficients are bit for bit its own expansion's."""
+    count = len(rationals)
+    numerators = np.array([r._with_zeros(complex) for r in rationals], dtype=complex)
+    poles = np.array([r.poles for r in rationals], dtype=complex).reshape(count, -1)
+    out = np.empty((count, up_to + 1), dtype=complex)
+    patterns = (poles != 0).tolist()
+    for pattern in set(map(tuple, patterns)):
+        rows = [i for i, p in enumerate(patterns) if tuple(p) == pattern]
+        out[rows] = expand(numerators[rows], poles[rows].T, up_to)
+    return out
 
 
 # integrands see at most this many nodes per call, so that their temporaries on
@@ -204,19 +256,23 @@ def _finite_values(integrand, nodes: np.ndarray, first: int = 0, step: int = 1) 
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
-        raise EvaluationError(complex(nodes[i]), first + step * i)
+        raise EvaluationError(complex(nodes[i]), first + step * i, bad.any(axis=-1))
     return vals
 
 
 def _trapezoid_means(integrand, start_n: int):
     """(mean, n) on uniform grids of n = start_n, 2 start_n, ... up to QUAD_MAX_N nodes; each
-    doubling evaluates only the new (odd) nodes, so each mean is bit for bit its full grid's."""
+    doubling evaluates only the new (odd) nodes, so each mean is bit for bit its full grid's.
+    A caller of an integrand of rows may send a mask of the rows to go on with (a per-row
+    stop); the integrand must then return just those rows."""
     n, vals = start_n, _finite_values(integrand, circle_nodes(start_n))
     while True:
-        yield np.real(vals).mean(axis=-1), n
+        keep = yield np.real(vals).mean(axis=-1), n
         n *= 2
         if n > QUAD_MAX_N:
             return
+        if keep is not None:
+            vals = vals[keep]
         odd = _finite_values(integrand, circle_nodes(n, odd=True), 1, 2)
         vals = np.stack([vals, odd], axis=-1).reshape(vals.shape[:-1] + (n,))  # interleaved
 
@@ -275,16 +331,68 @@ def converged_circle_mean(
     """
     if len(roots):
         rule = _arc_means(integrand, roots)
-    elif alpha is None:
-        rule = _trapezoid_means(integrand, tol.quad_start_n)
     else:
-        need = max(16.0, math.log(1.0 / tol.quad) / alpha + 1)
-        rule = _trapezoid_means(integrand, min(QUAD_MAX_N // 2, 2 ** math.ceil(math.log2(need))))
-    goal, prev = tol.quad, None
+        start = tol.quad_start_n if alpha is None else _trapezoid_start(alpha, tol)
+        rule = _trapezoid_means(integrand, start)
+    prev = None
     for cur, n in rule:
-        if prev is not None and (np.abs(cur - prev) <= goal * np.maximum(1.0, np.abs(cur))).all():
+        if prev is not None and _settled(cur, prev, tol).all():
             return (float(cur) if cur.ndim == 0 else cur), n
         prev = cur
-    raise QuadratureConvergenceError(
-        f"circle mean did not stabilise to {goal:g} by n = {QUAD_MAX_N}"
+    raise _unsettled(tol)
+
+
+def _trapezoid_start(alpha: float, tol: Tolerances = DEFAULT) -> int:
+    """The first trapezoid grid for an integrand analytic in e^{-alpha} < |z| < e^{alpha}
+    (inf: no singularity): the power of two at or above max(16, log(1 / tol.quad) / alpha + 1),
+    at most QUAD_MAX_N / 2 so one doubling fits."""
+    need = max(16.0, math.log(1.0 / tol.quad) / alpha + 1)
+    return min(QUAD_MAX_N // 2, 2 ** math.ceil(math.log2(need)))
+
+
+def _settled(cur, prev, tol: Tolerances):
+    """Where successive circle means agree within tol.quad scaled by max(1, |value|)."""
+    return np.abs(cur - prev) <= tol.quad * np.maximum(1.0, np.abs(cur))
+
+
+def _unsettled(tol: Tolerances) -> QuadratureConvergenceError:
+    return QuadratureConvergenceError(
+        f"circle mean did not stabilise to {tol.quad:g} by n = {QUAD_MAX_N}"
     )
+
+
+def _row_means(integrand, count: int, start_n: int, tol: Tolerances = DEFAULT) -> list:
+    """Trapezoid circle means of ``count`` rows on one ladder from ``start_n`` nodes, each row
+    stopping on its own test, so that its value and node count are bit for bit those
+    :func:`converged_circle_mean` gives it alone.  ``integrand(z, rows)`` evaluates the rows
+    of the index array ``rows``.  Per row: (value, n); the error its own ladder raises; or
+    None for a row put off the ladder so that rows x nodes stay within STACK_ELEMENTS (the
+    caller integrates it alone).  A row with a non-finite value leaves with its
+    :class:`EvaluationError`, and the other rows start their ladder again, to the same bits.
+    """
+    out: list = [None] * count
+    active = np.arange(count)
+    while active.size:
+        ladder = _trapezoid_means(lambda z: integrand(z, active), start_n)
+        try:
+            cur, n = next(ladder)
+            prev = None
+            while True:
+                keep = np.ones(active.size, bool) if prev is None else ~_settled(cur, prev, tol)
+                for i, value in zip(active[~keep], cur[~keep]):
+                    out[i] = (float(value), n)
+                keep[np.cumsum(keep) > max(1, STACK_ELEMENTS // (2 * n))] = False
+                active, prev = active[keep], cur[keep]
+                if not active.size:
+                    return out
+                cur, n = ladder.send(keep)
+        except StopIteration:
+            out_of_nodes = _unsettled(tol)
+            for i in active:
+                out[i] = out_of_nodes
+            break
+        except EvaluationError as exc:
+            for i in active[exc.rows]:
+                out[i] = exc
+            active = active[~exc.rows]
+    return out

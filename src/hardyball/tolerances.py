@@ -10,6 +10,7 @@ circle roots), ``model.CLUSTER_TOL`` (multiple roots),
 ``model.SAMPLE_RETRIES`` (draws of the member generator), the
 ``certificates.WITNESS_*`` checks and the two witness grid sizes
 ``certificates.WITNESS_SUP_NODES`` and ``certificates.WITNESS_SAMPLE_NODES``.
+``series.STACK_ELEMENTS`` bounds the arrays of a sweep's stacked rows.
 """
 
 from __future__ import annotations

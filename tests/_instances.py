@@ -5,7 +5,8 @@ that no outer numerator can satisfy exist; the generator reports them), so
 every test run sees the same instances.  :func:`hole_constraint_value` is the
 independent audit oracle of the criterion matrix entries,
 :class:`FractionGaussian` the reference exact ring and :func:`direct_defects`
-the oracle of the exact membership defects.
+the oracle of the exact membership defects.  :data:`EVERY_BRANCH_TEMPLATE` is
+a sweep template whose rows take every branch of the sweep.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ from hardyball import (
     sample_member,
 )
 from hardyball.exactrank import lift
+
+# hole {3}, inner zero 1/2, a pole at 2 and a non-unit inner constant; the outer numerator
+# 1.25 - z + t z^2 + t z^3 keeps f_3 = 0 for every t (the weights w_0 + w_1 of z^2 and z^3
+# cancel), has the circle root 1 at t = -1/8, drops to degree 1 at t = 0 and meets the
+# locus |c_1| = |c_3| near t = 0.325; rows below -1/8 are not outer
+EVERY_BRANCH_TEMPLATE = {
+    "format_version": 1, "type": "problem", "holes": [3], "inner_zeros": [[0.5, 0.0]],
+    "inner_constant": [0.6, -0.8], "outer_denominator": [[0.5, 0.0]],
+    "outer_numerator": [[1.25, 0.0], [-1.0, 0.0], ["t", 0.0], ["t", 0.0]],
+}
 
 
 def quick_sample_member(*args):

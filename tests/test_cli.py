@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hardyball import cli, documents, extremality, model
 from hardyball.cli import main
 
-from _instances import random_zeros
+from _instances import EVERY_BRANCH_TEMPLATE, random_zeros
 
 
 def write(path, data):
@@ -322,6 +322,33 @@ class TestSweep:
         assert started == workers
 
 
+def test_sweep_memory_grows_with_neither_rows_nor_the_hole(tmp_path):
+    # f = 1 + t z with the hole 4000: every row is an extreme member; 1000 rows of 4001
+    # Taylor terms are 4 * 10^6 complex values, 244 times the stacked-row budget
+    import tracemalloc
+
+    template = write(tmp_path / "t.json",
+                     problem_doc([[1.0, 0.0], ["t", 0.0]], holes=(4000,), zeros=()))
+
+    def peak(spec):
+        argv = ["sweep", template, "--param", "t", f"--range={spec}",
+                "--out", str(tmp_path / "rows.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 100 and 1000 rows over the same t, whose circle means all take the same small grids
+    few, many = peak("0:0.099:0.001"), peak("0:0.0999:0.0001")
+    rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+    assert len(rows) == 1000 and {row["status"] for row in rows} == {"extreme"}
+    # the CSV rows themselves are kept until written: well under 1 KB each
+    assert many < few + 2 ** 20
+    assert many < 4 * 2 ** 20
+
+
 def per_row_sweep_csv(template, names, specs):
     """The sweep CSV as it was made when every row parsed its own problem document."""
     out = io.StringIO()
@@ -357,6 +384,10 @@ def per_row_sweep_csv(template, names, specs):
 
 # template, swept names, their ranges, and statuses that some rows must have
 PARSED_ONCE = {
+    # an outer pole, a nonzero inner zero, a non-unit constant; roots near and on the
+    # circle, a degree drop at t = 0, extreme rows and one non-extreme row
+    "every_branch": (EVERY_BRANCH_TEMPLATE, ("t",), ("-0.25:0.5:0.0125",),
+                     ["error:NotOuterError", "non_extreme"]),
     "inner_constant": (
         problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", "gamma"]], inner_constant=[0.6, -0.8]),
         ("beta", "gamma"), ("-0.5:1.5:0.25", "0:0.5:0.25"), ["error:NotOuterError"]),
@@ -537,7 +568,8 @@ def test_tolerance_values_must_be_finite_and_positive(argv, options, tmp_path, c
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """(up_to, parameter count) of every Taylor recurrence run while a test runs."""
+    """(up_to, parameter count) of every Taylor recurrence run while a test runs, one entry
+    per row of a stacked recurrence."""
     import sys
 
     from hardyball import series
@@ -545,7 +577,8 @@ def expansions(monkeypatch):
     original, calls = series.expand, []
 
     def counting(numerator, parameters, up_to, ring=complex):
-        calls.append((up_to, len(parameters)))
+        rows = len(numerator) if np.ndim(numerator) == 2 else 1
+        calls.extend([(up_to, len(parameters))] * rows)
         return original(numerator, parameters, up_to, ring)
 
     for name, module in list(sys.modules.items()):
@@ -562,27 +595,30 @@ def test_analyze_runs_one_recurrence_per_operator(tmp_path, capsys, expansions):
     assert expansions == [(4, 1), (4, 2)]
 
 
-def test_one_hole_sweep_row_runs_three_recurrences(tmp_path, capsys, expansions):
+def test_one_hole_sweep_row_runs_two_recurrences(tmp_path, capsys, expansions):
     template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
-    assert main(["sweep", template, "--param", "beta", "--range", "0.5:0.5:1"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("0.5,extreme,2,")
-    # membership (f), the criterion matrix and the single-hole determinant (f / P_1)
-    assert expansions == [(2, 1), (2, 2), (2, 2)]
+    assert main(["sweep", template, "--param", "beta", "--range", "0:0.5:0.25"]) == 0
+    assert [row.split(",")[1:3] for row in capsys.readouterr().out.splitlines()[1:]] == \
+        [["extreme", "2"]] * 3
+    # per row: membership (f) and the criterion weights (f / P_1), which the single-hole
+    # determinant reads too
+    assert expansions == [(2, 1)] * 3 + [(2, 2)] * 3
 
 
 @pytest.fixture
 def root_finds(monkeypatch):
-    """Degree of every numerator root find made while a test runs."""
+    """Degree of every numerator root find made while a test runs, one entry per row of a
+    stacked root find (every root find, numerator_roots' included, is one)."""
     from hardyball import model
 
-    original, calls = model.numerator_roots, []
+    original, calls = model._roots_rows, []
 
     def counting(coefficients):
         roots = original(coefficients)
-        calls.append(len(roots))
+        calls.extend(len(r) for r in roots)
         return roots
 
-    monkeypatch.setattr(model, "numerator_roots", counting)
+    monkeypatch.setattr(model, "_roots_rows", counting)
     return calls
 
 
@@ -603,8 +639,8 @@ def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_f
         del root_finds[:]
         assert main(["certify", prob, wit]) == 0
     else:
-        # three rows that all pass membership; the template's schema is checked
-        # on the first point without building its function
+        # three rows that all pass membership, one root find each; the template's schema
+        # is checked on the first point without building its function
         template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
         assert main(["sweep", template, "--param", "beta", "--range", "0:0.5:0.25"]) == 0
         assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == \

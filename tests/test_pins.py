@@ -17,6 +17,8 @@ import pytest
 
 from hardyball.cli import main
 
+from _instances import EVERY_BRANCH_TEMPLATE
+
 # hole {2}, inner zero 0, outer 1 + z^2 (circle roots +-i): non-extreme, kernel path
 README_FIXTURE = {
     "format_version": 1, "type": "problem", "holes": [2], "inner_zeros": [[0.0, 0.0]],
@@ -76,6 +78,9 @@ PINS = {
     "gen_fixed_seed": {
         "stdout": "7cd64b54bf8e7dec7df67755a088dcb9358e20c965495bc693cd05b5a99b8c7f",
     },
+    "sweep_every_branch": {
+        "stdout": "94bb0f34d412827461cbe50ba003a43d0af2419d3be462b0652b5825edbd871b",
+    },
     "sweep_readme_template": {
         "stdout": "fe49b3ec7830197d301ebba75cc2bbe43b88c09b1a024a0e934703cba3f1cee5",
     },
@@ -125,6 +130,8 @@ def outputs(case: str, directory) -> dict[str, bytes]:
             (["analyze", write("z.json", ZERO_AT_FIRST_HOLE), "--exact"], 2),
         "sweep_readme_template": (["sweep", write("t.json", README_TEMPLATE), "--param", "beta",
                                    "--range=-1:1:0.5"], 0),
+        "sweep_every_branch": (["sweep", write("e.json", EVERY_BRANCH_TEMPLATE), "--param", "t",
+                                "--range=-0.25:0.5:0.0125"], 0),
         "gen_fixed_seed": (["gen", write("s.json", GEN_SPEC), "--seed", "11"], 0),
     }[case]
     code, stdout = _run(argv)
