@@ -97,14 +97,16 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     n = up_to + 1
-    poles = [b for b in parameters if np.any(b != 0)]
+    poles = [b for b in parameters if (b.any() if isinstance(b, np.ndarray) else b != 0)]
     if ring is complex:
         head = np.asarray(numerator, dtype=complex)[..., :n]
         coeffs = np.zeros(head.shape[:-1] + (n,), dtype=complex)
         coeffs[..., :head.shape[-1]] = head
         scratch = np.empty_like(coeffs)
         for b in poles:
-            a, s = np.conj(np.asarray(b, dtype=complex))[..., None], 1
+            # a column of the rows' values, or one Python complex
+            a = np.conj(b)[:, None] if isinstance(b, np.ndarray) else complex(b).conjugate()
+            s = 1
             while s < n:
                 np.multiply(coeffs[..., :n - s], a, out=scratch[..., s:])
                 coeffs[..., s:] += scratch[..., s:]
@@ -126,6 +128,8 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
 def _product(x, y):
     """x * y formed as Python forms a complex product, each part from the parts of x and y
     with one rounding per operation; numpy's own complex multiply may fuse them."""
+    if type(x) is complex and type(y) is complex:
+        return x * y
     out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -136,8 +140,7 @@ def _polyval(coeffs: Sequence, z):
     """Evaluate sum_k coeffs[k] z^k (Horner, ascending coefficient order); a coefficient may
     be a column of rows (shape (r, 1)), giving one row of values per row."""
     if isinstance(z, np.ndarray):
-        acc = np.empty(np.broadcast_shapes(z.shape, np.shape(coeffs[-1])), dtype=complex)
-        acc[...] = coeffs[-1]
+        acc = np.full(np.broadcast(z, coeffs[-1]).shape, coeffs[-1], dtype=complex)
     else:
         acc = coeffs[-1]
     for c in coeffs[-2::-1]:
