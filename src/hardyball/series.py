@@ -110,7 +110,7 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
             while s < n:
                 np.multiply(coeffs[..., :n - s], a, out=scratch[..., s:])
                 coeffs[..., s:] += scratch[..., s:]
-                a = _product(a, a)
+                a = a * a if type(a) is complex else _product(a, a)
                 s *= 2
         return coeffs
     # term by term: of each section's growing exact values only the last is live
@@ -126,10 +126,9 @@ def expand(numerator: Sequence, parameters: Sequence, up_to: int,
 
 
 def _product(x, y):
-    """x * y formed as Python forms a complex product, each part from the parts of x and y
-    with one rounding per operation; numpy's own complex multiply may fuse them."""
-    if type(x) is complex and type(y) is complex:
-        return x * y
+    """x * y elementwise, with x or y an array, formed as Python forms a complex product:
+    each part from the parts of x and y with one rounding per operation (numpy's own complex
+    multiply may fuse them)."""
     out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -139,10 +138,11 @@ def _product(x, y):
 def _polyval(coeffs: Sequence, z):
     """Evaluate sum_k coeffs[k] z^k (Horner, ascending coefficient order); a coefficient may
     be a column of rows (shape (r, 1)), giving one row of values per row."""
-    if isinstance(z, np.ndarray):
-        acc = np.full(np.broadcast(z, coeffs[-1]).shape, coeffs[-1], dtype=complex)
+    last = coeffs[-1]
+    if isinstance(last, np.ndarray):
+        acc = np.full(np.broadcast(z, last).shape, last, dtype=complex)
     else:
-        acc = coeffs[-1]
+        acc = np.full_like(z, last, dtype=complex) if isinstance(z, np.ndarray) else last
     for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc

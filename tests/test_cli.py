@@ -399,6 +399,11 @@ PARSED_ONCE = {
         problem_doc([[1.0, 0.0], [0.0, 0.0], [0.25, 0.0]],
                     outer_denominator=[["b", 0.1], ["c", -0.1]]),
         ("b", "c"), ("-1.25:1.25:0.3125",) * 2, ["error:PoleMarginError", "skip"]),
+    # -t / 1e-200 overflows for |t| >= 2e108: that row's root find fails, and so does the
+    # stacked eigvals of every row cut to the same shape, which then find their own
+    "root_finder_failure": (
+        problem_doc([["t", 0.0], [0.0, 0.0], [1e-200, 0.0]], holes=(3,)),
+        ("t",), ("-4e108:4e108:1e108",), ["error:LinAlgError"]),
     "not_outer": (
         problem_doc([["c", 0.5], [1.0, 0.0], [0.0, 0.0]], holes=(3,), zeros=()),
         ("c",), ("-2:2:0.25",), ["error:NotOuterError"]),

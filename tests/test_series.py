@@ -24,6 +24,8 @@ from hardyball.series import (
     EvaluationError,
     QuadratureConvergenceError,
     _finite_values,
+    _row_means,
+    _taylor_rows,
     _trapezoid_means,
     expand,
 )
@@ -157,6 +159,57 @@ class TestCoefficientSequence:
         out = expand(numerator, (0.0, 0j, 0.0), 5)
         padded = np.array(numerator + [0j] * 3, dtype=complex)
         assert out.tobytes() == padded.tobytes()
+
+
+def test_rows_expand_bit_for_bit_as_each_row_alone():
+    # random complex numerators, zeros and poles, some poles zero: rows grouped by where
+    # their poles are zero get one recurrence, whose squares of conj(b) must be Python's
+    rng = np.random.default_rng(5)
+
+    def draw(count, scale):
+        return (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)) * scale
+
+    rationals = [Rational(draw(4, 1.0), [b if rng.random() < 0.7 else 0j for b in draw(3, 0.6)],
+                          draw(1, 0.6)) for _ in range(40)]
+    rows = _taylor_rows(rationals, 300)
+    for row, r in zip(rows, rationals):
+        assert row.tobytes() == r.taylor(300).tobytes()
+
+
+class TestRowMeans:
+    """Rows on one trapezoid ladder each stop where their own ladder would."""
+
+    # |1 + b z| settles later as b nears 1; the marked row is NaN at a node that only the
+    # grid of 128 nodes has, which its ladder reaches
+    B = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.9, 0.5])
+    MARKED = np.array([False] * 6 + [True, False])
+    TARGET = circle_nodes(128)[65]
+
+    def integrand(self, z, rows):
+        values = np.abs(1 + self.B[rows, None] * z)
+        values[self.MARKED[rows, None] & (z == self.TARGET)] = np.nan
+        return values
+
+    def alone(self, i):
+        try:
+            return converged_circle_mean(lambda z: self.integrand(z, np.array([i]))[0],
+                                         alpha=np.inf)
+        except EvaluationError as exc:
+            return exc
+
+    def test_each_row_gets_its_own_value_and_grid(self):
+        means = _row_means(self.integrand, len(self.B), 16)
+        alone = [self.alone(i) for i in range(len(self.B))]
+        assert isinstance(alone[6], EvaluationError) and isinstance(means[6], EvaluationError)
+        assert means[:6] + means[7:] == alone[:6] + alone[7:]  # (value, n), bit for bit
+        assert len({n for _, n in alone[:6]}) > 2
+
+    def test_rows_past_the_budget_are_put_off_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(series, "STACK_ELEMENTS", 256)
+        means = _row_means(self.integrand, len(self.B), 16)
+        kept = [(m, self.alone(i)) for i, m in enumerate(means) if m is not None and i != 6]
+        assert 0 < len(kept) < len(self.B) - 1
+        assert all(m == a for m, a in kept)
 
 
 def _as_complex(exact) -> np.ndarray:
