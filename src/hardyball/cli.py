@@ -274,7 +274,7 @@ def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[s
     if fs:
         _, residuals = model._residuals(model._weights_rows(list(fs.values()), space.k_max),
                                         space.holes)
-        for i, passed in zip(list(fs), (residuals <= tol.membership).all(axis=-1)):
+        for i, passed in zip(list(fs), model._within(residuals, tol.membership)):
             if not passed:
                 tails[i] = ["skip", "", "", ""]
                 del fs[i]

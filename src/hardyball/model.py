@@ -271,7 +271,7 @@ class MembershipReport:
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.tolerance for r in self.residuals)
+        return bool(_within(np.array(self.residuals), self.tolerance))
 
     def worst(self) -> tuple[int, float]:
         idx = int(np.argmax(self.residuals))
@@ -310,6 +310,11 @@ def _residuals(coeffs: np.ndarray, holes: Sequence[int]) -> tuple[np.ndarray, np
         np.divide(np.hypot(at_holes.real, at_holes.imag), scale[..., None], out=residuals,
                   where=scale[..., None] != 0)
     return scale, residuals
+
+
+def _within(residuals: np.ndarray, tolerance: float) -> np.ndarray:
+    """Whether every hole residual (along the last axis) is within the tolerance."""
+    return (residuals <= tolerance).all(axis=-1)
 
 
 def l1_norm(f: FactoredFunction, tol: Tolerances = DEFAULT) -> float:
