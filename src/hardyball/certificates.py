@@ -1,19 +1,27 @@
 """Machine-checkable evidence for verdicts.
 
 A non-extreme verdict is certified by a perturbation witness: a symmetric
-polynomial p of order n = min(m, M + 1) (plus, when m > M + 1, the spare
-inner zeros beyond the first n) inducing a real nonconstant h on the circle
-with f*h still in the space.  With c the weighted mean of h and epsilon small
-enough to keep 1 +- epsilon*(h-c) positive, the functions
-f*(1 +- epsilon*(h-c)) are two distinct unit-ball members whose midpoint is
-f — the literal negation of extremality.  Verification recomputes everything
-from the witness data and quadrature/expansion primitives alone; it never
-consults the criterion matrix, so certification is independent of the
-decision pipeline.
+polynomial p of order n <= m (plus, when m > M + 1, the spare inner zeros
+beyond the first n) with f*h in the space, where h = p / P_n equals
+z^-n p / D on the circle, D = prod_{j<=n} |z - a_j|^2.  With u = h - c and
+epsilon*sup|u| < 1, g+- = f*(1 +- epsilon*u) lie in the space with
+|g+-| = |f|*(1 +- epsilon*u), so ||g+|| + ||g-|| = 2||f|| exactly and f is a
+proper convex combination of g+/||g+|| and g-/||g-||, distinct unless u is
+constant (de Leeuw & Rudin, Pacific J. Math. 8, 1958).  No norm is needed
+and c is free.  Verification recomputes each property from the witness data
+alone, without quadrature or the criterion matrix: h is real by structure
+(order <= m, the spare zeros are f's), nonconstant when p is not
+proportional to P_n, epsilon*sup|u| < 1 is positivity of the real
+trigonometric polynomials T+- = D*(1 -+ epsilon*c) +- epsilon*z^-n p of
+degree n (:func:`_margin`), and f*h is in the space by the hole residuals
+of F*G; the endpoint memberships are linear in f's and f*h's.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,25 +35,19 @@ from .extremality import (
     numeric_rank,
 )
 from .model import FactoredFunction, MembershipReport, PuncturedSpace, check_membership
-from .series import QuadratureConvergenceError, Rational, circle_nodes, converged_circle_mean
+from .series import Rational, _polyval, circle_nodes
 from .tolerances import DEFAULT, Tolerances
 
 KERNEL_PATH = "kernel_path"
 DEGREE_OVERFLOW_PATH = "degree_overflow_path"
 
-# 1 +- epsilon*(h-c) must stay at least this positive on the grid; the
-# construction guarantees 1/2, so anything below flags a tampered epsilon
-POSITIVITY_FLOOR = 0.25
-# largest accepted imaginary part of h, smallest accepted variation of h,
-# relative hole coefficient of F*G and endpoint norm defect
-WITNESS_REALNESS = 1e-10
+# smallest accepted sine of the angle between p and P_n (h nonconstant), and
+# largest accepted relative hole coefficient of F*G
 WITNESS_VARIATION = 1e-6
 WITNESS_HOLE = 1e-9
-WITNESS_NORM = 1e-7
-# uniform circle nodes of the sup of |h - c| that fixes epsilon, and of the
-# realness, variation and positivity samples that verification takes
-WITNESS_SUP_NODES = 16384
-WITNESS_SAMPLE_NODES = 8192
+# the positivity grids double from 16 nodes up to this many; a bound still
+# unproven there is a failed certificate
+POSITIVITY_MAX_NODES = 2 ** 14
 
 
 class DegenerateKernelError(RuntimeError):
@@ -78,30 +80,23 @@ class ExposednessResult:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Unconditional recomputation of every witness property, with residuals."""
+    """Recomputation of every witness property, with residuals.
 
-    h_realness_residual: float
+    ``positivity_margin``: the proven lower bound of T+- on the circle relative
+    to the bound of their largest value (> 0 iff proven), from the grid of
+    ``positivity_nodes`` nodes; ``h_variation``: max h - min h there.  NaN when
+    the structure that makes h real fails.
+    """
+
     h_variation: float
     positivity_margin: float
+    positivity_nodes: int
     hole_residuals: tuple[tuple[int, float], ...]
-    norm_f: float
-    norm_plus: float
-    norm_minus: float
-    membership_plus: MembershipReport | None
-    membership_minus: MembershipReport | None
     failures: tuple[str, ...]
 
     @property
     def verifies(self) -> bool:
         return not self.failures
-
-    @property
-    def norm_plus_residual(self) -> float:
-        return abs(self.norm_plus - self.norm_f)
-
-    @property
-    def norm_minus_residual(self) -> float:
-        return abs(self.norm_minus - self.norm_f)
 
 
 def _witness_factor(f: FactoredFunction, witness: PerturbationWitness) -> Rational:
@@ -121,12 +116,6 @@ def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.nd
     return _witness_factor(f, witness)(z) / f.inner(z)
 
 
-def _modulus_and_h(f: FactoredFunction, g: Rational, z: np.ndarray):
-    """|f| and h = G / I on circle nodes, evaluating the inner factor once."""
-    inner = f.inner(z)
-    return np.abs(inner * f.outer(z)), g(z) / inner
-
-
 def _perturbation_product(
     f: FactoredFunction, witness: PerturbationWitness, up_to: int
 ) -> np.ndarray:
@@ -136,32 +125,50 @@ def _perturbation_product(
                     g.zeros).taylor(up_to)
 
 
-def _package_witness(
-    f: FactoredFunction,
-    polynomial: SymmetricPolynomial,
-    phi2_zeros: tuple[complex, ...],
-    provenance: str,
-    tol: Tolerances,
-) -> PerturbationWitness:
-    """Fix the recentering constant and step size for a chosen polynomial.
+def _ladder(zeros, polynomial: SymmetricPolynomial):
+    """Per grid of N = 16, 32, ... up to POSITIVITY_MAX_NODES nodes: N, h on the nodes, and
+    :func:`_margin` there as a function of (epsilon, c).  D and z^-n p are read as
+    t_0 + 2 Re sum_{k>=1} t_k z^k from the upper halves of P_n and p, and summed with
+    their theta-derivatives by Horner."""
+    n = polynomial.order
+    first = zeros[:n]
+    t = np.array([canonical_kernel_vector(first).upper, polynomial.upper])
+    # bounds of sum |t_k| over k = -n..n, the first one of P_n's rounding too
+    sums = (math.prod((1 + abs(a)) ** 2 for a in first),
+            float(np.abs(polynomial.coefficients()).sum()))
+    columns = list(np.concatenate([t, 1j * np.arange(n + 1) * t]).T[:, :, None])
+    nodes = 16
+    while nodes <= POSITIVITY_MAX_NODES:
+        grid = 2 * _polyval(columns, circle_nodes(nodes)).real
+        grid[:2] -= t[:, :1].real
+        values, slopes = grid.reshape(2, 2, nodes)  # each: D, then z^-n p
+        yield nodes, values[1] / values[0], functools.partial(_margin, values, slopes, sums, n)
+        nodes *= 2
 
-    c is the quadrature mean of |f| h over the circle divided by the mean of
-    |f| (the two coincide for unit-norm f), which kills the first-order norm
-    change; epsilon = 1/(2 sup|h - c|) keeps both perturbation factors >= 1/2.
+
+def _margin(values, slopes, sums, order: int, epsilon: float, recenter: float) -> float:
+    """The proven lower bound of T+- = D*(1 -+ epsilon*c) +- epsilon*z^-n p on the circle
+    relative to the bound of their largest value: the smaller one, > 0 iff both are proven.
+
+    Each theta lies within delta = pi/N of a node, so by Taylor and Bernstein's inequality
+    T(theta) >= T(theta_j) - |T'(theta_j)| delta - n^2 ||T|| delta^2 / 2, and
+    ||T|| <= max_j |T(theta_j)| / (1 - pi n / N) for N > pi n.  An allowance of
+    32 (n + 1) eps sum |t_k| covers the rounding of coefficients, nodes and sums.
     """
-    g = _witness_factor(f, PerturbationWitness(polynomial, phi2_zeros, 1.0, 0.0, provenance))
-
-    def weighted_h(z):
-        modulus, h = _modulus_and_h(f, g, z)
-        return modulus * np.real(h), modulus
-
-    (mean_fh, norm), _ = converged_circle_mean(weighted_h, tol, roots=f.outer.circle_roots)
-    c = mean_fh / norm
-    nodes = circle_nodes(WITNESS_SUP_NODES)
-    sup = float(np.abs(np.real(g(nodes) / f.inner(nodes)) - c).max())
-    if sup == 0.0:
-        raise DegenerateKernelError("perturbation h is constant on the circle")
-    return PerturbationWitness(polynomial, phi2_zeros, 1.0 / (2.0 * sup), c, provenance)
+    nodes = values.shape[-1]
+    if math.pi * order >= nodes:
+        return -math.inf
+    delta = math.pi / nodes
+    scale = (1 + abs(epsilon * recenter)) * sums[0] + abs(epsilon) * sums[1]
+    allowance = 32 * (order + 1) * np.finfo(float).eps * scale
+    margins = []
+    for sign in (1.0, -1.0):
+        a, b = 1.0 - sign * epsilon * recenter, sign * epsilon
+        value, slope = a * values[0] + b * values[1], a * slopes[0] + b * slopes[1]
+        sup = (np.abs(value).max() + allowance) / (1 - math.pi * order / nodes)
+        low = (value - np.abs(slope) * delta).min() - (order * delta) ** 2 * sup / 2 - allowance
+        margins.append(low / sup)
+    return float(np.min(margins))  # NaN if a value is not finite
 
 
 def make_witness(
@@ -204,7 +211,20 @@ def make_witness(
     column = gram[:, int(np.argmax(diagonal >= (1 - 1e-9) * diagonal.max()))]
     polynomial = SymmetricPolynomial(n, tuple(column / np.linalg.norm(column)))
     provenance = KERNEL_PATH if verdict.condition_a.holds else DEGREE_OVERFLOW_PATH
-    return _package_witness(f, polynomial, zeros[n:], provenance, tol)
+    # c is the midrange of h on the nodes and epsilon = 1/(2 max|h - c|), from the first
+    # grid where _margin proves them; past POSITIVITY_MAX_NODES the last grid's values
+    # stand, and verification reports the unproven bound
+    witness = None
+    for _, h, margin in _ladder(zeros, polynomial):
+        top, bottom = h.max(), h.min()
+        if top > bottom:
+            witness = PerturbationWitness(polynomial, zeros[n:], float(1 / (top - bottom)),
+                                          float((top + bottom) / 2), provenance)
+            if margin(witness.epsilon, witness.recenter) > 0:
+                break
+    if witness is None:
+        raise DegenerateKernelError("perturbation h is constant on the circle")
+    return witness
 
 
 def verify_witness(
@@ -212,85 +232,59 @@ def verify_witness(
     space: PuncturedSpace,
     witness: PerturbationWitness,
     tol: Tolerances = DEFAULT,
+    membership: MembershipReport | None = None,
 ) -> WitnessReport:
     """Recheck a witness from first principles; failures are reported, not raised.
 
-    Checks: h real and nonconstant on the circle; 1 +- epsilon*(h - c) keeps a
-    positive margin; f*h stays in the space (exact expansion of F*G); both
-    perturbation endpoints pass membership and have the same circle average
-    as f.  The circle averages run only when every other check passed; a
-    witness that failed one reports its norms as NaN.  The one error raised is
-    :class:`~hardyball.series.QuadratureConvergenceError`: norms that never
-    stabilise say nothing about the witness data.
+    f's membership comes from ``membership`` when the caller holds its report
+    (of f or of any nonzero multiple), else from one expansion; the positivity
+    grid is chosen here, never read from the witness.  Every residual is
+    relative, so f's scale does not matter.
     """
     failures: list[str] = []
+    variation = margin = float("nan")
+    nodes = 0
     try:
-        g = _witness_factor(f, witness)
-        nodes = circle_nodes(WITNESS_SAMPLE_NODES)
-        h = g(nodes) / f.inner(nodes)
-        realness = float(np.abs(h.imag).max())
-        h_re = h.real
-        variation = float(h_re.max() - h_re.min())
-        margin = 1.0 - witness.epsilon * float(np.abs(h_re - witness.recenter).max())
-
-        eps, c = witness.epsilon, witness.recenter
-        product_coeffs = _perturbation_product(f, witness, space.k_max)
-        product = check_membership(product_coeffs, space, tol)
+        product = check_membership(_perturbation_product(f, witness, space.k_max), space, tol)
         hole_residuals = tuple(zip(product.holes, product.residuals))
-        f_coeffs = f.taylor(space.k_max)
-        membership_plus = check_membership(
-            f_coeffs + eps * (product_coeffs - c * f_coeffs), space, tol)
-        membership_minus = check_membership(
-            f_coeffs - eps * (product_coeffs - c * f_coeffs), space, tol)
+        if membership is None:
+            membership = check_membership(f.taylor(space.k_max), space, tol)
 
+        if not membership.passed:
+            failures.append("f leaves the space at hole {} (residual {:.3e})".format(
+                *membership.worst()))
         if space.holes and product.max_coefficient == 0.0:
             failures.append("perturbation product is identically zero to expansion order")
-        if realness > WITNESS_REALNESS:
-            failures.append(f"h not real on the circle (residual {realness:.3e})")
-        if variation <= WITNESS_VARIATION:
-            failures.append(f"h is constant to tolerance (variation {variation:.3e})")
-        if margin < POSITIVITY_FLOOR:
-            failures.append(
-                f"positivity margin {margin:.3e} below {POSITIVITY_FLOOR} (epsilon too large)"
-            )
         for k, residual in hole_residuals:
-            if residual > WITNESS_HOLE:
+            if not residual <= WITNESS_HOLE:  # NaN (an overflow) fails too
                 failures.append(f"perturbation leaves the space at hole {k} (residual {residual:.3e})")
-        if not membership_plus.passed:
-            failures.append("plus endpoint fails membership")
-        if not membership_minus.passed:
-            failures.append("minus endpoint fails membership")
+        zeros, n = f.inner.zeros, witness.polynomial.order
+        if n > len(zeros) or Counter(witness.phi2_zeros) != Counter(zeros[n:]):
+            failures.append(f"h not real on the circle: order {n} and phi2_zeros are not "
+                            f"f's inner zeros split after the first {n}")
+            return WitnessReport(variation, margin, nodes, hole_residuals, tuple(failures))
 
-        # the norm ladder is the expensive check: a witness that already failed skips it
-        norm_f = norm_plus = norm_minus = float("nan")
-        if not failures:
-            def endpoint_moduli(z):
-                modulus, h = _modulus_and_h(f, g, z)
-                shift = eps * (np.real(h) - c)
-                return modulus, modulus * np.abs(1.0 + shift), modulus * np.abs(1.0 - shift)
+        canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
+        vector = np.array(witness.polynomial.vector)
+        size = np.linalg.norm(vector)
+        rest = vector - (vector @ canonical) / (canonical @ canonical) * canonical
+        sine = float(np.linalg.norm(rest) / size) if size else 0.0
+        if not sine > WITNESS_VARIATION:
+            failures.append(f"h is constant to tolerance (p is P_n times a constant up to "
+                            f"a sine of {sine:.3e})")
 
-            # one ladder: f and h are evaluated once per node for all three norms
-            (norm_f, norm_plus, norm_minus), _ = converged_circle_mean(
-                endpoint_moduli, tol, roots=f.outer.circle_roots)
-            if abs(norm_plus - norm_f) > WITNESS_NORM:
-                failures.append(f"plus endpoint norm off by {abs(norm_plus - norm_f):.3e}")
-            if abs(norm_minus - norm_f) > WITNESS_NORM:
-                failures.append(f"minus endpoint norm off by {abs(norm_minus - norm_f):.3e}")
-
-        return WitnessReport(
-            realness, variation, margin, hole_residuals,
-            norm_f, norm_plus, norm_minus,
-            membership_plus, membership_minus, tuple(failures),
-        )
-    except QuadratureConvergenceError:
-        raise  # the norms could not be computed: a numerics failure, not a verdict on the data
+        for nodes, h, bound in _ladder(zeros, witness.polynomial):
+            margin = bound(witness.epsilon, witness.recenter)
+            if margin > 0:
+                break
+        variation = float(h.max() - h.min())
+        if not margin > 0:
+            failures.append(f"positivity of 1 +- epsilon*(h - c) not proven on {nodes} nodes "
+                            f"(margin {margin:.3e})")
+        return WitnessReport(variation, margin, nodes, hole_residuals, tuple(failures))
     except Exception as exc:  # invalid witness data: report, never raise
         failures.append(f"witness data rejected: {exc}")
-        return WitnessReport(
-            float("nan"), float("nan"), float("nan"), (),
-            float("nan"), float("nan"), float("nan"),
-            None, None, tuple(failures),
-        )
+        return WitnessReport(variation, margin, nodes, (), tuple(failures))
 
 
 def check_exposed(f: FactoredFunction, verdict: ExtremalityVerdict) -> ExposednessResult:

@@ -9,7 +9,8 @@ certify, stderr for sweep and gen, whose stdout is data):
     parse         2     malformed document or command line (DocumentError)
     input         2     well-formed input the pipeline rejects (ValueError)
     not_in_space  2     analyze: a hole coefficient is nonzero (with a residual table)
-    numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError),
+    numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError;
+                        certify runs none),
                         a function is not finite on a grid node (EvaluationError),
                         the root finder failed (RootFindingError), or the
                         normalized scale is not finite (NormalizationError)
@@ -25,7 +26,8 @@ A sweep builds and checks each row's function on its own and decides its rows
 in blocks of stacked arrays (at most ``series.STACK_ELEMENTS`` Taylor
 coefficients a block): every stage, from root finding to the SVD, runs once
 per group of rows of one shape and gives each row the bytes it gets alone.
-With ``--jobs N`` each worker decides one contiguous share of the rows.
+With ``--jobs N`` each worker decides one contiguous share of the rows, with at
+most one worker per block the rows fill.
 """
 
 from __future__ import annotations
@@ -84,19 +86,10 @@ def _witness_report_dict(report: certificates.WitnessReport) -> dict:
 
     return {
         "verifies": report.verifies,
-        "h_realness_residual": _f(report.h_realness_residual),
         "h_variation": _f(report.h_variation),
         "positivity_margin": _f(report.positivity_margin),
-        "hole_residuals": [{"k": k, "residual": float(r)} for k, r in report.hole_residuals],
-        "norm_f": _f(report.norm_f),
-        "norm_plus": _f(report.norm_plus),
-        "norm_minus": _f(report.norm_minus),
-        "norm_plus_residual": _f(report.norm_plus_residual),
-        "norm_minus_residual": _f(report.norm_minus_residual),
-        "membership_plus": _membership_dict(report.membership_plus)
-        if report.membership_plus else None,
-        "membership_minus": _membership_dict(report.membership_minus)
-        if report.membership_minus else None,
+        "positivity_nodes": report.positivity_nodes,
+        "hole_residuals": [{"k": k, "residual": _f(r)} for k, r in report.hole_residuals],
         "failures": list(report.failures),
     }
 
@@ -149,7 +142,8 @@ def cmd_analyze(args) -> int:
     if status == NON_EXTREME:
         try:
             witness = certificates.make_witness(normalized, space, verdict, tol)
-            witness_report = certificates.verify_witness(normalized, space, witness, tol)
+            witness_report = certificates.verify_witness(normalized, space, witness, tol,
+                                                         membership)
         except certificates.DegenerateKernelError as exc:
             # kernel collapsed onto the canonical vector: rank call was too close
             status = BORDERLINE
@@ -199,9 +193,8 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
     witness = documents.parse_witness(_read_document(args.witness), source=args.witness)
-    tol = problem.tolerances
-    normalized, _ = model.normalize(problem.function, tol)
-    report = certificates.verify_witness(normalized, problem.space, witness, tol)
+    report = certificates.verify_witness(problem.function, problem.space, witness,
+                                         problem.tolerances)
     doc = {"format_version": documents.FORMAT_VERSION, "type": "witness_report"}
     doc.update(_witness_report_dict(report))
     print(canonical_json(doc))
@@ -233,12 +226,16 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 # pool workers do not inherit the error state main sets
 @np.errstate(all="ignore")
 def _sweep_rows(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
-    """The CSV rows of consecutive points, decided in blocks of at most
-    series.STACK_ELEMENTS Taylor coefficients, so memory grows with neither the point count
-    nor k_max."""
-    size = max(1, series.STACK_ELEMENTS // (parsed[0].k_max + 1))
+    """The CSV rows of consecutive points, decided in blocks of :func:`_block_rows` points,
+    so memory grows with neither the point count nor k_max."""
+    size = _block_rows(parsed[0])
     return [row for i in range(0, len(combos), size)
             for row in _decide_block(parsed, combos[i:i + size])]
+
+
+def _block_rows(space: model.PuncturedSpace) -> int:
+    """Points per stacked block: at most series.STACK_ELEMENTS Taylor coefficients."""
+    return max(1, series.STACK_ELEMENTS // (space.k_max + 1))
 
 
 def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
@@ -355,8 +352,9 @@ def cmd_sweep(args) -> int:
               tuple((f, i, part, index[name]) for f, i, part, name in slots))
 
     combos = list(itertools.product(*ranges))
-    # the pool forks every worker up front, so it is sized to the work and the machine
-    workers = min(args.jobs, len(combos), os.cpu_count() or 1)
+    # the pool forks every worker up front, so it is sized to the machine and to the
+    # blocks the rows fill: rows that fit in one block are decided in this process
+    workers = min(args.jobs, os.cpu_count() or 1, -(-len(combos) // _block_rows(space)))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

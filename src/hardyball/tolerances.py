@@ -8,9 +8,10 @@ change them.  Fixed thresholds are module constants beside their one reader:
 per panel of the arc rule), ``model.ROOT_TOL`` (the outer check and the
 circle roots), ``model.CLUSTER_TOL`` (multiple roots),
 ``model.SAMPLE_RETRIES`` (draws of the member generator), the
-``certificates.WITNESS_*`` checks and the two witness grid sizes
-``certificates.WITNESS_SUP_NODES`` and ``certificates.WITNESS_SAMPLE_NODES``.
-``series.STACK_ELEMENTS`` bounds the arrays of a sweep's stacked rows.
+``certificates.WITNESS_*`` checks and ``certificates.POSITIVITY_MAX_NODES``
+(the witness positivity grid cap).  Certificates run no quadrature: of these
+they read ``membership`` alone.  ``series.STACK_ELEMENTS`` bounds the arrays
+of a sweep's stacked rows.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ that no outer numerator can satisfy exist; the generator reports them), so
 every test run sees the same instances.  :func:`hole_constraint_value` is the
 independent audit oracle of the criterion matrix entries,
 :class:`FractionGaussian` the reference exact ring and :func:`direct_defects`
-the oracle of the exact membership defects.  :data:`EVERY_BRANCH_TEMPLATE` is
+the oracle of the exact membership defects, and :func:`endpoint_norms` the
+oracle of the midpoint identity behind a witness.  :data:`EVERY_BRANCH_TEMPLATE` is
 a sweep template whose rows take every branch of the sweep.
 """
 
@@ -17,15 +18,18 @@ from unittest import mock
 import numpy as np
 
 from hardyball import (
+    DEFAULT,
     BlaschkeProduct,
     FactoredFunction,
     MaxRetriesExceededError,
     OuterRational,
     PuncturedSpace,
     SymmetricPolynomial,
+    converged_circle_mean,
     model,
     normalize,
     sample_member,
+    witness_h_values,
 )
 from hardyball.exactrank import lift
 
@@ -243,3 +247,16 @@ def direct_defects(f: FactoredFunction, space: PuncturedSpace) -> list[tuple[int
     """
     coeffs = f.taylor(space.k_max, lift)
     return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]
+
+
+def endpoint_norms(f: FactoredFunction, witness, tol=DEFAULT) -> tuple[float, float, float]:
+    """(||f||, ||g+||, ||g-||) for the endpoints g+- = f (1 +- epsilon (h - c)) of a witness,
+    by circle quadrature split at F's circle roots: the oracle of the midpoint identity
+    ||g+|| + ||g-|| = 2 ||f||, which a certificate proves without computing a norm."""
+    def moduli(z):
+        modulus = np.abs(f(z))
+        shift = witness.epsilon * (witness_h_values(f, witness, z).real - witness.recenter)
+        return modulus, modulus * np.abs(1 + shift), modulus * np.abs(1 - shift)
+
+    (norm_f, plus, minus), _ = converged_circle_mean(moduli, tol, roots=f.outer.circle_roots)
+    return norm_f, plus, minus

@@ -12,7 +12,6 @@ from hardyball import (
     OuterRational,
     PerturbationWitness,
     PuncturedSpace,
-    QuadratureConvergenceError,
     SymmetricPolynomial,
     check_exposed,
     canonical_kernel_vector,
@@ -23,9 +22,9 @@ from hardyball import (
     verify_witness,
     witness_h_values,
 )
-from hardyball.certificates import DEGREE_OVERFLOW_PATH, KERNEL_PATH
+from hardyball.certificates import DEGREE_OVERFLOW_PATH, KERNEL_PATH, POSITIVITY_MAX_NODES
 
-from _instances import overflow_member, single_hole_locus_member
+from _instances import endpoint_norms, overflow_member, single_hole_locus_member
 
 
 def factored(zeros, numerator, den=()):
@@ -63,10 +62,15 @@ class TestKernelWitness:
         w = make_witness(f, space, verdict)
         report = verify_witness(f, space, w)
         assert report.verifies
-        assert report.h_realness_residual < 1e-12
-        assert report.norm_plus_residual < 1e-9
-        assert report.norm_minus_residual < 1e-9
+        # h = -2 sin(theta) with epsilon = 1/4: 1 +- epsilon h stays in [1/2, 3/2], which the
+        # bound proves on the first grid
+        assert report.positivity_nodes == 16 and report.positivity_margin > 0.1
+        assert report.h_variation == pytest.approx(4.0, abs=1e-12)
         assert all(r < 1e-12 for _, r in report.hole_residuals)
+        # realness is structural; the test's own sample and norms agree to rounding
+        assert np.abs(witness_h_values(f, w, circle_nodes(8192)).imag).max() < 1e-12
+        norm_f, plus, minus = endpoint_norms(f, w)
+        assert abs(plus - norm_f) < 1e-9 and abs(minus - norm_f) < 1e-9
 
     def test_guard_on_extreme_verdict(self):
         f, _ = normalize(factored([0.0], [1.0, 0.0, 0.5]))
@@ -142,10 +146,58 @@ class TestVerifyWitness:
         )
         report = verify_witness(f, space, tampered)
         assert not report.verifies
-        assert any("positivity" in failure for failure in report.failures)
+        # 1 - 2 epsilon |h| touches 0, so no grid proves it positive: the failure is the bound's
+        assert report.failures == (report.failures[0],) and "positivity" in report.failures[0]
+        assert report.positivity_margin <= 0 and report.positivity_nodes == POSITIVITY_MAX_NODES
+
+    def test_dip_between_first_grid_nodes_fails(self):
+        # f = z in the classical space, h = -2 sin(theta - pi/16): its extremes fall midway
+        # between the 16 first-grid nodes, where |h| reaches only 2 cos(pi/16); epsilon = 1/1.98
+        # keeps 1 +- epsilon h positive there but dips it to 1 - 2/1.98 < 0 between them
+        f, _ = normalize(factored([0.0], [1.0]))
+        phi = np.pi / 16
+        polynomial = SymmetricPolynomial(1, (0.0, np.sin(phi), np.cos(phi)))
+        w = PerturbationWitness(polynomial, (), 1 / 1.98, 0.0, DEGREE_OVERFLOW_PATH)
+        nodes = circle_nodes(16)
+        h = witness_h_values(f, w, nodes).real
+        assert h == pytest.approx(-2 * np.sin(np.angle(nodes) - phi), abs=1e-12)
+        assert (1 - w.epsilon * np.abs(h)).min() > 0.009
+        report = verify_witness(f, PuncturedSpace(()), w)
+        assert len(report.failures) == 1 and "positivity" in report.failures[0]
+        # a slightly smaller epsilon is proven
+        w = PerturbationWitness(polynomial, (), 1 / 2.02, 0.0, DEGREE_OVERFLOW_PATH)
+        assert verify_witness(f, PuncturedSpace(()), w).verifies
+        # a dip of 1e-10 midway between the nodes of the finest grid: every node of every
+        # grid sees 1 +- epsilon h > 0, so only the bound between the nodes can reject it
+        phi = np.pi / POSITIVITY_MAX_NODES
+        polynomial = SymmetricPolynomial(1, (0.0, np.sin(phi), np.cos(phi)))
+        w = PerturbationWitness(polynomial, (), (1 + 1e-10) / 2, 0.0, DEGREE_OVERFLOW_PATH)
+        h = witness_h_values(f, w, circle_nodes(POSITIVITY_MAX_NODES)).real
+        assert (1 - w.epsilon * np.abs(h)).min() > 1e-9
+        report = verify_witness(f, PuncturedSpace(()), w)
+        assert len(report.failures) == 1 and "positivity" in report.failures[0]
+
+    @pytest.mark.parametrize("zeros, order, phi2", [
+        pytest.param([0.0], 2, (), id="order-above-inner-degree"),
+        pytest.param([0.0], 1, (0.5,), id="phi2-not-the-spare-zeros"),
+        pytest.param([0.0, 0.0], 1, (), id="phi2-missing-a-spare-zero"),
+    ])
+    def test_structure_that_makes_h_real_is_checked(self, zeros, order, phi2):
+        # f = B (1 + z^2 / 2) in the classical space: h = G / B is real only when G carries
+        # the first `order` zeros of B doubled and phi2 the rest
+        f, _ = normalize(factored(zeros, [1.0, 0.0, 0.5]))
+        polynomial = SymmetricPolynomial(order, (0.0,) * (order + 1) + (1.0,) * order)
+        w = PerturbationWitness(polynomial, phi2, 0.1, 0.0, DEGREE_OVERFLOW_PATH)
+        report = verify_witness(f, PuncturedSpace(()), w)
+        assert not report.verifies
+        assert any("not real" in failure for failure in report.failures)
+        assert report.positivity_nodes == 0 and np.isnan(report.positivity_margin)
 
     def test_failed_cheap_check_skips_the_norm_ladder(self, rank_deficient_fixture, monkeypatch):
-        from hardyball import certificates
+        # no check needs a norm: neither a failing nor a passing witness runs a circle mean
+        import sys
+
+        from hardyball import series
 
         f, space, verdict = rank_deficient_fixture
         w = make_witness(f, space, verdict)
@@ -153,14 +205,15 @@ class TestVerifyWitness:
             w.polynomial, w.phi2_zeros, 40.0 * w.epsilon, w.recenter, w.provenance
         )
         ladders = []
-        original = certificates.converged_circle_mean
-        monkeypatch.setattr(certificates, "converged_circle_mean",
-                            lambda *args, **kwargs: ladders.append(1) or original(*args, **kwargs))
+        original = series.converged_circle_mean
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hardyball") and \
+                    getattr(module, "converged_circle_mean", None) is original:
+                monkeypatch.setattr(module, "converged_circle_mean", lambda *args, **kwargs:
+                                    ladders.append(1) or original(*args, **kwargs))
         report = verify_witness(f, space, tampered)
-        assert ladders == []
         assert any("positivity" in failure for failure in report.failures)
-        assert np.isnan([report.norm_f, report.norm_plus, report.norm_minus]).all()
-        assert verify_witness(f, space, w).verifies and len(ladders) == 1
+        assert verify_witness(f, space, w).verifies and ladders == []
 
     def test_wrong_space_fails_hole_check(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
@@ -197,11 +250,12 @@ class TestVerifyWitness:
         assert any("rejected" in failure for failure in report.failures)
 
     def test_unconverged_norms_raise_not_report(self, rank_deficient_fixture):
-        # a norm ladder that never stabilises is a numerics failure, not a verdict on the data
+        # verification computes no norm, so a quadrature tolerance no circle mean can meet
+        # neither raises nor changes the report
         f, space, verdict = rank_deficient_fixture
         w = make_witness(f, space, verdict)
-        with pytest.raises(QuadratureConvergenceError):
-            verify_witness(f, space, w, replace(DEFAULT, quad=1e-30))
+        report = verify_witness(f, space, w, replace(DEFAULT, quad=1e-30))
+        assert report.verifies and report == verify_witness(f, space, w)
 
     def test_midpoint_of_endpoints_is_f(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
@@ -219,10 +273,19 @@ class TestVerifyWitness:
     def test_endpoints_have_unit_norm(self, rank_deficient_fixture):
         f, space, verdict = rank_deficient_fixture
         w = make_witness(f, space, verdict)
-        report = verify_witness(f, space, w)
-        assert report.norm_f == pytest.approx(1.0, abs=1e-9)
-        assert report.norm_plus == pytest.approx(1.0, abs=1e-7)
-        assert report.norm_minus == pytest.approx(1.0, abs=1e-7)
+        norm_f, plus, minus = endpoint_norms(f, w)
+        # the midpoint identity the certificate rests on, by the test's own quadrature
+        assert plus + minus == pytest.approx(2 * norm_f, abs=1e-9)
+        # f / ||f|| = lambda g+ / ||g+|| + (1 - lambda) g- / ||g-||, lambda = ||g+|| / (2 ||f||)
+        nodes = circle_nodes(1024)
+        shift = w.epsilon * (witness_h_values(f, w, nodes).real - w.recenter)
+        g_plus, g_minus = f(nodes) * (1 + shift), f(nodes) * (1 - shift)
+        lam = plus / (2 * norm_f)
+        combination = lam * g_plus / plus + (1 - lam) * g_minus / minus
+        assert np.abs(combination - f(nodes) / norm_f).max() < 1e-9
+        # h = -2 sin(theta) integrates to 0 against |f|: here both endpoints keep unit norm
+        assert norm_f == pytest.approx(1.0, abs=1e-9)
+        assert plus == pytest.approx(1.0, abs=1e-9) and minus == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCheckExposed:

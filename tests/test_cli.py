@@ -287,14 +287,16 @@ class TestSweep:
         report = json.loads(err)
         assert report["error"] == "parse" and "--jobs" in report["message"]
 
-    @pytest.mark.parametrize("jobs, cpus, workers", [
-        pytest.param("64", 8, [3], id="no-more-workers-than-rows"),
-        pytest.param("64", 2, [2], id="no-more-workers-than-processors"),
-        pytest.param("2", 8, [2], id="fewer-jobs-than-rows-and-processors"),
-        pytest.param("4", 1, [], id="one-processor-runs-in-process"),
-        pytest.param("1", 8, [], id="one-job-runs-in-process"),
+    # with the hole 2^13 a block of stacked rows holds one row, so each row is its own block
+    @pytest.mark.parametrize("jobs, cpus, hole, workers", [
+        pytest.param("64", 8, 2 ** 13, [3], id="no-more-workers-than-rows"),
+        pytest.param("64", 2, 2 ** 13, [2], id="no-more-workers-than-processors"),
+        pytest.param("2", 8, 2 ** 13, [2], id="fewer-jobs-than-rows-and-processors"),
+        pytest.param("4", 1, 2 ** 13, [], id="one-processor-runs-in-process"),
+        pytest.param("1", 8, 2 ** 13, [], id="one-job-runs-in-process"),
+        pytest.param("64", 8, 2, [], id="rows-in-one-block-run-in-process"),
     ])
-    def test_pool_is_sized_to_the_rows_and_the_machine(self, jobs, cpus, workers, tmp_path,
+    def test_pool_is_sized_to_the_rows_and_the_machine(self, jobs, cpus, hole, workers, tmp_path,
                                                        capsys, monkeypatch):
         started = []
 
@@ -315,7 +317,8 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        tpath = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+        tpath = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]],
+                                                       holes=(hole,)))
         assert main(["sweep", tpath, "--param", "beta", "--range", "0:0.5:0.25",
                      "--jobs", jobs]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
@@ -498,20 +501,43 @@ def test_usage_error_leaves_no_parser_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "certify"])
 def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsys):
-    # no circle mean of 1 + z^2 (roots on the circle) stabilises to 1e-30
-    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM, options={"tol_quad": 1e-30}))
+    # analyze normalizes f, and no circle mean of |f| for f = z (z - 1.0000001), whose root
+    # lies 1e-7 outside the circle, stabilises to 1e-30: a numerics error.  certify runs no
+    # circle mean, so the same tolerance leaves the sine witness of z (1 + z^2) verified
+    options = {"tol_quad": 1e-30}
+    near_root = write(tmp_path / "n.json", problem_doc([[-1.0000001, 0.0], [1.0, 0.0]],
+                                                       holes=(3,), options=options))
+    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM, options=options))
     wit = write(tmp_path / "w.json", {
         "format_version": 1, "type": "witness", "provenance": "kernel_path",
         "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 1.0], "phi2_zeros": [],
         "epsilon": 0.25, "recenter_c": 0.0,
     })
-    argv = ["analyze", prob] if command == "analyze" else ["certify", prob, wit]
-    assert main(argv) == 2
+    if command == "certify":
+        assert main(["certify", prob, wit]) == 0
+        assert json.loads(capsys.readouterr().out)["verifies"] is True
+        return
+    assert main(["analyze", near_root]) == 2
     out, err = capsys.readouterr()
     assert err == ""
     report = json.loads(out)
     assert report["type"] == "error" and report["error"] == "numerics"
     assert "did not stabilise" in report["message"]
+
+
+def test_overflowing_perturbation_product_fails_the_certificate(tmp_path, capsys):
+    # F = 1.5e308 (1 + z^2): F * G overflows, so its hole residual is NaN, which fails the
+    # certificate and is written as null; certify normalizes nothing, so this is no error
+    prob = write(tmp_path / "p.json", problem_doc([[1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0]]))
+    wit = write(tmp_path / "w.json", {
+        "format_version": 1, "type": "witness", "provenance": "kernel_path",
+        "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 2.0], "phi2_zeros": [],
+        "epsilon": 0.1, "recenter_c": 0.0,
+    })
+    assert main(["certify", prob, wit]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verifies"] is False and report["hole_residuals"] == [{"k": 2, "residual": None}]
+    assert any("hole 2 (residual nan)" in failure for failure in report["failures"])
 
 
 def test_subnormal_norm_is_a_numerics_error(tmp_path, capsys):
@@ -608,6 +634,46 @@ def test_one_hole_sweep_row_runs_two_recurrences(tmp_path, capsys, expansions):
     # per row: membership (f) and the criterion weights (f / P_1), which the single-hole
     # determinant reads too
     assert expansions == [(2, 1)] * 3 + [(2, 2)] * 3
+
+
+@pytest.fixture
+def circle_means(monkeypatch):
+    """One entry per circle mean (series.converged_circle_mean) run while a test runs."""
+    import sys
+
+    from hardyball import series
+
+    original, calls = series.converged_circle_mean, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardyball") and \
+                getattr(module, "converged_circle_mean", None) is original:
+            monkeypatch.setattr(module, "converged_circle_mean", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command, recurrences, means", [("analyze", 3, 1), ("certify", 2, 0)])
+def test_certificate_runs_no_circle_mean(command, recurrences, means, tmp_path, capsys,
+                                         expansions, circle_means):
+    # z^2 (1 + z^2) with hole {3}: non-extreme by degree overflow (m = M + 1), so the witness
+    # comes from the verdict's kernel.  analyze expands f (membership), f / P_2 (the matrix)
+    # and F * G (the witness) and integrates |f| once, to normalize; certify expands f and
+    # F * G and integrates nothing
+    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM, holes=(3,),
+                                                  zeros=((0.0, 0.0),) * 2))
+    wit = str(tmp_path / "w.json")
+    assert main(["analyze", prob, "--witness-out", wit]) == 10
+    if command == "certify":
+        capsys.readouterr()
+        del expansions[:], circle_means[:]
+        assert main(["certify", prob, wit]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report if command == "certify" else report["witness_report"])["verifies"] is True
+    assert len(expansions) == recurrences and len(circle_means) == means
 
 
 @pytest.fixture

@@ -47,11 +47,31 @@ EXACT_LOCUS_MEMBER = dict(
 A_53 = [0.3123456789012345, 0.4198765432109876]
 EXACT_FAR_MEMBER = dict(README_PROBLEM, holes=[2, 800], inner_zeros=[A_53], options={},
                         outer_numerator=[[1.0, 0.0], [-A_53[0], A_53[1]]])
+# z^2 (1 + z^2) with hole {3}: non-extreme by degree overflow (m = M + 1), witness from the kernel
+OVERFLOW_FIXTURE = dict(README_FIXTURE, holes=[3], inner_zeros=[[0.0, 0.0], [0.0, 0.0]])
+# witness documents written when c was the |f|-weighted mean of h and epsilon came from a
+# 16384-node sup; c is free and the verifier picks its own grid, so they still verify
+EARLIER_WITNESSES = {
+    "readme_fixture": (README_FIXTURE, {
+        "format_version": 1, "type": "witness", "provenance": "kernel_path",
+        "symmetric_order": 1, "coefficient_vector": [0, 0, 1], "phi2_zeros": [],
+        "epsilon": 0.25, "recenter_c": -4.4682682033558864e-17}),
+    "exact_locus_member": (EXACT_LOCUS_MEMBER, {
+        "format_version": 1, "type": "witness", "provenance": "kernel_path",
+        "symmetric_order": 1,
+        "coefficient_vector": [0.39954671553410726, 0.84903677050997794, -0.34568625143024484],
+        "phi2_zeros": [], "epsilon": 0.13180366003280639, "recenter_c": 0.75208793519835104}),
+}
 # z + 2^-60 z^3 with holes {2, 3, 40}: a float member, exactly zero at hole 2 but not at 3
 ZERO_AT_FIRST_HOLE = dict(README_PROBLEM, holes=[2, 3, 40],
                           outer_numerator=[[1.0, 0.0], [0.0, 0.0], [2.0 ** -60, 0.0]])
 
 PINS = {
+    "analyze_certify_degree_overflow": {
+        "stdout": "f171e502b4f9f63dc9c76b1d90ddee379d65901a661f803d71607528b23b62a3",
+        "witness": "3654eddda0d8b70857e3b6a39acf1c0c3a899855644a03098437fe6e5322dbf7",
+        "certify": "3b9024f35fccaf2520ebfbe28cc8c919bf643e6f7e1ba67c6407463158acb715",
+    },
     "analyze_exact_float_member_rejected": {
         "stdout": "a7037d3cb43be55bc3c8ac561196b896e32ffc78c87765667ffe4eff601460f0",
     },
@@ -62,18 +82,18 @@ PINS = {
         "stdout": "36836ed7d3026423bd01983851f896ea21ba55cb18b3f3c03d916277f27328fe",
     },
     "analyze_exact_locus_member": {
-        "stdout": "c81d5a249455610f1a931199e6fea9052f8bcef84e03eb53902bb6b90f653949",
-        "witness": "e569d88384914845daa5b9493278daac8f0b9db6d51c3faefd7b455e29d2829a",
+        "stdout": "1e6a22b683a8601402bddb17af156524cb402feb9af5b5b812017e3a48ebf95c",
+        "witness": "f0938508e9f08744940845874f894ed9bea89bd35f614cd477e5a07f1520f070",
     },
     "analyze_exact_dyadic_member": {
         "stdout": "113d486515159e3a8aa46d430c1788bccbc8a64abd7798b076394b61dfaeaa57",
     },
     "analyze_readme_fixture": {
-        "stdout": "5986936c3bdd6b996114d7842c104c63fdafeea2c1e6dffc4d77a89cace2cce7",
-        "witness": "a52e3faf8bd20a558c37d4f668b0a7f4f8c49da0d21d2430222130fc0264d45d",
+        "stdout": "c8e4a2f93764306323257ca6f1d6a11f66a06074ba616f949425d4e7fd8c66f6",
+        "witness": "e850614304a5b801cc1aee5103a2310a22b889d03855b3f2672a52715e31e654",
     },
     "certify_readme_fixture": {
-        "stdout": "36eef3b12f1ea3cbaa69dde0195b27c5fb35fb91968485f6ab682aebd97d6447",
+        "stdout": "93e06a30b505a6020cae1155c31fdadd52607ee7384c6c3033faed00a45f14ec",
     },
     "gen_fixed_seed": {
         "stdout": "7cd64b54bf8e7dec7df67755a088dcb9358e20c965495bc693cd05b5a99b8c7f",
@@ -112,6 +132,13 @@ def outputs(case: str, directory) -> dict[str, bytes]:
                              "--witness-out", str(witness)])
         assert code == 10
         return {"stdout": stdout, "witness": witness.read_bytes()}
+    if case == "analyze_certify_degree_overflow":
+        overflow = write("overflow.json", OVERFLOW_FIXTURE)
+        code, stdout = _run(["analyze", overflow, "--witness-out", str(witness)])
+        assert code == 10
+        certified = _run(["certify", overflow, str(witness)])
+        assert certified[0] == 0
+        return {"stdout": stdout, "witness": witness.read_bytes(), "certify": certified[1]}
     if case == "certify_readme_fixture":
         assert _run(["analyze", problem, "--witness-out", str(witness)])[0] == 10
         code, stdout = _run(["certify", problem, str(witness)])
@@ -144,3 +171,12 @@ def test_output_bytes_are_pinned(case, tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in outputs(case, tmp_path).items()}
     assert digests == PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(EARLIER_WITNESSES))
+def test_earlier_witnesses_still_verify(case, tmp_path):
+    problem, witness = EARLIER_WITNESSES[case]
+    (tmp_path / "p.json").write_text(json.dumps(problem))
+    (tmp_path / "w.json").write_text(json.dumps(witness))
+    code, stdout = _run(["certify", str(tmp_path / "p.json"), str(tmp_path / "w.json")])
+    assert code == 0 and json.loads(stdout)["verifies"] is True

@@ -17,7 +17,7 @@ from hardyball import (
     l1_norm,
 )
 from hardyball import series
-from hardyball.certificates import WITNESS_SAMPLE_NODES, WITNESS_SUP_NODES
+from hardyball.certificates import POSITIVITY_MAX_NODES
 from hardyball.exactrank import lift
 from hardyball.series import (
     QUAD_MAX_N,
@@ -374,11 +374,11 @@ class TestNestedLadder:
         assert circle_nodes(64) is nodes and not nodes.flags.writeable
         assert np.array_equal(circle_nodes(128)[::2], nodes)  # nested bit for bit
         assert np.array_equal(circle_nodes(128, odd=True), circle_nodes(128)[1::2])
-        # the witness grids are computed once per process, and the sample grid is
-        # bit for bit the even nodes of the sup grid
-        sup, sample = WITNESS_SUP_NODES, WITNESS_SAMPLE_NODES
-        assert all(circle_nodes(n) is circle_nodes(n) for n in (sup, sample))
-        assert circle_nodes(sup)[::sup // sample].tobytes() == circle_nodes(sample).tobytes()
+        # every grid of the witness positivity ladder is computed once per process, and
+        # its first grid is bit for bit every (cap / 16)-th node of its last
+        last = POSITIVITY_MAX_NODES
+        assert all(circle_nodes(n) is circle_nodes(n) for n in (16, last))
+        assert circle_nodes(last)[::last // 16].tobytes() == circle_nodes(16).tobytes()
 
 
 def _root_free_family(count=40, seed=12):
