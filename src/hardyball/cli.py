@@ -26,8 +26,7 @@ A sweep builds and checks each row's function on its own and decides its rows
 in blocks of stacked arrays (at most ``series.STACK_ELEMENTS`` Taylor
 coefficients a block): every stage, from root finding to the SVD, runs once
 per group of rows of one shape and gives each row the bytes it gets alone.
-With ``--jobs N`` each worker decides one contiguous share of the rows, with at
-most one worker per block the rows fill.
+With ``--jobs N`` each worker decides one contiguous share of the rows.
 """
 
 from __future__ import annotations
@@ -226,16 +225,12 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 # pool workers do not inherit the error state main sets
 @np.errstate(all="ignore")
 def _sweep_rows(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
-    """The CSV rows of consecutive points, decided in blocks of :func:`_block_rows` points,
-    so memory grows with neither the point count nor k_max."""
-    size = _block_rows(parsed[0])
+    """The CSV rows of consecutive points, decided in blocks of at most
+    series.STACK_ELEMENTS Taylor coefficients, so memory grows with neither the point count
+    nor k_max."""
+    size = max(1, series.STACK_ELEMENTS // (parsed[0].k_max + 1))
     return [row for i in range(0, len(combos), size)
             for row in _decide_block(parsed, combos[i:i + size])]
-
-
-def _block_rows(space: model.PuncturedSpace) -> int:
-    """Points per stacked block: at most series.STACK_ELEMENTS Taylor coefficients."""
-    return max(1, series.STACK_ELEMENTS // (space.k_max + 1))
 
 
 def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
@@ -352,9 +347,8 @@ def cmd_sweep(args) -> int:
               tuple((f, i, part, index[name]) for f, i, part, name in slots))
 
     combos = list(itertools.product(*ranges))
-    # the pool forks every worker up front, so it is sized to the machine and to the
-    # blocks the rows fill: rows that fit in one block are decided in this process
-    workers = min(args.jobs, os.cpu_count() or 1, -(-len(combos) // _block_rows(space)))
+    # the pool forks every worker up front, so it is sized to the work and the machine
+    workers = min(args.jobs, len(combos), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

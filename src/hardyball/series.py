@@ -227,9 +227,8 @@ def _taylor_rows(rationals: Sequence[Rational], up_to: int) -> np.ndarray:
 # integrands see at most this many nodes per call, so that their temporaries on
 # large grids stay small; odd halves up to this size are computed once and kept
 _CHUNK = 2 ** 12
-# full grids up to this size are computed once and kept: every grid of the witness
-# positivity ladder of :mod:`hardyball.certificates` among them (384 KB for the two
-# above _CHUNK)
+# full grids up to this size are computed once and kept: the witness grids of
+# :mod:`hardyball.certificates` among them (384 KB for the two above _CHUNK)
 _KEPT = 2 ** 14
 
 

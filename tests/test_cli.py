@@ -287,16 +287,14 @@ class TestSweep:
         report = json.loads(err)
         assert report["error"] == "parse" and "--jobs" in report["message"]
 
-    # with the hole 2^13 a block of stacked rows holds one row, so each row is its own block
-    @pytest.mark.parametrize("jobs, cpus, hole, workers", [
-        pytest.param("64", 8, 2 ** 13, [3], id="no-more-workers-than-rows"),
-        pytest.param("64", 2, 2 ** 13, [2], id="no-more-workers-than-processors"),
-        pytest.param("2", 8, 2 ** 13, [2], id="fewer-jobs-than-rows-and-processors"),
-        pytest.param("4", 1, 2 ** 13, [], id="one-processor-runs-in-process"),
-        pytest.param("1", 8, 2 ** 13, [], id="one-job-runs-in-process"),
-        pytest.param("64", 8, 2, [], id="rows-in-one-block-run-in-process"),
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        pytest.param("64", 8, [3], id="no-more-workers-than-rows"),
+        pytest.param("64", 2, [2], id="no-more-workers-than-processors"),
+        pytest.param("2", 8, [2], id="fewer-jobs-than-rows-and-processors"),
+        pytest.param("4", 1, [], id="one-processor-runs-in-process"),
+        pytest.param("1", 8, [], id="one-job-runs-in-process"),
     ])
-    def test_pool_is_sized_to_the_rows_and_the_machine(self, jobs, cpus, hole, workers, tmp_path,
+    def test_pool_is_sized_to_the_rows_and_the_machine(self, jobs, cpus, workers, tmp_path,
                                                        capsys, monkeypatch):
         started = []
 
@@ -317,8 +315,7 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        tpath = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]],
-                                                       holes=(hole,)))
+        tpath = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
         assert main(["sweep", tpath, "--param", "beta", "--range", "0:0.5:0.25",
                      "--jobs", jobs]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
@@ -525,19 +522,23 @@ def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsy
     assert "did not stabilise" in report["message"]
 
 
-def test_overflowing_perturbation_product_fails_the_certificate(tmp_path, capsys):
-    # F = 1.5e308 (1 + z^2): F * G overflows, so its hole residual is NaN, which fails the
-    # certificate and is written as null; certify normalizes nothing, so this is no error
-    prob = write(tmp_path / "p.json", problem_doc([[1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0]]))
-    wit = write(tmp_path / "w.json", {
-        "format_version": 1, "type": "witness", "provenance": "kernel_path",
-        "symmetric_order": 1, "coefficient_vector": [0.0, 0.0, 2.0], "phi2_zeros": [],
-        "epsilon": 0.1, "recenter_c": 0.0,
-    })
-    assert main(["certify", prob, wit]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["verifies"] is False and report["hole_residuals"] == [{"k": 2, "residual": None}]
-    assert any("hole 2 (residual nan)" in failure for failure in report["failures"])
+@pytest.mark.parametrize("exponent", [1023, -1000])
+def test_certify_does_not_depend_on_the_scale_of_f(exponent, tmp_path, capsys):
+    # inner zeros 0.99 and 0.99i with the hole 400: F * G's coefficients run from 9e-14 to
+    # 21 times F's largest part, so at F ~ 2^1023 they overflow and at 2^-1000 the small ones
+    # round as subnormals, unless certify brings F to unit size first.  Scaling F by a power
+    # of two is exact, so the unit-scale witness holds and certify reports the same bytes
+    space = model.PuncturedSpace((400,))
+    doc = documents.problem_to_dict(space, model.sample_member(space, (0.99, 0.99j), (), 2, 1))
+    prob, wit = write(tmp_path / "p.json", doc), str(tmp_path / "w.json")
+    assert main(["analyze", prob, "--witness-out", wit]) == 10
+    assert json.loads(capsys.readouterr().out)["witness_report"]["verifies"] is True
+    assert main(["certify", prob, wit]) == 0
+    unit = capsys.readouterr().out
+    doc["outer_numerator"] = [[np.ldexp(part, exponent) for part in c]
+                              for c in doc["outer_numerator"]]
+    assert main(["certify", write(tmp_path / "scaled.json", doc), wit]) == 0
+    assert capsys.readouterr().out == unit
 
 
 def test_subnormal_norm_is_a_numerics_error(tmp_path, capsys):
@@ -634,26 +635,6 @@ def test_one_hole_sweep_row_runs_two_recurrences(tmp_path, capsys, expansions):
     # per row: membership (f) and the criterion weights (f / P_1), which the single-hole
     # determinant reads too
     assert expansions == [(2, 1)] * 3 + [(2, 2)] * 3
-
-
-@pytest.fixture
-def circle_means(monkeypatch):
-    """One entry per circle mean (series.converged_circle_mean) run while a test runs."""
-    import sys
-
-    from hardyball import series
-
-    original, calls = series.converged_circle_mean, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hardyball") and \
-                getattr(module, "converged_circle_mean", None) is original:
-            monkeypatch.setattr(module, "converged_circle_mean", counting)
-    return calls
 
 
 @pytest.mark.parametrize("command, recurrences, means", [("analyze", 3, 1), ("certify", 2, 0)])
