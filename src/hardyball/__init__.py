@@ -22,16 +22,12 @@ from .extremality import (
     BORDERLINE,
     EXTREME,
     NON_EXTREME,
-    CriterionMatrix,
     DeltaResult,
     ExtremalityVerdict,
     SymmetricPolynomial,
-    assemble_criterion_matrix,
-    build_criterion_matrix,
     canonical_kernel_vector,
     decide_extreme,
     kernel_alignment,
-    numeric_rank,
     single_hole_delta,
 )
 from .model import (

@@ -30,9 +30,8 @@ from .extremality import (
     EXTREME,
     ExtremalityVerdict,
     SymmetricPolynomial,
-    build_criterion_matrix,
+    _decide_rows,
     canonical_kernel_vector,
-    numeric_rank,
 )
 from .model import FactoredFunction, MembershipReport, PuncturedSpace, check_membership
 from .series import Rational, _polyval, circle_nodes
@@ -184,7 +183,8 @@ def make_witness(
     to P_n itself, gives a real nonconstant h = p / P_n on the circle.  For
     n = m the operator is the criterion matrix, whose kernel the verdict
     carries; for n = M + 1 < m it has 2M rows and 2n + 1 columns, so its
-    kernel has dimension at least 3.  The canonical direction is stripped out
+    kernel, by the verdict's rank rule on f's order-n weights, has dimension at
+    least 3.  The canonical direction is stripped out
     and the witness direction read off the projection onto what remains, so it
     does not depend on the kernel basis; a kernel with nothing beyond the
     canonical vector contradicts the verdict and raises
@@ -197,7 +197,7 @@ def make_witness(
     if n == len(zeros):
         kernel = verdict.kernel_basis
     else:
-        kernel = numeric_rank(build_criterion_matrix(f, space, first=n).assembled, tol.rank).kernel
+        kernel = _decide_rows(f.taylor(space.k_max, first=n)[None], space, n, tol)[0].kernel_basis
     canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
     canonical = canonical / np.linalg.norm(canonical)
     remainders = kernel - np.outer(kernel @ canonical, canonical)

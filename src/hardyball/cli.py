@@ -283,7 +283,7 @@ def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[s
             if isinstance(verdict, Exception):
                 tails[i] = _error_tail(verdict)
                 continue
-            status, rank, sigmas = verdict
+            sigmas = verdict.singular_values
             try:
                 delta = ""
                 if space.size == 1 and m == 1:
@@ -293,7 +293,7 @@ def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[s
             except ValueError as exc:  # a delta whose squares overflow is not finite
                 tails[i] = _error_tail(exc)
                 continue
-            tails[i] = [status, str(rank), delta, min_sigma]
+            tails[i] = [verdict.status, str(verdict.rank), delta, min_sigma]
     return [[documents.format_float(v) for v in point] + tail
             for point, tail in zip(combos, tails)]
 

@@ -1,4 +1,4 @@
-"""The rank criterion: criterion matrix assembly, numeric rank, verdicts.
+"""The rank criterion: criterion matrix assembly, the one rank rule, verdicts.
 
 A unit-norm member f = I*F of the punctured space (holes k_1 < ... < k_M,
 inner degree m) is extreme for the unit ball iff
@@ -12,6 +12,9 @@ sending a symmetric polynomial's coefficient vector to the hole coefficient
 of (polynomial * weighted outer factor); its kernel always contains the
 canonical vector induced by the inner factor itself, so extremality is
 exactly kernel-dimension one.
+
+One stacked rank rule, :func:`_decide_rows`, makes every float decision: the
+verdicts of ``analyze`` and ``sweep`` and the degree-overflow witness's kernel.
 """
 
 from __future__ import annotations
@@ -84,39 +87,14 @@ def canonical_kernel_vector(zeros) -> SymmetricPolynomial:
     return SymmetricPolynomial(n, (upper[0].real / 2.0, *upper[1:].real, *upper[1:].imag))
 
 
-@dataclass(frozen=True)
-class CriterionMatrix:
-    """Block matrix [[re_sum, im_diff], [im_sum, -re_diff]] with 2M rows, 2m+1 columns.
-
-    With c_r the coefficients (zero for r < 0) and row hole k_j:
-    re_sum[j, l]  = Re c_{k_j+l-m} + Re c_{k_j-l-m}   (l = 0..m)
-    im_sum[j, l]  = Im c_{k_j+l-m} + Im c_{k_j-l-m}   (l = 0..m)
-    re_diff[j, l] = Re c_{k_j+l-m} - Re c_{k_j-l-m}   (l = 1..m)
-    im_diff[j, l] = Im c_{k_j+l-m} - Im c_{k_j-l-m}   (l = 1..m)
-
-    ``assembled`` is float64 for complex coefficients and an object array of
-    exact rationals for exact ones.
-    """
-
-    holes: tuple[int, ...]
-    m: int
-    assembled: np.ndarray
-    coefficients: np.ndarray
-
-
-def assemble_criterion_matrix(coeffs, holes, m: int) -> CriterionMatrix:
-    """Assemble the criterion blocks from coefficients c_0, c_1, ... (pure tabulation).
-
-    Only the 2M(m+1) coefficients in the windows c_{k_j-2m..k_j} are read, and
-    split into ``.real`` and ``.imag`` parts with exact ``+ -``, so the same
-    tabulation serves float and exact coefficients.
-    """
-    holes = tuple(int(k) for k in holes)
-    return CriterionMatrix(holes, m, _assemble(coeffs, holes, m), coeffs)
-
-
 def _assemble(coeffs, holes: tuple[int, ...], m: int) -> np.ndarray:
-    """The assembled blocks; coefficient rows (shape (r, n)) give one matrix per row."""
+    """The criterion matrix [[re_sum, im_diff], [im_sum, -re_diff]], 2M rows and 2m + 1
+    columns, of coefficients c_0, c_1, ...; coefficient rows (shape (r, n)) give one matrix
+    per row.  With c_r = 0 for r < 0 and row hole k_j, re_sum[j, l] = Re c_{k_j+l-m} +
+    Re c_{k_j-l-m} (l = 0..m) and re_diff[j, l] = Re c_{k_j+l-m} - Re c_{k_j-l-m} (l = 1..m),
+    and the Im blocks alike.  Only the 2M(m+1) coefficients in the windows c_{k_j-2m..k_j} are
+    read, and split into ``.real`` and ``.imag`` with exact + and -, so complex coefficients
+    give float64 and exact ones an object array of exact rationals."""
     count = len(holes)
     base = np.array(holes, dtype=int).reshape(-1, 1) - m
     offsets = np.arange(m + 1)
@@ -138,54 +116,12 @@ def _assemble(coeffs, holes: tuple[int, ...], m: int) -> np.ndarray:
                            np.concatenate([im_sum, -re_diff], axis=-1)], axis=-2)
 
 
-def build_criterion_matrix(
-    f: FactoredFunction, space: PuncturedSpace, first: int | None = None
-) -> CriterionMatrix:
-    """Float criterion matrix of order n = ``first`` (default: the inner degree) for the hole set."""
-    n = f.inner.degree if first is None else first
-    return assemble_criterion_matrix(f.taylor(space.k_max, first=n), space.holes, n)
-
-
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    kernel: np.ndarray  # rows form an orthonormal kernel basis
-    singular_values: np.ndarray
-    borderline: bool
-
-
-def numeric_rank(
-    matrix: np.ndarray, tol_rank: float = DEFAULT.rank, scale_floor: float = 0.0
-) -> RankResult:
-    """SVD rank with relative cutoff and an explicit borderline band.
-
-    rank = #{sigma > tol_rank * max(sigma_max, scale_floor)}; the kernel basis
-    is the trailing right singular vectors.  Any singular value within one
-    decade of the cutoff flags the result borderline rather than silently
-    classifying it.
-
-    ``scale_floor`` anchors the cutoff to the problem's own coefficient scale:
-    a matrix whose largest singular value sits at rounding level relative to
-    the coefficients it was built from is the zero matrix it represents (the
-    degree-zero inner case produces exactly such matrices), which a purely
-    sigma_max-relative cutoff would misread as rank one.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix must be finite")
-    if matrix.shape[0] == 0:
-        return RankResult(0, np.eye(matrix.shape[1]), np.zeros(0), False)
-    _, s, vh = np.linalg.svd(matrix)
-    smax = float(s[0]) if s.size else 0.0
-    if max(smax, scale_floor) == 0.0:
-        return RankResult(0, np.eye(matrix.shape[1]), s, False)
-    rank, borderline = _rank_rule(s, tol_rank, scale_floor)
-    return RankResult(int(rank), vh[rank:], s, bool(borderline))
-
-
 def _rank_rule(s: np.ndarray, tol_rank: float, scale_floor) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, borderline) of descending singular values along the last axis (each row with
-    its own scale floor); rank 0 and not borderline where sigma_max and the floor are 0."""
+    """(rank, borderline) of descending singular values along the last axis, each row with
+    its own scale floor: rank = #{sigma > tol_rank * max(sigma_max, floor)}, borderline when
+    a sigma lies within one decade of that cutoff (never where sigma_max and the floor are 0).
+    The floor, the scale of the matrix's coefficients, makes a matrix at rounding level
+    against them (as degree-zero inner factors give) the zero matrix it represents."""
     smax = s[..., 0]
     top = np.where(scale_floor > smax, scale_floor, smax)  # max(smax, floor), as Python's max
     cutoff = (tol_rank * top)[..., None]
@@ -249,34 +185,29 @@ def decide_extreme(
     dyadic lift of the inputs; no tolerance, no borderline band).
     """
     m = f.inner.degree
-    cond = ConditionA(m, space.size)
-
-    if backend == "exact":
-        # the exact rank of a function that is not an exact rational member
-        # answers a question about a function outside the space; the first
-        # hole alone, then all of them (once when the two are the same)
-        for holes in dict.fromkeys((space.holes[:1], space.holes)):
-            head = PuncturedSpace(holes)
-            weights = f.taylor(head.k_max, lift, m)
-            for hole, defect in exact_membership_defects(f, head, weights):
-                if defect != 0:
-                    raise NotInSpaceError(hole, float(defect), "exact defect |Re| + |Im| =")
-        matrix = assemble_criterion_matrix(weights, space.holes, m).assembled
-        basis = fraction_kernel(matrix.tolist(), 2 * m + 1)
-        kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
-        result = RankResult(2 * m + 1 - len(basis), kernel, np.zeros(0), False)
-    elif backend == "svd":
+    if backend == "svd":
         if membership is None:
             membership = check_membership(f.taylor(space.k_max), space, tol)
         membership.require()
-        matrix = build_criterion_matrix(f, space)
-        scale = float(np.abs(matrix.coefficients).max()) if space.holes else 0.0
-        result = numeric_rank(matrix.assembled, tol.rank, scale_floor=scale)
-    else:
+        verdict, = _decide_rows(f.taylor(space.k_max, first=m)[None], space, m, tol)
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
+    if backend != "exact":
         raise ValueError(f"unknown rank backend {backend!r}")
-
-    return ExtremalityVerdict(_status(cond, result.rank, result.borderline), result.rank,
-                              result.kernel, cond, result.singular_values, backend)
+    # the exact rank of a function that is not an exact rational member
+    # answers a question about a function outside the space; the first
+    # hole alone, then all of them (once when the two are the same)
+    for holes in dict.fromkeys((space.holes[:1], space.holes)):
+        head = PuncturedSpace(holes)
+        weights = f.taylor(head.k_max, lift, m)
+        for hole, defect in exact_membership_defects(f, head, weights):
+            if defect != 0:
+                raise NotInSpaceError(hole, float(defect), "exact defect |Re| + |Im| =")
+    basis = fraction_kernel(_assemble(weights, space.holes, m).tolist(), 2 * m + 1)
+    kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
+    rank, cond = 2 * m + 1 - len(basis), ConditionA(m, space.size)
+    return ExtremalityVerdict(_status(cond, rank, False), rank, kernel, cond, np.zeros(0), backend)
 
 
 def _status(cond: ConditionA, rank: int, borderline: bool) -> str:
@@ -291,23 +222,27 @@ def _status(cond: ConditionA, rank: int, borderline: bool) -> str:
 
 def _decide_rows(weights: np.ndarray, space: PuncturedSpace, m: int,
                  tol: Tolerances = DEFAULT) -> list:
-    """The svd verdict of :func:`decide_extreme` for members of inner degree m, from rows of
-    their criterion weights f / P_m (shape (r, k_max + 1)): per row (status, rank, singular
-    values), or the ValueError of a matrix that is not finite.  The matrices are assembled
-    and their SVDs taken as one stack, each with the bits numeric_rank gives it alone."""
+    """The one float rank decision: the svd verdicts of members of inner degree m, from rows
+    of their criterion weights f / P_m (shape (r, k_max + 1)).  Per row an
+    :class:`ExtremalityVerdict`, or the ValueError of a matrix that is not finite.  The
+    matrices are assembled and their SVDs taken as one stack, each with the bits it gets
+    alone; :func:`_rank_rule` reads the singular values with the row's largest weight as
+    its scale floor, and the kernel is the trailing right singular vectors (every vector
+    when there is no hole)."""
     cond = ConditionA(m, space.size)
     if not space.holes:  # the empty matrix has rank 0
-        return [(_status(cond, 0, False), 0, np.zeros(0))] * len(weights)
+        return [ExtremalityVerdict(_status(cond, 0, False), 0, np.eye(2 * m + 1), cond,
+                                   np.zeros(0))] * len(weights)
     matrices = _assemble(weights, space.holes, m)
     finite = np.isfinite(matrices).all(axis=(1, 2))
-    sigmas = np.linalg.svd(matrices[finite])[1]
+    _, sigmas, vhs = np.linalg.svd(matrices[finite])
     ranks, borderline = _rank_rule(sigmas, tol.rank, np.abs(weights[finite]).max(axis=-1))
-    verdicts = iter(zip(sigmas, ranks.tolist(), borderline.tolist()))
+    verdicts = iter(zip(sigmas, vhs, ranks.tolist(), borderline.tolist()))
     out = []
     for ok in finite:
         if ok:
-            s, rank, flag = next(verdicts)
-            out.append((_status(cond, rank, flag), rank, s))
+            s, vh, rank, flag = next(verdicts)
+            out.append(ExtremalityVerdict(_status(cond, rank, flag), rank, vh[rank:], cond, s))
         else:
             out.append(ValueError("matrix must be finite"))
     return out

@@ -266,11 +266,19 @@ def _finite_values(integrand, nodes: np.ndarray, first: int = 0, step: int = 1) 
 def _trapezoid_means(integrand, start_n: int):
     """(mean, n) on uniform grids of n = start_n, 2 start_n, ... up to QUAD_MAX_N nodes; each
     doubling evaluates only the new (odd) nodes, so each mean is bit for bit its full grid's.
+    Only where the plain sum overflows is the mean taken of the values times 2^-e >= 1/(2n)
+    and scaled back by 2^e, which is exact short of subnormals.
     A caller of an integrand of rows may send a mask of the rows to go on with (a per-row
     stop); the integrand must then return just those rows."""
     n, vals = start_n, _finite_values(integrand, circle_nodes(start_n))
     while True:
-        keep = yield np.real(vals).mean(axis=-1), n
+        with np.errstate(over="ignore"):  # a sum of finite values that overflows is redone
+            mean = np.real(vals).mean(axis=-1)
+        if np.isinf(mean).any():
+            e = n.bit_length()
+            scaled = np.ldexp(np.ldexp(np.real(vals), -e).mean(axis=-1), e)
+            mean = np.where(np.isinf(mean), scaled, mean)
+        keep = yield mean, n
         n *= 2
         if n > QUAD_MAX_N:
             return

@@ -2,8 +2,10 @@
 
 Builders take explicit seeds and redraw infeasible configurations (hole sets
 that no outer numerator can satisfy exist; the generator reports them), so
-every test run sees the same instances.  :func:`hole_constraint_value` is the
-independent audit oracle of the criterion matrix entries,
+every test run sees the same instances.  :func:`criterion_matrix` and
+:func:`rule_verdict` give a function's criterion matrix and the rank rule's
+verdict on it, :func:`hole_constraint_value` is the
+independent audit oracle of its entries,
 :class:`FractionGaussian` the reference exact ring and :func:`direct_defects`
 the oracle of the exact membership defects, and :func:`endpoint_norms` the
 oracle of the midpoint identity behind a witness.  :data:`EVERY_BRANCH_TEMPLATE` is
@@ -32,6 +34,7 @@ from hardyball import (
     witness_h_values,
 )
 from hardyball.exactrank import lift
+from hardyball.extremality import _assemble, _decide_rows
 
 # hole {3}, inner zero 1/2, a pole at 2 and a non-unit inner constant; the outer numerator
 # 1.25 - z + t z^2 + t z^3 keeps f_3 = 0 for every t (the weights w_0 + w_1 of z^2 and z^3
@@ -184,6 +187,19 @@ def single_hole_locus_member(seed: int, k_max: int = 12):
     f = FactoredFunction(BlaschkeProduct((a,)), OuterRational(tuple(numerator)))
     member, _ = normalize(f)
     return member, PuncturedSpace((k,))
+
+
+def criterion_matrix(f: FactoredFunction, space: PuncturedSpace, first: int | None = None):
+    """The float hole-constraint matrix of order n = ``first`` (default: the inner degree), as
+    the rank rule assembles it from f's weights f / P_n."""
+    n = f.inner.degree if first is None else first
+    return _assemble(f.taylor(space.k_max, first=n), space.holes, n)
+
+
+def rule_verdict(f: FactoredFunction, space: PuncturedSpace, first: int | None = None):
+    """The rank rule's verdict on f's weights of order ``first`` (default: the inner degree)."""
+    n = f.inner.degree if first is None else first
+    return _decide_rows(f.taylor(space.k_max, first=n)[None], space, n)[0]
 
 
 def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:

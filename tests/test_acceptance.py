@@ -17,8 +17,6 @@ from hardyball import (
     OuterRational,
     PuncturedSpace,
     SymmetricPolynomial,
-    assemble_criterion_matrix,
-    build_criterion_matrix,
     canonical_kernel_vector,
     check_exposed,
     check_membership,
@@ -27,14 +25,15 @@ from hardyball import (
     kernel_alignment,
     make_witness,
     normalize,
-    numeric_rank,
     single_hole_delta,
     verify_witness,
     witness_h_values,
 )
 from hardyball.certificates import _perturbation_product
+from hardyball.extremality import _assemble, _decide_rows
 
 from _instances import (
+    criterion_matrix,
     endpoint_norms,
     hole_constraint_value,
     overflow_member,
@@ -42,6 +41,7 @@ from _instances import (
     random_member,
     random_outer,
     random_zeros,
+    rule_verdict,
     single_hole_locus_member,
     single_hole_member,
 )
@@ -117,8 +117,8 @@ def test_criterion_02_outer_members_zero_matrix():
             except Exception:
                 continue
         assert member is not None
-        matrix = build_criterion_matrix(member, space)
-        worst = max(worst, float(np.abs(matrix.assembled).max()))
+        matrix = criterion_matrix(member, space)
+        worst = max(worst, float(np.abs(matrix).max()))
         verdict = decide_extreme(member, space, DEFAULT)
         assert verdict.status == EXTREME and verdict.rank == 0
     ok = worst <= 1e-12
@@ -169,16 +169,16 @@ def test_criterion_04_canonical_kernel_invariant():
         # relative bound noise-over-noise and are redrawn.
         for attempt in range(20):
             member, space = random_member((4000, i, attempt), m_range=(1, 4))
-            matrix = build_criterion_matrix(member, space)
-            scale = np.abs(matrix.coefficients).max()
-            if np.linalg.norm(matrix.assembled, 2) > 1e-6 * scale:
+            m = member.inner.degree
+            weights = member.taylor(space.k_max, first=m)
+            matrix = _assemble(weights, space.holes, m)
+            if np.linalg.norm(matrix, 2) > 1e-6 * np.abs(weights).max():
                 break
         vec = np.array(canonical_kernel_vector(member.inner.zeros).vector)
-        residual = np.linalg.norm(matrix.assembled @ vec)
-        bound = np.linalg.norm(matrix.assembled, 2) * np.linalg.norm(vec)
+        residual = np.linalg.norm(matrix @ vec)
+        bound = np.linalg.norm(matrix, 2) * np.linalg.norm(vec)
         worst_ratio = max(worst_ratio, residual / bound)
-        result = numeric_rank(matrix.assembled, DEFAULT.rank)
-        assert result.rank <= 2 * member.inner.degree
+        assert _decide_rows(weights[None], space, m, DEFAULT)[0].rank <= 2 * m
         count += 1
     ok = worst_ratio <= 1e-9
     report_line(4, "canonical vector spans into the kernel", ok,
@@ -197,7 +197,7 @@ def test_criterion_05_matrix_entry_audit():
         ))
         length = holes[-1] + 1
         coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        matrix = assemble_criterion_matrix(coeffs, holes, m)
+        matrix = _assemble(coeffs, holes, m)
         for col in range(2 * m + 1):
             basis = np.zeros(2 * m + 1)
             basis[col] = 1.0
@@ -205,8 +205,8 @@ def test_criterion_05_matrix_entry_audit():
             for j, k in enumerate(holes):
                 value = hole_constraint_value(p, coeffs, k)
                 worst = max(worst,
-                            abs(matrix.assembled[j, col] - value.real),
-                            abs(matrix.assembled[len(holes) + j, col] - value.imag))
+                            abs(matrix[j, col] - value.real),
+                            abs(matrix[len(holes) + j, col] - value.imag))
     ok = worst <= 1e-12
     report_line(5, "matrix entries audit against the bilinear form", ok,
                 f"200 instances, every column against the coefficient-space oracle; "
@@ -261,8 +261,8 @@ def test_criterion_07_worked_instance():
     f_extreme = FactoredFunction(
         BlaschkeProduct((0.0,)), OuterRational((1.0, 0.0, 0.5))
     )
-    matrix = build_criterion_matrix(f_extreme, space)
-    matrix_ok = np.allclose(matrix.assembled, [[0, 1.5, 0], [0, 0, 0.5]], atol=1e-15)
+    matrix = criterion_matrix(f_extreme, space)
+    matrix_ok = np.allclose(matrix, [[0, 1.5, 0], [0, 0, 0.5]], atol=1e-15)
     verdict = decide_extreme(f_extreme, space, DEFAULT)
     extreme_ok = verdict.status == EXTREME and verdict.rank == 2
 
@@ -302,10 +302,10 @@ def test_criterion_08_degree_overflow():
     for i in range(50):
         member, space = overflow_member((8000, i))
         if space.size:
-            operator = build_criterion_matrix(member, space, first=space.size + 1)
-            result = numeric_rank(operator.assembled, DEFAULT.rank)
-            min_kernel = min(min_kernel, result.kernel.shape[0])
-            assert result.kernel.shape[0] >= 3
+            # the order-(M + 1) operator's kernel, by the rank rule make_witness uses
+            kernel = rule_verdict(member, space, first=space.size + 1).kernel_basis
+            min_kernel = min(min_kernel, kernel.shape[0])
+            assert kernel.shape[0] >= 3
         verdict = decide_extreme(member, space, DEFAULT)
         assert verdict.status == NON_EXTREME and not verdict.condition_a.holds
         witness = make_witness(member, space, verdict, DEFAULT)

@@ -541,6 +541,23 @@ def test_certify_does_not_depend_on_the_scale_of_f(exponent, tmp_path, capsys):
     assert capsys.readouterr().out == unit
 
 
+def test_member_near_the_float_limit_gets_a_verdict(tmp_path, capsys):
+    # the member of the test above times 1e306: |f| stays finite on the circle, but the sum
+    # behind a circle mean of |f| overflowed and no ladder settled; scaled by a power of two,
+    # analyze and a sweep row of the same function reach the verdict of f at unit scale
+    space = model.PuncturedSpace((400,))
+    doc = documents.problem_to_dict(space, model.sample_member(space, (0.99, 0.99j), (), 2, 1))
+    doc["outer_numerator"] = [[part * 1e306 for part in c] for c in doc["outer_numerator"]]
+    assert main(["analyze", write(tmp_path / "p.json", doc)]) == 10
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["rank"] == 2 and report["witness_report"]["verifies"] is True
+    doc["inner_zeros"][0] = ["re", 0.0]
+    template = write(tmp_path / "t.json", doc)
+    assert main(["sweep", template, "--param", "re", "--range", "0.99:0.99:1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(row["status"], row["rank"]) for row in rows] == [("non_extreme", "2")]
+
+
 def test_subnormal_norm_is_a_numerics_error(tmp_path, capsys):
     # 1 / 5e-324 overflows: the normalized factor cannot be represented
     prob = write(tmp_path / "p.json", problem_doc([[5e-324, 0.0]], holes=(), zeros=()))
@@ -698,6 +715,44 @@ def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_f
         assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == \
             ["extreme"] * 3
     assert len(root_finds) == finds
+
+
+@pytest.fixture
+def rank_decisions(monkeypatch):
+    """Row count of every call of the one float rank rule, extremality._decide_rows."""
+    import sys
+
+    original, calls = extremality._decide_rows, []
+
+    def counting(weights, *args, **kwargs):
+        calls.append(len(weights))
+        return original(weights, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hardyball") and getattr(module, "_decide_rows", None) is original:
+            monkeypatch.setattr(module, "_decide_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case, decisions", [("kernel", [1]), ("overflow", [1, 1]),
+                                             ("sweep", [3])])
+def test_every_float_verdict_comes_from_the_one_rank_rule(case, decisions, tmp_path, capsys,
+                                                          rank_decisions):
+    if case == "sweep":  # three rows in one stacked block
+        template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+        assert main(["sweep", template, "--param", "beta", "--range", "0:0.5:0.25"]) == 0
+    else:
+        # z (1 + z^2) with hole {2}: the witness reads the verdict's kernel.  z^3 (1 + z^2) with
+        # hole {4} has m = 3 = M + 2, so its witness needs the order-2 operator's kernel too
+        m, hole = (1, 2) if case == "kernel" else (3, 4)
+        prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM, holes=(hole,),
+                                                      zeros=((0.0, 0.0),) * m))
+        assert main(["analyze", prob]) == 10
+        report = json.loads(capsys.readouterr().out)
+        assert report["witness"]["provenance"] == ("kernel_path" if m == 1
+                                                   else "degree_overflow_path")
+        assert report["witness_report"]["verifies"] is True
+    assert rank_decisions == decisions
 
 
 def test_clustered_zeros_near_the_circle_get_a_verdict(tmp_path, capsys):

@@ -15,20 +15,18 @@ from hardyball import (
     PuncturedSpace,
     Rational,
     SymmetricPolynomial,
-    assemble_criterion_matrix,
-    build_criterion_matrix,
     canonical_kernel_vector,
     circle_nodes,
     decide_extreme,
     kernel_alignment,
-    numeric_rank,
     single_hole_delta,
 )
 from hardyball import sample_member, series
 from hardyball.exactrank import exact_membership_defects, fraction_kernel, lift
+from hardyball.extremality import _assemble, _rank_rule
 
-from _instances import (direct_defects, fraction_lift, hole_constraint_value, random_member,
-                        random_zeros, single_hole_member)
+from _instances import (criterion_matrix, direct_defects, fraction_lift, hole_constraint_value,
+                        random_member, random_zeros, rule_verdict, single_hole_member)
 
 
 def factored(zeros, numerator, den=()):
@@ -70,56 +68,61 @@ class TestCriterionCoefficients:
 class TestBuildMatrix:
     def test_worked_instance(self):
         f = factored([0.0], [1.0, 0.0, 0.5])
-        mat = build_criterion_matrix(f, PuncturedSpace((2,)))
-        assert mat.assembled == pytest.approx(np.array([[0, 1.5, 0], [0, 0, 0.5]]))
-        assert mat.assembled.shape == (2, 3)
+        mat = criterion_matrix(f, PuncturedSpace((2,)))
+        assert mat == pytest.approx(np.array([[0, 1.5, 0], [0, 0, 0.5]]))
+        assert mat.shape == (2, 3)
 
     def test_worked_instance_rank_deficient(self):
         f = factored([0.0], [1.0, 0.0, 1.0])
-        mat = build_criterion_matrix(f, PuncturedSpace((2,)))
-        assert mat.assembled == pytest.approx(np.array([[0, 2, 0], [0, 0, 0]]))
+        mat = criterion_matrix(f, PuncturedSpace((2,)))
+        assert mat == pytest.approx(np.array([[0, 2, 0], [0, 0, 0]]))
 
     def test_outer_member_gives_zero_matrix(self):
         # m = 0: both blocks collapse to the zero column of hole coefficients
         f = factored([], [1.0, 0.0, 0.0, 0.5])  # holes at 1 and 2 vanish
-        mat = build_criterion_matrix(f, PuncturedSpace((1, 2)))
-        assert mat.assembled.shape == (4, 1)
-        assert np.abs(mat.assembled).max() < 1e-15
+        mat = criterion_matrix(f, PuncturedSpace((1, 2)))
+        assert mat.shape == (4, 1)
+        assert np.abs(mat).max() < 1e-15
 
     def test_empty_hole_set(self):
         f = factored([0.3], [1.0])
-        mat = build_criterion_matrix(f, PuncturedSpace(()))
-        assert mat.assembled.shape == (0, 3)
+        mat = criterion_matrix(f, PuncturedSpace(()))
+        assert mat.shape == (0, 3)
 
 
 class TestNumericRank:
+    """The one rank rule: _rank_rule on singular values, _decide_rows on weights."""
+
     def test_zero_matrix(self):
-        res = numeric_rank(np.zeros((2, 1)))
-        assert res.rank == 0
-        assert res.kernel.shape == (1, 1)
+        # a member's weights start with F(0) != 0, so the scale floor of _decide_rows is never
+        # 0; the rule alone reads zero singular values as rank 0, not borderline
+        rank, borderline = _rank_rule(np.zeros(1), DEFAULT.rank, 0.0)
+        assert rank == 0 and not borderline
 
     def test_fixture_full_rank(self):
-        res = numeric_rank(np.array([[0, 1.5, 0], [0, 0, 0.5]]))
+        # the matrix [[0, 1.5, 0], [0, 0, 0.5]]
+        res = rule_verdict(factored([0.0], [1.0, 0.0, 0.5]), PuncturedSpace((2,)))
         assert res.rank == 2
-        assert res.kernel.shape == (1, 3)
-        assert np.abs(res.kernel[0]) == pytest.approx([1, 0, 0])
+        assert res.kernel_basis.shape == (1, 3)
+        assert np.abs(res.kernel_basis[0]) == pytest.approx([1, 0, 0])
         assert res.singular_values == pytest.approx([1.5, 0.5])
 
     def test_fixture_rank_deficient(self):
-        res = numeric_rank(np.array([[0, 2.0, 0], [0, 0, 0]]))
+        # the matrix [[0, 2, 0], [0, 0, 0]]
+        res = rule_verdict(factored([0.0], [1.0, 0.0, 1.0]), PuncturedSpace((2,)))
         assert res.rank == 1
-        assert res.kernel.shape == (2, 3)
-        span = np.abs(res.kernel.T @ res.kernel)
+        assert res.kernel_basis.shape == (2, 3)
+        span = np.abs(res.kernel_basis.T @ res.kernel_basis)
         expected = np.diag([1.0, 0.0, 1.0])
         assert span == pytest.approx(expected, abs=1e-12)
 
     def test_borderline_band_flagged(self):
-        res = numeric_rank(np.diag([1.0, 5e-8]), tol_rank=1e-8)
-        assert res.borderline
+        _, borderline = _rank_rule(np.array([1.0, 5e-8]), 1e-8, 0.0)
+        assert borderline
 
     def test_clearly_separated_not_borderline(self):
-        res = numeric_rank(np.diag([1.0, 1e-3]), tol_rank=1e-8)
-        assert not res.borderline and res.rank == 2
+        rank, borderline = _rank_rule(np.array([1.0, 1e-3]), 1e-8, 0.0)
+        assert not borderline and rank == 2
 
 
 class TestDecideExtreme:
@@ -247,10 +250,10 @@ class TestCanonicalVector:
         # relative bound degenerates (covered by the zero-matrix test above)
         for seed in range(30):
             member, space = random_member(seed, m_range=(1, 4))
-            mat = build_criterion_matrix(member, space)
+            mat = criterion_matrix(member, space)
             vec = np.array(canonical_kernel_vector(member.inner.zeros).vector)
-            residual = np.linalg.norm(mat.assembled @ vec)
-            bound = 1e-9 * np.linalg.norm(mat.assembled, 2) * np.linalg.norm(vec)
+            residual = np.linalg.norm(mat @ vec)
+            bound = 1e-9 * np.linalg.norm(mat, 2) * np.linalg.norm(vec)
             assert residual <= bound
 
 
@@ -297,12 +300,12 @@ class TestConstraintValue:
             holes = tuple(sorted(rng.choice(np.arange(1, 20), count, replace=False)))
             length = holes[-1] + 1
             coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            mat = assemble_criterion_matrix(coeffs, holes, m)
+            mat = _assemble(coeffs, holes, m)
             for col in range(2 * m + 1):
                 basis = np.zeros(2 * m + 1)
                 basis[col] = 1.0
                 p = SymmetricPolynomial(m, tuple(basis))
-                column = mat.assembled[:, col]
+                column = mat[:, col]
                 for j, k in enumerate(holes):
                     value = hole_constraint_value(p, coeffs, int(k))
                     assert column[j] == pytest.approx(value.real, abs=1e-12)
@@ -399,7 +402,7 @@ class TestExactBackend:
         # the exact kernel is orthonormal and annihilated by the float matrix
         kernel = v2.kernel_basis
         assert kernel @ kernel.T == pytest.approx(np.eye(2), abs=1e-15)
-        matrix = build_criterion_matrix(f2, PuncturedSpace((2,))).assembled
+        matrix = criterion_matrix(f2, PuncturedSpace((2,)))
         assert np.abs(matrix @ kernel.T).max() == 0.0
 
     def test_exact_assembly_is_the_float_assembly_over_fractions(self):
@@ -412,12 +415,12 @@ class TestExactBackend:
             holes = tuple(sorted(int(k) for k in rng.choice(np.arange(1, 12), 2, replace=False)))
             values = (rng.integers(-64, 64, holes[-1] + 1)
                       + 1j * rng.integers(-64, 64, holes[-1] + 1)) / 32
-            floats = assemble_criterion_matrix(values, holes, m)
-            exact = assemble_criterion_matrix([lift(v) for v in values], holes, m)
-            assert exact.assembled.dtype == object
-            assert floats.assembled.dtype == np.float64
-            assert all(isinstance(x, (Fraction, int)) for x in exact.assembled.flat)
-            assert exact.assembled.tolist() == floats.assembled.tolist()
+            floats = _assemble(values, holes, m)
+            exact = _assemble([lift(v) for v in values], holes, m)
+            assert exact.dtype == object
+            assert floats.dtype == np.float64
+            assert all(isinstance(x, (Fraction, int)) for x in exact.flat)
+            assert exact.tolist() == floats.tolist()
 
     def test_exact_assembly_reads_only_the_hole_windows(self):
         class Unread:
@@ -435,10 +438,9 @@ class TestExactBackend:
                 full = np.array([ring(v) for v in values], dtype=object)
                 guarded = full.copy()
                 guarded[[i for i in range(values.size) if i not in windows]] = Unread()
-                got = assemble_criterion_matrix(guarded, holes, m)
-                want = assemble_criterion_matrix(full, holes, m)
-                assert got.assembled.tolist() == want.assembled.tolist()
-                assert got.coefficients is guarded
+                got = _assemble(guarded, holes, m)
+                want = _assemble(full, holes, m)
+                assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("data", ["dyadic", "float", "special"])
     def test_dyadic_ring_matches_the_fraction_ring(self, data):

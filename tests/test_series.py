@@ -357,6 +357,23 @@ class TestNestedLadder:
         assert value == np.abs(g(circle_nodes(n))).mean()
 
     @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
+    def test_a_sum_that_overflows_scales_by_a_power_of_two(self, rows):
+        # |g| times 2^1020 stays finite on each node but not summed over 16 of them; above 1 the
+        # settle test is scale invariant, so the scaled mean is 2^1020 times g's, same rung
+        g = Rational((1.0, 0.5j, -0.2), (0.7,))
+
+        def integrand(z, scale):
+            values = np.ldexp(np.abs(g(z)) + 1, scale)
+            return [np.abs(1 + 0.3 * z), values] if rows else values
+
+        tol = replace(DEFAULT, quad_start_n=16)
+        value, n = converged_circle_mean(lambda z: integrand(z, 0), tol)
+        big, big_n = converged_circle_mean(lambda z: integrand(z, 1020), tol)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.ldexp(np.abs(g(circle_nodes(16))) + 1, 1020).sum())
+        assert big_n == n and np.array_equal(big, np.ldexp(value, [0, 1020] if rows else 1020))
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
     def test_non_finite_value_on_a_new_node_names_its_full_grid_index(self, rows):
         target = circle_nodes(64)[37]  # odd: first evaluated on the rung of 64
 
