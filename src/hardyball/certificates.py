@@ -115,13 +115,11 @@ def witness_h_values(f: FactoredFunction, witness: PerturbationWitness, z: np.nd
     return _witness_factor(f, witness)(z) / f.inner(z)
 
 
-def _perturbation_product(
-    f: FactoredFunction, witness: PerturbationWitness, up_to: int
-) -> np.ndarray:
-    """Taylor coefficients 0..up_to of F * G (equals f * h on the circle)."""
+def _perturbation_product(f: FactoredFunction, witness: PerturbationWitness) -> Rational:
+    """F * G (equals f * h on the circle) as one rational function."""
     g = _witness_factor(f, witness)
     return Rational(np.convolve(f.outer.numerator, g.numerator), f.outer.poles + g.poles,
-                    g.zeros).taylor(up_to)
+                    g.zeros)
 
 
 def _ladder(zeros, polynomial: SymmetricPolynomial):
@@ -197,7 +195,8 @@ def make_witness(
     if n == len(zeros):
         kernel = verdict.kernel_basis
     else:
-        kernel = _decide_rows(f.taylor(space.k_max, first=n)[None], space, n, tol)[0].kernel_basis
+        weights = f.taylor(space.holes, 2 * n, first=n)
+        kernel = _decide_rows(weights, space, n, tol)[0].kernel_basis
     canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
     canonical = canonical / np.linalg.norm(canonical)
     remainders = kernel - np.outer(kernel @ canonical, canonical)
@@ -250,10 +249,11 @@ def verify_witness(
     try:
         top = max(max(abs(c.real), abs(c.imag)) for c in f.outer.numerator)
         f = FactoredFunction(f.inner, f.outer.scale(2.0 ** min(-math.frexp(top)[1], 1023)))
-        product = check_membership(_perturbation_product(f, witness, space.k_max), space, tol)
+        product = check_membership(_perturbation_product(f, witness).taylor(space.holes),
+                                   space, tol)
         hole_residuals = tuple(zip(product.holes, product.residuals))
         if membership is None:
-            membership = check_membership(f.taylor(space.k_max), space, tol)
+            membership = check_membership(f.taylor(space.holes), space, tol)
 
         if not membership.passed:
             failures.append("f leaves the space at hole {} (residual {:.3e})".format(

@@ -12,10 +12,14 @@ certify, stderr for sweep and gen, whose stdout is data):
     numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError;
                         certify runs none),
                         a function is not finite on a grid node (EvaluationError),
-                        the root finder failed (RootFindingError), or the
-                        normalized scale is not finite (NormalizationError)
+                        the root finder failed (RootFindingError), the
+                        normalized scale is not finite (NormalizationError), or
+                        the Taylor coefficients overflow (ExpansionOverflowError)
     io            2     an output path cannot be written (OSError)
     generator     3     gen exhausted its retries (MaxRetriesExceededError)
+    (none)        141   stdout was closed by its reader, as ``| head`` does
+                        (BrokenPipeError): nothing more is written, as by a
+                        writer that SIGPIPE ends (128 + 13)
 
 A problem document's ``options`` are the only way to set a tolerance, so a
 report depends on its documents and flags alone; ``gen`` uses the defaults.
@@ -46,7 +50,7 @@ import numpy as np
 from . import certificates, documents, extremality, model, series
 from .documents import DocumentError, canonical_json
 from .extremality import BORDERLINE, EXTREME, NON_EXTREME
-from .series import EvaluationError, QuadratureConvergenceError
+from .series import EvaluationError, ExpansionOverflowError, QuadratureConvergenceError
 
 EXIT_EXTREME = 0
 EXIT_CERTIFIED = 0
@@ -55,6 +59,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_GENERATOR_GAVE_UP = 3
 EXIT_NON_EXTREME = 10
 EXIT_BORDERLINE = 11
+EXIT_BROKEN_PIPE = 141
 
 _STATUS_EXIT = {EXTREME: EXIT_EXTREME, NON_EXTREME: EXIT_NON_EXTREME, BORDERLINE: EXIT_BORDERLINE}
 
@@ -116,7 +121,7 @@ def _error_report(kind: str, message: str, extra: dict | None = None) -> dict:
 def cmd_analyze(args) -> int:
     problem = documents.parse_problem(_read_document(args.problem), source=args.problem)
     f, space, tol = problem.function, problem.space, problem.tolerances
-    membership = model.check_membership(f.taylor(space.k_max), space, tol)
+    membership = model.check_membership(f.taylor(space.holes), space, tol)
     if not membership.passed:
         hole, residual = membership.worst()
         print(canonical_json(_error_report(
@@ -148,8 +153,8 @@ def cmd_analyze(args) -> int:
             status = BORDERLINE
             witness_error = str(exc)
 
-    delta = None
-    if space.size == 1 and verdict.condition_a.m <= 1:
+    delta = verdict.delta  # the svd verdict's, from its weights
+    if delta is None and space.size == 1 and verdict.condition_a.m <= 1:
         delta = extremality.single_hole_delta(normalized, space.holes[0], tol)
     exposedness = certificates.check_exposed(normalized, verdict)
 
@@ -239,7 +244,8 @@ def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[s
     Every row is built, and so checked, on its own.  The numerics run on stacked rows, one
     stage at a time, and give each row the bits it gets alone: root finding, the membership
     expansion, the L1 norm, the criterion weights and their SVD; with one hole and inner
-    degree 1, the determinant reads the same weights.  A row leaves at its skip or error.
+    degree 1, the verdict's determinant reads the same weights.  A row leaves at its skip or
+    error.
     """
     space, tol, constant, fields, slots = parsed
     m = len(fields[0])
@@ -264,8 +270,7 @@ def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[s
         except Exception as exc:
             tails[i] = _error_tail(exc)
     if fs:
-        _, residuals = model._residuals(model._weights_rows(list(fs.values()), space.k_max),
-                                        space.holes)
+        _, residuals = model._residuals(model._weights_rows(list(fs.values()), space.holes))
         for i, passed in zip(list(fs), model._within(residuals, tol.membership)):
             if not passed:
                 tails[i] = ["skip", "", "", ""]
@@ -277,18 +282,15 @@ def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[s
         else:
             fs[i] = f
     if fs:
-        weights = model._weights_rows(list(fs.values()), space.k_max, m)
+        weights = model._weights_rows(list(fs.values()), space.holes, 2 * m, m)
         verdicts = extremality._decide_rows(weights, space, m, tol)
-        for i, w, verdict in zip(fs, weights, verdicts):
+        for i, verdict in zip(fs, verdicts):
             if isinstance(verdict, Exception):
                 tails[i] = _error_tail(verdict)
                 continue
             sigmas = verdict.singular_values
             try:
-                delta = ""
-                if space.size == 1 and m == 1:
-                    delta = documents.format_float(
-                        extremality._delta(w, space.holes[0], tol).delta)
+                delta = "" if verdict.delta is None else documents.format_float(verdict.delta.delta)
                 min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
             except ValueError as exc:  # a delta whose squares overflow is not finite
                 tails[i] = _error_tail(exc)
@@ -423,6 +425,7 @@ _ERRORS = (
     (EvaluationError, "numerics", EXIT_INPUT_ERROR),
     (model.RootFindingError, "numerics", EXIT_INPUT_ERROR),
     (model.NormalizationError, "numerics", EXIT_INPUT_ERROR),
+    (ExpansionOverflowError, "numerics", EXIT_INPUT_ERROR),
     (model.MaxRetriesExceededError, "generator", EXIT_GENERATOR_GAVE_UP),
     (OSError, "io", EXIT_INPUT_ERROR),
     (ValueError, "input", EXIT_INPUT_ERROR),
@@ -438,7 +441,14 @@ def main(argv=None) -> int:
         # overflow turns into a non-finite value, which the checks report as a
         # numerics error; numpy's own warnings would only add noise on stderr
         with np.errstate(all="ignore"):
-            return command(args)
+            code = command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the final flush writes nothing
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except tuple(cls for cls, _, _ in _ERRORS) as exc:
         kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
         # the command word comes first, so a usage error knows its stream too

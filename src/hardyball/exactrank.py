@@ -112,16 +112,15 @@ def exact_membership_defects(
 ) -> list[tuple[int, Fraction]]:
     """Exact |Re| + |Im| of each hole coefficient of f, read from the criterion weights.
 
-    ``weights`` are the exact coefficients c_0..c_K of f / P_m (``f.taylor(K,
-    lift, m)``, m the inner degree, K >= every hole), so f = P_m * c gives
-    each hole coefficient f_k = sum_{j <= 2m} P_m[j] c_{k-j} with no second
-    expansion of f.  Only the data of the canonical pair are lifted, so the
-    defects are those of the input itself.
+    ``weights`` are the exact windows c_{k-2m..k} of f / P_m at the holes
+    (``f.taylor(space.holes, 2 * m, lift, m).windows``, m the inner degree), so
+    f = P_m * c gives each hole coefficient f_k = sum_{j <= 2m} P_m[j] c_{k-j}
+    with no second expansion of f.  Only the data of the canonical pair are
+    lifted, so the defects are those of the input itself.
     """
     product = canonical_product(f.inner.zeros, lift)
     defects = []
-    for k in space.holes:
-        n = min(k, len(product) - 1)
-        c = np.dot(product[:n + 1], weights[k - n:k + 1][::-1])
+    for k, window in zip(space.holes, weights):
+        c = np.dot(product, window[::-1])
         defects.append((k, abs(c.real) + abs(c.imag)))
     return defects

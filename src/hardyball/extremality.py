@@ -26,6 +26,7 @@ import numpy as np
 from .exactrank import exact_membership_defects, fraction_kernel, lift
 from .model import (FactoredFunction, MembershipReport, NotInSpaceError, PuncturedSpace,
                     canonical_product, check_membership)
+from .series import Expansion
 from .tolerances import DEFAULT, Tolerances
 
 EXTREME = "extreme"
@@ -87,22 +88,18 @@ def canonical_kernel_vector(zeros) -> SymmetricPolynomial:
     return SymmetricPolynomial(n, (upper[0].real / 2.0, *upper[1:].real, *upper[1:].imag))
 
 
-def _assemble(coeffs, holes: tuple[int, ...], m: int) -> np.ndarray:
+def _assemble(windows: np.ndarray, m: int) -> np.ndarray:
     """The criterion matrix [[re_sum, im_diff], [im_sum, -re_diff]], 2M rows and 2m + 1
-    columns, of coefficients c_0, c_1, ...; coefficient rows (shape (r, n)) give one matrix
-    per row.  With c_r = 0 for r < 0 and row hole k_j, re_sum[j, l] = Re c_{k_j+l-m} +
-    Re c_{k_j-l-m} (l = 0..m) and re_diff[j, l] = Re c_{k_j+l-m} - Re c_{k_j-l-m} (l = 1..m),
-    and the Im blocks alike.  Only the 2M(m+1) coefficients in the windows c_{k_j-2m..k_j} are
-    read, and split into ``.real`` and ``.imag`` with exact + and -, so complex coefficients
-    give float64 and exact ones an object array of exact rationals."""
-    count = len(holes)
-    base = np.array(holes, dtype=int).reshape(-1, 1) - m
+    columns, of the windows c_{k_j-2m..k_j} at the M holes (``Expansion.windows`` of width
+    2m, c_r = 0 for r < 0); window rows (shape (r, M, 2m + 1)) give one matrix per row.
+    re_sum[j, l] = Re c_{k_j+l-m} + Re c_{k_j-l-m} (l = 0..m) and re_diff[j, l] =
+    Re c_{k_j+l-m} - Re c_{k_j-l-m} (l = 1..m), and the Im blocks alike.  The 2M(m+1)
+    coefficients are split into ``.real`` and ``.imag`` with exact + and -, so complex
+    coefficients give float64 and exact ones an object array of exact rationals."""
+    count = np.shape(windows)[-2]
+    # c_{k+l-m} (first M rows) and c_{k-l-m} (last M rows) sit at window slots m + l, m - l
     offsets = np.arange(m + 1)
-    # positions of c_{k+l-m} (first M rows) and c_{k-l-m} (last M rows); outside 0..n-1, zero
-    index = np.concatenate([base + offsets, base - offsets])
-    coeffs = np.asarray(coeffs)
-    inside = (index >= 0) & (index < coeffs.shape[-1])
-    values = np.where(inside, coeffs[..., np.where(inside, index, 0)], 0)
+    values = np.concatenate([windows[..., m + offsets], windows[..., m - offsets]], axis=-2)
     if values.dtype == object:  # exact scalars: their Fraction parts, one by one
         re, im = (np.array([getattr(c, part) for c in values.flat]).reshape(values.shape)
                   for part in ("real", "imag"))
@@ -150,6 +147,7 @@ class ExtremalityVerdict:
     condition_a: ConditionA
     singular_values: np.ndarray
     backend: str = "svd"
+    delta: DeltaResult | None = None  # svd, one hole and m = 1: read from the same weights
 
     @property
     def target_rank(self) -> int:
@@ -187,9 +185,9 @@ def decide_extreme(
     m = f.inner.degree
     if backend == "svd":
         if membership is None:
-            membership = check_membership(f.taylor(space.k_max), space, tol)
+            membership = check_membership(f.taylor(space.holes), space, tol)
         membership.require()
-        verdict, = _decide_rows(f.taylor(space.k_max, first=m)[None], space, m, tol)
+        verdict, = _decide_rows(f.taylor(space.holes, 2 * m, first=m), space, m, tol)
         if isinstance(verdict, Exception):
             raise verdict
         return verdict
@@ -200,11 +198,11 @@ def decide_extreme(
     # hole alone, then all of them (once when the two are the same)
     for holes in dict.fromkeys((space.holes[:1], space.holes)):
         head = PuncturedSpace(holes)
-        weights = f.taylor(head.k_max, lift, m)
+        weights = f.taylor(head.holes, 2 * m, lift, m).windows
         for hole, defect in exact_membership_defects(f, head, weights):
             if defect != 0:
                 raise NotInSpaceError(hole, float(defect), "exact defect |Re| + |Im| =")
-    basis = fraction_kernel(_assemble(weights, space.holes, m).tolist(), 2 * m + 1)
+    basis = fraction_kernel(_assemble(weights, m).tolist(), 2 * m + 1)
     kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
     rank, cond = 2 * m + 1 - len(basis), ConditionA(m, space.size)
     return ExtremalityVerdict(_status(cond, rank, False), rank, kernel, cond, np.zeros(0), backend)
@@ -220,29 +218,34 @@ def _status(cond: ConditionA, rank: int, borderline: bool) -> str:
     return EXTREME if rank == 2 * cond.m else NON_EXTREME
 
 
-def _decide_rows(weights: np.ndarray, space: PuncturedSpace, m: int,
+def _decide_rows(weights: Expansion, space: PuncturedSpace, m: int,
                  tol: Tolerances = DEFAULT) -> list:
-    """The one float rank decision: the svd verdicts of members of inner degree m, from rows
-    of their criterion weights f / P_m (shape (r, k_max + 1)).  Per row an
-    :class:`ExtremalityVerdict`, or the ValueError of a matrix that is not finite.  The
-    matrices are assembled and their SVDs taken as one stack, each with the bits it gets
-    alone; :func:`_rank_rule` reads the singular values with the row's largest weight as
-    its scale floor, and the kernel is the trailing right singular vectors (every vector
-    when there is no hole)."""
+    """The one float rank decision: the svd verdicts of members of inner degree m, from their
+    criterion weights f / P_m at the holes (``f.taylor(space.holes, 2 * m, first=m)``, or
+    rows of them).  Per row an :class:`ExtremalityVerdict`, or the ValueError of a matrix
+    that is not finite.  The matrices are assembled and their SVDs taken as one stack, each
+    with the bits it gets alone; :func:`_rank_rule` reads the singular values with the row's
+    largest weight as its scale floor, and the kernel is the trailing right singular vectors
+    (every vector when there is no hole).  With one hole and m = 1 the verdict carries the
+    determinant test :func:`_delta` of the same weights."""
     cond = ConditionA(m, space.size)
+    scales = np.reshape(weights.scale, -1)  # one row per scale
+    windows = weights.windows.reshape(scales.shape + weights.windows.shape[-2:])
     if not space.holes:  # the empty matrix has rank 0
         return [ExtremalityVerdict(_status(cond, 0, False), 0, np.eye(2 * m + 1), cond,
-                                   np.zeros(0))] * len(weights)
-    matrices = _assemble(weights, space.holes, m)
+                                   np.zeros(0))] * len(windows)
+    matrices = _assemble(windows, m)
     finite = np.isfinite(matrices).all(axis=(1, 2))
     _, sigmas, vhs = np.linalg.svd(matrices[finite])
-    ranks, borderline = _rank_rule(sigmas, tol.rank, np.abs(weights[finite]).max(axis=-1))
-    verdicts = iter(zip(sigmas, vhs, ranks.tolist(), borderline.tolist()))
+    ranks, borderline = _rank_rule(sigmas, tol.rank, scales[finite])
+    verdicts = iter(zip(sigmas, vhs, ranks.tolist(), borderline.tolist(), windows[finite]))
     out = []
     for ok in finite:
         if ok:
-            s, vh, rank, flag = next(verdicts)
-            out.append(ExtremalityVerdict(_status(cond, rank, flag), rank, vh[rank:], cond, s))
+            s, vh, rank, flag, w = next(verdicts)
+            delta = _delta(w, tol) if space.size == 1 and m == 1 else None
+            out.append(ExtremalityVerdict(_status(cond, rank, flag), rank, vh[rank:], cond, s,
+                                          delta=delta))
         else:
             out.append(ValueError("matrix must be finite"))
     return out
@@ -270,13 +273,14 @@ def single_hole_delta(
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
         return DeltaResult(float("inf"), EXTREME)
-    return _delta(f.taylor(k, first=1), k, tol)
+    return _delta(f.taylor((k,), 2, first=1).windows, tol)
 
 
-def _delta(coeffs: np.ndarray, k: int, tol: Tolerances = DEFAULT) -> DeltaResult:
-    """The m = 1 determinant test on the weights c_0..c_k of f / P_1."""
-    lo = abs(coeffs[k - 2]) ** 2 if k >= 2 else 0.0
-    hi = abs(coeffs[k]) ** 2
+def _delta(windows: np.ndarray, tol: Tolerances = DEFAULT) -> DeltaResult:
+    """The m = 1 determinant test on the window c_{k-2..k} of f / P_1 at the one hole k
+    (c_{k-2} = 0 for k < 2)."""
+    lo = abs(windows[0, 0]) ** 2
+    hi = abs(windows[0, 2]) ** 2
     delta = lo - hi
     status = EXTREME if abs(delta) > tol.delta * (lo + hi) else NON_EXTREME
     return DeltaResult(delta, status)

@@ -5,7 +5,8 @@ product (the inner factor) and a rational outer factor with poles outside the
 closed disk.  Factorization of raw boundary data is out of scope; inputs
 arrive already factored.  :meth:`FactoredFunction.taylor` is the one producer
 of a function's Taylor coefficients: those of f / P_n, where n = 0 gives f
-itself and n = m the weights of the criterion matrix.
+itself and n = m the weights of the criterion matrix, read at the holes
+(:class:`~hardyball.series.Expansion`).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import (POLE_MARGIN, STACK_ELEMENTS, Rational, _rational_values, _row_means,
-                     _taylor_rows, _trapezoid_start, converged_circle_mean)
+from .series import (POLE_MARGIN, STACK_ELEMENTS, Expansion, Rational, _rational_values,
+                     _row_means, _taylor_rows, _trapezoid_start, converged_circle_mean)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -228,8 +229,10 @@ class FactoredFunction:
     def __call__(self, z):
         return self.inner(z) * self.outer(z)
 
-    def taylor(self, up_to: int, ring=complex, first: int = 0) -> np.ndarray:
-        """Taylor coefficients 0..up_to of f / P_n, the hole-constraint weights of order n.
+    def taylor(self, holes: Sequence[int], width: int = 0, ring=complex,
+               first: int = 0) -> Expansion:
+        """The Taylor windows c_{k-width..k} at the holes, and the scale, of f / P_n, the
+        hole-constraint weights of order n.
 
         P_n = prod_{j<=n} (z - a_j)(1 - conj(a_j) z) runs over the first
         n = ``first`` inner zeros, so f / P_n is
@@ -238,7 +241,7 @@ class FactoredFunction:
         degree-overflow operator.  Every product is formed in the scalar ring
         ``ring`` lifts into (see :meth:`hardyball.series.Rational.taylor`).
         """
-        return self._weights(first).taylor(up_to, ring)
+        return self._weights(first).taylor(holes, width, ring)
 
     def _weights(self, first: int) -> Rational:
         """f / P_n for n = ``first`` as one :class:`~hardyball.series.Rational`."""
@@ -247,9 +250,10 @@ class FactoredFunction:
         return Rational(self.outer.numerator, poles, zeros[first:])
 
 
-def _weights_rows(fs: Sequence[FactoredFunction], up_to: int, first: int = 0) -> np.ndarray:
-    """``f.taylor(up_to, first=first)`` of functions of equal shape, as rows of one array."""
-    return _taylor_rows([f._weights(first) for f in fs], up_to)
+def _weights_rows(fs: Sequence[FactoredFunction], holes: Sequence[int], width: int = 0,
+                  first: int = 0) -> Expansion:
+    """``f.taylor(holes, width, first=first)`` of functions of equal shape, as rows."""
+    return _taylor_rows([f._weights(first) for f in fs], holes, width)
 
 
 def canonical_product(zeros, ring=complex) -> np.ndarray:
@@ -285,25 +289,25 @@ class MembershipReport:
 
 
 def check_membership(
-    coeffs: np.ndarray, space: PuncturedSpace, tol: Tolerances = DEFAULT
+    coeffs: Expansion, space: PuncturedSpace, tol: Tolerances = DEFAULT
 ) -> MembershipReport:
-    """Check that every hole coefficient vanishes, relative to the largest one.
+    """Check that every hole coefficient vanishes, relative to the largest one up to k_M.
 
-    ``coeffs`` is the dense Taylor coefficient vector 0..k_M of the function,
-    e.g. ``f.taylor(space.k_max)``.
+    ``coeffs`` is the function's expansion at the space's holes, e.g.
+    ``f.taylor(space.holes)``.
     """
     if not space.holes:
         return MembershipReport((), (), 0.0, tol.membership)
-    scale, residuals = _residuals(coeffs, space.holes)
+    scale, residuals = _residuals(coeffs)
     return MembershipReport(space.holes, tuple(map(float, residuals)), float(scale),
                             tol.membership)
 
 
-def _residuals(coeffs: np.ndarray, holes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(max_j |c_j|, |c_k| / max_j |c_j| at each hole k) along the last axis, the residuals
-    0 where every coefficient is."""
-    scale = np.abs(coeffs).max(axis=-1)
-    at_holes = coeffs[..., list(holes)]
+def _residuals(coeffs: Expansion) -> tuple[np.ndarray, np.ndarray]:
+    """(max_j |c_j|, |c_k| / max_j |c_j| at each hole k) of an expansion (or of rows), the
+    residuals 0 where every coefficient is."""
+    scale = coeffs.scale
+    at_holes = coeffs.windows[..., -1]
     residuals = np.zeros(at_holes.shape)
     with np.errstate(invalid="ignore"):  # inf / inf: nan, which fails the check
         # hypot, the scalar abs: numpy's complex abs on arrays may differ in the last bit
@@ -434,8 +438,11 @@ def sample_member(
         raise ValueError("numerator degree must be >= 0")
 
     # weight function I / prod(1 - conj(b) z): coefficient t of the numerator
-    # contributes w_{k-t} to the k-th Taylor coefficient of f
-    weight = Rational((1,), inner.zeros + den, inner.zeros).taylor(space.k_max)
+    # contributes w_{k-t} to the k-th Taylor coefficient of f.  w_0..w_{k_max} is read as one
+    # window, which the full scan gives: a seed's member does not move with the rounding of
+    # the jump to far holes
+    weight = Rational((1,), inner.zeros + den, inner.zeros).taylor(
+        (space.k_max,), space.k_max).windows[0]
     constraints = np.array(
         [[weight[k - t] if t <= k else 0j for t in range(d + 1)] for k in space.holes],
         dtype=complex,
@@ -463,7 +470,7 @@ def sample_member(
         if any(abs(r) < 1.0 + _SAMPLE_CIRCLE_MARGIN for r in outer.roots):
             continue  # too close to the circle to quadrature well
         member, _ = normalize(FactoredFunction(inner, outer), tol)
-        check_membership(member.taylor(space.k_max), space, tol).require()
+        check_membership(member.taylor(space.holes), space, tol).require()
         return member
     raise MaxRetriesExceededError(
         f"no outer numerator found in {SAMPLE_RETRIES} draws (degree {d}, holes {space.holes})"

@@ -6,12 +6,18 @@ truncation error): the numerator divided by one first-order section
 1 / (1 - conj(b) z) per pole, in turn, as a doubling scan in numpy on complex
 floats (rounding is its only error) and as a plain loop on the exact Gaussian
 dyadic rationals of :mod:`hardyball.exactrank` (int parts over a power of two,
-no gcd; Fractions only where the criterion reads parts).  It returns a plain
-array: complex for floats, object for exact scalars.  :class:`Rational` is the
-one rational-function type on the disk; it evaluates itself on circle nodes and
-feeds :func:`expand` for its Taylor coefficients.  Every function the
-criterion reads is one: f / P_n (:meth:`hardyball.model.FactoredFunction.taylor`),
-the generator's weight function, and the witness factor.
+no gcd; Fractions only where the criterion reads parts).  It returns what its
+consumers read (:class:`Expansion`): the window c_{k-w..k} at each hole k and
+the scale max_j |c_j| up to the last hole K.  On complex floats it scans only a
+head of the series where it can prove that the tail stays below the head's
+largest coefficient, and reaches each window beyond the head by powers of the
+sections' step matrix, so the cost of a float expansion grows like log K, not
+K; otherwise, and for exact scalars, it runs the recurrence to K.
+:class:`Rational` is the one rational-function type on the disk; it evaluates
+itself on circle nodes and feeds :func:`expand` for its Taylor coefficients.
+Every function the criterion reads is one: f / P_n
+(:meth:`hardyball.model.FactoredFunction.taylor`), the generator's weight
+function, and the witness factor.
 Circle means have two rules, both refined until two successive values agree.
 A smooth periodic integrand gets the uniform-node average (trapezoid), which
 converges exponentially, on a doubling grid of nested nodes that starts where
@@ -28,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +49,12 @@ GAUSS_NODES = 16
 # arrays of stacked rows (a sweep's rows times Taylor terms or circle nodes) hold at most
 # this many elements, so a sweep's memory grows with neither its row count nor k_max
 STACK_ELEMENTS = 2 ** 14
+# a float expansion of n terms scans heads of L = HEAD_START, 2 HEAD_START, ... terms while
+# HEAD_SHARE * L <= n, and the full n terms otherwise (see :func:`expand`)
+HEAD_START = 64
+HEAD_SHARE = 16
+_EPS = float(np.finfo(float).eps)
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 class PoleMarginError(ValueError):
@@ -64,6 +76,23 @@ class QuadratureConvergenceError(RuntimeError):
     """Grid doubling hit the size cap before successive means agreed."""
 
 
+class ExpansionOverflowError(ArithmeticError):
+    """The Taylor coefficients of a function are not finite: they overflow a double."""
+
+
+class Expansion(NamedTuple):
+    """What the consumers of a Taylor expansion c_0..c_K (K the last hole) read of it.
+
+    ``windows[..., j, t]`` is c_{k_j - width + t} for hole k_j, 0 at a negative index: the
+    coefficient at the hole itself for membership and the witness product (width 0), and
+    the criterion's window c_{k-2m..k} (width 2m).  ``scale`` is max_{j <= K} |c_j|, None
+    for an exact ring.  Rows of numerators give a leading row axis on both.
+    """
+
+    windows: np.ndarray
+    scale: np.ndarray | float | None
+
+
 def check_pole_margin(parameters: Sequence[complex]) -> None:
     """Raise :class:`PoleMarginError` unless every parameter b has |b| < 1 - POLE_MARGIN."""
     for b in parameters:
@@ -73,56 +102,186 @@ def check_pole_margin(parameters: Sequence[complex]) -> None:
             )
 
 
-def expand(numerator: Sequence, parameters: Sequence, up_to: int,
-           ring: Callable = complex) -> np.ndarray:
-    """Taylor coefficients c_0..c_{up_to} of p(z) / prod_i (1 - conj(b_i) z).
+def expand(numerator: Sequence, parameters: Sequence, holes: Sequence[int], width: int = 0,
+           ring: Callable = complex) -> Expansion:
+    """What is read of the Taylor coefficients c_0..c_K of p(z) / prod_i (1 - conj(b_i) z),
+    K the last of the ascending ``holes`` (0 without one): the window c_{k-width..k} at each
+    hole k and the scale max_{j <= K} |c_j| (see :class:`Expansion`).
 
-    p (cut or padded to up_to + 1 terms, its coefficients already in the ring)
-    passes through one first-order section y_k = x_k + a y_{k-1},
-    a = conj(b_i), per pole in turn; the denominator, whose coefficients cancel
-    when poles cluster near the circle, is never multiplied out.  A zero pole
-    is skipped, so with no other pole p comes back bit for bit.  On complex
-    floats a section is a doubling scan: after the step with shift s, y_k sums
-    a^j x_{k-j} over j < 2s, and a^{2s} is formed as Python forms a complex
-    product (:func:`_product`).  On complex floats the numerator may also be
-    rows (shape (r, L)) with each pole an array of r values: every row gets its
-    own recurrence, bit for bit, and a pole that is zero in every row is
-    skipped, so rows whose poles are zero in different places go apart.  An
-    exact ring (``ring`` lifts a number into it, e.g.
-    :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*`` and
-    ``conjugate()``) runs the sections as a plain loop, term by term.  Returns
-    a complex array (rows: shape (r, up_to + 1)) for ``ring=complex``, else an
-    object array.
+    p (cut to K + 1 terms, its coefficients already in the ring) passes through one
+    first-order section y_k = x_k + a y_{k-1}, a = conj(b_i), per pole in turn; the
+    denominator, whose coefficients cancel when poles cluster near the circle, is never
+    multiplied out.  A zero pole is skipped, so with no other pole p comes back bit for bit.
+    On complex floats a section is a doubling scan (:func:`_scan`), and the numerator may
+    be rows (shape (r, len)) with each pole an array of r values: every row gets its own
+    recurrence, bit for bit, and a pole that is zero in every row is skipped, so rows whose
+    poles are zero in different places go apart.  An exact ring (``ring`` lifts a number into
+    it, e.g. :func:`hardyball.exactrank.lift`; its scalars need only ``+``, ``*`` and
+    ``conjugate()``) runs the sections as a plain loop, term by term, to K.
+
+    On complex floats, with L the power of two from :data:`HEAD_START` up that holds the
+    numerator and one window, all n = K + 1 terms are scanned while n < HEAD_SHARE * L,
+    where that costs about what a head, its bound and a jump do.  Else each row first
+    scans a head c_0..c_{L-1}, whose bits are the full scan's (:func:`_scan`).
+    Past the numerator the section values s_k = (y^1_k, .., y^P_k) evolve by
+    s_k = T s_{k-1} with T[i, l] = a_l for l <= i, so the sum of |c_k| over k >= L is
+    bounded from s_{L-1} (:func:`_tail_bound`, which allows for the rounding of the full
+    scan).  Where that bound is at most the head's largest |c_k|, that is the scale of the
+    full scan, bit for bit, and a window coefficient c_k beyond the head is the last entry
+    of T^{k-L+1} s_{L-1}, by repeated squaring (:func:`_jump`): it differs from the full
+    scan's by rounding only.  L doubles while the bound is finite and unproven; past
+    n / HEAD_SHARE, for a bound or a jump that is not finite, the row gets the full scan.
+    For one numerator a scale that is not finite raises :class:`ExpansionOverflowError`;
+    rows carry theirs in ``scale``.
     """
-    if up_to < 0:
-        raise ValueError("up_to must be >= 0")
-    n = up_to + 1
+    holes = np.asarray(holes, dtype=int).reshape(-1)
+    n = int(holes[-1]) + 1 if holes.size else 1
+    index = holes[:, None] + np.arange(-width, 1)  # the coefficient each window slot reads
     poles = [b for b in parameters if (b.any() if isinstance(b, np.ndarray) else b != 0)]
-    if ring is complex:
-        head = np.asarray(numerator, dtype=complex)[..., :n]
-        coeffs = np.zeros(head.shape[:-1] + (n,), dtype=complex)
-        coeffs[..., :head.shape[-1]] = head
-        scratch = np.empty_like(coeffs)
-        for b in poles:
-            # a column of the rows' values, or one Python complex
-            a = np.conj(b)[:, None] if isinstance(b, np.ndarray) else complex(b).conjugate()
-            s = 1
-            while s < n:
-                np.multiply(coeffs[..., :n - s], a, out=scratch[..., s:])
-                coeffs[..., s:] += scratch[..., s:]
-                a = a * a if type(a) is complex else _product(a, a)
-                s *= 2
-        return coeffs
-    # term by term: of each section's growing exact values only the last is live
-    factors = [ring(b).conjugate() for b in poles]
-    zero = ring(0)
-    last, coeffs = [zero] * len(factors), []
-    for k in range(n):
-        y = numerator[k] if k < len(numerator) else zero
-        for i, a in enumerate(factors):
-            y = last[i] = y + a * last[i]
-        coeffs.append(y)
-    return np.array(coeffs, dtype=object)
+    if ring is not complex:
+        # term by term: of each section's growing exact values only the last is live
+        factors = [ring(b).conjugate() for b in poles]
+        zero = ring(0)
+        last, coeffs = [zero] * len(factors), []
+        for k in range(n):
+            y = numerator[k] if k < len(numerator) else zero
+            for i, a in enumerate(factors):
+                y = last[i] = y + a * last[i]
+            coeffs.append(y)
+        windows = np.empty(index.shape, dtype=object)
+        windows.flat = [coeffs[i] if i >= 0 else zero for i in index.flat]
+        return Expansion(windows, None)
+    x = np.asarray(numerator, dtype=complex)[..., :n]
+    head = HEAD_START
+    while head < max(x.shape[-1], width + 1):
+        head *= 2
+    if HEAD_SHARE * head > n:  # a short expansion
+        return _full(x, poles, index, n)
+    rows = len(x) if x.ndim == 2 else 1
+    factors = np.conj(np.array(poles, dtype=complex).reshape(len(poles), rows)).T  # (rows, P)
+    if x.ndim == 1:
+        read = _windowed(x, factors[0], index, head)
+        return _full(x, poles, index, n) if read is None else Expansion(*read)
+    windows = np.empty((len(x),) + index.shape, dtype=complex)
+    scale = np.empty(len(x))
+    full = []  # the rows that need the full scan
+    for i, (row, a) in enumerate(zip(x, factors)):
+        read = _windowed(row, a, index, head)
+        if read is None:
+            full.append(i)
+        else:
+            windows[i], scale[i] = read
+    if full:
+        windows[full], scale[full] = _full(x[full], [b[full] for b in poles], index, n)
+    return Expansion(windows, scale)
+
+
+def _full(x: np.ndarray, poles: list, index: np.ndarray, n: int) -> Expansion:
+    """The expansion of a numerator x (or rows of them) from the full scan of n terms: for one
+    numerator each section's factor is a Python complex, for rows a column."""
+    coeffs, _ = _scan(x, [complex(b).conjugate() if x.ndim == 1 else np.conj(b)[:, None]
+                          for b in poles], n)
+    scale = np.abs(coeffs).max(axis=-1)
+    if x.ndim == 1 and not math.isfinite(scale):
+        raise ExpansionOverflowError(f"Taylor coefficients overflow: max |c_j| for j <= {n - 1} "
+                                     f"is {scale}")
+    return Expansion(_gather(coeffs, index), scale)
+
+
+def _windowed(x: np.ndarray, factors: np.ndarray, index: np.ndarray,
+              head: int) -> tuple[np.ndarray, float] | None:
+    """(windows, scale) of one numerator x from the first head, of ``head`` terms and
+    doubling, whose tail bound it proves; ``factors`` holds the conj(b).  None where no head
+    up to n / HEAD_SHARE does, or the bound or a window is not finite (see :func:`expand`)."""
+    n = int(index[-1, -1]) + 1
+    sections = factors.tolist()
+    while HEAD_SHARE * head <= n:
+        coeffs, last = _scan(x, sections, head)
+        top = np.abs(coeffs).max()
+        bound = _tail_bound(sections, last.tolist(), x.tolist(), n)
+        if not (math.isfinite(bound) and math.isfinite(top)):
+            return None
+        if bound <= top:
+            far = index >= head
+            windows = _gather(coeffs, np.where(far, 0, index))
+            if sections:  # with no pole the numerator ends inside the head
+                windows[far] = _jump(factors, last, index[far] - head + 1)
+            else:
+                windows[far] = 0
+            return (windows, top) if np.isfinite(windows).all() else None
+        head *= 2
+    return None
+
+
+def _scan(x: np.ndarray, factors: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c_0..c_{n-1}, the section values y^i_{n-1}) of a numerator x (or rows of them) divided
+    by 1 - a z for each a in ``factors`` in turn, a Python complex or a column of the rows'.
+
+    A section is a doubling scan: after the step with shift s, y_k sums a^j x_{k-j} over
+    j < 2s, and a^{2s} is formed as Python forms a complex product (:func:`_product`).  No
+    step with shift s >= L touches c_k for k < L, so a scan's first L terms are bit for bit
+    those of every longer one."""
+    coeffs = np.zeros(x.shape[:-1] + (n,), dtype=complex)
+    coeffs[..., :min(n, x.shape[-1])] = x[..., :n]
+    scratch = np.empty_like(coeffs)
+    last = np.empty(x.shape[:-1] + (len(factors),), dtype=complex)
+    for i, a in enumerate(factors):
+        s = 1
+        while s < n:
+            np.multiply(coeffs[..., :n - s], a, out=scratch[..., s:])
+            coeffs[..., s:] += scratch[..., s:]
+            a = a * a if type(a) is complex else _product(a, a)
+            s *= 2
+        last[..., i] = coeffs[..., -1]
+    return coeffs, last
+
+
+def _tail_bound(factors: list, last: list, x: list, n: int) -> float:
+    """A bound on |c_k| for L <= k < n as the full scan of n terms computes it, from the
+    section values y^i_{L-1} (``last``) of a head scan of x; inf unless every |a| < 1.
+
+    With g_i = 1 / (1 - |a_i|), S_i = (S_{i-1} + |a_i| |y^i_{L-1}|) g_i bounds
+    sum_{k >= L} |y^i_k|, so S_P = sum_i |a_i| |y^i_{L-1}| g_i ... g_P.  A scan rounds each
+    coefficient by at most gamma = 4 P (n + 16) eps times its value in the scan of |x| by
+    |a| (a term a^j x_{k-j} passes log2 n products, whose powers of a carry a relative error
+    below 2 j sqrt(5) u, and log2 n sums), and every such value is at most
+    C = ||x||_1 g_1 ... g_P.  The head's y^i_{L-1} and the full scan's c_k both round, so
+    the full scan's |c_k| is at most S_P + 2 gamma C; a factor 1 + gamma and P n subnormals
+    cover the rounding and underflow of the bound itself and of |c_k|."""
+    tail, suffix = 0.0, 1.0  # suffix: g_i ... g_P
+    for a, y in zip(reversed(factors), reversed(last)):
+        if not abs(a) < 1:
+            return math.inf
+        suffix /= 1 - abs(a)
+        tail += abs(a) * abs(y) * suffix
+    gamma = 4 * len(factors) * (n + 16) * _EPS
+    total = sum(map(abs, x)) * suffix
+    return (tail + 2 * gamma * total) * (1 + gamma) + len(factors) * n * _SUBNORMAL
+
+
+def _jump(factors: np.ndarray, last: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """For each step count e, the last entry of T^e s, T[i, l] = a_l for l <= i (the step of
+    the section values past the numerator) and s = ``last``.  T^{2^t} comes by repeated
+    squaring, in the same product that applies it to the states; a state keeps its old
+    value where its e lacks bit t (windows are narrow, so only the low bits differ)."""
+    count = len(factors)
+    power = np.tril(np.broadcast_to(factors, (count, count)))
+    both = np.concatenate([power, np.repeat(last[:, None], len(steps), axis=1)], axis=1)
+    steps = steps.tolist()
+    for t in range(max(steps).bit_length()):
+        product = both[:, :count] @ both  # [T^{2^{t+1}} | T^{2^t} states]
+        on = [e >> t & 1 == 1 for e in steps]
+        if not all(on):
+            np.copyto(product[:, count:], both[:, count:], where=~np.array(on))
+        both = product
+    return both[-1, count:]
+
+
+def _gather(coeffs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The coefficients at ``index`` (each below their count), 0 at a negative index."""
+    if not index.size or index[0, 0] >= 0:  # holes ascend, so [0, 0] is the least
+        return coeffs[..., index]
+    return np.where(index >= 0, coeffs[..., np.maximum(index, 0)], 0)
 
 
 def _product(x, y):
@@ -192,14 +351,15 @@ class Rational:
         """Value at z (see :func:`_rational_values`)."""
         return _rational_values(self.numerator, self.zeros, self.poles, z)
 
-    def taylor(self, up_to: int, ring: Callable = complex) -> np.ndarray:
-        """Taylor coefficients c_0..c_{up_to}, every product formed in ``ring``.
+    def taylor(self, holes: Sequence[int], width: int = 0, ring: Callable = complex) -> Expansion:
+        """The Taylor windows c_{k-width..k} at the holes and the scale, every product formed
+        in ``ring``.
 
         The zeros are multiplied into the numerator by convolution (on object
         arrays for an exact ring), and :func:`expand` divides the product by
         one first-order section per pole.
         """
-        return expand(self._with_zeros(ring), self.poles, up_to, ring)
+        return expand(self._with_zeros(ring), self.poles, holes, width, ring)
 
     def _with_zeros(self, ring: Callable) -> list | np.ndarray:
         """The numerator times prod_i (z - a_i), formed in ``ring``."""
@@ -209,19 +369,22 @@ class Rational:
         return numerator
 
 
-def _taylor_rows(rationals: Sequence[Rational], up_to: int) -> np.ndarray:
+def _taylor_rows(rationals: Sequence[Rational], holes: Sequence[int],
+                 width: int = 0) -> Expansion:
     """Complex :meth:`Rational.taylor` of rationals with equal numerator and pole counts, as
-    rows (shape (r, up_to + 1)): rows whose poles are zero in the same places share one
-    :func:`expand`, and each row's coefficients are bit for bit its own expansion's."""
+    rows: rows whose poles are zero in the same places share one :func:`expand`, and each
+    row's windows and scale are bit for bit its own expansion's (a scale that is not finite
+    stays in its row)."""
     count = len(rationals)
     numerators = np.array([r._with_zeros(complex) for r in rationals], dtype=complex)
     poles = np.array([r.poles for r in rationals], dtype=complex).reshape(count, -1)
-    out = np.empty((count, up_to + 1), dtype=complex)
+    windows = np.empty((count, len(holes), width + 1), dtype=complex)
+    scale = np.empty(count)
     patterns = (poles != 0).tolist()
     for pattern in set(map(tuple, patterns)):
         rows = [i for i, p in enumerate(patterns) if tuple(p) == pattern]
-        out[rows] = expand(numerators[rows], poles[rows].T, up_to)
-    return out
+        windows[rows], scale[rows] = expand(numerators[rows], poles[rows].T, holes, width)
+    return Expansion(windows, scale)
 
 
 # integrands see at most this many nodes per call, so that their temporaries on

@@ -2,7 +2,11 @@
 
 Builders take explicit seeds and redraw infeasible configurations (hole sets
 that no outer numerator can satisfy exist; the generator reports them), so
-every test run sees the same instances.  :func:`criterion_matrix` and
+every test run sees the same instances.  :func:`dense` and :func:`taylor` read
+every coefficient c_0..c_K of an expansion (its window of width K at the hole
+K), :func:`windows_of` cuts such a list into hole windows and
+:func:`expansion_of` makes it an expansion;
+:func:`criterion_matrix` and
 :func:`rule_verdict` give a function's criterion matrix and the rank rule's
 verdict on it, :func:`hole_constraint_value` is the
 independent audit oracle of its entries,
@@ -35,6 +39,31 @@ from hardyball import (
 )
 from hardyball.exactrank import lift
 from hardyball.extremality import _assemble, _decide_rows
+from hardyball.series import Expansion, expand
+
+
+def dense(numerator, parameters, up_to: int, ring=complex) -> np.ndarray:
+    """c_0..c_{up_to} of :func:`hardyball.series.expand` (rows: one per numerator row), its
+    window of width up_to at the hole up_to, which the full scan gives."""
+    return expand(numerator, parameters, (up_to,), up_to, ring).windows[..., 0, :]
+
+
+def windows_of(coeffs, holes, width: int, zero=0j) -> np.ndarray:
+    """The windows c_{k-width..k} at the holes of a full coefficient list, ``zero`` below
+    index 0, as :class:`hardyball.series.Expansion` holds them."""
+    return np.array([[coeffs[i] if i >= 0 else zero for i in range(k - width, k + 1)]
+                     for k in holes], dtype=np.asarray(coeffs).dtype).reshape(-1, width + 1)
+
+
+def expansion_of(coeffs, holes) -> Expansion:
+    """The width-0 :class:`hardyball.series.Expansion` of a full coefficient list."""
+    return Expansion(windows_of(coeffs, holes, 0), np.abs(coeffs).max())
+
+
+def taylor(f, up_to: int, ring=complex, first: int = 0) -> np.ndarray:
+    """c_0..c_{up_to} of ``f.taylor`` for a Rational, or of f / P_first for a FactoredFunction."""
+    extra = (first,) if isinstance(f, FactoredFunction) else ()
+    return f.taylor((up_to,), up_to, ring, *extra).windows[0]
 
 # hole {3}, inner zero 1/2, a pole at 2 and a non-unit inner constant; the outer numerator
 # 1.25 - z + t z^2 + t z^3 keeps f_3 = 0 for every t (the weights w_0 + w_1 of z^2 and z^3
@@ -152,7 +181,7 @@ def single_hole_member(seed: int, k_max: int = 20):
             member = quick_sample_member(space, (a,), den, degree, int(rng.integers(2**31)))
         except MaxRetriesExceededError:
             continue
-        coeffs = member.taylor(k, first=1)
+        coeffs = taylor(member, k, first=1)
         if max(abs(coeffs[k - 2]), abs(coeffs[k])) < 1e-6 * np.abs(coeffs).max():
             continue
         return member, space
@@ -193,13 +222,13 @@ def criterion_matrix(f: FactoredFunction, space: PuncturedSpace, first: int | No
     """The float hole-constraint matrix of order n = ``first`` (default: the inner degree), as
     the rank rule assembles it from f's weights f / P_n."""
     n = f.inner.degree if first is None else first
-    return _assemble(f.taylor(space.k_max, first=n), space.holes, n)
+    return _assemble(f.taylor(space.holes, 2 * n, first=n).windows, n)
 
 
 def rule_verdict(f: FactoredFunction, space: PuncturedSpace, first: int | None = None):
     """The rank rule's verdict on f's weights of order ``first`` (default: the inner degree)."""
     n = f.inner.degree if first is None else first
-    return _decide_rows(f.taylor(space.k_max, first=n)[None], space, n)[0]
+    return _decide_rows(f.taylor(space.holes, 2 * n, first=n), space, n)[0]
 
 
 def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:
@@ -261,7 +290,7 @@ def direct_defects(f: FactoredFunction, space: PuncturedSpace) -> list[tuple[int
     :func:`hardyball.exactrank.exact_membership_defects` reads the same values
     back from the criterion weights f / P_m.
     """
-    coeffs = f.taylor(space.k_max, lift)
+    coeffs = taylor(f, space.k_max, lift)
     return [(k, abs(coeffs[k].real) + abs(coeffs[k].imag)) for k in space.holes]
 
 

@@ -35,6 +35,7 @@ from hardyball.extremality import _assemble, _decide_rows
 from _instances import (
     criterion_matrix,
     endpoint_norms,
+    expansion_of,
     hole_constraint_value,
     overflow_member,
     quick_sample_member,
@@ -44,6 +45,8 @@ from _instances import (
     rule_verdict,
     single_hole_locus_member,
     single_hole_member,
+    taylor,
+    windows_of,
 )
 
 
@@ -134,7 +137,7 @@ def test_criterion_03_single_hole_equivalence(single_hole_pool):
     for member, space in single_hole_pool:
         k = space.holes[0]
         a = member.inner.zeros[0]
-        coeffs = member.taylor(k, first=1)
+        coeffs = taylor(member, k, first=1)
         # membership rewritten on the weighted coefficients:
         # a c_k - (1+|a|^2) c_{k-1} + conj(a) c_{k-2} = 0  (k >= 2)
         residual = abs(
@@ -170,15 +173,15 @@ def test_criterion_04_canonical_kernel_invariant():
         for attempt in range(20):
             member, space = random_member((4000, i, attempt), m_range=(1, 4))
             m = member.inner.degree
-            weights = member.taylor(space.k_max, first=m)
-            matrix = _assemble(weights, space.holes, m)
-            if np.linalg.norm(matrix, 2) > 1e-6 * np.abs(weights).max():
+            weights = member.taylor(space.holes, 2 * m, first=m)
+            matrix = _assemble(weights.windows, m)
+            if np.linalg.norm(matrix, 2) > 1e-6 * weights.scale:
                 break
         vec = np.array(canonical_kernel_vector(member.inner.zeros).vector)
         residual = np.linalg.norm(matrix @ vec)
         bound = np.linalg.norm(matrix, 2) * np.linalg.norm(vec)
         worst_ratio = max(worst_ratio, residual / bound)
-        assert _decide_rows(weights[None], space, m, DEFAULT)[0].rank <= 2 * m
+        assert _decide_rows(weights, space, m, DEFAULT)[0].rank <= 2 * m
         count += 1
     ok = worst_ratio <= 1e-9
     report_line(4, "canonical vector spans into the kernel", ok,
@@ -197,7 +200,7 @@ def test_criterion_05_matrix_entry_audit():
         ))
         length = holes[-1] + 1
         coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        matrix = _assemble(coeffs, holes, m)
+        matrix = _assemble(windows_of(coeffs, holes, 2 * m), m)
         for col in range(2 * m + 1):
             basis = np.zeros(2 * m + 1)
             basis[col] = 1.0
@@ -227,11 +230,11 @@ def test_criterion_06_certificate_round_trip(baseline_pool, single_hole_pool):
         assert rep.verifies, rep.failures
         # what the certificate proves without sampling or norms, rechecked by the test: the
         # endpoints' membership, h real, and the midpoint identity of the norms
-        f_coeffs = f.taylor(space.k_max)
-        shift = witness.epsilon * (_perturbation_product(f, witness, space.k_max)
+        f_coeffs = taylor(f, space.k_max)
+        shift = witness.epsilon * (taylor(_perturbation_product(f, witness), space.k_max)
                                    - witness.recenter * f_coeffs)
         for endpoint in (f_coeffs + shift, f_coeffs - shift):
-            assert check_membership(endpoint, space, DEFAULT).passed
+            assert check_membership(expansion_of(endpoint, space.holes), space, DEFAULT).passed
         h = witness_h_values(f, witness, circle_nodes(8192))
         norm_f, plus, minus = endpoint_norms(f, witness)
         worst["real"] = max(worst["real"], float(np.abs(h.imag).max()))

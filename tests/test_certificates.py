@@ -24,7 +24,7 @@ from hardyball import (
 )
 from hardyball.certificates import DEGREE_OVERFLOW_PATH, KERNEL_PATH, POSITIVITY_MAX_NODES
 
-from _instances import endpoint_norms, overflow_member, single_hole_locus_member
+from _instances import endpoint_norms, overflow_member, single_hole_locus_member, taylor
 
 
 def factored(zeros, numerator, den=()):
@@ -252,8 +252,8 @@ class TestVerifyWitness:
         from hardyball.certificates import _perturbation_product
 
         k = space.k_max
-        f_coeffs = f.taylor(k)
-        g_coeffs = _perturbation_product(f, w, k)
+        f_coeffs = taylor(f, k)
+        g_coeffs = taylor(_perturbation_product(f, w), k)
         plus = f_coeffs + w.epsilon * (g_coeffs - w.recenter * f_coeffs)
         minus = f_coeffs - w.epsilon * (g_coeffs - w.recenter * f_coeffs)
         midpoint = (plus + minus) / 2.0

@@ -363,7 +363,7 @@ def per_row_sweep_csv(template, names, specs):
                 problem = documents.parse_problem(
                     cli._substitute(template, dict(zip(names, values))), source="<sweep>")
                 f, space, tol = problem.function, problem.space, problem.tolerances
-                membership = model.check_membership(f.taylor(space.k_max), space, tol)
+                membership = model.check_membership(f.taylor(space.holes), space, tol)
                 if not membership.passed:
                     writer.writerow(row + ["skip", "", "", ""])
                     continue
@@ -558,6 +558,55 @@ def test_member_near_the_float_limit_gets_a_verdict(tmp_path, capsys):
     assert [(row["status"], row["rank"]) for row in rows] == [("non_extreme", "2")]
 
 
+def test_overflowing_coefficients_are_a_numerics_error(tmp_path, capsys):
+    # the member above times 1.7e308: its coefficients are finite, but its expansion overflows
+    space = model.PuncturedSpace((400,))
+    doc = documents.problem_to_dict(space, model.sample_member(space, (0.99, 0.99j), (), 2, 1))
+    doc["outer_numerator"] = [[part * 1.7e308 for part in c] for c in doc["outer_numerator"]]
+    assert main(["analyze", write(tmp_path / "p.json", doc)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["type"] == "error" and report["error"] == "numerics"
+    assert "Taylor coefficients overflow" in report["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_a_closed_stdout_ends_quietly(command, tmp_path):
+    # the reader closes the pipe before anything is written, as `| head -c 300` may
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hardyball
+
+    doc = write(tmp_path / "p.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]
+                                                 if command == "sweep" else NON_EXTREME_NUM))
+    argv = [doc] + (["--param", "beta", "--range", "0:0.5:0.25"] if command == "sweep" else [])
+    src = str(Path(hardyball.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "hardyball.cli", command, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert b"Traceback" not in err and err == b""
+
+
+def test_float_analyze_at_the_largest_hole_scans_only_heads(tmp_path, capsys, scans):
+    # a generated member with holes {4, 10^6} and two inner zeros: non-extreme, so membership,
+    # the criterion weights and the witness product F * G are all read at 10^6, and each
+    # reads its tail bound off a head: no scan comes near the hole
+    space = model.PuncturedSpace((4, documents.MAX_HOLE))
+    member = model.sample_member(space, (0.6 + 0.2j, -0.5j), (0.4,), 3, 2)
+    prob = write(tmp_path / "p.json", documents.problem_to_dict(space, member))
+    del scans[:]
+    assert main(["analyze", prob]) == 10
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness_report"]["verifies"] is True
+    assert report["membership"]["holes"][1] == {"k": documents.MAX_HOLE, "residual": 0}
+    assert len(scans) >= 3 and max(n for _, n in scans) <= 1024
+    assert sum(n for _, n in scans) < 10 ** 4
+
+
 def test_subnormal_norm_is_a_numerics_error(tmp_path, capsys):
     # 1 / 5e-324 overflows: the normalized factor cannot be represented
     prob = write(tmp_path / "p.json", problem_doc([[5e-324, 0.0]], holes=(), zeros=()))
@@ -615,25 +664,19 @@ def test_tolerance_values_must_be_finite_and_positive(argv, options, tmp_path, c
         assert report["message"].endswith("unrecognized arguments: " + " ".join(argv))
 
 
-@pytest.fixture
-def expansions(monkeypatch):
-    """(up_to, parameter count) of every Taylor recurrence run while a test runs, one entry
-    per row of a stacked recurrence."""
-    import sys
-
-    from hardyball import series
-
-    original, calls = series.expand, []
-
-    def counting(numerator, parameters, up_to, ring=complex):
-        rows = len(numerator) if np.ndim(numerator) == 2 else 1
-        calls.extend([(up_to, len(parameters))] * rows)
-        return original(numerator, parameters, up_to, ring)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hardyball") and getattr(module, "expand", None) is original:
-            monkeypatch.setattr(module, "expand", counting)
-    return calls
+def test_single_hole_delta_reads_the_verdict_weights(tmp_path, capsys, expansions):
+    # the README fixture z (1 + z^2) with hole {2}: f for membership, f / P_1 for the matrix
+    # and the determinant, F * G for the witness; --exact expands f / P_1 in floats for delta
+    prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+    assert main(["analyze", prob]) == 10
+    report = json.loads(capsys.readouterr().out)
+    assert report["delta"] == {"status": "non_extreme", "value": 0}
+    assert [k for k, _ in expansions] == [2, 2, 2]
+    assert expansions[:2] == [(2, 1), (2, 2)]
+    del expansions[:]
+    assert main(["analyze", prob, "--exact"]) == 10
+    assert json.loads(capsys.readouterr().out)["delta"] == report["delta"]
+    assert expansions[-1] == (2, 2) and len(expansions) == 3
 
 
 def test_analyze_runs_one_recurrence_per_operator(tmp_path, capsys, expansions):
@@ -725,7 +768,7 @@ def rank_decisions(monkeypatch):
     original, calls = extremality._decide_rows, []
 
     def counting(weights, *args, **kwargs):
-        calls.append(len(weights))
+        calls.append(np.size(weights.scale))
         return original(weights, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):

@@ -21,12 +21,14 @@ from hardyball import (
     kernel_alignment,
     single_hole_delta,
 )
-from hardyball import sample_member, series
+from hardyball import sample_member
 from hardyball.exactrank import exact_membership_defects, fraction_kernel, lift
 from hardyball.extremality import _assemble, _rank_rule
+from hardyball.series import expand
 
-from _instances import (criterion_matrix, direct_defects, fraction_lift, hole_constraint_value,
-                        random_member, random_zeros, rule_verdict, single_hole_member)
+from _instances import (criterion_matrix, dense, direct_defects, fraction_lift,
+                        hole_constraint_value, random_member, random_zeros, rule_verdict,
+                        single_hole_member, taylor, windows_of)
 
 
 def factored(zeros, numerator, den=()):
@@ -38,16 +40,16 @@ class TestCriterionCoefficients:
 
     def test_zero_at_origin_is_transparent(self):
         f = factored([0.0], [1.0, 0.0, 0.5])
-        assert f.taylor(2, first=1) == pytest.approx([1, 0, 0.5])
+        assert taylor(f, 2, first=1) == pytest.approx([1, 0, 0.5])
 
     def test_squared_factor_gives_derivative_weights(self):
         f = factored([0.5], [1.0])
-        got = f.taylor(6, first=1)
+        got = taylor(f, 6, first=1)
         assert got == pytest.approx([(n + 1) * 0.5**n for n in range(7)])
 
     def test_no_inner_zeros(self):
         f = factored([], [1.0])
-        assert f.taylor(4) == pytest.approx([1, 0, 0, 0, 0])
+        assert taylor(f, 4) == pytest.approx([1, 0, 0, 0, 0])
 
     def test_order_n_weights_times_canonical_polynomial_give_f(self):
         # taylor(first=n) expands f / P_n, so multiplying back by
@@ -57,9 +59,9 @@ class TestCriterionCoefficients:
         for m in range(4):
             zeros = random_zeros(rng, m)
             f = factored(zeros, [1.0, 0.3 - 0.2j, 0.1j], random_zeros(rng, 1, 0.5))
-            direct = f.taylor(up_to)
+            direct = taylor(f, up_to)
             for n in range(m + 1):
-                weights = f.taylor(up_to, first=n)
+                weights = taylor(f, up_to, first=n)
                 canonical = canonical_kernel_vector(zeros[:n]).coefficients()
                 back = np.convolve(weights, canonical)[: up_to + 1]
                 assert np.abs(back - direct).max() <= 1e-13 * np.abs(direct).max()
@@ -300,7 +302,7 @@ class TestConstraintValue:
             holes = tuple(sorted(rng.choice(np.arange(1, 20), count, replace=False)))
             length = holes[-1] + 1
             coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            mat = _assemble(coeffs, holes, m)
+            mat = _assemble(windows_of(coeffs, holes, 2 * m), m)
             for col in range(2 * m + 1):
                 basis = np.zeros(2 * m + 1)
                 basis[col] = 1.0
@@ -359,20 +361,6 @@ NON_MEMBERS = {
 }
 
 
-@pytest.fixture
-def lift_expansions(monkeypatch):
-    """up_to of every exact Taylor recurrence run while a test runs."""
-    calls, expand = [], series.expand
-
-    def counting(numerator, parameters, up_to, ring=complex):
-        if ring is lift:
-            calls.append(up_to)
-        return expand(numerator, parameters, up_to, ring)
-
-    monkeypatch.setattr(series, "expand", counting)
-    return calls
-
-
 class TestExactBackend:
     def test_fraction_rank_small_cases(self):
         from fractions import Fraction as F
@@ -415,8 +403,8 @@ class TestExactBackend:
             holes = tuple(sorted(int(k) for k in rng.choice(np.arange(1, 12), 2, replace=False)))
             values = (rng.integers(-64, 64, holes[-1] + 1)
                       + 1j * rng.integers(-64, 64, holes[-1] + 1)) / 32
-            floats = _assemble(values, holes, m)
-            exact = _assemble([lift(v) for v in values], holes, m)
+            floats = _assemble(windows_of(values, holes, 2 * m), m)
+            exact = _assemble(windows_of([lift(v) for v in values], holes, 2 * m, lift(0)), m)
             assert exact.dtype == object
             assert floats.dtype == np.float64
             assert all(isinstance(x, (Fraction, int)) for x in exact.flat)
@@ -438,9 +426,15 @@ class TestExactBackend:
                 full = np.array([ring(v) for v in values], dtype=object)
                 guarded = full.copy()
                 guarded[[i for i in range(values.size) if i not in windows]] = Unread()
-                got = _assemble(guarded, holes, m)
-                want = _assemble(full, holes, m)
+                got = _assemble(windows_of(guarded, holes, 2 * m, ring(0)), m)
+                want = _assemble(windows_of(full, holes, 2 * m, ring(0)), m)
                 assert got.tolist() == want.tolist()
+            # the exact producer hands over those windows of its full expansion
+            numerator = [lift(v) for v in values[:3]]
+            got = expand(numerator, (0.5, -0.25j), holes, 2 * m, lift).windows
+            want = windows_of(dense(numerator, (0.5, -0.25j), holes[-1], lift), holes, 2 * m,
+                              lift(0))
+            assert [(c.real, c.imag) for c in got.flat] == [(c.real, c.imag) for c in want.flat]
 
     @pytest.mark.parametrize("data", ["dyadic", "float", "special"])
     def test_dyadic_ring_matches_the_fraction_ring(self, data):
@@ -457,8 +451,8 @@ class TestExactBackend:
         # the subnormal zero adds 1074 bits per term, which the oracle's gcds make slow
         for up_to in (0, 1, 17, 24 if data == "special" else 60):
             for first in (0, m):
-                got = f.taylor(up_to, lift, first)
-                want = f.taylor(up_to, fraction_lift, first)
+                got = taylor(f, up_to, lift, first)
+                want = taylor(f, up_to, fraction_lift, first)
                 assert [(c.real, c.imag) for c in got] == [(c.real, c.imag) for c in want]
 
     def test_exact_membership_checks_the_input_itself(self):
@@ -485,7 +479,7 @@ class TestExactBackend:
             for k in space.holes
         ]
         assert direct_defects(f, space) == expected
-        assert exact_membership_defects(f, space, f.taylor(space.k_max, lift, 3)) == expected
+        assert exact_membership_defects(f, space, f.taylor(space.holes, 6, lift, 3).windows) == expected
 
     def test_agrees_with_svd_on_exact_members(self):
         # numerator support {0, k-2, k} with the inner zero at the origin keeps
@@ -560,7 +554,7 @@ class TestExactBackend:
     @pytest.mark.parametrize("name", sorted(EXACT_FIXTURES) + sorted(NON_MEMBERS))
     def test_defects_from_weights_equal_the_direct_defects(self, name):
         f, space = {**EXACT_FIXTURES, **NON_MEMBERS}[name]()
-        weights = f.taylor(space.k_max, lift, f.inner.degree)
+        weights = f.taylor(space.holes, 2 * f.inner.degree, lift, f.inner.degree).windows
         defects = direct_defects(f, space)
         assert exact_membership_defects(f, space, weights) == defects
         assert any(d != 0 for _, d in defects) == (name in NON_MEMBERS)

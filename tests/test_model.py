@@ -22,7 +22,7 @@ from hardyball import (
 from hardyball.documents import DocumentError, parse_problem
 from hardyball.model import numerator_roots
 
-from _instances import random_zeros
+from _instances import dense, random_zeros, taylor
 
 
 def factored(zeros, numerator, den=()):
@@ -40,7 +40,7 @@ def parsed(zeros, numerator, constant):
 
 
 def membership(f, space, tol=DEFAULT):
-    return check_membership(f.taylor(space.k_max), space, tol)
+    return check_membership(f.taylor(space.holes), space, tol)
 
 
 class TestBlaschkeProduct:
@@ -80,20 +80,18 @@ class TestBlaschkeProduct:
 class TestTaylorOfProduct:
     def test_inner_z(self):
         f = factored([0.0], [1.0])
-        assert f.taylor(2) == pytest.approx([0, 1, 0])
+        assert taylor(f, 2) == pytest.approx([0, 1, 0])
 
     def test_single_zero_half(self):
         f = factored([0.5], [1.0])
-        assert f.taylor(2) == pytest.approx([-0.5, 0.75, 0.375])
+        assert taylor(f, 2) == pytest.approx([-0.5, 0.75, 0.375])
 
     def test_trivial_inner(self):
         f = factored([], [1.0, 0.0, 1.0])
-        assert f.taylor(2) == pytest.approx([1, 0, 1])
+        assert taylor(f, 2) == pytest.approx([1, 0, 1])
 
     def test_matches_factor_convolution(self):
         # product expansion == np.convolve of the factor expansions
-        from hardyball.series import expand
-
         rng = np.random.default_rng(9)
         for _ in range(15):
             zeros = random_zeros(rng, int(rng.integers(0, 4)))
@@ -104,11 +102,11 @@ class TestTaylorOfProduct:
             except NotOuterError:
                 continue
             up_to = 25
-            direct = f.taylor(up_to)
+            direct = taylor(f, up_to)
             inner_numerator = np.atleast_1d(np.poly(f.inner.zeros))[::-1].tolist()
             piecewise = np.convolve(
-                expand(inner_numerator, f.inner.zeros, up_to),
-                expand(f.outer.numerator, f.outer.poles, up_to),
+                dense(inner_numerator, f.inner.zeros, up_to),
+                dense(f.outer.numerator, f.outer.poles, up_to),
             )[: up_to + 1]
             assert np.abs(direct - piecewise).max() <= 1e-12 * np.abs(direct).max()
 

@@ -22,6 +22,7 @@ from hardyball.exactrank import lift
 from hardyball.series import (
     QUAD_MAX_N,
     EvaluationError,
+    ExpansionOverflowError,
     QuadratureConvergenceError,
     _finite_values,
     _row_means,
@@ -30,24 +31,24 @@ from hardyball.series import (
     expand,
 )
 
-from _instances import random_zeros
+from _instances import dense, random_zeros, taylor, windows_of
 
 
 class TestExpandRational:
     def test_geometric_series(self):
         f = Rational((1.0,), (0.5,))
-        assert f.taylor(3) == pytest.approx([1, 0.5, 0.25, 0.125])
+        assert taylor(f, 3) == pytest.approx([1, 0.5, 0.25, 0.125])
 
     def test_double_pole_matches_derivative_series(self):
         # 1/(1 - a z)^2 = sum (n+1) a^n z^n
         f = Rational((1.0,), (0.5, 0.5))
-        got = f.taylor(6)
+        got = taylor(f, 6)
         expected = [(n + 1) * 0.5**n for n in range(7)]
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_polynomial_passthrough(self):
         f = Rational((1.0, 0.0, 1.0))
-        assert f.taylor(4) == pytest.approx([1, 0, 1, 0, 0])
+        assert taylor(f, 4) == pytest.approx([1, 0, 1, 0, 0])
 
     def test_pole_margin_rejected(self):
         with pytest.raises(PoleMarginError):
@@ -58,7 +59,7 @@ class TestExpandRational:
     def test_complex_parameter_uses_conjugate(self):
         b = 0.3 + 0.4j
         f = Rational((1.0,), (b,))
-        got = f.taylor(5)
+        got = taylor(f, 5)
         expected = [b.conjugate() ** n for n in range(6)]
         assert got == pytest.approx(expected)
 
@@ -72,7 +73,7 @@ class TestExpandRational:
             zeros = tuple(0.9 * rng.random(k) * np.exp(2j * np.pi * rng.random(k)))
             f = Rational(num, den, zeros)
             up_to = 60
-            coeffs = f.taylor(up_to)
+            coeffs = taylor(f, up_to)
             z = 0.5 * np.exp(2j * np.pi * rng.random())
             partial = sum(c * z**k for k, c in enumerate(coeffs))
             # tail of the dominating geometric series at |z| = 1/2
@@ -86,17 +87,17 @@ class TestConvolve:
     def test_square_of_one_plus_z(self):
         # (1 + z)^2 / (1 + z) = 1 + z
         square = np.convolve([1.0, 1.0], [1.0, 1.0])
-        assert expand(square.tolist(), (-1.0,), 3) == pytest.approx([1, 1, 0, 0])
+        assert dense(square.tolist(), (-1.0,), 3) == pytest.approx([1, 1, 0, 0])
 
     def test_identity_element(self):
         # multiplying by (1 - z/2) and expanding over it gives the sequence back
         s = [2.0, -1.0, 3.5]
         product = np.convolve(s, [1.0, -0.5]).tolist()
-        assert expand(product, (0.5,), 4) == pytest.approx([2, -1, 3.5, 0, 0])
+        assert dense(product, (0.5,), 4) == pytest.approx([2, -1, 3.5, 0, 0])
 
     def test_matches_expand_of_squared_factor(self):
-        geom = Rational((1.0,), (0.5,)).taylor(8)
-        squared = Rational((1.0,), (0.5, 0.5)).taylor(8)
+        geom = taylor(Rational((1.0,), (0.5,)), 8)
+        squared = taylor(Rational((1.0,), (0.5, 0.5)), 8)
         product = np.convolve(geom, geom)[:9]
         assert product == pytest.approx(squared, rel=1e-14)
 
@@ -111,69 +112,172 @@ class TestConvolve:
                 fs.append(Rational(num, den))
             numerator = np.convolve(fs[0].numerator, fs[1].numerator).tolist()
             parameters = fs[0].poles + fs[1].poles
-            direct = expand(numerator, parameters, 12)
-            convolved = np.convolve(fs[0].taylor(12), fs[1].taylor(12))[:13]
+            direct = dense(numerator, parameters, 12)
+            convolved = np.convolve(taylor(fs[0], 12), taylor(fs[1], 12))[:13]
             scale = np.abs(direct).max()
             assert np.abs(direct - convolved).max() <= 1e-12 * scale
 
 
 class TestCoefficientSequence:
-    """expand returns the plain coefficient array c_0..c_up_to."""
+    """expand's window of width K at the hole K is the coefficient array c_0..c_K."""
 
     def test_reads_outside_window_are_zero(self):
         # coefficients past the numerator's support are exact zeros
-        coeffs = expand([1.0 + 0j, 2.0 + 0j], (), 4)
+        coeffs = dense([1.0 + 0j, 2.0 + 0j], (), 4)
         assert coeffs.dtype == complex and coeffs.shape == (5,)
         assert coeffs.tolist() == [1, 2, 0, 0, 0]
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
     def test_convolving_with_one_is_identity(self, values):
         values = [complex(v) for v in values]
-        out = expand(values, (), len(values) - 1)
+        out = dense(values, (), len(values) - 1)
         assert out.tolist() == values == np.convolve(values, [1.0]).tolist()
 
     def test_up_to_zero_is_the_constant_term(self):
-        assert expand([3 + 1j, 2.0], (0.5, 0.25j), 0).tolist() == [3 + 1j]
-        exact = expand([lift(3 + 1j), lift(2.0)], (0.5, 0.25j), 0, lift)
+        assert dense([3 + 1j, 2.0], (0.5, 0.25j), 0).tolist() == [3 + 1j]
+        exact = dense([lift(3 + 1j), lift(2.0)], (0.5, 0.25j), 0, lift)
         assert exact.shape == (1,) and complex(exact[0].real, exact[0].imag) == 3 + 1j
 
     def test_numerator_longer_than_the_window_is_cut(self):
         numerator = [1.0, -2.0 + 1j, 0.5, 4.0, 3j]
-        cut = expand(numerator, (0.5, -0.3j), 2)
+        cut = dense(numerator, (0.5, -0.3j), 2)
         assert cut.shape == (3,)
         # c_k reads only p_0..p_k, and every scan step past the window is skipped
-        assert cut.tobytes() == expand(numerator[:3], (0.5, -0.3j), 2).tobytes()
-        assert cut.tobytes() == expand(numerator, (0.5, -0.3j), 4)[:3].tobytes()
+        assert cut.tobytes() == dense(numerator[:3], (0.5, -0.3j), 2).tobytes()
+        assert cut.tobytes() == dense(numerator, (0.5, -0.3j), 4)[:3].tobytes()
 
     def test_zero_pole_is_skipped(self):
         numerator = [1.0, -2.0 + 1j, 0.5]
-        with_zero = expand(numerator, (0.5, 0.0, -0.3j, 0j), 20)
-        assert with_zero.tobytes() == expand(numerator, (0.5, -0.3j), 20).tobytes()
-        exact = expand([lift(c) for c in numerator], (0.5, 0.0), 20, lift)
-        once = expand([lift(c) for c in numerator], (0.5,), 20, lift)
+        with_zero = dense(numerator, (0.5, 0.0, -0.3j, 0j), 20)
+        assert with_zero.tobytes() == dense(numerator, (0.5, -0.3j), 20).tobytes()
+        exact = dense([lift(c) for c in numerator], (0.5, 0.0), 20, lift)
+        once = dense([lift(c) for c in numerator], (0.5,), 20, lift)
         assert [(c.real, c.imag) for c in exact] == [(c.real, c.imag) for c in once]
 
     def test_zero_poles_return_the_numerator_bit_for_bit(self):
         # 0.1 has no short binary expansion and -0.0 keeps its sign bit
         numerator = [0.1 + 0.7j, complex(-0.0, 0.3), -1 / 3]
-        out = expand(numerator, (0.0, 0j, 0.0), 5)
+        out = dense(numerator, (0.0, 0j, 0.0), 5)
         padded = np.array(numerator + [0j] * 3, dtype=complex)
         assert out.tobytes() == padded.tobytes()
 
 
-def test_rows_expand_bit_for_bit_as_each_row_alone():
+def test_rows_expand_bit_for_bit_as_each_row_alone(scans):
     # random complex numerators, zeros and poles, some poles zero: rows grouped by where
-    # their poles are zero get one recurrence, whose squares of conj(b) must be Python's
+    # their poles are zero get one recurrence, whose squares of conj(b) must be Python's.
+    # Holes far beyond every row's head, with poles up to modulus 0.97, so that the rows
+    # prove their tails on heads of different lengths and each jumps from its own head
     rng = np.random.default_rng(5)
 
-    def draw(count, scale):
-        return (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)) * scale
+    def polar(count, low, high):
+        return rng.uniform(low, high, count) * np.exp(2j * np.pi * rng.random(count))
 
-    rationals = [Rational(draw(4, 1.0), [b if rng.random() < 0.7 else 0j for b in draw(3, 0.6)],
-                          draw(1, 0.6)) for _ in range(40)]
-    rows = _taylor_rows(rationals, 300)
-    for row, r in zip(rows, rationals):
-        assert row.tobytes() == r.taylor(300).tobytes()
+    rationals = [Rational(polar(4, 0.0, 1.0),
+                          [b if rng.random() < 0.7 else 0j for b in polar(3, 0.3, 0.97)],
+                          polar(1, 0.0, 0.6)) for _ in range(40)]
+    for holes, width in (((300,), 300), ((5, 300, 2000, 9000), 4)):
+        del scans[:]
+        rows = _taylor_rows(rationals, holes, width)
+        heads = {n for _, n in scans}
+        for windows, scale, r in zip(*rows, rationals):
+            alone = r.taylor(holes, width)
+            assert windows.tobytes() == alone.windows.tobytes() and scale == alone.scale
+    assert len(heads) >= 2 and max(heads) < 9001
+
+
+def polar_rational(rng, degree, poles, low, high, zeros=0):
+    """A Rational with random numerator and with poles (and zeros) of modulus in [low, high)."""
+    def polar(count):
+        return rng.uniform(low, high, count) * np.exp(2j * np.pi * rng.random(count))
+
+    numerator = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    return Rational(numerator, polar(poles), polar(zeros))
+
+
+class TestWindows:
+    """The head, the tail bound and the jump-ahead of float expansions (series.expand)."""
+
+    CASES = 200
+
+    def cases(self):
+        # a Rational, its holes (the last far beyond any head) and a window width
+        rng = np.random.default_rng(17)
+        for _ in range(self.CASES):
+            r = polar_rational(rng, int(rng.integers(0, 6)), int(rng.integers(0, 7)), 0.0,
+                               float(rng.uniform(0.3, 0.95)), int(rng.integers(0, 3)))
+            k = int(rng.integers(1500, 6000))
+            width = int(rng.integers(0, 7))
+            holes = sorted({int(h) for h in rng.integers(width, k, 3)} | {k})
+            yield r, holes, width
+
+    def test_head_bits_are_the_full_scan_bits(self):
+        # one numerator with Python factors, as heads run, and rows with columns of them
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            r = polar_rational(rng, 4, int(rng.integers(1, 7)), 0.2, 0.95)
+            n = int(rng.integers(1024, 5000))
+            x = np.array(r.numerator)
+            factors = [complex(b).conjugate() for b in r.poles]
+            for x, factors in ((x, factors), (np.stack([x, x / 3]),
+                                              [np.array([[a], [a]]) for a in factors])):
+                full, _ = series._scan(x, factors, n)
+                for head in (64, 128, 256, 512):
+                    assert series._scan(x, factors, head)[0].tobytes() == \
+                        full[..., :head].tobytes()
+
+    def test_scale_is_the_full_scan_maximum_bit_for_bit(self, scans):
+        windowed = 0
+        for r, holes, width in self.cases():
+            del scans[:]
+            got = r.taylor(holes, width)
+            windowed += max(n for _, n in scans) <= holes[-1]
+            assert got.scale == np.abs(taylor(r, holes[-1])).max()
+        assert windowed >= 0.9 * self.CASES
+
+    def test_windows_agree_with_the_full_scan_to_rounding(self):
+        # per coefficient, relative to the same expansion of |p| over |b|, which bounds the
+        # rounding of both the full scan and the jump
+        eps = np.finfo(float).eps
+        for r, holes, width in self.cases():
+            got = r.taylor(holes, width).windows
+            full = taylor(r, holes[-1])
+            numerator = r._with_zeros(complex)
+            majorant = dense(np.abs(numerator), np.abs(r.poles), holes[-1]).real
+            want = windows_of(full, holes, width)
+            bound = windows_of(majorant, holes, width).real
+            allowance = 8 * (len(r.poles) + 1) * (holes[-1] + 16) * eps
+            assert (np.abs(got - want) <= allowance * bound + 1e-300).all()
+
+    @pytest.mark.parametrize("case", ["pole_near_the_circle", "nan"])
+    def test_the_full_scan_runs_where_the_tail_is_not_proven(self, case, scans):
+        # a pole of modulus 1 - 1e-6 leaves the tail bound above the head's maximum on every
+        # head; a NaN in the numerator makes it not finite.  Both get the full scan's bytes
+        numerator = [1.0, 0.5 - 0.25j, 0.125j]
+        if case == "nan":
+            numerator[1] = complex(np.nan, 0.0)
+        poles = (0.5j, 1 - 1e-6) if case == "pole_near_the_circle" else (0.5j, 0.3)
+        holes, width = (10, 2000, 5000), 4
+        full = dense([numerator], [np.array([b]) for b in poles], holes[-1])[0]  # rows: no raise
+        del scans[:]
+        rows = expand(np.array([numerator] * 2), [np.array([b] * 2) for b in poles], holes,
+                      width)
+        assert scans[-1] == (2, holes[-1] + 1)
+        for windows, scale in zip(*rows):
+            assert windows.tobytes() == windows_of(full, holes, width).tobytes()
+            assert np.array_equal(scale, np.abs(full).max(), equal_nan=True)
+        if case == "nan":  # one numerator: the scale that is not finite is an error
+            with pytest.raises(ExpansionOverflowError, match="overflow"):
+                expand(numerator, poles, holes, width)
+        else:
+            assert expand(numerator, poles, holes, width).scale == np.abs(full).max()
+
+    def test_short_expansions_are_the_full_scan(self, scans):
+        # below HEAD_SHARE head lengths the full scan runs, bit for bit as it always did
+        r = polar_rational(np.random.default_rng(3), 3, 4, 0.2, 0.6)
+        k = series.HEAD_SHARE * series.HEAD_START - 2
+        got = r.taylor((k // 2, k), 2)
+        assert scans == [(1, k + 1)]
+        assert got.windows.tobytes() == windows_of(taylor(r, k), (k // 2, k), 2).tobytes()
 
 
 class TestRowMeans:
@@ -242,8 +346,8 @@ class TestFloatMatchesExact:
         # denominator lost 2.7e-6 of them to cancellation
         zeros = [0.99 * complex(np.cos(t), np.sin(t)) for t in (0.3, 0.31, 0.32)]
         numerator = [1.0 + 0j, -0.5 + 0.25j]
-        exact = _as_complex(expand([lift(c) for c in numerator], zeros * 2, 300, lift))
-        approx = expand(numerator, zeros * 2, 300)
+        exact = _as_complex(dense([lift(c) for c in numerator], zeros * 2, 300, lift))
+        approx = dense(numerator, zeros * 2, 300)
         assert (np.abs(approx - exact) <= 1e-12 * np.abs(exact)).all()
 
     @settings(max_examples=60, deadline=None)
@@ -254,11 +358,11 @@ class TestFloatMatchesExact:
         up_to=st.integers(0, 40),
     )
     def test_dyadic_data(self, numerator, poles, up_to):
-        approx = expand(numerator, poles, up_to)
-        exact = _as_complex(expand([lift(c) for c in numerator], poles, up_to, lift))
+        approx = dense(numerator, poles, up_to)
+        exact = _as_complex(dense([lift(c) for c in numerator], poles, up_to, lift))
         # relative per coefficient, to the same expansion of |p_k| over |b|: it
         # bounds every partial sum, so cancelling coefficients are judged fairly
-        majorant = expand(np.abs(numerator), np.abs(poles), up_to).real
+        majorant = dense(np.abs(numerator), np.abs(poles), up_to).real
         assert (np.abs(approx - exact) <= 1e-12 * majorant).all()
 
 
@@ -538,7 +642,7 @@ class TestLogMeanModulus:
 )
 def test_expansion_reproduces_function_inside_disk(coeffs, pole):
     f = Rational(tuple(coeffs), (pole,))
-    series = f.taylor(80)
+    series = taylor(f, 80)
     z = 0.4 + 0.2j
     partial = np.polyval(series[::-1], z)
     tail = np.abs(series).max() * abs(z) ** 81 / (1 - abs(z))
