@@ -26,11 +26,12 @@ report depends on its documents and flags alone; ``gen`` uses the defaults.
 Every tolerance must be a finite number > 0, a sweep has at most
 :data:`MAX_SWEEP_ROWS` rows and ``--jobs`` must be >= 1.
 
-A sweep builds and checks each row's function on its own and decides its rows
-in blocks of stacked arrays (at most ``series.STACK_ELEMENTS`` Taylor
-coefficients a block): every stage, from root finding to the SVD, runs once
-per group of rows of one shape and gives each row the bytes it gets alone.
-With ``--jobs N`` each worker decides one contiguous share of the rows.
+A sweep builds no object per row.  It puts each block of points (at most
+``series.STACK_ELEMENTS`` Taylor coefficients) into stacked arrays of the parsed
+template's zeros, numerator and poles, and every stage, from the constructors'
+checks to the SVD, runs once per group of rows of one shape and gives each row
+the bytes it gets alone.  With ``--jobs N`` each worker decides one contiguous
+share of the rows.
 """
 
 from __future__ import annotations
@@ -229,80 +230,62 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 
 # pool workers do not inherit the error state main sets
 @np.errstate(all="ignore")
-def _sweep_rows(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
-    """The CSV rows of consecutive points, decided in blocks of at most
-    series.STACK_ELEMENTS Taylor coefficients, so memory grows with neither the point count
-    nor k_max."""
+def _sweep_rows(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
+    """The CSV rows of consecutive points (values and their CSV text), decided in blocks of at
+    most series.STACK_ELEMENTS Taylor coefficients: memory grows with neither count nor k_max."""
     size = max(1, series.STACK_ELEMENTS // (parsed[0].k_max + 1))
-    return [row for i in range(0, len(combos), size)
-            for row in _decide_block(parsed, combos[i:i + size])]
+    return [row for i in range(0, len(points), size)
+            for row in _decide_block(parsed, points[i:i + size])]
 
 
-def _decide_block(parsed: tuple, combos: list[tuple[float, ...]]) -> list[list[str]]:
-    """Each point's values put into the parsed template's slots, then decided.
-
-    Every row is built, and so checked, on its own.  The numerics run on stacked rows, one
-    stage at a time, and give each row the bits it gets alone: root finding, the membership
-    expansion, the L1 norm, the criterion weights and their SVD; with one hole and inner
-    degree 1, the verdict's determinant reads the same weights.  A row leaves at its skip or
-    error.
-    """
+def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
+    """Each point's values put into the parsed template's slots, then decided: the block stays
+    stacked arrays, one row per point, through the checks of building its function, the
+    membership expansion, the L1 norm, the criterion weights and their SVD (with one hole and
+    inner degree 1, the determinant reads the same weights).  Every stage gives each row the
+    bits it gets alone; a row leaves at its skip or error, an expansion that overflows too."""
     space, tol, constant, fields, slots = parsed
     m = len(fields[0])
-    values = np.array(combos, dtype=float)  # (rows, parameters)
-    zeros, numerator, denominator = parts = [
-        np.tile(np.array(field, dtype=complex), (len(combos), 1)) for field in fields]
+    zeros, numerator, poles = parts = [
+        np.tile(np.array(field, dtype=complex), (len(points), 1)) for field in fields]
     for field, entry, part, j in slots:
-        column = parts[field][:, entry]
-        if part == 0:
-            column.real = values[:, j]
-        else:
-            column.imag = values[:, j]
-    if constant != 1:  # formed as build_function forms it
+        setattr(parts[field][:, entry], ("real", "imag")[part], [p[0][j] for p in points])
+    if constant != 1:  # formed as parse_problem forms it
         numerator = series._product(constant, numerator)
-    tails: list = [None] * len(combos)
-    fs = {}
-    for i, roots in enumerate(model._roots_rows(numerator)):
+    tails: list = [None] * len(points)
+    roots = model._factor_rows(zeros, numerator, poles)
+    live = [i for i, r in enumerate(roots) if not _failed(tails, i, r)]
+    expansion = model._weights_rows(zeros[live], numerator[live], poles[live], space.holes)
+    passed = model._within(model._residuals(expansion)[1], tol.membership).tolist()
+    for i, scale, ok in zip(live, expansion.scale.tolist(), passed):
+        if not _failed(tails, i, math.isfinite(scale) or ExpansionOverflowError()) and not ok:
+            tails[i] = ["skip", "", "", ""]
+    live = [i for i in live if tails[i] is None]
+    normalized = dict(zip(live, model._normalize_rows(
+        zeros[live], numerator[live], poles[live], [roots[i] for i in live], tol)))
+    live = [i for i in live if not _failed(tails, i, normalized[i])]
+    numerator = np.array([normalized[i] for i in live]).reshape(len(live), numerator.shape[1])
+    weights = model._weights_rows(zeros[live], numerator, poles[live], space.holes, 2 * m, m)
+    for i, scale, verdict in zip(live, weights.scale.tolist(),
+                                 extremality._decide_rows(weights, space, m, tol)):
+        if _failed(tails, i, verdict if math.isfinite(scale) else ExpansionOverflowError()):
+            continue
+        sigmas = verdict.singular_values
         try:
-            fs[i] = documents.build_function(
-                zeros[i].tolist(), 1, numerator[i].tolist(), denominator[i].tolist(), "<sweep>",
-                None if isinstance(roots, Exception) else roots)  # a failed group: its own
-        except Exception as exc:
-            tails[i] = _error_tail(exc)
-    if fs:
-        _, residuals = model._residuals(model._weights_rows(list(fs.values()), space.holes))
-        for i, passed in zip(list(fs), model._within(residuals, tol.membership)):
-            if not passed:
-                tails[i] = ["skip", "", "", ""]
-                del fs[i]
-    for i, f in zip(list(fs), model._normalize_rows(list(fs.values()), tol)):
-        if isinstance(f, Exception):
-            tails[i] = _error_tail(f)
-            del fs[i]
-        else:
-            fs[i] = f
-    if fs:
-        weights = model._weights_rows(list(fs.values()), space.holes, 2 * m, m)
-        verdicts = extremality._decide_rows(weights, space, m, tol)
-        for i, verdict in zip(fs, verdicts):
-            if isinstance(verdict, Exception):
-                tails[i] = _error_tail(verdict)
-                continue
-            sigmas = verdict.singular_values
-            try:
-                delta = "" if verdict.delta is None else documents.format_float(verdict.delta.delta)
-                min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
-            except ValueError as exc:  # a delta whose squares overflow is not finite
-                tails[i] = _error_tail(exc)
-                continue
+            delta = "" if verdict.delta is None else documents.format_float(verdict.delta.delta)
+            min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
             tails[i] = [verdict.status, str(verdict.rank), delta, min_sigma]
-    return [[documents.format_float(v) for v in point] + tail
-            for point, tail in zip(combos, tails)]
+        except ValueError as exc:  # a delta whose squares overflow is not finite
+            _failed(tails, i, exc)
+    return [list(label) + tail for (_, label), tail in zip(points, tails)]
 
 
-def _error_tail(exc: Exception) -> list[str]:
-    cause = exc.__cause__ or exc
-    return [f"error:{type(cause).__name__}", "", "", ""]
+def _failed(tails: list, i: int, result) -> bool:
+    """Whether a stage's result for row i is an error, which then gives the row its tail."""
+    if isinstance(result, Exception):
+        cause = result.__cause__ or result
+        tails[i] = [f"error:{type(cause).__name__}", "", "", ""]
+    return isinstance(result, Exception)
 
 
 def _parse_range(spec: str) -> tuple[float, float, float]:
@@ -348,7 +331,9 @@ def cmd_sweep(args) -> int:
     parsed = (space, tol, constant, (zeros, numerator, denominator),
               tuple((f, i, part, index[name]) for f, i, part, name in slots))
 
-    combos = list(itertools.product(*ranges))
+    # each value is formatted once, and its text shared by the rows that hold it
+    texts = [[documents.format_float(v) for v in r] for r in ranges]
+    combos = list(zip(itertools.product(*ranges), itertools.product(*texts)))
     # the pool forks every worker up front, so it is sized to the work and the machine
     workers = min(args.jobs, len(combos), os.cpu_count() or 1)
     if workers > 1:

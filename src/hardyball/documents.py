@@ -160,7 +160,7 @@ def check_problem(data: dict, source: str = "<problem>") -> tuple:
     """Schema-check a problem document without building its function.
 
     Returns (space, inner zeros, inner constant, outer numerator, outer
-    denominator, tolerances), the fields :func:`build_function` takes.  The
+    denominator, tolerances), the fields :func:`parse_problem` builds from.  The
     tolerances are the defaults with the document's ``options`` applied.
     """
     if data.get("type") not in (None, "problem"):
@@ -194,24 +194,15 @@ def check_problem(data: dict, source: str = "<problem>") -> tuple:
     return space, zeros, constant, numerator, denominator, replace(DEFAULT, **options)
 
 
-def build_function(zeros, constant, numerator, denominator, source="<problem>",
-                   roots=None) -> FactoredFunction:
-    """The function of checked problem fields; the inner constant goes into the outer numerator.
-
-    ``roots``, when given, are the roots of that product, already found (see
-    :class:`~hardyball.model.OuterRational`).
-    """
+def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
+    """The problem of a document; the inner constant goes into the outer numerator."""
+    space, zeros, constant, numerator, denominator, tolerances = check_problem(data, source)
     numerator = tuple(constant * c for c in numerator) if constant != 1 else numerator
     try:
-        return FactoredFunction(BlaschkeProduct(zeros),
-                                OuterRational(numerator, denominator, roots))
+        function = FactoredFunction(BlaschkeProduct(zeros), OuterRational(numerator, denominator))
     except ValueError as exc:
         raise DocumentError(source, str(exc)) from exc
-
-
-def parse_problem(data: dict, source: str = "<problem>") -> ProblemDocument:
-    space, *fields, tolerances = check_problem(data, source)
-    return ProblemDocument(space, build_function(*fields, source), tolerances)
+    return ProblemDocument(space, function, tolerances)
 
 
 @dataclass(frozen=True)

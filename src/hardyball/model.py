@@ -11,17 +11,17 @@ itself and n = m the weights of the criterion matrix, read at the holes
 
 from __future__ import annotations
 
-import cmath
 import copy
 import math
 from collections import defaultdict
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .series import (POLE_MARGIN, STACK_ELEMENTS, Expansion, Rational, _rational_values,
-                     _row_means, _taylor_rows, _trapezoid_start, converged_circle_mean)
+from .series import (STACK_ELEMENTS, Expansion, PoleMarginError, Rational, _outside, _product,
+                     _rational_values, _row_means, _taylor_rows, _trapezoid_start,
+                     converged_circle_mean)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -89,9 +89,9 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
-        for a in self.zeros:
-            if abs(a) >= 1.0 - POLE_MARGIN:
-                raise ValueError(f"Blaschke zero {a} not inside the unit disk (margin)")
+        zeros = np.array(self.zeros, dtype=complex)
+        for a in zeros[_outside(zeros)][:1].tolist():
+            raise ValueError(f"Blaschke zero {a} not inside the unit disk (margin)")
         # built once: circle means evaluate the product on every grid
         object.__setattr__(self, "_rational", Rational((1,), self.zeros, self.zeros))
 
@@ -122,27 +122,20 @@ class OuterRational(Rational):
     its centroid (one copy per root, so repeats encode multiplicity).  The
     centroids decide the outer check and the circle roots.  Roots on the unit
     circle are allowed; the exposedness gate reads them, and circle means of
-    |F| split the circle at them.  ``known_roots``, when given, are the
-    numerator's roots as :func:`numerator_roots` returns them, found for many
-    factors at once (a sweep); they pass the same clustering and checks.
+    |F| split the circle at them.  The check is :func:`_factor_rows` on one
+    row, the rule a sweep applies to its stacked rows.
     """
 
     zeros: tuple[complex, ...] = field(default=(), init=False)
     roots: tuple[complex, ...] = field(default=(), init=False, compare=False, repr=False)
-    known_roots: InitVar[Sequence[complex] | None] = None
 
-    def __post_init__(self, known_roots):
-        # the outer checks run before the pole-margin check, so their errors win
-        if not any(c != 0 for c in self.numerator):
-            raise ValueError("outer numerator must not be identically zero")
-        if known_roots is None:
-            known_roots = numerator_roots(self.numerator)
-        roots = _cluster([complex(r) for r in known_roots])
-        inside = [r for r in roots if abs(r) < 1.0 - ROOT_TOL]
-        if inside:
-            raise NotOuterError(inside)
+    def __post_init__(self):
+        none = np.zeros((1, 0))  # the outer checks run before Rational's pole check, and win
+        roots, = _factor_rows(none, np.array([self.numerator], dtype=complex), none)
+        if isinstance(roots, Exception):
+            raise roots
         super().__post_init__()
-        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "roots", tuple(roots.tolist()))
 
     @property
     def circle_roots(self) -> tuple[complex, ...]:
@@ -175,23 +168,12 @@ def _cluster(roots: list[complex]) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def numerator_roots(coefficients) -> np.ndarray:
-    """All roots of a polynomial given by ascending coefficients."""
-    coeffs = np.array(tuple(coefficients), dtype=complex)
-    if not coeffs.any():
-        raise ValueError("root finding needs a nonzero polynomial")
-    roots = _roots_rows(coeffs[None])[0]
-    if isinstance(roots, np.linalg.LinAlgError):
-        raise RootFindingError(str(roots)) from roots
-    return roots
-
-
 def _roots_rows(coeffs: np.ndarray) -> list:
     """The roots of each row of ascending coefficients (shape (r, L)), as ``np.roots`` finds
     them: the eigenvalues of the companion matrix of the row cut to its nonzero ends, then
     one zero root per trailing zero.  Rows cut to the same shape share one ``eigvals`` call,
-    which gives each matrix the bits it gets alone.  Per row: the roots, the LinAlgError of
-    its group's call (which may come from another row), or None for an all-zero row."""
+    which gives each matrix the bits it gets alone (its LinAlgError, which may come from any of
+    them, propagates).  Per row: the roots, or None for an all-zero row."""
     nonzero = coeffs[:, ::-1] != 0  # descending, as np.roots reads them
     lead = nonzero.argmax(axis=1).tolist()
     trail = nonzero[:, ::-1].argmax(axis=1).tolist()
@@ -206,16 +188,10 @@ def _roots_rows(coeffs: np.ndarray) -> list:
             companion = np.zeros((len(rows), size, size), dtype=complex)
             companion[:, 1:, :-1] = np.eye(size - 1)
             companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            try:
-                roots = np.linalg.eigvals(companion)
-            except np.linalg.LinAlgError as exc:
-                roots = None
-                for i in rows:
-                    out[i] = exc
-        if roots is not None:
-            roots = np.hstack([roots, np.zeros((len(rows), cut[1]), roots.dtype)])
-            for i, r in zip(rows, roots):
-                out[i] = r
+            roots = np.linalg.eigvals(companion)
+        roots = np.hstack([roots, np.zeros((len(rows), cut[1]), roots.dtype)])
+        for i, r in zip(rows, roots):
+            out[i] = r
     return out
 
 
@@ -250,10 +226,53 @@ class FactoredFunction:
         return Rational(self.outer.numerator, poles, zeros[first:])
 
 
-def _weights_rows(fs: Sequence[FactoredFunction], holes: Sequence[int], width: int = 0,
-                  first: int = 0) -> Expansion:
-    """``f.taylor(holes, width, first=first)`` of functions of equal shape, as rows."""
-    return _taylor_rows([f._weights(first) for f in fs], holes, width)
+def _factor_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray) -> list:
+    """The checks of ``FactoredFunction(BlaschkeProduct(a), OuterRational(p, b))`` on rows of
+    stacked parts (zeros a, numerator p, poles b; shapes (r, .)).  Per row the constructors'
+    first error: a zero at the margin, a zero p, a failed root find (RootFindingError, caused
+    by numpy's LinAlgError; when the stacked call fails, each row runs alone), a root inside the
+    disk, a pole at the margin; else p's roots as ``np.roots`` finds them (:func:`_roots_rows`),
+    clusters replaced by centroids (:func:`_cluster`).  A row of d roots each farther than
+    CLUSTER_TOL ** (2 / d) * max(1, |root|) from its nearest one forms no cluster, as
+    CLUSTER_TOL ** (2 / m) grows with m: it skips _cluster's loop."""
+    out: list = [ValueError("Blaschke zero not inside the unit disk (margin)")] * len(zeros)
+    live, counts = np.flatnonzero(~_outside(zeros).any(axis=1)), defaultdict(list)
+    try:
+        found = _roots_rows(numerator[live])
+    except np.linalg.LinAlgError as exc:
+        if len(zeros) > 1:  # the failure stays in its own row
+            return [r for i in range(len(zeros))
+                    for r in _factor_rows(zeros[i:i + 1], numerator[i:i + 1], poles[i:i + 1])]
+        out[0] = RootFindingError(str(exc))
+        out[0].__cause__ = exc
+        return out
+    for i, roots in zip(live, found):
+        if roots is None:
+            out[i] = ValueError("outer numerator must not be identically zero")
+        else:
+            out[i] = roots
+            counts[len(roots)].append(i)
+    at_margin = _outside(poles).any(axis=1).tolist()
+    for d, rows in counts.items():
+        roots = np.array([out[i] for i in rows], dtype=complex).reshape(len(rows), d)
+        gaps = roots[:, :, None] - roots[:, None]
+        gaps = np.hypot(gaps.real, gaps.imag) + np.diag(np.full(d, np.inf))
+        reach = CLUSTER_TOL ** (2 / max(d, 1)) * np.maximum(1.0, np.hypot(roots.real, roots.imag))
+        for j in np.flatnonzero(~(gaps.min(axis=2, initial=np.inf) > reach).all(axis=1)):
+            roots[j] = _cluster(roots[j].tolist())
+        inside = np.hypot(roots.real, roots.imag) < 1.0 - ROOT_TOL
+        for i, r, bad, any_bad in zip(rows, roots, inside, inside.any(axis=1).tolist()):
+            out[i] = (NotOuterError(r[bad].tolist()) if any_bad else PoleMarginError(
+                "denominator parameter at the margin") if at_margin[i] else r)
+    return out
+
+
+def _weights_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray,
+                  holes: Sequence[int], width: int = 0, first: int = 0) -> Expansion:
+    """``f.taylor(holes, width, first=first)`` of rows of functions from their stacked parts
+    (see :func:`_factor_rows`), f / P_n formed as :meth:`FactoredFunction._weights` forms it."""
+    inner, rest = zeros[:, :first], zeros[:, first:]
+    return _taylor_rows(numerator, rest, np.hstack([poles, inner, inner, rest]), holes, width)
 
 
 def canonical_product(zeros, ring=complex) -> np.ndarray:
@@ -324,15 +343,15 @@ def _within(residuals: np.ndarray, tolerance: float) -> np.ndarray:
 def l1_norm(f: FactoredFunction, tol: Tolerances = DEFAULT) -> float:
     """Certified circle average of |f|, split at the outer factor's circle roots, else on a
     trapezoid ladder started from the roots r and poles b of F (|B| = 1 on the circle)."""
-    value, _ = converged_circle_mean(lambda z: np.abs(f(z)), tol, f.outer.circle_roots,
-                                     _alpha(f))
-    return value
+    return converged_circle_mean(lambda z: np.abs(f(z)), tol, f.outer.circle_roots,
+                                 _alpha(f.outer.roots, f.outer.poles))[0]
 
 
-def _alpha(f: FactoredFunction) -> float:
-    """|F| is analytic in e^{-alpha} < |z| < e^{alpha} (inf: F has no root and no pole)."""
-    return min([math.log(abs(r)) for r in f.outer.roots]
-               + [-math.log(abs(b)) for b in f.outer.poles if b], default=math.inf)
+def _alpha(roots: Sequence[complex], poles: Sequence[complex]) -> float:
+    """|F| is analytic in e^{-alpha} < |z| < e^{alpha} for F with these roots and poles (inf:
+    F has none)."""
+    return min([math.log(abs(r)) for r in roots] + [-math.log(abs(b)) for b in poles if b],
+               default=math.inf)
 
 
 def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredFunction, float]:
@@ -341,70 +360,62 @@ def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredF
     Returns (normalized function, applied scale).  Only the outer factor is
     touched, preserving the factorization shape.
     """
-    return _rescaled(f, l1_norm(f, tol))
+    norm = l1_norm(f, tol)
+    numerator, = _rescaled_rows(np.array([f.outer.numerator]), [norm])
+    if isinstance(numerator, Exception):
+        raise numerator
+    return FactoredFunction(f.inner, f.outer.scale(1.0 / norm)), 1.0 / norm
 
 
-def _rescaled(f: FactoredFunction, norm: float) -> tuple[FactoredFunction, float]:
-    """f / norm with its scale, as :func:`normalize` returns them."""
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero function")
-    scale = 1.0 / norm
-    outer = f.outer.scale(scale)
-    if not all(map(cmath.isfinite, (scale,) + outer.numerator)):
-        raise NormalizationError(f"normalized scale 1/{norm:.17g} = {scale:g} "
-                                 "leaves the outer numerator non-finite")
-    return FactoredFunction(f.inner, outer), scale
+def _rescaled_rows(numerator: np.ndarray, norms: list) -> list:
+    """Rows of outer numerators (shape (r, L)) over their norms, s * c formed as Python forms
+    it for s = 1 / norm: in place of each norm the numerator, or the error of a zero norm, of a
+    result that is not finite (:class:`NormalizationError`), or the norm's own, passed on."""
+    rows = [i for i, norm in enumerate(norms) if not isinstance(norm, Exception)]
+    norm = np.array([norms[i] for i in rows], dtype=float)
+    with np.errstate(all="ignore"):  # overflow gives inf silently, as in Python's arithmetic
+        scale = 1.0 / norm
+        scaled = _product(scale[:, None], numerator[rows])
+    for i, n, s, row, finite in zip(rows, norm.tolist(), scale.tolist(), scaled,
+                                    np.isfinite(scaled).all(axis=1).tolist()):
+        norms[i] = row if finite and math.isfinite(s) else NormalizationError(
+            f"normalized scale 1/{n:.17g} = {s:g} leaves the outer numerator non-finite")
+        if n == 0:
+            norms[i] = ValueError("cannot normalize the zero function")
+    return norms
 
 
-def _normalize_rows(fs: Sequence[FactoredFunction], tol: Tolerances = DEFAULT) -> list:
-    """:func:`normalize` of functions of equal shape: per row the normalized function or the
-    error normalize raises, bit for bit.  Root-free rows with the same first trapezoid grid
-    share one ladder of rows (at most STACK_ELEMENTS values at the first doubling); rows with
-    circle roots (the arc rule), and rows put off a ladder, run normalize alone."""
-    out: list = [None] * len(fs)
+def _normalize_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray, roots: list,
+                    tol: Tolerances = DEFAULT) -> list:
+    """:func:`normalize` of rows of stacked parts with their roots (:func:`_factor_rows`): per
+    row the normalized outer numerator or normalize's error, bit for bit.  Root-free rows with
+    the same first trapezoid grid share a ladder (at most STACK_ELEMENTS values at its first
+    doubling); rows with circle roots (the arc rule), or put off a ladder, integrate alone."""
+    def integrand(z, rows):  # |f(z)| of the rows of the index array, each np.abs(f(z)) bit for bit
+        zero, num, pole = ([c[:, None] for c in part[rows].T] for part in (zeros, numerator, poles))
+        return np.abs(_rational_values((1,), zero, zero, z) * _rational_values(num, (), pole, z))
+
+    norms: list = [None] * len(numerator)
+    shapes = [([x for x in r if abs(abs(x) - 1.0) <= ROOT_TOL], _alpha(r, b))
+              for r, b in zip([r.tolist() for r in roots], poles.tolist())]
     ladders = defaultdict(list)
-    for i, f in enumerate(fs):
-        if f.outer.circle_roots:
-            out[i] = _attempt(normalize, f, tol)
-        else:
-            ladders[_trapezoid_start(_alpha(f), tol)].append(i)
+    for i, (circle, alpha) in enumerate(shapes):
+        if not circle:
+            ladders[_trapezoid_start(alpha, tol)].append(i)
     for start, rows in ladders.items():
         size = max(1, STACK_ELEMENTS // (2 * start))
-        for chunk in (rows[j:j + size] for j in range(0, len(rows), size)):
-            means = _row_means(_rows_integrand([fs[i] for i in chunk]), len(chunk), start, tol)
-            for i, mean in zip(chunk, means):
-                if mean is None:
-                    out[i] = _attempt(normalize, fs[i], tol)
-                elif isinstance(mean, Exception):
-                    out[i] = mean
-                else:
-                    out[i] = _attempt(_rescaled, fs[i], mean[0])
-    return out
-
-
-def _attempt(step, *args):
-    """The function ``step`` returns first, or the error it raises."""
-    try:
-        return step(*args)[0]
-    except Exception as exc:
-        return exc
-
-
-def _rows_integrand(fs: Sequence[FactoredFunction]):
-    """|f(z)| of functions of equal shape as rows: ``integrand(z, rows)`` evaluates the rows
-    of the index array ``rows``, each bit for bit ``np.abs(f(z))``."""
-    def stack(part):
-        return np.array([part(f) for f in fs], dtype=complex).reshape(len(fs), -1)
-
-    parts = (stack(lambda f: f.inner.zeros), stack(lambda f: f.outer.numerator),
-             stack(lambda f: f.outer.poles))
-
-    def integrand(z, rows):
-        zeros, numerator, poles = ([c[:, None] for c in part[rows].T] for part in parts)
-        return np.abs(_rational_values((1,), zeros, zeros, z)
-                      * _rational_values(numerator, (), poles, z))
-
-    return integrand
+        for chunk in (np.array(rows[j:j + size]) for j in range(0, len(rows), size)):
+            means = _row_means(lambda z, k: integrand(z, chunk[k]), len(chunk), start, tol)
+            for i, mean in zip(chunk.tolist(), means):
+                norms[i] = mean[0] if isinstance(mean, tuple) else mean  # None: off the ladder
+    for i, (circle, alpha) in enumerate(shapes):
+        if norms[i] is None:  # circle roots (the arc rule), or put off a ladder
+            try:
+                norms[i], _ = converged_circle_mean(lambda z: integrand(z, [i])[0], tol, circle,
+                                                    alpha)
+            except Exception as exc:
+                norms[i] = exc
+    return _rescaled_rows(numerator, norms)
 
 
 # the generator redraws when numerator roots come this close to the circle:

@@ -95,11 +95,16 @@ class Expansion(NamedTuple):
 
 def check_pole_margin(parameters: Sequence[complex]) -> None:
     """Raise :class:`PoleMarginError` unless every parameter b has |b| < 1 - POLE_MARGIN."""
-    for b in parameters:
-        if abs(b) >= 1.0 - POLE_MARGIN:
-            raise PoleMarginError(
-                f"denominator parameter {b} has modulus {abs(b):.17g} >= 1 - {POLE_MARGIN:g}"
-            )
+    values = np.array(parameters, dtype=complex).reshape(-1)
+    for b in values[_outside(values)][:1].tolist():
+        raise PoleMarginError(
+            f"denominator parameter {b} has modulus {abs(b):.17g} >= 1 - {POLE_MARGIN:g}")
+
+
+def _outside(values: np.ndarray) -> np.ndarray:
+    """Where complex parameters b (an array of any shape, rows of a sweep's poles or Blaschke
+    zeros among them) miss the margin, |b| >= 1 - POLE_MARGIN, |b| as Python's abs takes it."""
+    return np.hypot(values.real, values.imag) >= 1.0 - POLE_MARGIN
 
 
 def expand(numerator: Sequence, parameters: Sequence, holes: Sequence[int], width: int = 0,
@@ -369,22 +374,31 @@ class Rational:
         return numerator
 
 
-def _taylor_rows(rationals: Sequence[Rational], holes: Sequence[int],
-                 width: int = 0) -> Expansion:
-    """Complex :meth:`Rational.taylor` of rationals with equal numerator and pole counts, as
-    rows: rows whose poles are zero in the same places share one :func:`expand`, and each
-    row's windows and scale are bit for bit its own expansion's (a scale that is not finite
-    stays in its row)."""
-    count = len(rationals)
-    numerators = np.array([r._with_zeros(complex) for r in rationals], dtype=complex)
-    poles = np.array([r.poles for r in rationals], dtype=complex).reshape(count, -1)
-    windows = np.empty((count, len(holes), width + 1), dtype=complex)
-    scale = np.empty(count)
+def _taylor_rows(numerator: np.ndarray, zeros: np.ndarray, poles: np.ndarray,
+                 holes: Sequence[int], width: int = 0) -> Expansion:
+    """Complex :meth:`Rational.taylor` of rows of stacked parts (numerator, zeros, poles; shapes
+    (r, .)), each row's windows and scale (one not finite stays in its row) bit for bit its own:
+    the zeros multiplied in as by ``np.convolve`` (:func:`_with_zero_rows`), and one
+    :func:`expand` per group of rows whose poles are zero in the same places."""
+    for a in zeros.T:
+        numerator = _with_zero_rows(numerator, a)
+    windows = np.empty((len(numerator), len(holes), width + 1), dtype=complex)
+    scale = np.empty(len(numerator))
     patterns = (poles != 0).tolist()
     for pattern in set(map(tuple, patterns)):
         rows = [i for i, p in enumerate(patterns) if tuple(p) == pattern]
-        windows[rows], scale[rows] = expand(numerators[rows], poles[rows].T, holes, width)
+        windows[rows], scale[rows] = expand(numerator[rows], poles[rows].T, holes, width)
     return Expansion(windows, scale)
+
+
+def _with_zero_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Rows x (shape (r, L)) times z - a_i, each bit for bit ``np.convolve(x_i, [-a_i, 1])``:
+    every term is the dot product (x_{k-1}, x_k) . (1, -a_i), 0 outside the row, which matmul
+    of vector pairs takes from the same BLAS routine, from the same zero start, as np.convolve."""
+    pad = np.pad(x, ((0, 0), (1, 1)))
+    pairs = np.stack([pad[:, :-1], pad[:, 1:]], axis=-1)[:, :, None]  # (r, L + 1, 1, 2)
+    factors = np.stack([np.ones(len(a), dtype=complex), -a], axis=-1)[:, None, :, None]
+    return (pairs @ factors)[..., 0, 0]
 
 
 # integrands see at most this many nodes per call, so that their temporaries on
@@ -487,15 +501,13 @@ def converged_circle_mean(
     Without ``roots`` the rule is the uniform-node average (trapezoid) on a
     doubling grid.  Its error decays like e^{-alpha n} for an integrand analytic
     in e^{-alpha} < |z| < e^{alpha} (Trefethen & Weideman, section 3), so given
-    ``alpha`` (inf: no singularity) the grid starts at the power of two at or
-    above max(16, log(1 / tol.quad) / alpha + 1), at most QUAD_MAX_N / 2 so one
-    doubling fits, and else at ``tol.quad_start_n``.  With ``roots`` (points on
-    the circle where the integrand may have a kink, e.g. the circle roots of
-    an outer factor F in |F|) the circle is split at their arguments and each
-    arc gets composite :data:`GAUSS_NODES`-point Gauss-Legendre, the panels
-    per arc doubling from one; the integrand must be smooth on each closed arc.
-    Stops once successive values agree within ``tol.quad`` scaled by
-    max(1, |value|); raises
+    ``alpha`` (inf: no singularity) the grid starts at :func:`_trapezoid_start`,
+    and else at ``tol.quad_start_n``.  With ``roots`` (points on the circle where
+    the integrand may have a kink, e.g. the circle roots of an outer factor F in
+    |F|) the circle is split at their arguments and each arc gets composite
+    :data:`GAUSS_NODES`-point Gauss-Legendre, the panels per arc doubling from
+    one; the integrand must be smooth on each closed arc.  Stops once successive
+    values agree within ``tol.quad`` scaled by max(1, |value|); raises
     :class:`QuadratureConvergenceError` if the next rule would exceed
     :data:`QUAD_MAX_N` nodes while still moving.  Returns (value, node count of
     the final rule).  An integrand that returns rows (shape (r, n) on n nodes)

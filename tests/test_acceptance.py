@@ -322,7 +322,7 @@ def test_criterion_08_degree_overflow():
 
 
 def test_criterion_09_exposedness_gate(single_hole_pool):
-    from hardyball.model import numerator_roots
+    from hardyball.model import _roots_rows
 
     f, _ = normalize(FactoredFunction(BlaschkeProduct((0.0,)),
                                       OuterRational((1.0, 0.0, 0.5))), DEFAULT)
@@ -339,7 +339,7 @@ def test_criterion_09_exposedness_gate(single_hole_pool):
         verdict = decide_extreme(member, space_i, DEFAULT)
         result = check_exposed(member, verdict)
         if result.status == "exposed":
-            roots = numerator_roots(member.outer.numerator)
+            roots, = _roots_rows(np.array([member.outer.numerator]))
             sound &= verdict.status == EXTREME
             sound &= all(abs(abs(r) - 1.0) > 1e-8 for r in roots)
         if verdict.status != EXTREME:

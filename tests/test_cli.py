@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import csv
@@ -382,6 +383,20 @@ def per_row_sweep_csv(template, names, specs):
     return out.getvalue()
 
 
+def overflowing_member(scale):
+    """The problem of a generated non-extreme member with holes {400}, its numerator times
+    ``scale``: its Taylor coefficients overflow at 1.7e308."""
+    space = model.PuncturedSpace((400,))
+    doc = documents.problem_to_dict(space, model.sample_member(space, (0.99, 0.99j), (), 2, 1))
+    doc["outer_numerator"] = [[part * scale for part in c] for c in doc["outer_numerator"]]
+    return doc
+
+
+OVERFLOWING_TEMPLATE = overflowing_member(1.7e308)
+OVERFLOWING_TEMPLATE["inner_zeros"][0] = ["re", 0.0]
+# a modulus below 1 that misses the margin 1 - POLE_MARGIN of zeros and poles
+AT_MARGIN = 1 - 5e-10
+
 # template, swept names, their ranges, and statuses that some rows must have
 PARSED_ONCE = {
     # an outer pole, a nonzero inner zero, a non-unit constant; roots near and on the
@@ -407,6 +422,23 @@ PARSED_ONCE = {
     "not_outer": (
         problem_doc([["c", 0.5], [1.0, 0.0], [0.0, 0.0]], holes=(3,), zeros=()),
         ("c",), ("-2:2:0.25",), ["error:NotOuterError"]),
+    # rows that fail two checks report the first the constructors run: a Blaschke zero
+    # t = +-(1 - 5e-10) misses the margin 1e-9 before the root -s lies inside the disk, and
+    # that root before the pole b misses the margin
+    "zero_margin_then_not_outer": (
+        problem_doc([["s", 0.0], [1.0, 0.0]], zeros=(["t", 0.0],)),
+        ("t", "s"), (f"{-AT_MARGIN}:{AT_MARGIN}:{AT_MARGIN}", "-1.5:1.5:0.75"),
+        ["error:ValueError", "error:NotOuterError"]),
+    "not_outer_then_pole_margin": (
+        problem_doc([["s", 0.0], [1.0, 0.0]], holes=(3,), zeros=(),
+                    outer_denominator=[["b", 0.0]]),
+        ("b", "s"), (f"{-AT_MARGIN}:{AT_MARGIN}:{AT_MARGIN}", "-1.5:1.5:0.75"),
+        ["error:NotOuterError", "error:PoleMarginError"]),
+    # the member of test_overflowing_coefficients_are_a_numerics_error with its first inner
+    # zero swept: at 0.99 its expansion overflows, as analyze reports; at 1.99 the zero
+    # misses the margin, which is checked first
+    "expansion_overflow": (OVERFLOWING_TEMPLATE, ("re",), ("0.99:1.99:1",),
+                           ["error:ExpansionOverflowError"]),
 }
 
 
@@ -720,7 +752,7 @@ def test_certificate_runs_no_circle_mean(command, recurrences, means, tmp_path, 
 @pytest.fixture
 def root_finds(monkeypatch):
     """Degree of every numerator root find made while a test runs, one entry per row of a
-    stacked root find (every root find, numerator_roots' included, is one)."""
+    stacked root find (every root find is one)."""
     from hardyball import model
 
     original, calls = model._roots_rows, []
@@ -758,6 +790,50 @@ def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_f
         assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == \
             ["extreme"] * 3
     assert len(root_finds) == finds
+
+
+def test_sweep_builds_no_object_per_row(tmp_path, capsys, monkeypatch):
+    # rows without circle roots, of inner zero a and an inner constant, members only at
+    # a = 0: every stage runs on stacked arrays, so no row builds a factored function, a
+    # factor or a rational, while analyze builds them
+    from hardyball import series
+
+    built = collections.Counter()
+    for cls in (model.FactoredFunction, model.OuterRational, model.BlaschkeProduct,
+                series.Rational):
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls.__name__] += type(self) is _cls
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    template = write(tmp_path / "t.json", problem_doc(
+        [[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]], zeros=(["a", 0.0],),
+        inner_constant=[0.6, 0.8]))
+    assert main(["sweep", template, "--param", "beta", "--range", "0:0.9:0.1",
+                 "--param", "a", "--range=-0.5:0.5:0.25"]) == 0
+    statuses = [row.split(",")[2] for row in capsys.readouterr().out.splitlines()[1:]]
+    assert len(statuses) == 50 and {"skip", "extreme"} <= set(statuses)
+    assert sum(built.values()) == 0
+    assert main(["analyze", write(tmp_path / "p.json", problem_doc(EXTREME_NUM))]) == 0
+    assert built["FactoredFunction"] and built["OuterRational"] and built["Rational"]
+
+
+def test_cli_import_leaves_the_heavy_modules_unloaded():
+    # set-up time is an import of hardyball.cli: the process pool, the Gauss-Legendre nodes
+    # and anything of scipy load on first use
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hardyball
+
+    src = str(Path(hardyball.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    heavy = ("concurrent.futures", "multiprocessing", "numpy.polynomial", "scipy")
+    code = f"import sys, hardyball.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.fixture

@@ -20,9 +20,13 @@ from hardyball import (
     sample_member,
 )
 from hardyball.documents import DocumentError, parse_problem
-from hardyball.model import numerator_roots
 
 from _instances import dense, random_zeros, taylor
+
+
+def numerator_roots(coefficients):
+    """The roots of one polynomial of ascending coefficients, as np.roots finds them."""
+    return model._roots_rows(np.array([coefficients], dtype=complex))[0]
 
 
 def factored(zeros, numerator, den=()):
@@ -187,6 +191,47 @@ class TestCheckOuter:
             assert abs(abs(centroid) - 1.0) < 1e-12 and abs(centroid - zeta) < 1e-10
             assert len(set(outer.roots)) == 2
 
+    def test_stacked_roots_match_each_factor_alone(self):
+        # quadratics whose np.roots pair lies (1 -+ 1e-3) times the pair reach
+        # CLUSTER_TOL * max(1, |r|) apart, stacked with (1 + z)^2: the rows that skip the
+        # loop of _cluster and those that run it get the roots OuterRational keeps alone
+        rng = np.random.default_rng(6)
+        rows, merged = [], set()
+        for factor in (1 - 1e-3, 1 + 1e-3) * 20:
+            root = 1.5 * np.exp(2j * np.pi * rng.random())
+            gap = factor * model.CLUSTER_TOL * abs(root) * np.exp(2j * np.pi * rng.random())
+            rows.append(np.poly([root, root + gap])[::-1])
+        rows.append(np.array([1.0, 2.0, 1.0]))
+        none = np.zeros((len(rows), 0))
+        stacked = model._factor_rows(none, np.array(rows, dtype=complex), none)
+        for row, roots in zip(rows, stacked):
+            outer = OuterRational(tuple(row))
+            assert tuple(roots.tolist()) == outer.roots
+            assert outer.roots == model._cluster(list(numerator_roots(row)))
+            merged.add(len(set(outer.roots)))
+        assert merged == {1, 2}
+
+    def test_cluster_pretest_is_exact_at_its_reach(self, monkeypatch):
+        # roots put in place of np.roots': inside the disk the reach CLUSTER_TOL * max(1, |r|)
+        # is CLUSTER_TOL for both roots of a pair, and a pair exactly that far apart is one
+        # double root, as _cluster merges it, so the pretest must not let it skip the loop;
+        # pairs 1e-3 inside and outside the reach, and rows of three roots, too
+        reach = model.CLUSTER_TOL
+        found = [np.array(r, dtype=complex) for r in (
+            [0.5, 0.5 + 1j * reach],
+            [0.5, 0.5 + 1j * reach * (1 - 1e-3)],
+            [0.5, 0.5 + 1j * reach * (1 + 1e-3)],
+            [2.0, 2.0 + 2e-6j, 2.0 - 2e-6j],
+            [-3.0, 3.0, 3.0 + 1e-5],
+        )]
+        monkeypatch.setattr(model, "_roots_rows", lambda coeffs: list(found))
+        none = np.zeros((len(found), 0))
+        stacked = model._factor_rows(none, np.ones((len(found), 4)), none)
+        got = [r.roots_inside if isinstance(r, NotOuterError) else tuple(r.tolist())
+               for r in stacked]
+        assert got == [model._cluster(r.tolist()) for r in found]
+        assert [len(set(roots)) for roots in got] == [1, 1, 2, 1, 3]
+
 
 class TestNormalize:
     def test_one_plus_z_squared(self):
@@ -234,7 +279,7 @@ class TestNormalize:
 
     def test_scaled_factor_keeps_its_roots(self, monkeypatch):
         f = factored([0.2], [1.0, 0.0, 1.0])  # circle roots +-i
-        monkeypatch.setattr(model, "numerator_roots", None)  # no second root find
+        monkeypatch.setattr(model, "_roots_rows", None)  # no second root find
         g, scale = normalize(f)
         assert g.outer.roots == f.outer.roots
         assert g.outer.circle_roots == f.outer.circle_roots and len(g.outer.circle_roots) == 2

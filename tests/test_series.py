@@ -163,8 +163,9 @@ class TestCoefficientSequence:
 
 
 def test_rows_expand_bit_for_bit_as_each_row_alone(scans):
-    # random complex numerators, zeros and poles, some poles zero: rows grouped by where
-    # their poles are zero get one recurrence, whose squares of conj(b) must be Python's.
+    # random complex numerators, zeros and poles, some poles zero: the stacked zeros are
+    # multiplied in with np.convolve's bits, and rows grouped by where their poles are zero
+    # get one recurrence, whose squares of conj(b) must be Python's.
     # Holes far beyond every row's head, with poles up to modulus 0.97, so that the rows
     # prove their tails on heads of different lengths and each jumps from its own head
     rng = np.random.default_rng(5)
@@ -177,7 +178,8 @@ def test_rows_expand_bit_for_bit_as_each_row_alone(scans):
                           polar(1, 0.0, 0.6)) for _ in range(40)]
     for holes, width in (((300,), 300), ((5, 300, 2000, 9000), 4)):
         del scans[:]
-        rows = _taylor_rows(rationals, holes, width)
+        rows = _taylor_rows(*(np.array([getattr(r, part) for r in rationals])
+                              for part in ("numerator", "zeros", "poles")), holes, width)
         heads = {n for _, n in scans}
         for windows, scale, r in zip(*rows, rationals):
             alone = r.taylor(holes, width)
