@@ -232,8 +232,9 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 @np.errstate(all="ignore")
 def _sweep_rows(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
     """The CSV rows of consecutive points (values and their CSV text), decided in blocks of at
-    most series.STACK_ELEMENTS Taylor coefficients: memory grows with neither count nor k_max."""
-    size = max(1, series.STACK_ELEMENTS // (parsed[0].k_max + 1))
+    most series.STACK_ELEMENTS Taylor coefficients, or entries of the (rows, L, L) arrays of
+    root finding for L numerator coefficients: memory grows with neither count, k_max nor L."""
+    size = max(1, series.STACK_ELEMENTS // max(parsed[0].k_max + 1, len(parsed[3][1]) ** 2))
     return [row for i in range(0, len(points), size)
             for row in _decide_block(parsed, points[i:i + size])]
 

@@ -350,6 +350,31 @@ def test_sweep_memory_grows_with_neither_rows_nor_the_hole(tmp_path):
     assert many < 4 * 2 ** 20
 
 
+def test_sweep_memory_does_not_grow_with_the_numerator_degree(tmp_path):
+    # f = z (1 + t z^30) with the hole 2: every row is an extreme member, whose root find and
+    # cluster pretest hold 31 x 31 arrays; 400 rows of them are 6 MB of complex values each,
+    # so blocks are sized by the numerator's terms squared as well as by k_max
+    import tracemalloc
+
+    template = write(tmp_path / "t.json",
+                     problem_doc([[1.0, 0.0]] + [[0.0, 0.0]] * 29 + [["t", 0.0]]))
+
+    def peak(spec):
+        argv = ["sweep", template, "--param", "t", f"--range={spec}",
+                "--out", str(tmp_path / "rows.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak("0:0.475:0.025"), peak("0:0.49875:0.00125")
+    rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+    assert len(rows) == 400 and {row["status"] for row in rows} == {"extreme"}
+    assert many < few + 2 ** 20
+
+
 def per_row_sweep_csv(template, names, specs):
     """The sweep CSV as it was made when every row parsed its own problem document."""
     out = io.StringIO()
