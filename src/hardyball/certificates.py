@@ -239,16 +239,15 @@ def verify_witness(
     (of f or of any nonzero multiple), else from one expansion; the positivity
     grid is chosen here, never read from the witness.  Every residual is
     relative, and F's numerator is first scaled by the power of two that brings
-    its largest part into [1/2, 1) (or to at least 2^-51 from a subnormal): exact,
-    so no residual changes, and F*G neither overflows nor underflows, so f's
-    scale does not matter.
+    its largest part into [1/2, 1) (:meth:`~hardyball.model.OuterRational.binary_scaled`,
+    the rule a sweep row applies): exact, so no residual changes, and F*G neither
+    overflows nor underflows, so f's scale does not matter.
     """
     failures: list[str] = []
     variation = margin = float("nan")
     nodes = 0
     try:
-        top = max(max(abs(c.real), abs(c.imag)) for c in f.outer.numerator)
-        f = FactoredFunction(f.inner, f.outer.scale(2.0 ** min(-math.frexp(top)[1], 1023)))
+        f = FactoredFunction(f.inner, f.outer.binary_scaled())
         product = check_membership(_perturbation_product(f, witness).taylor(space.holes),
                                    space, tol)
         hole_residuals = tuple(zip(product.holes, product.residuals))

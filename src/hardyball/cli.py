@@ -30,8 +30,11 @@ A sweep builds no object per row.  It puts each block of points (at most
 ``series.STACK_ELEMENTS`` Taylor coefficients) into stacked arrays of the parsed
 template's zeros, numerator and poles, and every stage, from the constructors'
 checks to the SVD, runs once per group of rows of one shape and gives each row
-the bytes it gets alone.  With ``--jobs N`` each worker decides one contiguous
-share of the rows.
+the bytes it gets alone.  A row decides f as given, its numerator scaled by a
+power of two, with no circle quadrature: every decision is scale invariant, and
+so are the two numbers a row prints, delta / (|c_{k-2}|^2 + |c_k|^2) and the
+rank rule's sigma_2m / cutoff.  With ``--jobs N`` each worker decides one
+contiguous share of the rows.
 """
 
 from __future__ import annotations
@@ -242,9 +245,11 @@ def _sweep_rows(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[s
 def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
     """Each point's values put into the parsed template's slots, then decided: the block stays
     stacked arrays, one row per point, through the checks of building its function, the
-    membership expansion, the L1 norm, the criterion weights and their SVD (with one hole and
-    inner degree 1, the determinant reads the same weights).  Every stage gives each row the
-    bits it gets alone; a row leaves at its skip or error, an expansion that overflows too."""
+    membership expansion, the criterion weights of f as given (its numerator scaled by a
+    power of two, exactly: every decision is scale invariant) and their SVD (with one hole
+    and inner degree 1, the determinant reads the same weights).  Every stage gives each row
+    the bits it gets alone; a row leaves at its skip or error, an expansion that overflows
+    too."""
     space, tol, constant, fields, slots = parsed
     m = len(fields[0])
     zeros, numerator, poles = parts = [
@@ -254,31 +259,37 @@ def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list
     if constant != 1:  # formed as parse_problem forms it
         numerator = series._product(constant, numerator)
     tails: list = [None] * len(points)
-    roots = model._factor_rows(zeros, numerator, poles)
-    live = [i for i, r in enumerate(roots) if not _failed(tails, i, r)]
+    live = [i for i, r in enumerate(model._factor_rows(zeros, numerator, poles))
+            if not _failed(tails, i, r)]
     expansion = model._weights_rows(zeros[live], numerator[live], poles[live], space.holes)
     passed = model._within(model._residuals(expansion)[1], tol.membership).tolist()
     for i, scale, ok in zip(live, expansion.scale.tolist(), passed):
         if not _failed(tails, i, math.isfinite(scale) or ExpansionOverflowError()) and not ok:
             tails[i] = ["skip", "", "", ""]
     live = [i for i in live if tails[i] is None]
-    normalized = dict(zip(live, model._normalize_rows(
-        zeros[live], numerator[live], poles[live], [roots[i] for i in live], tol)))
-    live = [i for i in live if not _failed(tails, i, normalized[i])]
-    numerator = np.array([normalized[i] for i in live]).reshape(len(live), numerator.shape[1])
-    weights = model._weights_rows(zeros[live], numerator, poles[live], space.holes, 2 * m, m)
+    weights = model._weights_rows(zeros[live], model._binary_scale(numerator[live]), poles[live],
+                                  space.holes, 2 * m, m)
     for i, scale, verdict in zip(live, weights.scale.tolist(),
                                  extremality._decide_rows(weights, space, m, tol)):
-        if _failed(tails, i, verdict if math.isfinite(scale) else ExpansionOverflowError()):
-            continue
-        sigmas = verdict.singular_values
-        try:
-            delta = "" if verdict.delta is None else documents.format_float(verdict.delta.delta)
-            min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
-            tails[i] = [verdict.status, str(verdict.rank), delta, min_sigma]
-        except ValueError as exc:  # a delta whose squares overflow is not finite
-            _failed(tails, i, exc)
+        if not _failed(tails, i, verdict if math.isfinite(scale) else ExpansionOverflowError()):
+            ratio = math.nan if verdict.delta is None else verdict.delta.ratio
+            tails[i] = [verdict.status, str(verdict.rank), _csv_float(ratio),
+                        _csv_float(_rank_margin(verdict.singular_values, m, scale, tol.rank))]
     return [list(label) + tail for (_, label), tail in zip(points, tails)]
+
+
+def _rank_margin(sigmas: np.ndarray, m: int, scale: float, tol_rank: float) -> float:
+    """sigma_2m / (tol_rank * max(sigma_1, scale)) of descending singular values, the ratio
+    :func:`extremality._rank_rule` compares with 1 (scale: the largest weight; sigma_2m the
+    last sigma where there are fewer); nan for m = 0 or no sigma."""
+    if not (m and sigmas.size):
+        return math.nan
+    return float(sigmas[min(2 * m, sigmas.size) - 1] / (tol_rank * max(sigmas[0], scale)))
+
+
+def _csv_float(x: float) -> str:
+    """A float as a sweep row prints it: 17 digits, empty where it is not finite."""
+    return documents.format_float(x) if math.isfinite(x) else ""
 
 
 def _failed(tails: list, i: int, result) -> bool:
@@ -349,7 +360,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = _sweep_rows(parsed, combos)
 
-    header = list(names) + ["status", "rank", "delta", "min_singular_value"]
+    header = list(names) + ["status", "rank", "delta_ratio", "rank_margin"]
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
         writer.writerow(header)

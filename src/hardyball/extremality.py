@@ -253,10 +253,13 @@ def _decide_rows(weights: Expansion, space: PuncturedSpace, m: int,
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """Single-hole fast path: delta = |c_{k-2}|^2 - |c_k|^2 decides rank 2."""
+    """Single-hole fast path: delta = |c_{k-2}|^2 - |c_k|^2 decides rank 2.  ``ratio`` is
+    delta / (|c_{k-2}|^2 + |c_k|^2), in [-1, 1] and free of f's scale; the test compares its
+    modulus with tol.delta (nan where both squares vanish or overflow)."""
 
     delta: float
     status: str
+    ratio: float
 
 
 def single_hole_delta(
@@ -266,13 +269,13 @@ def single_hole_delta(
 
     For m = 1 the criterion matrix has rank 2 iff delta != 0; the relative
     sign test uses |delta| > tol.delta * (|c_{k-2}|^2 + |c_k|^2).  For m = 0
-    the function is outer, always extreme: delta is the +inf sentinel.
+    the function is outer, always extreme: delta and its ratio are the +inf sentinel.
     """
     m = f.inner.degree
     if m not in (0, 1):
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
-        return DeltaResult(float("inf"), EXTREME)
+        return DeltaResult(float("inf"), EXTREME, float("inf"))
     return _delta(f.taylor((k,), 2, first=1).windows, tol)
 
 
@@ -283,7 +286,8 @@ def _delta(windows: np.ndarray, tol: Tolerances = DEFAULT) -> DeltaResult:
     hi = abs(windows[0, 2]) ** 2
     delta = lo - hi
     status = EXTREME if abs(delta) > tol.delta * (lo + hi) else NON_EXTREME
-    return DeltaResult(delta, status)
+    total = float(lo + hi)
+    return DeltaResult(delta, status, float(delta) / total if total else float("nan"))
 
 
 def kernel_alignment(verdict: ExtremalityVerdict, zeros) -> float:

@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import (STACK_ELEMENTS, Expansion, PoleMarginError, Rational, _outside, _product,
-                     _rational_values, _row_means, _taylor_rows, _trapezoid_start,
+from .series import (Expansion, PoleMarginError, Rational, _outside, _taylor_rows,
                      converged_circle_mean)
 from .tolerances import DEFAULT, Tolerances
 
@@ -143,8 +142,16 @@ class OuterRational(Rational):
 
     def scale(self, s: complex) -> "OuterRational":
         """The factor times a nonzero constant, with the same roots: a constant moves none."""
+        return self._with_numerator(tuple(complex(s * c) for c in self.numerator))
+
+    def binary_scaled(self) -> "OuterRational":
+        """The factor times the power of two :func:`_binary_scale` picks, with the same roots."""
+        numerator, = _binary_scale(np.array([self.numerator], dtype=complex))
+        return self._with_numerator(tuple(numerator.tolist()))
+
+    def _with_numerator(self, numerator: tuple[complex, ...]) -> "OuterRational":
         scaled = copy.copy(self)
-        object.__setattr__(scaled, "numerator", tuple(complex(s * c) for c in self.numerator))
+        object.__setattr__(scaled, "numerator", numerator)
         return scaled
 
 
@@ -361,61 +368,28 @@ def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredF
     touched, preserving the factorization shape.
     """
     norm = l1_norm(f, tol)
-    numerator, = _rescaled_rows(np.array([f.outer.numerator]), [norm])
-    if isinstance(numerator, Exception):
-        raise numerator
-    return FactoredFunction(f.inner, f.outer.scale(1.0 / norm)), 1.0 / norm
+    if norm == 0:
+        raise ValueError("cannot normalize the zero function")
+    scale = 1.0 / norm
+    outer = f.outer.scale(scale)
+    if not (math.isfinite(scale) and np.isfinite(outer.numerator).all()):
+        raise NormalizationError(
+            f"normalized scale 1/{norm:.17g} = {scale:g} leaves the outer numerator non-finite")
+    return FactoredFunction(f.inner, outer), scale
 
 
-def _rescaled_rows(numerator: np.ndarray, norms: list) -> list:
-    """Rows of outer numerators (shape (r, L)) over their norms, s * c formed as Python forms
-    it for s = 1 / norm: in place of each norm the numerator, or the error of a zero norm, of a
-    result that is not finite (:class:`NormalizationError`), or the norm's own, passed on."""
-    rows = [i for i, norm in enumerate(norms) if not isinstance(norm, Exception)]
-    norm = np.array([norms[i] for i in rows], dtype=float)
-    with np.errstate(all="ignore"):  # overflow gives inf silently, as in Python's arithmetic
-        scale = 1.0 / norm
-        scaled = _product(scale[:, None], numerator[rows])
-    for i, n, s, row, finite in zip(rows, norm.tolist(), scale.tolist(), scaled,
-                                    np.isfinite(scaled).all(axis=1).tolist()):
-        norms[i] = row if finite and math.isfinite(s) else NormalizationError(
-            f"normalized scale 1/{n:.17g} = {s:g} leaves the outer numerator non-finite")
-        if n == 0:
-            norms[i] = ValueError("cannot normalize the zero function")
-    return norms
-
-
-def _normalize_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray, roots: list,
-                    tol: Tolerances = DEFAULT) -> list:
-    """:func:`normalize` of rows of stacked parts with their roots (:func:`_factor_rows`): per
-    row the normalized outer numerator or normalize's error, bit for bit.  Root-free rows with
-    the same first trapezoid grid share a ladder (at most STACK_ELEMENTS values at its first
-    doubling); rows with circle roots (the arc rule), or put off a ladder, integrate alone."""
-    def integrand(z, rows):  # |f(z)| of the rows of the index array, each np.abs(f(z)) bit for bit
-        zero, num, pole = ([c[:, None] for c in part[rows].T] for part in (zeros, numerator, poles))
-        return np.abs(_rational_values((1,), zero, zero, z) * _rational_values(num, (), pole, z))
-
-    norms: list = [None] * len(numerator)
-    shapes = [([x for x in r if abs(abs(x) - 1.0) <= ROOT_TOL], _alpha(r, b))
-              for r, b in zip([r.tolist() for r in roots], poles.tolist())]
-    ladders = defaultdict(list)
-    for i, (circle, alpha) in enumerate(shapes):
-        if not circle:
-            ladders[_trapezoid_start(alpha, tol)].append(i)
-    for start, rows in ladders.items():
-        size = max(1, STACK_ELEMENTS // (2 * start))
-        for chunk in (np.array(rows[j:j + size]) for j in range(0, len(rows), size)):
-            means = _row_means(lambda z, k: integrand(z, chunk[k]), len(chunk), start, tol)
-            for i, mean in zip(chunk.tolist(), means):
-                norms[i] = mean[0] if isinstance(mean, tuple) else mean  # None: off the ladder
-    for i, (circle, alpha) in enumerate(shapes):
-        if norms[i] is None:  # circle roots (the arc rule), or put off a ladder
-            try:
-                norms[i], _ = converged_circle_mean(lambda z: integrand(z, [i])[0], tol, circle,
-                                                    alpha)
-            except Exception as exc:
-                norms[i] = exc
-    return _rescaled_rows(numerator, norms)
+def _binary_scale(numerator: np.ndarray) -> np.ndarray:
+    """Rows of outer numerators (shape (r, L)), each times the power of two that brings its
+    largest real or imaginary part into [1/2, 1).  That is exact short of subnormals, so every
+    relative test (membership, the rank rule, the determinant) reads the same bits at any
+    scale of f, and no expansion overflows or underflows for the scale alone.  The power is
+    applied by ``np.ldexp``: as a factor, 2^e overflows from e = 1024 on."""
+    top = np.maximum(abs(numerator.real), abs(numerator.imag)).max(axis=-1, initial=0.0)
+    exponent = -np.frexp(top)[1][:, None]
+    scaled = np.empty(numerator.shape, dtype=complex)
+    scaled.real = np.ldexp(numerator.real, exponent)
+    scaled.imag = np.ldexp(numerator.imag, exponent)
+    return scaled
 
 
 # the generator redraws when numerator roots come this close to the circle:

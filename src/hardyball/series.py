@@ -46,7 +46,7 @@ POLE_MARGIN = 1e-9
 QUAD_MAX_N = 2 ** 20
 # nodes per panel of the composite Gauss-Legendre rule on circle arcs
 GAUSS_NODES = 16
-# arrays of stacked rows (a sweep's rows times Taylor terms or circle nodes) hold at most
+# arrays of stacked rows (a sweep's rows times Taylor terms) hold at most
 # this many elements, so a sweep's memory grows with neither its row count nor k_max
 STACK_ELEMENTS = 2 ** 14
 # a float expansion of n terms scans heads of L = HEAD_START, 2 HEAD_START, ... terms while
@@ -62,14 +62,13 @@ class PoleMarginError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """An integrand produced a non-finite value at a grid node (``rows``: for an integrand of
-    rows, which of them have one)."""
+    """An integrand produced a non-finite value at a grid node (for an integrand of rows, the
+    first node where any row has one)."""
 
-    def __init__(self, node: complex, index: int, rows: np.ndarray | None = None):
+    def __init__(self, node: complex, index: int):
         super().__init__(f"non-finite evaluation at node {index} ({node})")
         self.node = node
         self.index = index
-        self.rows = rows
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -436,7 +435,7 @@ def _finite_values(integrand, nodes: np.ndarray, first: int = 0, step: int = 1) 
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
-        raise EvaluationError(complex(nodes[i]), first + step * i, bad.any(axis=-1))
+        raise EvaluationError(complex(nodes[i]), first + step * i)
     return vals
 
 
@@ -444,9 +443,7 @@ def _trapezoid_means(integrand, start_n: int):
     """(mean, n) on uniform grids of n = start_n, 2 start_n, ... up to QUAD_MAX_N nodes; each
     doubling evaluates only the new (odd) nodes, so each mean is bit for bit its full grid's.
     Only where the plain sum overflows is the mean taken of the values times 2^-e >= 1/(2n)
-    and scaled back by 2^e, which is exact short of subnormals.
-    A caller of an integrand of rows may send a mask of the rows to go on with (a per-row
-    stop); the integrand must then return just those rows."""
+    and scaled back by 2^e, which is exact short of subnormals."""
     n, vals = start_n, _finite_values(integrand, circle_nodes(start_n))
     while True:
         with np.errstate(over="ignore"):  # a sum of finite values that overflows is redone
@@ -455,12 +452,10 @@ def _trapezoid_means(integrand, start_n: int):
             e = n.bit_length()
             scaled = np.ldexp(np.ldexp(np.real(vals), -e).mean(axis=-1), e)
             mean = np.where(np.isinf(mean), scaled, mean)
-        keep = yield mean, n
+        yield mean, n
         n *= 2
         if n > QUAD_MAX_N:
             return
-        if keep is not None:
-            vals = vals[keep]
         odd = _finite_values(integrand, circle_nodes(n, odd=True), 1, 2)
         vals = np.stack([vals, odd], axis=-1).reshape(vals.shape[:-1] + (n,))  # interleaved
 
@@ -522,10 +517,12 @@ def converged_circle_mean(
         rule = _trapezoid_means(integrand, start)
     prev = None
     for cur, n in rule:
-        if prev is not None and _settled(cur, prev, tol).all():
+        # successive values agree within tol.quad scaled by max(1, |value|)
+        if prev is not None and np.all(abs(cur - prev) <= tol.quad * np.maximum(1.0, abs(cur))):
             return (float(cur) if cur.ndim == 0 else cur), n
         prev = cur
-    raise _unsettled(tol)
+    raise QuadratureConvergenceError(
+        f"circle mean did not stabilise to {tol.quad:g} by n = {QUAD_MAX_N}")
 
 
 def _trapezoid_start(alpha: float, tol: Tolerances = DEFAULT) -> int:
@@ -534,51 +531,3 @@ def _trapezoid_start(alpha: float, tol: Tolerances = DEFAULT) -> int:
     at most QUAD_MAX_N / 2 so one doubling fits."""
     need = max(16.0, math.log(1.0 / tol.quad) / alpha + 1)
     return min(QUAD_MAX_N // 2, 2 ** math.ceil(math.log2(need)))
-
-
-def _settled(cur, prev, tol: Tolerances):
-    """Where successive circle means agree within tol.quad scaled by max(1, |value|)."""
-    return np.abs(cur - prev) <= tol.quad * np.maximum(1.0, np.abs(cur))
-
-
-def _unsettled(tol: Tolerances) -> QuadratureConvergenceError:
-    return QuadratureConvergenceError(
-        f"circle mean did not stabilise to {tol.quad:g} by n = {QUAD_MAX_N}"
-    )
-
-
-def _row_means(integrand, count: int, start_n: int, tol: Tolerances = DEFAULT) -> list:
-    """Trapezoid circle means of ``count`` rows on one ladder from ``start_n`` nodes, each row
-    stopping on its own test, so that its value and node count are bit for bit those
-    :func:`converged_circle_mean` gives it alone.  ``integrand(z, rows)`` evaluates the rows
-    of the index array ``rows``.  Per row: (value, n); the error its own ladder raises; or
-    None for a row put off the ladder so that rows x nodes stay within STACK_ELEMENTS (the
-    caller integrates it alone).  A row with a non-finite value leaves with its
-    :class:`EvaluationError`, and the other rows start their ladder again, to the same bits.
-    """
-    out: list = [None] * count
-    active = np.arange(count)
-    while active.size:
-        ladder = _trapezoid_means(lambda z: integrand(z, active), start_n)
-        try:
-            cur, n = next(ladder)
-            prev = None
-            while True:
-                keep = np.ones(active.size, bool) if prev is None else ~_settled(cur, prev, tol)
-                for i, value in zip(active[~keep], cur[~keep]):
-                    out[i] = (float(value), n)
-                keep[np.cumsum(keep) > max(1, STACK_ELEMENTS // (2 * n))] = False
-                active, prev = active[keep], cur[keep]
-                if not active.size:
-                    return out
-                cur, n = ladder.send(keep)
-        except StopIteration:
-            out_of_nodes = _unsettled(tol)
-            for i in active:
-                out[i] = out_of_nodes
-            break
-        except EvaluationError as exc:
-            for i in active[exc.rows]:
-                out[i] = exc
-            active = active[~exc.rows]
-    return out

@@ -195,9 +195,9 @@ class TestSweep:
         for beta in ("1.25", "1.5", "1.75", "2"):
             # declared outer factor is no longer outer: invalid factored input
             assert by_beta[beta]["status"].startswith("error:NotOuter")
-        # delta column tracks 1 - beta^2 up to the (positive) normalization scale
-        deltas = [float(by_beta[b]["delta"]) for b in ("0", "0.25", "0.5", "0.75", "1")]
-        assert all(d > 0 for d in deltas[:-1])
+        # delta_ratio is (1 - beta^2) / (1 + beta^2): scale free, in [-1, 1], falling to 0
+        deltas = [float(by_beta[b]["delta_ratio"]) for b in ("0", "0.25", "0.5", "0.75", "1")]
+        assert all(0 < d <= 1 for d in deltas[:-1])
         assert deltas == sorted(deltas, reverse=True)
         assert abs(deltas[-1]) < 1e-12
 
@@ -213,7 +213,10 @@ class TestSweep:
         report = json.loads(capsys.readouterr().out)
         assert row["status"] == report["verdict"]["status"]
         assert int(row["rank"]) == report["verdict"]["rank"]
-        assert float(row["delta"]) == pytest.approx(report["delta"]["value"], rel=1e-9)
+        # the point's weights f / P_1 at the hole 2: c_0..c_2
+        f = documents.parse_problem(problem_doc(EXTREME_NUM), source="p").function
+        lo, _, hi = abs(f.taylor((2,), 2, first=1).windows[0]) ** 2
+        assert float(row["delta_ratio"]) == pytest.approx((lo - hi) / (lo + hi), rel=1e-12)
 
     def test_non_member_rows_skipped(self, tmp_path, capsys):
         template = problem_doc([[1.0, 0.0], ["c", 0.0]], holes=(3,), zeros=((0.5, 0.0),))
@@ -376,10 +379,11 @@ def test_sweep_memory_does_not_grow_with_the_numerator_degree(tmp_path):
 
 
 def per_row_sweep_csv(template, names, specs):
-    """The sweep CSV as it was made when every row parsed its own problem document."""
+    """The sweep CSV as it is made when every row parses its own problem document, checks
+    its membership, scales its numerator by the power of two of verify_witness and decides."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(list(names) + ["status", "rank", "delta", "min_singular_value"])
+    writer.writerow(list(names) + ["status", "rank", "delta_ratio", "rank_margin"])
     ranges = [[a + i * step for i in range(int(count))]
               for a, step, count in map(cli._parse_range, specs)]
     for values in itertools.product(*ranges):
@@ -393,15 +397,18 @@ def per_row_sweep_csv(template, names, specs):
                 if not membership.passed:
                     writer.writerow(row + ["skip", "", "", ""])
                     continue
-                f, _ = model.normalize(f, tol)
+                f = model.FactoredFunction(f.inner, f.outer.binary_scaled())
                 verdict = extremality.decide_extreme(f, space, tol, membership=membership)
-                delta = ""
-                if space.size == 1 and verdict.condition_a.m == 1:
-                    delta = documents.format_float(
-                        extremality.single_hole_delta(f, space.holes[0], tol).delta)
-                sigmas = verdict.singular_values
-                min_sigma = documents.format_float(float(sigmas.min())) if sigmas.size else ""
-                writer.writerow(row + [verdict.status, str(verdict.rank), delta, min_sigma])
+                m, sigmas = verdict.condition_a.m, verdict.singular_values
+                ratio = margin = ""
+                if space.size == 1 and m == 1:
+                    ratio = extremality.single_hole_delta(f, space.holes[0], tol).ratio
+                    ratio = documents.format_float(ratio) if np.isfinite(ratio) else ""
+                if m and sigmas.size:
+                    top = max(sigmas[0], f.taylor(space.holes, 2 * m, first=m).scale)
+                    margin = sigmas[min(2 * m, sigmas.size) - 1] / (tol.rank * top)
+                    margin = documents.format_float(margin) if np.isfinite(margin) else ""
+                writer.writerow(row + [verdict.status, str(verdict.rank), ratio, margin])
         except Exception as exc:
             cause = exc.__cause__ or exc
             writer.writerow(row + [f"error:{type(cause).__name__}", "", "", ""])
@@ -480,6 +487,39 @@ def test_parsed_template_rows_match_per_row_parsing(name, jobs, tmp_path):
     assert out.read_bytes() == expected.encode()
     statuses = {row["status"] for row in csv.DictReader(expected.splitlines())}
     assert set(errors) <= statuses and statuses - set(errors)
+
+
+def test_sweep_rows_do_not_depend_on_the_scale_of_f(tmp_path, capsys):
+    # the numerator and the swept range times 2^j: each row's numerator is the same up to an
+    # exact power of two, which the sweep scales away, so every decided column is the same
+    columns = []
+    for j in (-600, 0, 600):
+        template = json.loads(json.dumps(EVERY_BRANCH_TEMPLATE))
+        template["outer_numerator"] = [[x * 2.0 ** j if isinstance(x, float) else x for x in c]
+                                       for c in template["outer_numerator"]]
+        lo, hi, step = (x * 2.0 ** j for x in (-0.25, 0.5, 0.0125))
+        assert main(["sweep", write(tmp_path / "t.json", template), "--param", "t",
+                     f"--range={lo!r}:{hi!r}:{step!r}"]) == 0
+        columns.append([line.split(",")[1:] for line in capsys.readouterr().out.splitlines()])
+    assert columns[0] == columns[1] == columns[2]
+    assert {row[0] for row in columns[1][1:]} >= {"extreme", "non_extreme", "error:NotOuterError"}
+
+
+def test_rank_margin_reads_the_rank_rule(tmp_path, capsys):
+    # f = z (1 + beta z^3) with holes {2, 3}: 2M = 4 > 2m = 2, so the canonical kernel vector
+    # makes the last singular value ~0, and the margin reads sigma_2, which is sigma_1
+    template = problem_doc([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], ["beta", 0.0]], holes=(2, 3))
+    argv = ["--param", "beta", "--range=-1:1:0.25"]
+    assert main(["sweep", write(tmp_path / "t.json", template)] + argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert {row["status"] for row in rows} == {"extreme"}
+    assert all(float(row["rank_margin"]) > 1 for row in rows)
+    # a cutoff of a quarter of sigma_1 puts sigma_2 in the borderline decade
+    template["options"] = {"tol_rank": 0.25}
+    assert main(["sweep", write(tmp_path / "b.json", template)] + argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert {row["status"] for row in rows} == {"borderline"}
+    assert all(0.1 <= float(row["rank_margin"]) <= 10 for row in rows)
 
 
 GEN_SPEC = {

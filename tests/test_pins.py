@@ -99,10 +99,10 @@ PINS = {
         "stdout": "7cd64b54bf8e7dec7df67755a088dcb9358e20c965495bc693cd05b5a99b8c7f",
     },
     "sweep_every_branch": {
-        "stdout": "94bb0f34d412827461cbe50ba003a43d0af2419d3be462b0652b5825edbd871b",
+        "stdout": "2c409eed7ecf136a08b7e8e958fe91f7089b1899b7a2c6f1b6d4a454253f5d7a",
     },
     "sweep_readme_template": {
-        "stdout": "fe49b3ec7830197d301ebba75cc2bbe43b88c09b1a024a0e934703cba3f1cee5",
+        "stdout": "92c0d2883cf5e7c2a9c15b57afb16770713a52bb8f56ccee4caad830d1456a7d",
     },
 }
 
