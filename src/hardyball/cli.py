@@ -26,15 +26,16 @@ report depends on its documents and flags alone; ``gen`` uses the defaults.
 Every tolerance must be a finite number > 0, a sweep has at most
 :data:`MAX_SWEEP_ROWS` rows and ``--jobs`` must be >= 1.
 
-A sweep builds no object per row.  It puts each block of points (at most
-``series.STACK_ELEMENTS`` Taylor coefficients) into stacked arrays of the parsed
-template's zeros, numerator and poles, and every stage, from the constructors'
-checks to the SVD, runs once per group of rows of one shape and gives each row
-the bytes it gets alone.  A row decides f as given, its numerator scaled by a
-power of two, with no circle quadrature: every decision is scale invariant, and
-so are the two numbers a row prints, delta / (|c_{k-2}|^2 + |c_k|^2) and the
-rank rule's sigma_2m / cutoff.  With ``--jobs N`` each worker decides one
-contiguous share of the rows.
+A sweep builds no function, factor or rational per row, only its verdict.  It
+puts each block of points (at most ``series.STACK_ELEMENTS`` Taylor coefficients)
+into stacked arrays of the parsed template's zeros, numerator and poles, and
+every stage, from the constructors' checks to the SVD, runs once per group of
+rows of one shape and gives each row the bytes it gets alone.  A row decides f
+as given, its numerator scaled by a power of two, with no circle quadrature:
+every decision is scale invariant, and so are the two numbers a row prints,
+delta / (|c_{k-2}|^2 + |c_k|^2) and the verdict's ``rank_margin``, sigma_2m over
+the rank rule's cutoff.  With ``--jobs N`` each worker decides one contiguous
+share of the rows.
 """
 
 from __future__ import annotations
@@ -274,17 +275,8 @@ def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list
         if not _failed(tails, i, verdict if math.isfinite(scale) else ExpansionOverflowError()):
             ratio = math.nan if verdict.delta is None else verdict.delta.ratio
             tails[i] = [verdict.status, str(verdict.rank), _csv_float(ratio),
-                        _csv_float(_rank_margin(verdict.singular_values, m, scale, tol.rank))]
+                        _csv_float(verdict.rank_margin)]
     return [list(label) + tail for (_, label), tail in zip(points, tails)]
-
-
-def _rank_margin(sigmas: np.ndarray, m: int, scale: float, tol_rank: float) -> float:
-    """sigma_2m / (tol_rank * max(sigma_1, scale)) of descending singular values, the ratio
-    :func:`extremality._rank_rule` compares with 1 (scale: the largest weight; sigma_2m the
-    last sigma where there are fewer); nan for m = 0 or no sigma."""
-    if not (m and sigmas.size):
-        return math.nan
-    return float(sigmas[min(2 * m, sigmas.size) - 1] / (tol_rank * max(sigmas[0], scale)))
 
 
 def _csv_float(x: float) -> str:
@@ -432,13 +424,21 @@ _ERRORS = (
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        # looked up per call, so a command replaced on this module (a wrapper, a stub) runs
-        command = globals()[f"cmd_{args.command}"]
-        # overflow turns into a non-finite value, which the checks report as a
-        # numerics error; numpy's own warnings would only add noise on stderr
-        with np.errstate(all="ignore"):
-            code = command(args)
+        try:
+            args = build_parser().parse_args(argv)
+            # looked up per call, so a command replaced on this module (a wrapper, a stub) runs
+            command = globals()[f"cmd_{args.command}"]
+            # overflow turns into a non-finite value, which the checks report as a
+            # numerics error; numpy's own warnings would only add noise on stderr
+            with np.errstate(all="ignore"):
+                code = command(args)
+        except BrokenPipeError:  # an OSError, but no io error: the reader left
+            raise
+        except tuple(cls for cls, _, _ in _ERRORS) as exc:
+            kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
+            # the command word comes first, so a usage error knows its stream too
+            stream = sys.stdout if argv[:1] in (["analyze"], ["certify"]) else sys.stderr
+            print(canonical_json(_error_report(kind, str(exc))), file=stream)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -446,12 +446,6 @@ def main(argv=None) -> int:
         with contextlib.suppress(OSError, ValueError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except tuple(cls for cls, _, _ in _ERRORS) as exc:
-        kind, code = next((kind, code) for cls, kind, code in _ERRORS if isinstance(exc, cls))
-        # the command word comes first, so a usage error knows its stream too
-        stream = sys.stdout if argv[:1] in (["analyze"], ["certify"]) else sys.stderr
-        print(canonical_json(_error_report(kind, str(exc))), file=stream)
-        return code
 
 
 if __name__ == "__main__":

@@ -113,18 +113,19 @@ def _assemble(windows: np.ndarray, m: int) -> np.ndarray:
                            np.concatenate([im_sum, -re_diff], axis=-1)], axis=-2)
 
 
-def _rank_rule(s: np.ndarray, tol_rank: float, scale_floor) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, borderline) of descending singular values along the last axis, each row with
-    its own scale floor: rank = #{sigma > tol_rank * max(sigma_max, floor)}, borderline when
-    a sigma lies within one decade of that cutoff (never where sigma_max and the floor are 0).
-    The floor, the scale of the matrix's coefficients, makes a matrix at rounding level
-    against them (as degree-zero inner factors give) the zero matrix it represents."""
+def _rank_rule(s: np.ndarray, tol_rank: float, scale_floor) -> tuple[np.ndarray, ...]:
+    """(rank, borderline, cutoff) of descending singular values along the last axis, each row
+    with its own scale floor: cutoff = tol_rank * max(sigma_max, floor), rank = #{sigma >
+    cutoff}, borderline when a sigma lies within one decade of the cutoff (never where
+    sigma_max and the floor are 0).  The floor, the scale of the matrix's coefficients, makes
+    a matrix at rounding level against them (as degree-zero inner factors give) the zero
+    matrix it represents."""
     smax = s[..., 0]
     top = np.where(scale_floor > smax, scale_floor, smax)  # max(smax, floor), as Python's max
     cutoff = (tol_rank * top)[..., None]
     rank = (s > cutoff).sum(axis=-1)
     borderline = ((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff)).any(axis=-1) & (top != 0)
-    return rank, borderline
+    return rank, borderline, cutoff[..., 0]
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,9 @@ class ExtremalityVerdict:
     singular_values: np.ndarray
     backend: str = "svd"
     delta: DeltaResult | None = None  # svd, one hole and m = 1: read from the same weights
+    # svd: sigma_2m / the rank rule's cutoff (the last sigma where there are fewer than 2m),
+    # above 1 at rank 2m; nan for m = 0, no hole or the exact backend
+    rank_margin: float = float("nan")
 
     @property
     def target_rank(self) -> int:
@@ -226,8 +230,8 @@ def _decide_rows(weights: Expansion, space: PuncturedSpace, m: int,
     that is not finite.  The matrices are assembled and their SVDs taken as one stack, each
     with the bits it gets alone; :func:`_rank_rule` reads the singular values with the row's
     largest weight as its scale floor, and the kernel is the trailing right singular vectors
-    (every vector when there is no hole).  With one hole and m = 1 the verdict carries the
-    determinant test :func:`_delta` of the same weights."""
+    (every vector when there is no hole).  Each verdict carries the margin sigma_2m / cutoff,
+    and with one hole and m = 1 the determinant test :func:`_delta` of the same weights."""
     cond = ConditionA(m, space.size)
     scales = np.reshape(weights.scale, -1)  # one row per scale
     windows = weights.windows.reshape(scales.shape + weights.windows.shape[-2:])
@@ -237,15 +241,18 @@ def _decide_rows(weights: Expansion, space: PuncturedSpace, m: int,
     matrices = _assemble(windows, m)
     finite = np.isfinite(matrices).all(axis=(1, 2))
     _, sigmas, vhs = np.linalg.svd(matrices[finite])
-    ranks, borderline = _rank_rule(sigmas, tol.rank, scales[finite])
-    verdicts = iter(zip(sigmas, vhs, ranks.tolist(), borderline.tolist(), windows[finite]))
+    ranks, borderline, cutoffs = _rank_rule(sigmas, tol.rank, scales[finite])
+    margins = (sigmas[:, min(2 * m, sigmas.shape[1]) - 1] / cutoffs if m
+               else np.full(len(sigmas), np.nan))
+    verdicts = iter(zip(sigmas, vhs, ranks.tolist(), borderline.tolist(), margins.tolist(),
+                        windows[finite]))
     out = []
     for ok in finite:
         if ok:
-            s, vh, rank, flag, w = next(verdicts)
+            s, vh, rank, flag, margin, w = next(verdicts)
             delta = _delta(w, tol) if space.size == 1 and m == 1 else None
             out.append(ExtremalityVerdict(_status(cond, rank, flag), rank, vh[rank:], cond, s,
-                                          delta=delta))
+                                          delta=delta, rank_margin=margin))
         else:
             out.append(ValueError("matrix must be finite"))
     return out

@@ -28,8 +28,10 @@ class NotOuterError(ValueError):
     """Numerator has a root strictly inside the unit disk."""
 
     def __init__(self, roots_inside):
-        self.roots_inside = tuple(complex(r) for r in roots_inside)
-        super().__init__(f"numerator roots inside the open disk: {self.roots_inside}")
+        self.roots_inside = roots = tuple(complex(r) for r in roots_inside)
+        if len(roots) > 8:  # the message gives the count and the first 8
+            roots = f"{len(roots)} roots, the first 8 {roots[:8]}"
+        super().__init__(f"numerator roots inside the open disk: {roots}")
 
 
 class NotInSpaceError(ValueError):

@@ -62,8 +62,7 @@ class PoleMarginError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """An integrand produced a non-finite value at a grid node (for an integrand of rows, the
-    first node where any row has one)."""
+    """An integrand produced a non-finite value at a grid node."""
 
     def __init__(self, node: complex, index: int):
         super().__init__(f"non-finite evaluation at node {index} ({node})")
@@ -314,8 +313,7 @@ def _polyval(coeffs: Sequence, z):
 def _rational_values(numerator: Sequence, zeros: Sequence, poles: Sequence, z):
     """numerator(z) * prod_i (z - a_i) / prod_i (1 - conj(b_i) z).  Zero i is applied together
     with pole i, so on the circle the partial products stay near modulus one; unpaired poles
-    divide once at the end.  Each coefficient and parameter may be a column of rows (shape
-    (r, 1)): the values are then rows, each bit for bit its own rational's."""
+    divide once at the end."""
     acc = _polyval(numerator, z)
     paired = min(len(zeros), len(poles))
     for a, b in zip(zeros, poles):
@@ -428,13 +426,12 @@ def _roots_of_unity(n: int, odd: bool) -> np.ndarray:
 
 def _finite_values(integrand, nodes: np.ndarray, first: int = 0, step: int = 1) -> np.ndarray:
     """The integrand on the given nodes, _CHUNK at a time; a non-finite value raises
-    :class:`EvaluationError` naming the first node where any row has one, by its
-    index first + step * i in the grid the nodes come from."""
-    vals = np.concatenate([np.asarray(integrand(nodes[i:i + _CHUNK]))
-                           for i in range(0, nodes.size, _CHUNK)], axis=-1)
+    :class:`EvaluationError` naming the first such node by its index first + step * i in the
+    grid the nodes come from."""
+    vals = np.concatenate([integrand(nodes[i:i + _CHUNK]) for i in range(0, nodes.size, _CHUNK)])
     bad = ~np.isfinite(vals)
     if bad.any():
-        i = int(np.argmax(bad.reshape(-1, nodes.size).any(axis=0)))
+        i = int(np.argmax(bad))
         raise EvaluationError(complex(nodes[i]), first + step * i)
     return vals
 
@@ -447,17 +444,16 @@ def _trapezoid_means(integrand, start_n: int):
     n, vals = start_n, _finite_values(integrand, circle_nodes(start_n))
     while True:
         with np.errstate(over="ignore"):  # a sum of finite values that overflows is redone
-            mean = np.real(vals).mean(axis=-1)
-        if np.isinf(mean).any():
+            mean = float(np.real(vals).mean())
+        if math.isinf(mean):
             e = n.bit_length()
-            scaled = np.ldexp(np.ldexp(np.real(vals), -e).mean(axis=-1), e)
-            mean = np.where(np.isinf(mean), scaled, mean)
+            mean = float(np.ldexp(np.ldexp(np.real(vals), -e).mean(), e))
         yield mean, n
         n *= 2
         if n > QUAD_MAX_N:
             return
         odd = _finite_values(integrand, circle_nodes(n, odd=True), 1, 2)
-        vals = np.stack([vals, odd], axis=-1).reshape(vals.shape[:-1] + (n,))  # interleaved
+        vals = np.stack([vals, odd], axis=-1).reshape(n)  # interleaved
 
 
 @functools.cache
@@ -481,7 +477,7 @@ def _arc_means(integrand, roots: Sequence[complex]):
         mids = cuts[:, None] + half[:, None] * (2 * np.arange(panels) + 1)
         theta = (mids[:, :, None] + half[:, None, None] * x).ravel()
         weights = np.outer(np.repeat(half, panels), w).ravel() / (2 * np.pi)
-        yield np.real(_finite_values(integrand, np.exp(1j * theta))) @ weights, theta.size
+        yield float(np.real(_finite_values(integrand, np.exp(1j * theta))) @ weights), theta.size
         panels *= 2
 
 
@@ -490,7 +486,7 @@ def converged_circle_mean(
     tol: Tolerances = DEFAULT,
     roots: Sequence[complex] = (),
     alpha: float | None = None,
-) -> tuple[float | np.ndarray, int]:
+) -> tuple[float, int]:
     """Circle average of a real-valued integrand, refining the rule until stable.
 
     Without ``roots`` the rule is the uniform-node average (trapezoid) on a
@@ -505,10 +501,7 @@ def converged_circle_mean(
     values agree within ``tol.quad`` scaled by max(1, |value|); raises
     :class:`QuadratureConvergenceError` if the next rule would exceed
     :data:`QUAD_MAX_N` nodes while still moving.  Returns (value, node count of
-    the final rule).  An integrand that returns rows (shape (r, n) on n nodes)
-    integrates them on one ladder: it stops when every row passes the test and
-    the value is the array of row means, so each row ends on a rule at least
-    as fine as its own ladder's.
+    the final rule).
     """
     if len(roots):
         rule = _arc_means(integrand, roots)
@@ -518,8 +511,8 @@ def converged_circle_mean(
     prev = None
     for cur, n in rule:
         # successive values agree within tol.quad scaled by max(1, |value|)
-        if prev is not None and np.all(abs(cur - prev) <= tol.quad * np.maximum(1.0, abs(cur))):
-            return (float(cur) if cur.ndim == 0 else cur), n
+        if prev is not None and abs(cur - prev) <= tol.quad * max(1.0, abs(cur)):
+            return cur, n
         prev = cur
     raise QuadratureConvergenceError(
         f"circle mean did not stabilise to {tol.quad:g} by n = {QUAD_MAX_N}")

@@ -298,10 +298,11 @@ def endpoint_norms(f: FactoredFunction, witness, tol=DEFAULT) -> tuple[float, fl
     """(||f||, ||g+||, ||g-||) for the endpoints g+- = f (1 +- epsilon (h - c)) of a witness,
     by circle quadrature split at F's circle roots: the oracle of the midpoint identity
     ||g+|| + ||g-|| = 2 ||f||, which a certificate proves without computing a norm."""
-    def moduli(z):
-        modulus = np.abs(f(z))
-        shift = witness.epsilon * (witness_h_values(f, witness, z).real - witness.recenter)
-        return modulus, modulus * np.abs(1 + shift), modulus * np.abs(1 - shift)
+    def modulus(sign):
+        def integrand(z):
+            shift = witness.epsilon * (witness_h_values(f, witness, z).real - witness.recenter)
+            return np.abs(f(z)) * np.abs(1 + sign * shift)
+        return integrand
 
-    (norm_f, plus, minus), _ = converged_circle_mean(moduli, tol, roots=f.outer.circle_roots)
-    return norm_f, plus, minus
+    return tuple(converged_circle_mean(modulus(sign), tol, roots=f.outer.circle_roots)[0]
+                 for sign in (0, 1, -1))

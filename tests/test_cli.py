@@ -75,6 +75,31 @@ class TestAnalyze:
         bad.write_text("{not json")
         assert main(["analyze", str(bad)]) == 2
 
+    def test_all_zero_numerator_is_a_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path / "p.json", problem_doc([[0.0, 0.0], [0.0, 0.0]]))
+        assert main(["analyze", path]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "parse"
+        assert report["message"] == f"{path}: outer numerator must not be identically zero"
+
+    def test_degenerate_kernel_escalates_to_borderline(self, tmp_path, capsys, monkeypatch):
+        # a witness whose kernel collapses onto the canonical vector: the verdict is reported
+        # borderline, with the constructor's message and no witness file
+        from hardyball import certificates
+
+        def degenerate(*args):
+            raise certificates.DegenerateKernelError("every kernel vector is canonical")
+
+        monkeypatch.setattr(certificates, "make_witness", degenerate)
+        out = tmp_path / "w.json"
+        path = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
+        assert main(["analyze", path, "--witness-out", str(out)]) == 11
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]["status"] == "borderline"
+        assert report["witness"] is None and report["witness_report"] is None
+        assert report["witness_error"] == "every kernel vector is canonical"
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write(tmp_path / "p.json", problem_doc(EXTREME_NUM))
         main(["analyze", path])
@@ -454,6 +479,9 @@ PARSED_ONCE = {
     "not_outer": (
         problem_doc([["c", 0.5], [1.0, 0.0], [0.0, 0.0]], holes=(3,), zeros=()),
         ("c",), ("-2:2:0.25",), ["error:NotOuterError"]),
+    # f = c z: the numerator is identically zero at c = 0 only
+    "zero_numerator": (
+        problem_doc([["c", 0.0], [0.0, 0.0]]), ("c",), ("-1:1:0.5",), ["error:ValueError"]),
     # rows that fail two checks report the first the constructors run: a Blaschke zero
     # t = +-(1 - 5e-10) misses the margin 1e-9 before the root -s lies inside the disk, and
     # that root before the pole b misses the margin
@@ -666,18 +694,22 @@ def test_overflowing_coefficients_are_a_numerics_error(tmp_path, capsys):
     assert "Taylor coefficients overflow" in report["message"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("command", ["analyze", "sweep", "analyze-error", "certify-error"])
 def test_a_closed_stdout_ends_quietly(command, tmp_path):
-    # the reader closes the pipe before anything is written, as `| head -c 300` may
+    # the reader closes the pipe before anything is written, as `| head -c 300` may; an error
+    # document (of an all-zero numerator) goes the way of a report
     import subprocess
     import sys
     from pathlib import Path
 
     import hardyball
 
-    doc = write(tmp_path / "p.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]
-                                                 if command == "sweep" else NON_EXTREME_NUM))
-    argv = [doc] + (["--param", "beta", "--range", "0:0.5:0.25"] if command == "sweep" else [])
+    command, _, error = command.partition("-")
+    numerator = ([[0.0, 0.0]] if error else [[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]
+                 if command == "sweep" else NON_EXTREME_NUM)
+    doc = write(tmp_path / "p.json", problem_doc(numerator))
+    argv = [doc] + (["--param", "beta", "--range", "0:0.5:0.25"] if command == "sweep" else
+                    [str(tmp_path / "w.json")] if command == "certify" else [])
     src = str(Path(hardyball.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-m", "hardyball.cli", command, *argv], env=env,

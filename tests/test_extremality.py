@@ -98,8 +98,8 @@ class TestNumericRank:
     def test_zero_matrix(self):
         # a member's weights start with F(0) != 0, so the scale floor of _decide_rows is never
         # 0; the rule alone reads zero singular values as rank 0, not borderline
-        rank, borderline = _rank_rule(np.zeros(1), DEFAULT.rank, 0.0)
-        assert rank == 0 and not borderline
+        rank, borderline, cutoff = _rank_rule(np.zeros(1), DEFAULT.rank, 0.0)
+        assert rank == 0 and not borderline and cutoff == 0
 
     def test_fixture_full_rank(self):
         # the matrix [[0, 1.5, 0], [0, 0, 0.5]]
@@ -119,12 +119,12 @@ class TestNumericRank:
         assert span == pytest.approx(expected, abs=1e-12)
 
     def test_borderline_band_flagged(self):
-        _, borderline = _rank_rule(np.array([1.0, 5e-8]), 1e-8, 0.0)
-        assert borderline
+        _, borderline, cutoff = _rank_rule(np.array([1.0, 5e-8]), 1e-8, 0.0)
+        assert borderline and cutoff == 1e-8
 
     def test_clearly_separated_not_borderline(self):
-        rank, borderline = _rank_rule(np.array([1.0, 1e-3]), 1e-8, 0.0)
-        assert not borderline and rank == 2
+        rank, borderline, cutoff = _rank_rule(np.array([1.0, 1e-3]), 1e-8, 2.0)
+        assert not borderline and rank == 2 and cutoff == 2e-8  # the floor above sigma_1
 
 
 class TestDecideExtreme:

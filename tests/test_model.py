@@ -154,8 +154,20 @@ class TestCheckOuter:
         assert len(result.circle_roots) == 4
 
     def test_root_inside_rejected_at_construction(self):
-        with pytest.raises(NotOuterError):
+        with pytest.raises(NotOuterError) as err:
             OuterRational((0.0, 1.0))  # F = z
+        assert str(err.value) == "numerator roots inside the open disk: (0j,)"
+
+    def test_not_outer_message_lists_at_most_eight_roots(self):
+        # 1 + 2 z^100 has its 100 roots at modulus 2^(-1/100): the error keeps them all, and
+        # its message gives their count and the first eight
+        with pytest.raises(NotOuterError) as err:
+            OuterRational((1.0,) + (0.0,) * 99 + (2.0,))
+        roots = err.value.roots_inside
+        assert len(roots) == 100
+        listed = f"100 roots, the first 8 {roots[:8]}"
+        assert str(err.value) == f"numerator roots inside the open disk: {listed}"
+        assert len(str(err.value)) < 500
 
     def test_double_root_listed_once_per_multiplicity(self):
         # np.roots puts the two roots of (1 + z)^2 about 3e-8 apart

@@ -375,15 +375,6 @@ class TestCircleQuadrature:
         with pytest.raises(ValueError):
             circle_nodes(100)
 
-    def test_rows_share_one_ladder(self):
-        # each row ends on a grid at least as fine as its own ladder, and agrees
-        rows = (lambda z: np.abs(1 + z**2), lambda z: np.abs(1 + 0.3 * z))
-        alone = [converged_circle_mean(row, DEFAULT) for row in rows]
-        values, n = converged_circle_mean(lambda z: [row(z) for row in rows], DEFAULT)
-        assert n >= max(m for _, m in alone)
-        for value, (single, _) in zip(values, alone):
-            assert abs(value - single) < 1e-10
-
     def test_non_finite_evaluation_reports_node(self):
         def bad(z):
             out = np.ones_like(z)
@@ -393,30 +384,24 @@ class TestCircleQuadrature:
         with pytest.raises(EvaluationError) as err:
             converged_circle_mean(bad, DEFAULT)
         assert err.value.index == 3
-        with pytest.raises(EvaluationError) as err:  # in the second of two rows
-            converged_circle_mean(lambda z: [np.ones_like(z), bad(z)], DEFAULT)
-        assert err.value.index == 3
 
 
 class TestNestedLadder:
     """Each doubling evaluates the integrand on the new (odd-indexed) nodes only."""
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
+    # [scalar]: the one-function integrand, which every circle mean takes
+    @pytest.mark.parametrize("rows", [False], ids=["scalar"])
     def test_every_rung_is_the_mean_over_its_full_grid(self, rows):
         g = Rational((1.0, 0.5j, -0.2), (0.4,))
-        if rows:
-            def integrand(z):
-                return [np.abs(g(z)), np.abs(1 + 0.3 * z), np.real(g(z))]
-        else:
-            def integrand(z):
-                return np.abs(g(z))
+
+        def integrand(z):
+            return np.abs(g(z))
         sizes = []
         ladder = _trapezoid_means(lambda z: sizes.append(z.size) or integrand(z), 16)
         for n in 16 * 2 ** np.arange(9):
             mean, rung = next(ladder)
-            assert rung == n
-            fresh = np.real(np.asarray(integrand(circle_nodes(n)))).mean(axis=-1)
-            assert np.array_equal(mean, fresh)  # bit for bit
+            assert rung == n and type(mean) is float
+            assert mean == integrand(circle_nodes(n)).mean()  # bit for bit
         assert sizes == [16] + [int(n) for n in 16 * 2 ** np.arange(8)]
 
     def test_converged_mean_is_the_mean_over_its_final_grid(self):
@@ -425,31 +410,30 @@ class TestNestedLadder:
         assert n > 32
         assert value == np.abs(g(circle_nodes(n))).mean()
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("rows", [False], ids=["scalar"])
     def test_a_sum_that_overflows_scales_by_a_power_of_two(self, rows):
         # |g| times 2^1020 stays finite on each node but not summed over 16 of them; above 1 the
         # settle test is scale invariant, so the scaled mean is 2^1020 times g's, same rung
         g = Rational((1.0, 0.5j, -0.2), (0.7,))
 
         def integrand(z, scale):
-            values = np.ldexp(np.abs(g(z)) + 1, scale)
-            return [np.abs(1 + 0.3 * z), values] if rows else values
+            return np.ldexp(np.abs(g(z)) + 1, scale)
 
         tol = replace(DEFAULT, quad_start_n=16)
         value, n = converged_circle_mean(lambda z: integrand(z, 0), tol)
         big, big_n = converged_circle_mean(lambda z: integrand(z, 1020), tol)
         with np.errstate(over="ignore"):
             assert np.isinf(np.ldexp(np.abs(g(circle_nodes(16))) + 1, 1020).sum())
-        assert big_n == n and np.array_equal(big, np.ldexp(value, [0, 1020] if rows else 1020))
+        assert big_n == n and big == np.ldexp(value, 1020) and type(big) is float
 
-    @pytest.mark.parametrize("rows", [False, True], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("rows", [False], ids=["scalar"])
     def test_non_finite_value_on_a_new_node_names_its_full_grid_index(self, rows):
         target = circle_nodes(64)[37]  # odd: first evaluated on the rung of 64
 
         def bad(z):
             out = np.abs(1 + 0.5 * z)
             out[z == target] = np.nan
-            return [np.ones(z.shape), out] if rows else out
+            return out
 
         with pytest.raises(EvaluationError) as err:
             converged_circle_mean(bad, replace(DEFAULT, quad=1e-30, quad_start_n=16))
@@ -548,16 +532,6 @@ class TestArcQuadrature:
         value, _ = converged_circle_mean(lambda z: np.abs((1 + z) ** 2), DEFAULT, roots=(-1, -1))
         assert value == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
-    def test_rows_share_one_ladder(self):
-        roots = (1j, -1j)
-        rows = (lambda z: np.abs(1 + z**2), lambda z: np.abs(1 + 0.3 * z))
-        alone = [converged_circle_mean(row, DEFAULT, roots=roots) for row in rows]
-        values, n = converged_circle_mean(lambda z: [row(z) for row in rows], DEFAULT, roots=roots)
-        assert values.shape == (2,) and n >= max(m for _, m in alone)
-        assert abs(values[0] - 4 / np.pi) < 1e-15
-        for value, (single, _) in zip(values, alone):
-            assert abs(value - single) < 1e-14
-
     def test_non_finite_evaluation_reports_a_circle_node(self):
         def bad(z):
             out = np.abs(1 + z**2)
@@ -567,9 +541,6 @@ class TestArcQuadrature:
         with pytest.raises(EvaluationError) as err:
             converged_circle_mean(bad, DEFAULT, roots=(1j, -1j))
         assert err.value.index == 5 and abs(abs(err.value.node) - 1.0) < 1e-15
-        with pytest.raises(EvaluationError) as err:  # in the second of two rows
-            converged_circle_mean(lambda z: [np.ones(z.shape), bad(z)], DEFAULT, roots=(1j,))
-        assert err.value.index == 5
 
     def test_grid_cap_still_applies(self):
         # a kink away from every given root keeps the rule moving until the cap

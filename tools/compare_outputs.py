@@ -1,0 +1,120 @@
+"""Byte A/B of two hardyball source trees on the benchmark's requests.
+
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE [--seeds 1,2,3,4,5,61]
+
+A tree is a checkout (its ``src`` directory is used) or a directory that holds the
+``hardyball`` package.  The documents are written once, by ``perfbench/inputs.build`` of
+this checkout with the old tree's hardyball (which draws the generated members), for both
+workloads at each seed, and every sweep request runs a second time with ``--jobs 2``.
+One child interpreter per tree, with BLAS on one thread, runs every request in order and
+in process through ``hardyball.cli.main``; it records for each the sha256 of its exit
+code, stdout, stderr and the witness file it writes, which the next request certifies.
+The tool prints one digest per tree over all outputs and the key of each request whose
+output differs, and exits 0 when none does, 1 when some do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _package_dir(tree: str) -> Path:
+    """The directory that holds the ``hardyball`` package of a tree."""
+    path = Path(tree).resolve()
+    return path / "src" if (path / "src" / "hardyball").is_dir() else path
+
+
+def _requests(seeds: list[int], directory: Path, package_dir: Path) -> list[dict]:
+    """Every request of both workloads at each seed, each sweep also at ``--jobs 2``, built
+    with the hardyball of ``package_dir``."""
+    sys.path[:0] = [str(ROOT / "perfbench"), str(package_dir)]
+    from inputs import WORKLOADS, build
+
+    out = []
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for r in build(workload, seed, directory / f"{workload}-{seed}").requests:
+                request = {"key": f"{workload}.{seed}.{r.key}", "argv": r.argv,
+                           "witness": r.witness}
+                out.append(request)
+                if r.argv[0] == "sweep":  # the last --jobs wins
+                    out.append(dict(request, key=request["key"] + ".jobs2",
+                                    argv=r.argv + ["--jobs", "2"]))
+    return out
+
+
+def _child(manifest: str, package_dir: str) -> int:
+    """Run the manifest's requests on the hardyball of ``package_dir``; print their digests."""
+    import hardyball
+    from hardyball import cli
+
+    if Path(hardyball.__file__).resolve().parent != Path(package_dir) / "hardyball":
+        print(f"imported hardyball from {hardyball.__file__}, not {package_dir}", file=sys.stderr)
+        return 2
+    digests = {}
+    for request in json.loads(Path(manifest).read_text()):
+        witness = Path(request["witness"]) if request["witness"] else None
+        if witness:
+            witness.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(request["argv"])
+            except Exception as exc:  # a traceback is an output too
+                code = f"raised {type(exc).__name__}: {exc}"
+        payload = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode()
+        if witness and witness.exists():
+            payload += witness.read_bytes()
+        digests[request["key"]] = hashlib.sha256(payload).hexdigest()
+    print(json.dumps(digests))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("--seeds", default="1,2,3,4,5,61", help="comma-separated seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        manifest = Path(tmp) / "requests.json"
+        manifest.write_text(json.dumps(_requests(seeds, Path(tmp), _package_dir(args.old))))
+        for name, tree in (("old", args.old), ("new", args.new)):
+            package_dir = _package_dir(tree)
+            env = dict(os.environ, PYTHONPATH=str(package_dir), **BLAS_ENV)
+            proc = subprocess.run([sys.executable, __file__, "--child", str(manifest),
+                                   str(package_dir)], env=env, cwd=tmp, capture_output=True,
+                                  text=True)
+            if proc.returncode != 0:
+                print(f"{name} ({package_dir}) failed:\n{proc.stderr}", file=sys.stderr)
+                return 2
+            results[name] = json.loads(proc.stdout)
+    for name, digests in results.items():
+        total = hashlib.sha256("".join(f"{k} {v}\n" for k, v in sorted(digests.items()))
+                               .encode()).hexdigest()
+        print(f"{name} {total} over {len(digests)} outputs ({_package_dir(getattr(args, name))})")
+    differ = [key for key, digest in results["old"].items() if results["new"].get(key) != digest]
+    for key in differ:
+        print(f"differs {key}")
+    print(f"{len(differ)} of {len(results['old'])} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        raise SystemExit(_child(*sys.argv[2:]))
+    raise SystemExit(main())
