@@ -34,8 +34,10 @@ rows of one shape and gives each row the bytes it gets alone.  A row decides f
 as given, its numerator scaled by a power of two, with no circle quadrature:
 every decision is scale invariant, and so are the two numbers a row prints,
 delta / (|c_{k-2}|^2 + |c_k|^2) and the verdict's ``rank_margin``, sigma_2m over
-the rank rule's cutoff.  With ``--jobs N`` each worker decides one contiguous
-share of the rows.
+the rank rule's cutoff.  The points are drawn lazily and decided block by block,
+each block's rows written before the next block is drawn, so neither the points
+nor the rows are ever held all at once; with ``--jobs N`` a process pool decides
+the blocks and the rows are written in order as they arrive.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ MAX_SWEEP_ROWS = 10 ** 6
 def _read_document(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(path, f"cannot read file ({exc})") from exc
     return documents.load_json(text, source=path)
 
@@ -91,7 +93,7 @@ def _membership_dict(report: model.MembershipReport) -> dict:
 
 def _witness_report_dict(report: certificates.WitnessReport) -> dict:
     def _f(x):
-        return float(x) if x == x else None  # NaN -> null
+        return float(x) if math.isfinite(x) else None  # NaN and inf -> null
 
     return {
         "verifies": report.verifies,
@@ -232,25 +234,17 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
     return out
 
 
-# pool workers do not inherit the error state main sets
+# pool workers call it directly and do not inherit the error state main sets
 @np.errstate(all="ignore")
-def _sweep_rows(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
-    """The CSV rows of consecutive points (values and their CSV text), decided in blocks of at
-    most series.STACK_ELEMENTS Taylor coefficients, or entries of the (rows, L, L) arrays of
-    root finding for L numerator coefficients: memory grows with neither count, k_max nor L."""
-    size = max(1, series.STACK_ELEMENTS // max(parsed[0].k_max + 1, len(parsed[3][1]) ** 2))
-    return [row for i in range(0, len(points), size)
-            for row in _decide_block(parsed, points[i:i + size])]
-
-
 def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
-    """Each point's values put into the parsed template's slots, then decided: the block stays
-    stacked arrays, one row per point, through the checks of building its function, the
-    membership expansion, the criterion weights of f as given (its numerator scaled by a
-    power of two, exactly: every decision is scale invariant) and their SVD (with one hole
-    and inner degree 1, the determinant reads the same weights).  Every stage gives each row
-    the bits it gets alone; a row leaves at its skip or error, an expansion that overflows
-    too."""
+    """The CSV rows of one block of consecutive points (values and their CSV text), as
+    cmd_sweep draws it.  Each point's values are put into the parsed template's slots, then
+    decided: the block stays stacked arrays, one row per point, through the checks of building
+    its function, the membership expansion, the criterion weights of f as given (its numerator
+    scaled by a power of two, exactly: every decision is scale invariant) and their SVD (with
+    one hole and inner degree 1, the determinant reads the same weights).  Every stage gives
+    each row the bits it gets alone; a row leaves at its skip or error, an expansion that
+    overflows too."""
     space, tol, constant, fields, slots = parsed
     m = len(fields[0])
     zeros, numerator, poles = parts = [
@@ -337,30 +331,32 @@ def cmd_sweep(args) -> int:
 
     # each value is formatted once, and its text shared by the rows that hold it
     texts = [[documents.format_float(v) for v in r] for r in ranges]
-    combos = list(zip(itertools.product(*ranges), itertools.product(*texts)))
+    points = zip(itertools.product(*ranges), itertools.product(*texts))
     # the pool forks every worker up front, so it is sized to the work and the machine
-    workers = min(args.jobs, len(combos), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(args.jobs, int(rows), os.cpu_count() or 1)
+    # a block holds at most STACK_ELEMENTS Taylor coefficients, or entries of the (rows, L, L)
+    # root-finding arrays of an L-term numerator, and a small sweep gives every worker a block
+    size = max(1, min(series.STACK_ELEMENTS // max(space.k_max + 1, len(numerator) ** 2),
+                      math.ceil(rows / workers)))
+    blocks = iter(lambda: list(itertools.islice(points, size)), [])
+    with contextlib.ExitStack() as stack:
+        decide = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # one contiguous share of the rows per worker
-        shares = [combos[len(combos) * w // workers:len(combos) * (w + 1) // workers]
-                  for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for share in pool.map(_sweep_rows, itertools.repeat(parsed), shares)
-                    for row in share]
-    else:
-        rows = _sweep_rows(parsed, combos)
-
-    header = list(names) + ["status", "rank", "delta_ratio", "rank_margin"]
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            # Executor.map takes every block up front: the parent holds the points, not the rows
+            decide = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        out = stack.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
         writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(list(names) + ["status", "rank", "delta_ratio", "rank_margin"])
+        for block in decide(functools.partial(_decide_block, parsed), blocks):
+            writer.writerows(block)
     return 0
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise DocumentError("--seed", f"expected an integer >= 0, got {args.seed}")
     spec = documents.parse_gen_spec(_read_document(args.spec), source=args.spec)
     member = model.sample_member(spec.space, spec.inner_zeros, spec.denominator_parameters,
                                  spec.numerator_degree, args.seed)

@@ -137,12 +137,12 @@ def _as_holes(value: Any, path: str) -> tuple[int, ...]:
 def load_json(text: str, source: str = "<input>") -> dict:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge int literal, deep nesting
         raise DocumentError(source, f"not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise DocumentError(source, "top level must be an object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1 and 1.0 == 1
         raise DocumentError(source, f"unsupported format_version {version!r}")
     return data
 

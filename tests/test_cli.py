@@ -189,6 +189,17 @@ class TestCertify:
         report = json.loads(capsys.readouterr().out)
         assert report["type"] == "witness_report" and report["verifies"] is True
 
+    def test_overflowing_h_is_a_failed_certificate(self, tmp_path, capsys):
+        # h = p / P_1 of this witness overflows: its non-finite numbers are reported as null
+        prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM))
+        wit = write(tmp_path / "w.json", {
+            "format_version": 1, "type": "witness", "symmetric_order": 1,
+            "coefficient_vector": [0, 1e308, 1e308], "epsilon": 1e-300, "recenter_c": 0,
+            "phi2_zeros": [], "provenance": "kernel_path"})
+        assert main(["certify", prob, wit]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verifies"] is False and report["h_variation"] is None
+
     def test_witness_against_wrong_problem_fails(self, tmp_path, capsys):
         prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM))
         wit = str(tmp_path / "w.json")
@@ -373,7 +384,7 @@ def test_sweep_memory_grows_with_neither_rows_nor_the_hole(tmp_path):
     few, many = peak("0:0.099:0.001"), peak("0:0.0999:0.0001")
     rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
     assert len(rows) == 1000 and {row["status"] for row in rows} == {"extreme"}
-    # the CSV rows themselves are kept until written: well under 1 KB each
+    # each block's rows are written before the next block is drawn
     assert many < few + 2 ** 20
     assert many < 4 * 2 ** 20
 
@@ -401,6 +412,73 @@ def test_sweep_memory_does_not_grow_with_the_numerator_degree(tmp_path):
     rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
     assert len(rows) == 400 and {row["status"] for row in rows} == {"extreme"}
     assert many < few + 2 ** 20
+
+
+def test_sweep_memory_does_not_grow_with_the_row_count(tmp_path):
+    # f = z (1 + beta z^2) / (1 - p z) with the hole 2: p from 1e-300 leaves every row an extreme
+    # member; 200 betas by 10 and by 40 poles are 2000 and 8000 rows, several blocks of 1820, while
+    # the value and text lists of the two ranges stay short
+    import tracemalloc
+
+    template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]],
+                                                      outer_denominator=[["p", 0.0]]))
+
+    def peak(poles):
+        argv = ["sweep", template, "--param", "beta", "--range", "0:0.995:0.005",
+                "--param", "p", f"--range=1e-300:{poles}e-300:1e-300",
+                "--out", str(tmp_path / "rows.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(10), peak(40)
+    rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+    assert len(rows) == 8000 and {row["status"] for row in rows} == {"extreme"}
+    assert many < few + 2 ** 20
+
+
+def test_a_closed_stdout_stops_the_sweep_at_its_first_block(tmp_path, monkeypatch):
+    # 50 rows with the hole 4000 are 13 blocks of 4; the reader leaves after the header, so the
+    # first block's rows fail to write and no further block is decided
+    blocks, decide = [], cli._decide_block
+
+    def counting(parsed, points):
+        blocks.append(len(points))
+        return decide(parsed, points)
+
+    class ClosedAfterHeader(io.StringIO):
+        def write(self, text):
+            if self.getvalue():
+                raise BrokenPipeError
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_decide_block", counting)
+    template = write(tmp_path / "t.json",
+                     problem_doc([[1.0, 0.0], ["t", 0.0]], holes=(4000,), zeros=()))
+    stdout = ClosedAfterHeader()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["sweep", template, "--param", "t", "--range", "0:0.049:0.001"])
+    assert code == cli.EXIT_BROKEN_PIPE
+    assert stdout.getvalue() == "t,status,rank,delta_ratio,rank_margin\r\n"
+    assert blocks == [4]
+
+
+def test_a_multi_block_sweep_writes_the_same_bytes_at_any_jobs(tmp_path):
+    # the hole 4000 gives blocks of 4 points, so 50 rows are 13 blocks at --jobs 1 and, capped
+    # at 25 points per worker, the same 13 at --jobs 2
+    template = write(tmp_path / "t.json",
+                     problem_doc([[1.0, 0.0], ["t", 0.0]], holes=(4000,), zeros=()))
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"rows{jobs}.csv"
+        assert main(["sweep", template, "--param", "t", "--range", "0:0.049:0.001",
+                     "--jobs", jobs, "--out", str(outs[jobs])]) == 0
+    text = outs["1"].read_text()
+    assert len(text.splitlines()) == 51
+    assert outs["2"].read_text() == text
 
 
 def per_row_sweep_csv(template, names, specs):
@@ -1062,6 +1140,35 @@ def test_no_traceback(case, kind, tmp_path, capsys):
     assert other == ""
     report = json.loads(stream)  # exactly one document: a report before it would not parse
     assert report["type"] == "error" and report["error"] == kind
+
+
+@pytest.mark.parametrize("case, message", [
+    ("analyze_nested_too_deep", "not valid JSON"),
+    ("sweep_nested_too_deep", "not valid JSON"),
+    ("analyze_not_utf8", "cannot read file"),
+    ("analyze_format_version_true", "unsupported format_version True"),
+    ("gen_negative_seed", "--seed: expected an integer >= 0, got -5"),
+])
+def test_malformed_input_is_a_parse_error(case, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if case.endswith("nested_too_deep"):
+        path.write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    elif case.endswith("not_utf8"):
+        path.write_bytes(b"\xff\xfe")
+    else:
+        write(path, GEN_SPEC if case.startswith("gen") else
+              dict(problem_doc(EXTREME_NUM), format_version=True))
+    command = case.split("_")[0]
+    argv = [command, str(path)] + {"sweep": ["--param", "beta", "--range", "0:1:0.5"],
+                                   "gen": ["--seed", "-5"]}.get(command, [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    stream, other = (out, err) if command == "analyze" else (err, out)
+    assert other == ""
+    report = json.loads(stream)
+    assert report["type"] == "error" and report["error"] == "parse"
+    assert message in report["message"]
+    assert command == "gen" or report["message"].startswith(str(path))
 
 
 # small well-formed documents with at most one field replaced by junk.  The

@@ -106,8 +106,9 @@ class TestProblemParsing:
             parse_problem(bad)
 
     def test_format_version_checked(self):
-        with pytest.raises(DocumentError, match="format_version"):
-            load_json(json.dumps({"format_version": 99}))
+        for version in (99, True, 1.0):  # True == 1.0 == 1, but only the integer 1 is version 1
+            with pytest.raises(DocumentError, match="format_version"):
+                load_json(json.dumps({"format_version": version}))
 
     def test_invalid_json_located(self):
         with pytest.raises(DocumentError, match="not valid JSON"):
