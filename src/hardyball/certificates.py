@@ -196,7 +196,7 @@ def make_witness(
         kernel = verdict.kernel_basis
     else:
         weights = f.taylor(space.holes, 2 * n, first=n)
-        kernel = _decide_rows(weights, space, n, tol)[0].kernel_basis
+        kernel = _decide_rows(weights, space, n, tol).first().kernel_basis
     canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
     canonical = canonical / np.linalg.norm(canonical)
     remainders = kernel - np.outer(kernel @ canonical, canonical)

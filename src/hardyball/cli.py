@@ -236,15 +236,14 @@ def _substitute(data: dict, assignment: dict[str, float]) -> dict:
 
 # pool workers call it directly and do not inherit the error state main sets
 @np.errstate(all="ignore")
-def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list[str]]:
-    """The CSV rows of one block of consecutive points (values and their CSV text), as
-    cmd_sweep draws it.  Each point's values are put into the parsed template's slots, then
-    decided: the block stays stacked arrays, one row per point, through the checks of building
-    its function, the membership expansion, the criterion weights of f as given (its numerator
-    scaled by a power of two, exactly: every decision is scale invariant) and their SVD (with
-    one hole and inner degree 1, the determinant reads the same weights).  Every stage gives
-    each row the bits it gets alone; a row leaves at its skip or error, an expansion that
-    overflows too."""
+def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> str:
+    """The CSV text of one block of consecutive points (values and their CSV text), as cmd_sweep
+    draws it.  The points' values fill the parsed template's slots, and the block stays stacked
+    arrays, one row per point, through the checks of building its function, the membership
+    expansion, the criterion weights of f as given (its numerator scaled by a power of two,
+    exactly: every decision is scale invariant), their SVD (with one hole and inner degree 1, the
+    determinant of the same weights) and the four tail columns.  Every stage gives each row the
+    bits it gets alone; a row leaves at its skip or error, an expansion that overflows too."""
     space, tol, constant, fields, slots = parsed
     m = len(fields[0])
     zeros, numerator, poles = parts = [
@@ -253,37 +252,36 @@ def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> list[list
         setattr(parts[field][:, entry], ("real", "imag")[part], [p[0][j] for p in points])
     if constant != 1:  # formed as parse_problem forms it
         numerator = series._product(constant, numerator)
-    tails: list = [None] * len(points)
-    live = [i for i, r in enumerate(model._factor_rows(zeros, numerator, poles))
-            if not _failed(tails, i, r)]
+    status, rank, ratio, margin = tails = np.full((4, len(points)), "", dtype=object)
+    status[:] = [f"error:{type(r.__cause__ or r).__name__}" if isinstance(r, Exception) else ""
+                 for r in model._factor_rows(zeros, numerator, poles)]
+    live, overflow = np.flatnonzero(status == ""), f"error:{ExpansionOverflowError.__name__}"
     expansion = model._weights_rows(zeros[live], numerator[live], poles[live], space.holes)
-    passed = model._within(model._residuals(expansion)[1], tol.membership).tolist()
-    for i, scale, ok in zip(live, expansion.scale.tolist(), passed):
-        if not _failed(tails, i, math.isfinite(scale) or ExpansionOverflowError()) and not ok:
-            tails[i] = ["skip", "", "", ""]
-    live = [i for i in live if tails[i] is None]
+    member = model._within(model._residuals(expansion)[1], tol.membership)
+    finite = np.isfinite(expansion.scale)
+    status[live[~member]] = "skip"
+    status[live[~finite]] = overflow
+    live = live[member & finite]
     weights = model._weights_rows(zeros[live], model._binary_scale(numerator[live]), poles[live],
                                   space.holes, 2 * m, m)
-    for i, scale, verdict in zip(live, weights.scale.tolist(),
-                                 extremality._decide_rows(weights, space, m, tol)):
-        if not _failed(tails, i, verdict if math.isfinite(scale) else ExpansionOverflowError()):
-            ratio = math.nan if verdict.delta is None else verdict.delta.ratio
-            tails[i] = [verdict.status, str(verdict.rank), _csv_float(ratio),
-                        _csv_float(verdict.rank_margin)]
-    return [list(label) + tail for (_, label), tail in zip(points, tails)]
+    verdicts = extremality._decide_rows(weights, space, m, tol)
+    finite = np.isfinite(weights.scale)
+    status[live[finite & ~verdicts.finite]] = "error:ValueError"  # a matrix that is not finite
+    status[live[~finite]] = overflow
+    decided = finite & verdicts.finite
+    rows = live[decided]
+    status[rows] = verdicts.status[decided]
+    rank[rows] = verdicts.rank[decided].astype(str)
+    ratio[rows] = _csv_floats(verdicts.delta.ratio[decided]) if verdicts.delta else ""
+    margin[rows] = _csv_floats(verdicts.rank_margin[decided])
+    # as csv.writer writes them: no field holds a comma, a quote or a line break
+    return "".join([",".join(label + tail) + "\r\n"
+                    for (_, label), tail in zip(points, zip(*tails.tolist()))])
 
 
-def _csv_float(x: float) -> str:
-    """A float as a sweep row prints it: 17 digits, empty where it is not finite."""
-    return documents.format_float(x) if math.isfinite(x) else ""
-
-
-def _failed(tails: list, i: int, result) -> bool:
-    """Whether a stage's result for row i is an error, which then gives the row its tail."""
-    if isinstance(result, Exception):
-        cause = result.__cause__ or result
-        tails[i] = [f"error:{type(cause).__name__}", "", "", ""]
-    return isinstance(result, Exception)
+def _csv_floats(values: np.ndarray) -> list[str]:
+    """Each float as a sweep row prints it: as documents.format_float, empty if not finite."""
+    return [format(x, ".17g") if math.isfinite(x) else "" for x in values.tolist()]
 
 
 def _parse_range(spec: str) -> tuple[float, float, float]:
@@ -347,10 +345,9 @@ def cmd_sweep(args) -> int:
             # Executor.map takes every block up front: the parent holds the points, not the rows
             decide = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         out = stack.enter_context(open(args.out, "w", newline="")) if args.out else sys.stdout
-        writer = csv.writer(out)
-        writer.writerow(list(names) + ["status", "rank", "delta_ratio", "rank_margin"])
+        csv.writer(out).writerow(list(names) + ["status", "rank", "delta_ratio", "rank_margin"])
         for block in decide(functools.partial(_decide_block, parsed), blocks):
-            writer.writerows(block)
+            out.write(block)
     return 0
 
 

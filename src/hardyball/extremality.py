@@ -20,6 +20,7 @@ verdicts of ``analyze`` and ``sweep`` and the degree-overflow witness's kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,10 +192,7 @@ def decide_extreme(
         if membership is None:
             membership = check_membership(f.taylor(space.holes), space, tol)
         membership.require()
-        verdict, = _decide_rows(f.taylor(space.holes, 2 * m, first=m), space, m, tol)
-        if isinstance(verdict, Exception):
-            raise verdict
-        return verdict
+        return _decide_rows(f.taylor(space.holes, 2 * m, first=m), space, m, tol).first()
     if backend != "exact":
         raise ValueError(f"unknown rank backend {backend!r}")
     # the exact rank of a function that is not an exact rational member
@@ -209,64 +207,84 @@ def decide_extreme(
     basis = fraction_kernel(_assemble(weights, m).tolist(), 2 * m + 1)
     kernel = np.linalg.qr(np.array(basis, dtype=float).reshape(-1, 2 * m + 1).T)[0].T
     rank, cond = 2 * m + 1 - len(basis), ConditionA(m, space.size)
-    return ExtremalityVerdict(_status(cond, rank, False), rank, kernel, cond, np.zeros(0), backend)
+    return ExtremalityVerdict(str(_status(cond, rank, False)), rank, kernel, cond, np.zeros(0),
+                              backend)
 
 
-def _status(cond: ConditionA, rank: int, borderline: bool) -> str:
+def _status(cond: ConditionA, rank, borderline) -> np.ndarray:
+    """The status of each rank (an array of them, or one) with its borderline flag."""
     if not cond.holds:
         # rank <= 2M < 2m is structural: the matrix only has 2M rows
-        assert rank < 2 * cond.m
-        return NON_EXTREME
-    if borderline:
-        return BORDERLINE
-    return EXTREME if rank == 2 * cond.m else NON_EXTREME
+        assert (np.asarray(rank) < 2 * cond.m).all()
+        return np.full(np.shape(rank), NON_EXTREME)
+    return np.where(borderline, BORDERLINE, np.where(rank == 2 * cond.m, EXTREME, NON_EXTREME))
+
+
+class RankRows(NamedTuple):
+    """The svd verdicts of rows of criterion weights (:func:`_decide_rows`), one entry per row;
+    where ``finite`` is False the row's matrix is not finite, and its other entries mean nothing."""
+
+    finite: np.ndarray
+    status: np.ndarray
+    rank: np.ndarray
+    rank_margin: np.ndarray
+    delta: DeltaResult | None  # of arrays: one hole and m = 1
+    singular_values: np.ndarray
+    vh: np.ndarray
+    condition_a: ConditionA
+
+    def first(self) -> ExtremalityVerdict:
+        """Row 0 as a verdict; the ValueError of a matrix that is not finite."""
+        if not self.finite[0]:
+            raise ValueError("matrix must be finite")
+        rank = int(self.rank[0])
+        return ExtremalityVerdict(str(self.status[0]), rank, self.vh[0, rank:], self.condition_a,
+                                  self.singular_values[0], delta=self.delta and self.delta.row(0),
+                                  rank_margin=float(self.rank_margin[0]))
 
 
 def _decide_rows(weights: Expansion, space: PuncturedSpace, m: int,
-                 tol: Tolerances = DEFAULT) -> list:
+                 tol: Tolerances = DEFAULT) -> RankRows:
     """The one float rank decision: the svd verdicts of members of inner degree m, from their
     criterion weights f / P_m at the holes (``f.taylor(space.holes, 2 * m, first=m)``, or
-    rows of them).  Per row an :class:`ExtremalityVerdict`, or the ValueError of a matrix
-    that is not finite.  The matrices are assembled and their SVDs taken as one stack, each
-    with the bits it gets alone; :func:`_rank_rule` reads the singular values with the row's
-    largest weight as its scale floor, and the kernel is the trailing right singular vectors
-    (every vector when there is no hole).  Each verdict carries the margin sigma_2m / cutoff,
-    and with one hole and m = 1 the determinant test :func:`_delta` of the same weights."""
+    rows of them), as columns; ``first()`` is one member's verdict.  The matrices are
+    assembled and their SVDs taken as one stack, each with the bits it gets alone (one that is
+    not finite as the zero matrix); :func:`_rank_rule` reads the singular values with the
+    row's largest weight as its scale floor, and the kernel is the trailing right singular
+    vectors (every vector when there is no hole).  Each row carries sigma_2m / cutoff, and with
+    one hole and m = 1 the determinant test :func:`_delta` of its weights."""
     cond = ConditionA(m, space.size)
     scales = np.reshape(weights.scale, -1)  # one row per scale
     windows = weights.windows.reshape(scales.shape + weights.windows.shape[-2:])
+    count, nan = len(windows), np.full(len(windows), np.nan)
     if not space.holes:  # the empty matrix has rank 0
-        return [ExtremalityVerdict(_status(cond, 0, False), 0, np.eye(2 * m + 1), cond,
-                                   np.zeros(0))] * len(windows)
+        rank = np.zeros(count, dtype=int)
+        return RankRows(rank == 0, _status(cond, rank, False), rank, nan, None,
+                        np.zeros((count, 0)), np.tile(np.eye(2 * m + 1), (count, 1, 1)), cond)
     matrices = _assemble(windows, m)
     finite = np.isfinite(matrices).all(axis=(1, 2))
-    _, sigmas, vhs = np.linalg.svd(matrices[finite])
-    ranks, borderline, cutoffs = _rank_rule(sigmas, tol.rank, scales[finite])
-    margins = (sigmas[:, min(2 * m, sigmas.shape[1]) - 1] / cutoffs if m
-               else np.full(len(sigmas), np.nan))
-    verdicts = iter(zip(sigmas, vhs, ranks.tolist(), borderline.tolist(), margins.tolist(),
-                        windows[finite]))
-    out = []
-    for ok in finite:
-        if ok:
-            s, vh, rank, flag, margin, w = next(verdicts)
-            delta = _delta(w, tol) if space.size == 1 and m == 1 else None
-            out.append(ExtremalityVerdict(_status(cond, rank, flag), rank, vh[rank:], cond, s,
-                                          delta=delta, rank_margin=margin))
-        else:
-            out.append(ValueError("matrix must be finite"))
-    return out
+    matrices[~finite] = 0
+    _, sigmas, vhs = np.linalg.svd(matrices)
+    ranks, borderline, cutoffs = _rank_rule(sigmas, tol.rank, scales)
+    margins = sigmas[:, min(2 * m, sigmas.shape[1]) - 1] / cutoffs if m else nan
+    delta = _delta(windows, tol) if space.size == 1 and m == 1 else None
+    return RankRows(finite, _status(cond, ranks, borderline), ranks, margins, delta, sigmas, vhs,
+                    cond)
 
 
 @dataclass(frozen=True)
 class DeltaResult:
     """Single-hole fast path: delta = |c_{k-2}|^2 - |c_k|^2 decides rank 2.  ``ratio`` is
     delta / (|c_{k-2}|^2 + |c_k|^2), in [-1, 1] and free of f's scale; the test compares its
-    modulus with tol.delta (nan where both squares vanish or overflow)."""
+    modulus with tol.delta (nan where both squares vanish or overflow).  :func:`_delta` gives
+    arrays, one entry per row, and ``row`` reads one."""
 
     delta: float
     status: str
     ratio: float
+
+    def row(self, i: int) -> "DeltaResult":
+        return DeltaResult(float(self.delta[i]), str(self.status[i]), float(self.ratio[i]))
 
 
 def single_hole_delta(
@@ -283,18 +301,19 @@ def single_hole_delta(
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
         return DeltaResult(float("inf"), EXTREME, float("inf"))
-    return _delta(f.taylor((k,), 2, first=1).windows, tol)
+    return _delta(f.taylor((k,), 2, first=1).windows[None], tol).row(0)
 
 
 def _delta(windows: np.ndarray, tol: Tolerances = DEFAULT) -> DeltaResult:
-    """The m = 1 determinant test on the window c_{k-2..k} of f / P_1 at the one hole k
-    (c_{k-2} = 0 for k < 2)."""
-    lo = abs(windows[0, 0]) ** 2
-    hi = abs(windows[0, 2]) ** 2
-    delta = lo - hi
-    status = EXTREME if abs(delta) > tol.delta * (lo + hi) else NON_EXTREME
-    total = float(lo + hi)
-    return DeltaResult(delta, status, float(delta) / total if total else float("nan"))
+    """The m = 1 determinant test on rows of the window c_{k-2..k} of f / P_1 at the one hole
+    k (shape (r, 1, 3); c_{k-2} = 0 for k < 2).  |c|^2 has the bits of the scalar abs(c) ** 2:
+    ``np.float_power`` calls libm's pow on each hypot, where an array ``** 2``, np.square
+    and numpy's array abs round differently."""
+    lo, hi = (np.float_power(np.hypot(c.real, c.imag), 2.0) for c in windows[:, 0, ::2].T)
+    delta, total = lo - hi, lo + hi
+    status = np.where(abs(delta) > tol.delta * total, EXTREME, NON_EXTREME)
+    ratio = np.divide(delta, total, out=np.full(delta.shape, np.nan), where=total != 0)
+    return DeltaResult(delta, status, ratio)
 
 
 def kernel_alignment(verdict: ExtremalityVerdict, zeros) -> float:

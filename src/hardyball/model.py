@@ -241,13 +241,20 @@ def _factor_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray) ->
     first error: a zero at the margin, a zero p, a failed root find (RootFindingError, caused
     by numpy's LinAlgError; when the stacked call fails, each row runs alone), a root inside the
     disk, a pole at the margin; else p's roots as ``np.roots`` finds them (:func:`_roots_rows`),
-    clusters replaced by centroids (:func:`_cluster`).  A row of d roots each farther than
-    CLUSTER_TOL ** (2 / d) * max(1, |root|) from its nearest one forms no cluster, as
+    clusters replaced by centroids (:func:`_cluster`).  The checks of p run once per distinct
+    numerator row (told apart by its bytes, so -0.0 is not 0.0).  A row of d roots each farther
+    than CLUSTER_TOL ** (2 / d) * max(1, |root|) from its nearest one forms no cluster, as
     CLUSTER_TOL ** (2 / m) grows with m: it skips _cluster's loop."""
     out: list = [ValueError("Blaschke zero not inside the unit disk (margin)")] * len(zeros)
     live, counts = np.flatnonzero(~_outside(zeros).any(axis=1)), defaultdict(list)
+    distinct, inverse = numerator[live], range(len(live))
+    if len(live) > 1:  # one row needs no key
+        keys = distinct.view(np.dtype((np.void, distinct.itemsize * distinct.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # in the order the rows first hold them
+        distinct, inverse = distinct[first[order]], np.argsort(order)[inverse].tolist()
     try:
-        found = _roots_rows(numerator[live])
+        found = _roots_rows(distinct)
     except np.linalg.LinAlgError as exc:
         if len(zeros) > 1:  # the failure stays in its own row
             return [r for i in range(len(zeros))
@@ -255,24 +262,27 @@ def _factor_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray) ->
         out[0] = RootFindingError(str(exc))
         out[0].__cause__ = exc
         return out
-    for i, roots in zip(live, found):
+    for u, roots in enumerate(found):
         if roots is None:
-            out[i] = ValueError("outer numerator must not be identically zero")
+            found[u] = ValueError("outer numerator must not be identically zero")
         else:
-            out[i] = roots
-            counts[len(roots)].append(i)
-    at_margin = _outside(poles).any(axis=1).tolist()
+            counts[len(roots)].append(u)
     for d, rows in counts.items():
-        roots = np.array([out[i] for i in rows], dtype=complex).reshape(len(rows), d)
+        roots = np.array([found[u] for u in rows], dtype=complex).reshape(len(rows), d)
         gaps = roots[:, :, None] - roots[:, None]
         gaps = np.hypot(gaps.real, gaps.imag) + np.diag(np.full(d, np.inf))
         reach = CLUSTER_TOL ** (2 / max(d, 1)) * np.maximum(1.0, np.hypot(roots.real, roots.imag))
         for j in np.flatnonzero(~(gaps.min(axis=2, initial=np.inf) > reach).all(axis=1)):
             roots[j] = _cluster(roots[j].tolist())
         inside = np.hypot(roots.real, roots.imag) < 1.0 - ROOT_TOL
-        for i, r, bad, any_bad in zip(rows, roots, inside, inside.any(axis=1).tolist()):
-            out[i] = (NotOuterError(r[bad].tolist()) if any_bad else PoleMarginError(
-                "denominator parameter at the margin") if at_margin[i] else r)
+        for u, r in zip(rows, roots):
+            found[u] = r
+        for j in np.flatnonzero(inside.any(axis=1)).tolist():
+            found[rows[j]] = NotOuterError(roots[j, inside[j]].tolist())
+    at_margin = _outside(poles).any(axis=1).tolist()
+    for i, u in zip(live.tolist(), inverse):
+        out[i] = found[u] if isinstance(found[u], Exception) or not at_margin[i] else \
+            PoleMarginError("denominator parameter at the margin")
     return out
 
 

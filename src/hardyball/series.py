@@ -221,20 +221,22 @@ def _scan(x: np.ndarray, factors: list, n: int) -> tuple[np.ndarray, np.ndarray]
     by 1 - a z for each a in ``factors`` in turn, a Python complex or a column of the rows'.
 
     A section is a doubling scan: after the step with shift s, y_k sums a^j x_{k-j} over
-    j < 2s, and a^{2s} is formed as Python forms a complex product (:func:`_product`).  No
-    step with shift s >= L touches c_k for k < L, so a scan's first L terms are bit for bit
-    those of every longer one."""
+    j < 2s, and a^{2s} is formed as Python forms a complex product (:func:`_product`, once
+    per doubling for the columns of every section).  No step with shift s >= L touches c_k
+    for k < L, so a scan's first L terms are bit for bit those of every longer one."""
     coeffs = np.zeros(x.shape[:-1] + (n,), dtype=complex)
     coeffs[..., :min(n, x.shape[-1])] = x[..., :n]
     scratch = np.empty_like(coeffs)
     last = np.empty(x.shape[:-1] + (len(factors),), dtype=complex)
-    for i, a in enumerate(factors):
-        s = 1
-        while s < n:
-            np.multiply(coeffs[..., :n - s], a, out=scratch[..., s:])
+    shifts = [2 ** t for t in range((n - 1).bit_length())]
+    powers = [factors if x.ndim == 1 else np.array(factors)]  # a^s of every section
+    for _ in shifts[1:]:
+        a = powers[-1]
+        powers.append([b * b for b in a] if x.ndim == 1 else _product(a, a))
+    for i in range(len(factors)):
+        for s, a in zip(shifts, powers):
+            np.multiply(coeffs[..., :n - s], a[i], out=scratch[..., s:])
             coeffs[..., s:] += scratch[..., s:]
-            a = a * a if type(a) is complex else _product(a, a)
-            s *= 2
         last[..., i] = coeffs[..., -1]
     return coeffs, last
 
@@ -381,9 +383,10 @@ def _taylor_rows(numerator: np.ndarray, zeros: np.ndarray, poles: np.ndarray,
         numerator = _with_zero_rows(numerator, a)
     windows = np.empty((len(numerator), len(holes), width + 1), dtype=complex)
     scale = np.empty(len(numerator))
-    patterns = (poles != 0).tolist()
-    for pattern in set(map(tuple, patterns)):
-        rows = [i for i, p in enumerate(patterns) if tuple(p) == pattern]
+    nonzero, left = poles != 0, np.ones(len(poles), dtype=bool)
+    while left.any():  # the rows left whose poles are zero where the first one's are
+        rows = np.flatnonzero(left & (nonzero == nonzero[left.argmax()]).all(axis=1))
+        left[rows] = False
         windows[rows], scale[rows] = expand(numerator[rows], poles[rows].T, holes, width)
     return Expansion(windows, scale)
 
@@ -392,7 +395,8 @@ def _with_zero_rows(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Rows x (shape (r, L)) times z - a_i, each bit for bit ``np.convolve(x_i, [-a_i, 1])``:
     every term is the dot product (x_{k-1}, x_k) . (1, -a_i), 0 outside the row, which matmul
     of vector pairs takes from the same BLAS routine, from the same zero start, as np.convolve."""
-    pad = np.pad(x, ((0, 0), (1, 1)))
+    pad = np.zeros((len(x), x.shape[1] + 2), dtype=complex)
+    pad[:, 1:-1] = x
     pairs = np.stack([pad[:, :-1], pad[:, 1:]], axis=-1)[:, :, None]  # (r, L + 1, 1, 2)
     factors = np.stack([np.ones(len(a), dtype=complex), -a], axis=-1)[:, None, :, None]
     return (pairs @ factors)[..., 0, 0]

@@ -228,7 +228,7 @@ def criterion_matrix(f: FactoredFunction, space: PuncturedSpace, first: int | No
 def rule_verdict(f: FactoredFunction, space: PuncturedSpace, first: int | None = None):
     """The rank rule's verdict on f's weights of order ``first`` (default: the inner degree)."""
     n = f.inner.degree if first is None else first
-    return _decide_rows(f.taylor(space.holes, 2 * n, first=n), space, n)[0]
+    return _decide_rows(f.taylor(space.holes, 2 * n, first=n), space, n).first()
 
 
 def hole_constraint_value(p: SymmetricPolynomial, coeffs, k: int) -> complex:

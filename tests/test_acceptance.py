@@ -181,7 +181,7 @@ def test_criterion_04_canonical_kernel_invariant():
         residual = np.linalg.norm(matrix @ vec)
         bound = np.linalg.norm(matrix, 2) * np.linalg.norm(vec)
         worst_ratio = max(worst_ratio, residual / bound)
-        assert _decide_rows(weights, space, m, DEFAULT)[0].rank <= 2 * m
+        assert _decide_rows(weights, space, m, DEFAULT).first().rank <= 2 * m
         count += 1
     ok = worst_ratio <= 1e-9
     report_line(4, "canonical vector spans into the kernel", ok,

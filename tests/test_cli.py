@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -886,6 +887,23 @@ def test_single_hole_delta_reads_the_verdict_weights(tmp_path, capsys, expansion
     assert expansions[-1] == (2, 2) and len(expansions) == 3
 
 
+def test_analyze_delta_has_the_bits_of_the_scalar_formula(tmp_path, capsys):
+    # one-hole members of inner degree 1: the verdict's stacked determinant test reports the
+    # delta of abs(c) ** 2 on the windows of the normalized function, bit for bit
+    from _instances import single_hole_member
+
+    for seed in range(12):
+        member, space = single_hole_member(seed)
+        doc = documents.problem_to_dict(space, member)
+        assert main(["analyze", write(tmp_path / "p.json", doc)]) in (0, 10, 11)
+        report = json.loads(capsys.readouterr().out)
+        problem = documents.parse_problem(doc, source="p.json")
+        f, _ = model.normalize(problem.function, problem.tolerances)
+        window = f.taylor(space.holes, 2, first=1).windows
+        delta = abs(window[0, 0]) ** 2 - abs(window[0, 2]) ** 2
+        assert report["delta"]["value"] == float(delta) != 0
+
+
 def test_analyze_runs_one_recurrence_per_operator(tmp_path, capsys, expansions):
     # z + 0.5 z^3 in the space with holes {2, 4}: extreme, so no witness is built
     prob = write(tmp_path / "p.json", problem_doc(EXTREME_NUM, holes=(2, 4)))
@@ -965,6 +983,70 @@ def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_f
         assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == \
             ["extreme"] * 3
     assert len(root_finds) == finds
+
+
+def sweep_rows(template, params, tmp_path, capsys):
+    """The CSV rows of one sweep of a template over (name, spec) pairs."""
+    argv = ["sweep", write(tmp_path / "t.json", template)]
+    for name, spec in params:
+        argv += ["--param", name, f"--range={spec}"]
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def assert_rows_are_the_points_swept_alone(template, names, rows, tmp_path, capsys):
+    for row in rows:
+        values = row.split(",")[:len(names)]
+        assert sweep_rows(template, [(n, f"{v}:{v}:1") for n, v in zip(names, values)],
+                          tmp_path, capsys) == [row]
+
+
+def test_a_numerator_shared_by_every_row_is_one_root_find(tmp_path, capsys, root_finds):
+    # the inner-zero grid of the benchmark: 441 rows of one numerator 1 + z^2 / 2 in one block
+    template = problem_doc([[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]], zeros=(["a_re", "a_im"],))
+    spec = "-0.3125:0.3125:0.03125"
+    rows = sweep_rows(template, [("a_re", spec), ("a_im", spec)], tmp_path, capsys)
+    assert len(rows) == 441 and {row.split(",")[2] for row in rows} == {"skip", "extreme"}
+    assert root_finds == [2]
+
+
+def test_a_signed_zero_numerator_slot_is_its_own_root_find(tmp_path, capsys, root_finds):
+    # the inner constant -1 times the slot (0, y) has the real part -0.0 - 0 y: 0.0 for y < 0
+    # and -0.0 for y >= 0, so the block's numerators differ in a signed zero
+    template = problem_doc([[1.0, 0.0], [0.0, 0.0], [0.0, "y"]], inner_constant=[-1.0, 0.0])
+    rows = sweep_rows(template, [("y", "-1:1:0.25")], tmp_path, capsys)
+    assert {math.copysign(1, -1.0 * 0.0 - 0.0 * float(row.split(",")[0])) for row in rows} \
+        == {-1.0, 1.0}
+    assert_rows_are_the_points_swept_alone(template, ["y"], rows, tmp_path, capsys)
+    # rows that differ in the sign of a zero alone are two root finds, each row's roots its own
+    del root_finds[:]
+    numerators = np.array([[1.0, -0.0, 0.5], [1.0, 0.0, 0.5]], dtype=complex)
+    none = np.zeros((2, 0))
+    stacked = model._factor_rows(none, numerators, none)
+    assert root_finds == [2, 2]
+    for roots, numerator in zip(stacked, numerators):
+        assert roots.tobytes() == np.array(model.OuterRational(tuple(numerator)).roots).tobytes()
+
+
+def test_a_block_of_every_tail_has_the_rows_of_its_points_alone(tmp_path, capsys):
+    # f = B_a (s + b z^2) / (1 - p z) with hole {2}, 216 rows in one block: a = 1 misses the
+    # zero margin, b > s = 1 puts roots inside the disk, p = 1.5 misses the pole margin, and
+    # s = 1.7e308 overflows the expansion of f at a = -0.5, p = 0.75 (f_1 = 1.125 s; s / b
+    # stays finite, so no root find fails and the block's numerator checks stay stacked).
+    # f is a member at a = p = 0 (else a skip), where the matrix [[0, s + b, 0], [0, 0, s - b]]
+    # at s = 1 is extreme, borderline at b = 0.99 ((1 - b) / (1 + b) within a decade of
+    # tol_rank 0.001) and non-extreme at b = 1
+    template = problem_doc([["s", 0.0], [0.0, 0.0], ["b", 0.0]], zeros=(["a", 0.0],),
+                           outer_denominator=[["p", 0.0]], options={"tol_rank": 0.001})
+    params = [("a", "-0.5:1:0.5"), ("s", "1:1.7e308:1.7e308"), ("b", "0.96:1.04:0.01"),
+              ("p", "0:1.5:0.75")]
+    rows = sweep_rows(template, params, tmp_path, capsys)
+    assert len(rows) == 216
+    assert {row.split(",")[4] for row in rows} == {
+        "error:ValueError", "error:NotOuterError", "error:PoleMarginError",
+        "error:ExpansionOverflowError", "skip", "extreme", "borderline", "non_extreme"}
+    assert_rows_are_the_points_swept_alone(template, [n for n, _ in params], rows, tmp_path,
+                                           capsys)
 
 
 def test_sweep_builds_no_object_per_row(tmp_path, capsys, monkeypatch):

@@ -23,7 +23,7 @@ from hardyball import (
 )
 from hardyball import sample_member
 from hardyball.exactrank import exact_membership_defects, fraction_kernel, lift
-from hardyball.extremality import _assemble, _rank_rule
+from hardyball.extremality import _assemble, _delta, _rank_rule
 from hardyball.series import expand
 
 from _instances import (criterion_matrix, dense, direct_defects, fraction_lift,
@@ -209,6 +209,40 @@ class TestSingleHoleDelta:
             shortcut = single_hole_delta(member, space.holes[0])
             if verdict.status != BORDERLINE:
                 assert verdict.status == shortcut.status
+
+
+    def test_stacked_delta_has_the_bits_of_the_scalar_formula(self):
+        # _delta squares each |c| as the scalar abs(c) ** 2 does, libm's hypot then its pow,
+        # on windows of every magnitude: zero, subnormal and with squares that overflow
+        rng = np.random.default_rng(24)
+        size = (2, 20000, 3)
+        parts = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+        windows = (parts[0] + 1j * parts[1])[:, None, :]
+        windows[:100, 0, 0] = 0
+        windows[100:200, 0, 2] = 0
+        windows[200:300, 0, :] = 0
+        windows[300:400, 0, 0] = 5e-324 * (1 + rng.integers(0, 2 ** 20, 100))
+        windows[400:500, 0, ::2] = 1e200 * (1 + rng.random((100, 2)))  # both squares overflow
+        with np.errstate(all="ignore"):
+            stacked = _delta(windows)
+            expected = []
+            for w in windows:  # the scalar formula, one window at a time
+                lo, hi = abs(w[0, 0]) ** 2, abs(w[0, 2]) ** 2
+                total = float(lo + hi)
+                expected.append((lo - hi, EXTREME if abs(lo - hi) > DEFAULT.delta * (lo + hi)
+                                 else NON_EXTREME, float(lo - hi) / total if total else np.nan))
+            # the data reach the trap: np.square of the same hypot rounds differently somewhere
+            moduli = np.hypot(windows.real, windows.imag)
+            assert (np.square(moduli) != np.float_power(moduli, 2.0)).any()
+        delta, status, ratio = (np.array(column) for column in zip(*expected))
+        assert {"inf", "nan", "0", "subnormal"} <= {
+            "inf" if np.isinf(d) else "nan" if np.isnan(d) else "0" if d == 0 else
+            "subnormal" if abs(d) < np.finfo(float).tiny else "normal" for d in delta}
+        assert stacked.delta.view(np.uint64).tolist() == delta.view(np.uint64).tolist()
+        assert stacked.ratio.view(np.uint64).tolist() == ratio.view(np.uint64).tolist()
+        assert stacked.status.tolist() == status.tolist()
+        assert single_hole_delta(factored([0.0], [1.0, 0.0, 0.5]), 2) == \
+            _delta(factored([0.0], [1.0, 0.0, 0.5]).taylor((2,), 2, first=1).windows[None]).row(0)
 
 
 class TestSymmetricPolynomial:

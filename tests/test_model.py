@@ -238,7 +238,9 @@ class TestCheckOuter:
         )]
         monkeypatch.setattr(model, "_roots_rows", lambda coeffs: list(found))
         none = np.zeros((len(found), 0))
-        stacked = model._factor_rows(none, np.ones((len(found), 4)), none)
+        # distinct numerators, so each row is a root find of its own
+        numerators = np.arange(1.0, len(found) + 1)[:, None] * np.ones(4)
+        stacked = model._factor_rows(none, numerators, none)
         got = [r.roots_inside if isinstance(r, NotOuterError) else tuple(r.tolist())
                for r in stacked]
         assert got == [model._cluster(r.tolist()) for r in found]

@@ -5,7 +5,8 @@
 A tree is a checkout (its ``src`` directory is used) or a directory that holds the
 ``hardyball`` package.  The documents are written once, by ``perfbench/inputs.build`` of
 this checkout with the old tree's hardyball (which draws the generated members), for both
-workloads at each seed, and every sweep request runs a second time with ``--jobs 2``.
+workloads at each seed, together with a fixed set of seeded random sweep templates
+(:func:`_random_sweeps`), and every sweep request runs a second time with ``--jobs 2``.
 One child interpreter per tree, with BLAS on one thread, runs every request in order and
 in process through ``hardyball.cli.main``; it records for each the sha256 of its exit
 code, stdout, stderr and the witness file it writes, which the next request certifies.
@@ -21,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -36,9 +38,51 @@ def _package_dir(tree: str) -> Path:
     return path / "src" if (path / "src" / "hardyball").is_dir() else path
 
 
+def _random_sweeps(directory: Path, count: int = 40, seed: int = 24) -> list[dict]:
+    """``count`` sweep requests over seeded random templates (the same on every run): holes
+    among 1..7, up to two inner zeros, a numerator of one to four terms and up to two poles,
+    whose parts are 0, a fixed value or one of up to three swept slots.  Every swept range
+    runs through 0, so rows with zero parts are members and get a verdict where the holes lie
+    past the numerator; the others are skips, and ranges beyond the unit disk (zeros and poles
+    at the margin) or wide ones (roots inside the disk) give error rows."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        params = []
+
+        def swept(kind: str) -> str:
+            half = rng.choice({"numerator": (0.25, 0.5, 2.0)}.get(kind, (0.25, 0.5, 1.5)))
+            params.append((f"x{len(params)}", f"{-half}:{half}:{half / rng.choice((2, 4))}"))
+            return params[-1][0]
+
+        def part(kind: str):
+            if len(params) < 3 and rng.random() < 0.3:
+                return swept(kind)
+            zero = 0.5 if kind == "numerator" else 0.8
+            return 0.0 if rng.random() < zero else round(rng.uniform(-0.6, 0.6), 3)
+
+        template = {
+            "format_version": 1, "type": "problem",
+            "holes": sorted(rng.sample(range(1, 8), rng.randint(1, 2))),
+            "inner_zeros": [[part("zero"), part("zero")] for _ in range(rng.randint(0, 2))],
+            "outer_numerator": [[1.0, 0.0]] + [[part("numerator"), part("numerator")]
+                                               for _ in range(rng.randint(0, 3))],
+            "outer_denominator": [[part("pole"), part("pole")] for _ in range(rng.randint(0, 2))],
+        }
+        if not params:
+            template["outer_numerator"][0][0] = swept("numerator")
+        path = directory / f"random_sweep{t}.json"
+        path.write_text(json.dumps(template))
+        argv = ["sweep", str(path)]
+        for name, spec in params:
+            argv += ["--param", name, f"--range={spec}"]
+        out.append({"key": f"random_sweep.{t}", "argv": argv, "witness": None})
+    return out
+
+
 def _requests(seeds: list[int], directory: Path, package_dir: Path) -> list[dict]:
-    """Every request of both workloads at each seed, each sweep also at ``--jobs 2``, built
-    with the hardyball of ``package_dir``."""
+    """Every request of both workloads at each seed and the random sweeps, each sweep also at
+    ``--jobs 2``, built with the hardyball of ``package_dir``."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(package_dir)]
     from inputs import WORKLOADS, build
 
@@ -46,12 +90,13 @@ def _requests(seeds: list[int], directory: Path, package_dir: Path) -> list[dict
     for workload in WORKLOADS:
         for seed in seeds:
             for r in build(workload, seed, directory / f"{workload}-{seed}").requests:
-                request = {"key": f"{workload}.{seed}.{r.key}", "argv": r.argv,
-                           "witness": r.witness}
-                out.append(request)
-                if r.argv[0] == "sweep":  # the last --jobs wins
-                    out.append(dict(request, key=request["key"] + ".jobs2",
-                                    argv=r.argv + ["--jobs", "2"]))
+                out.append({"key": f"{workload}.{seed}.{r.key}", "argv": r.argv,
+                            "witness": r.witness})
+    out += _random_sweeps(directory)
+    for request in list(out):
+        if request["argv"][0] == "sweep":  # the last --jobs wins
+            out.append(dict(request, key=request["key"] + ".jobs2",
+                            argv=request["argv"] + ["--jobs", "2"]))
     return out
 
 
