@@ -29,15 +29,16 @@ Every tolerance must be a finite number > 0, a sweep has at most
 A sweep builds no function, factor or rational per row, only its verdict.  It
 puts each block of points (at most ``series.STACK_ELEMENTS`` Taylor coefficients)
 into stacked arrays of the parsed template's zeros, numerator and poles, and
-every stage, from the constructors' checks to the SVD, runs once per group of
-rows of one shape and gives each row the bytes it gets alone.  A row decides f
+every stage, from the constructors' checks (two margin masks and the outer
+numerator's rows, ``model._outer_rows``) to the SVD, runs once per group of rows
+of one shape and gives each row the bytes it gets alone.  A row decides f
 as given, its numerator scaled by a power of two, with no circle quadrature:
 every decision is scale invariant, and so are the two numbers a row prints,
 delta / (|c_{k-2}|^2 + |c_k|^2) and the verdict's ``rank_margin``, sigma_2m over
 the rank rule's cutoff.  The points are drawn lazily and decided block by block,
-each block's rows written before the next block is drawn, so neither the points
-nor the rows are ever held all at once; with ``--jobs N`` a process pool decides
-the blocks and the rows are written in order as they arrive.
+each block's rows written before the next is drawn: at ``--jobs 1`` memory grows
+with the value counts of the second and later parameters, which are held, not
+with the rows.  ``--jobs N`` decides the blocks in a process pool, rows in order.
 """
 
 from __future__ import annotations
@@ -253,8 +254,13 @@ def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> str:
     if constant != 1:  # formed as parse_problem forms it
         numerator = series._product(constant, numerator)
     status, rank, ratio, margin = tails = np.full((4, len(points)), "", dtype=object)
-    status[:] = [f"error:{type(r.__cause__ or r).__name__}" if isinstance(r, Exception) else ""
-                 for r in model._factor_rows(zeros, numerator, poles)]
+    # the constructors' checks (zero margin, numerator, pole margin) are written last to first,
+    # so a row keeps the name of the first that fails, the error its constructors raise
+    failures = model._outer_rows(numerator)[0]
+    failed = np.flatnonzero(np.not_equal(failures, None))
+    status[series._outside(poles).any(axis=1)] = f"error:{series.PoleMarginError.__name__}"
+    status[failed] = [f"error:{type(e.__cause__ or e).__name__}" for e in failures[failed]]
+    status[series._outside(zeros).any(axis=1)] = "error:ValueError"
     live, overflow = np.flatnonzero(status == ""), f"error:{ExpansionOverflowError.__name__}"
     expansion = model._weights_rows(zeros[live], numerator[live], poles[live], space.holes)
     member = model._within(model._residuals(expansion)[1], tol.membership)
@@ -308,9 +314,8 @@ def cmd_sweep(args) -> int:
     specs = [_parse_range(r) for r in (args.range or [])]
     rows = math.prod(count for _, _, count in specs)
     if not rows <= MAX_SWEEP_ROWS:  # an infinite point count fails too
-        raise DocumentError("--range", f"the sweep has {rows:g} rows, more than {MAX_SWEEP_ROWS}")
-    ranges = [[a + i * step for i in range(int(count))] for a, step, count in specs]
-    if len(names) != len(ranges):
+        raise DocumentError("--range", f"the sweep has {rows:.0f} rows, more than {MAX_SWEEP_ROWS}")
+    if len(names) != len(specs):
         raise DocumentError("--param/--range", "need one --range per --param")
     slots = _template_slots(template)
     placeholders = {name for *_, name in slots}
@@ -322,20 +327,26 @@ def cmd_sweep(args) -> int:
     # the schema is the same at every point, so it is checked once, on the first; a
     # point's values, the first included, can still give an invalid function: an error row
     space, zeros, constant, numerator, denominator, tol = documents.check_problem(
-        _substitute(template, {n: vals[0] for n, vals in zip(names, ranges)}), args.template)
+        _substitute(template, {n: a for n, (a, _, _) in zip(names, specs)}), args.template)
     index = {name: j for j, name in enumerate(names)}  # a repeated name takes its last range
     parsed = (space, tol, constant, (zeros, numerator, denominator),
               tuple((f, i, part, index[name]) for f, i, part, name in slots))
 
-    # each value is formatted once, and its text shared by the rows that hold it
-    texts = [[documents.format_float(v) for v in r] for r in ranges]
-    points = zip(itertools.product(*ranges), itertools.product(*texts))
     # the pool forks every worker up front, so it is sized to the work and the machine
     workers = min(args.jobs, int(rows), os.cpu_count() or 1)
     # a block holds at most STACK_ELEMENTS Taylor coefficients, or entries of the (rows, L, L)
     # root-finding arrays of an L-term numerator, and a small sweep gives every worker a block
     size = max(1, min(series.STACK_ELEMENTS // max(space.k_max + 1, len(numerator) ** 2),
                       math.ceil(rows / workers)))
+    # each value is formatted once, and its text shared by the rows that hold it; the first
+    # parameter's values are drawn a block's count at a time, and the others are held
+    held = [[a + i * step for i in range(int(count))] for a, step, count in specs[1:]]
+    texts = [[documents.format_float(v) for v in r] for r in held]
+    first = (a + i * step for a, step, count in specs[:1] for i in range(int(count)))
+    chunks = iter(lambda: list(itertools.islice(first, size)), [])
+    points = itertools.chain.from_iterable(
+        zip(itertools.product(c, *held), itertools.product(map(documents.format_float, c), *texts))
+        for c in chunks) if specs else iter([((), ())])  # no parameter: one point
     blocks = iter(lambda: list(itertools.islice(points, size)), [])
     with contextlib.ExitStack() as stack:
         decide = map

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -123,7 +122,7 @@ class OuterRational(Rational):
     its centroid (one copy per root, so repeats encode multiplicity).  The
     centroids decide the outer check and the circle roots.  Roots on the unit
     circle are allowed; the exposedness gate reads them, and circle means of
-    |F| split the circle at them.  The check is :func:`_factor_rows` on one
+    |F| split the circle at them.  The check is :func:`_outer_rows` on one
     row, the rule a sweep applies to its stacked rows.
     """
 
@@ -131,10 +130,9 @@ class OuterRational(Rational):
     roots: tuple[complex, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        none = np.zeros((1, 0))  # the outer checks run before Rational's pole check, and win
-        roots, = _factor_rows(none, np.array([self.numerator], dtype=complex), none)
-        if isinstance(roots, Exception):
-            raise roots
+        (failure,), (roots,) = _outer_rows(np.array([self.numerator], dtype=complex))
+        if failure is not None:  # the outer check runs before Rational's pole check, and wins
+            raise failure
         super().__post_init__()
         object.__setattr__(self, "roots", tuple(roots.tolist()))
 
@@ -177,30 +175,28 @@ def _cluster(roots: list[complex]) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _roots_rows(coeffs: np.ndarray) -> list:
-    """The roots of each row of ascending coefficients (shape (r, L)), as ``np.roots`` finds
-    them: the eigenvalues of the companion matrix of the row cut to its nonzero ends, then
-    one zero root per trailing zero.  Rows cut to the same shape share one ``eigvals`` call,
-    which gives each matrix the bits it gets alone (its LinAlgError, which may come from any of
-    them, propagates).  Per row: the roots, or None for an all-zero row."""
+def _roots_rows(coeffs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The roots of rows of ascending coefficients (shape (r, L)), as ``np.roots`` finds them:
+    the eigenvalues of the companion matrix of the row cut to its nonzero ends, then one zero
+    root per trailing zero.  Rows cut to the same shape share one ``eigvals`` call, which gives
+    each matrix the bits it gets alone (its LinAlgError, which may come from any of them,
+    propagates).  One (row indices, roots) pair per shape, the roots complex, one row of them
+    per index; an all-zero row is in none."""
     nonzero = coeffs[:, ::-1] != 0  # descending, as np.roots reads them
-    lead = nonzero.argmax(axis=1).tolist()
-    trail = nonzero[:, ::-1].argmax(axis=1).tolist()
-    found = nonzero.any(axis=1).tolist()
-    out: list = [None] * len(coeffs)
-    for cut in {(lo, hi) for lo, hi, ok in zip(lead, trail, found) if ok}:
-        rows = [i for i, ok in enumerate(found) if ok and (lead[i], trail[i]) == cut]
-        p = coeffs[rows, ::-1][:, cut[0]:coeffs.shape[1] - cut[1]]
+    found = np.flatnonzero(nonzero.any(axis=1))
+    lead, trail = nonzero[found].argmax(axis=1), nonzero[found, ::-1].argmax(axis=1)
+    out = []
+    for lo, hi in set(zip(lead.tolist(), trail.tolist())):
+        rows = found[(lead == lo) & (trail == hi)]
+        p = coeffs[rows, ::-1][:, lo:coeffs.shape[1] - hi]
         size = p.shape[1] - 1
-        roots = np.zeros((len(rows), 0))  # a constant has none
+        roots = np.zeros((len(rows), 0), dtype=complex)  # a constant has none
         if size:
             companion = np.zeros((len(rows), size, size), dtype=complex)
             companion[:, 1:, :-1] = np.eye(size - 1)
             companion[:, 0, :] = -p[:, 1:] / p[:, :1]
             roots = np.linalg.eigvals(companion)
-        roots = np.hstack([roots, np.zeros((len(rows), cut[1]), roots.dtype)])
-        for i, r in zip(rows, roots):
-            out[i] = r
+        out.append((rows, np.hstack([roots, np.zeros((len(rows), hi), dtype=complex)])))
     return out
 
 
@@ -235,61 +231,53 @@ class FactoredFunction:
         return Rational(self.outer.numerator, poles, zeros[first:])
 
 
-def _factor_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray) -> list:
-    """The checks of ``FactoredFunction(BlaschkeProduct(a), OuterRational(p, b))`` on rows of
-    stacked parts (zeros a, numerator p, poles b; shapes (r, .)).  Per row the constructors'
-    first error: a zero at the margin, a zero p, a failed root find (RootFindingError, caused
-    by numpy's LinAlgError; when the stacked call fails, each row runs alone), a root inside the
-    disk, a pole at the margin; else p's roots as ``np.roots`` finds them (:func:`_roots_rows`),
-    clusters replaced by centroids (:func:`_cluster`).  The checks of p run once per distinct
-    numerator row (told apart by its bytes, so -0.0 is not 0.0).  A row of d roots each farther
-    than CLUSTER_TOL ** (2 / d) * max(1, |root|) from its nearest one forms no cluster, as
+def _outer_rows(numerator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The check of ``OuterRational(p)`` on rows of numerators p (shape (r, L)), as two object
+    arrays: per row its first error, else None, of a zero p, a failed root find
+    (RootFindingError, caused by numpy's LinAlgError; when the stacked call fails, each distinct
+    numerator runs alone) and a root inside the disk; and the roots of each row that passes, as
+    ``np.roots`` finds them (:func:`_roots_rows`), clusters replaced by centroids
+    (:func:`_cluster`), else None.  The check runs once per distinct row (told apart by its
+    bytes, so -0.0 is not 0.0).  A row of d roots each farther than
+    CLUSTER_TOL ** (2 / d) * max(1, |root|) from its nearest one forms no cluster, as
     CLUSTER_TOL ** (2 / m) grows with m: it skips _cluster's loop."""
-    out: list = [ValueError("Blaschke zero not inside the unit disk (margin)")] * len(zeros)
-    live, counts = np.flatnonzero(~_outside(zeros).any(axis=1)), defaultdict(list)
-    distinct, inverse = numerator[live], range(len(live))
-    if len(live) > 1:  # one row needs no key
-        keys = distinct.view(np.dtype((np.void, distinct.itemsize * distinct.shape[1])))[:, 0]
+    distinct, inverse = numerator, slice(None)
+    if len(numerator) > 1:  # one row needs no key
+        keys = numerator.view(np.dtype((np.void, numerator.itemsize * numerator.shape[1])))[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # in the order the rows first hold them
-        distinct, inverse = distinct[first[order]], np.argsort(order)[inverse].tolist()
+        distinct = numerator[first]
+    failures, roots = np.full((2, len(distinct)), None)
+    failures[:] = [ValueError("outer numerator must not be identically zero")]
     try:
         found = _roots_rows(distinct)
     except np.linalg.LinAlgError as exc:
-        if len(zeros) > 1:  # the failure stays in its own row
-            return [r for i in range(len(zeros))
-                    for r in _factor_rows(zeros[i:i + 1], numerator[i:i + 1], poles[i:i + 1])]
-        out[0] = RootFindingError(str(exc))
-        out[0].__cause__ = exc
-        return out
-    for u, roots in enumerate(found):
-        if roots is None:
-            found[u] = ValueError("outer numerator must not be identically zero")
+        found = []
+        if len(distinct) > 1:  # the failure stays in its own numerator
+            for u in range(len(distinct)):
+                (failures[u],), (roots[u],) = _outer_rows(distinct[u:u + 1])
         else:
-            counts[len(roots)].append(u)
-    for d, rows in counts.items():
-        roots = np.array([found[u] for u in rows], dtype=complex).reshape(len(rows), d)
-        gaps = roots[:, :, None] - roots[:, None]
+            failures[0] = RootFindingError(str(exc))
+            failures[0].__cause__ = exc
+    for rows, r in found:
+        d = r.shape[1]
+        gaps = r[:, :, None] - r[:, None]
         gaps = np.hypot(gaps.real, gaps.imag) + np.diag(np.full(d, np.inf))
-        reach = CLUSTER_TOL ** (2 / max(d, 1)) * np.maximum(1.0, np.hypot(roots.real, roots.imag))
+        reach = CLUSTER_TOL ** (2 / max(d, 1)) * np.maximum(1.0, np.hypot(r.real, r.imag))
         for j in np.flatnonzero(~(gaps.min(axis=2, initial=np.inf) > reach).all(axis=1)):
-            roots[j] = _cluster(roots[j].tolist())
-        inside = np.hypot(roots.real, roots.imag) < 1.0 - ROOT_TOL
-        for u, r in zip(rows, roots):
-            found[u] = r
+            r[j] = _cluster(r[j].tolist())
+        inside = np.hypot(r.real, r.imag) < 1.0 - ROOT_TOL
+        failures[rows] = None
+        for u, row in zip(rows.tolist(), r):
+            roots[u] = row
         for j in np.flatnonzero(inside.any(axis=1)).tolist():
-            found[rows[j]] = NotOuterError(roots[j, inside[j]].tolist())
-    at_margin = _outside(poles).any(axis=1).tolist()
-    for i, u in zip(live.tolist(), inverse):
-        out[i] = found[u] if isinstance(found[u], Exception) or not at_margin[i] else \
-            PoleMarginError("denominator parameter at the margin")
-    return out
+            failures[rows[j]], roots[rows[j]] = NotOuterError(r[j, inside[j]].tolist()), None
+    return failures[inverse], roots[inverse]
 
 
 def _weights_rows(zeros: np.ndarray, numerator: np.ndarray, poles: np.ndarray,
                   holes: Sequence[int], width: int = 0, first: int = 0) -> Expansion:
-    """``f.taylor(holes, width, first=first)`` of rows of functions from their stacked parts
-    (see :func:`_factor_rows`), f / P_n formed as :meth:`FactoredFunction._weights` forms it."""
+    """``f.taylor(holes, width, first=first)`` of rows of functions from stacked parts (zeros,
+    numerator, poles; shapes (r, .)), f / P_n formed as :meth:`FactoredFunction._weights` does."""
     inner, rest = zeros[:, :first], zeros[:, first:]
     return _taylor_rows(numerator, rest, np.hstack([poles, inner, inner, rest]), holes, width)
 

@@ -339,7 +339,7 @@ def test_criterion_09_exposedness_gate(single_hole_pool):
         verdict = decide_extreme(member, space_i, DEFAULT)
         result = check_exposed(member, verdict)
         if result.status == "exposed":
-            roots, = _roots_rows(np.array([member.outer.numerator]))
+            (_, (roots,)), = _roots_rows(np.array([member.outer.numerator]))
             sound &= verdict.status == EXTREME
             sound &= all(abs(abs(r) - 1.0) > 1e-8 for r in roots)
         if verdict.status != EXTREME:

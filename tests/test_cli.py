@@ -441,6 +441,29 @@ def test_sweep_memory_does_not_grow_with_the_row_count(tmp_path):
     assert many < few + 2 ** 20
 
 
+def test_one_parameter_sweep_memory_does_not_grow_with_the_row_count(tmp_path):
+    # the beta line f = z (1 + beta z^2) with the hole 2, 2000 and 20000 rows, blocks of 1820:
+    # the values of the one swept parameter are drawn a block's count at a time, not all held
+    import tracemalloc
+
+    template = write(tmp_path / "t.json", problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]]))
+
+    def peak(spec):
+        argv = ["sweep", template, "--param", "beta", f"--range={spec}",
+                "--out", str(tmp_path / "rows.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak("0:0.9995:0.0005"), peak("0:0.99995:0.00005")
+    rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
+    assert len(rows) == 20000 and {row["status"] for row in rows} == {"extreme"}
+    assert many < few + 2 ** 20
+
+
 def test_a_closed_stdout_stops_the_sweep_at_its_first_block(tmp_path, monkeypatch):
     # 50 rows with the hole 4000 are 13 blocks of 4; the reader leaves after the header, so the
     # first block's rows fail to write and no further block is decided
@@ -573,6 +596,17 @@ PARSED_ONCE = {
                     outer_denominator=[["b", 0.0]]),
         ("b", "s"), (f"{-AT_MARGIN}:{AT_MARGIN}:{AT_MARGIN}", "-1.5:1.5:0.75"),
         ["error:NotOuterError", "error:PoleMarginError"]),
+    # f = c z / (1 - b z): the numerator c = 0 is identically zero, checked before the pole
+    "zero_numerator_then_pole_margin": (
+        problem_doc([["c", 0.0]], outer_denominator=[["b", 0.0]]),
+        ("b", "c"), (f"{-AT_MARGIN}:{AT_MARGIN}:{AT_MARGIN}", "-1:1:0.5"),
+        ["error:ValueError", "error:PoleMarginError"]),
+    # the numerator of root_finder_failure under a Blaschke zero a: a zero that misses the
+    # margin is checked before the numerator's root find fails
+    "zero_margin_then_root_finder_failure": (
+        problem_doc([["t", 0.0], [0.0, 0.0], [1e-200, 0.0]], holes=(3,), zeros=(["a", 0.0],)),
+        ("a", "t"), (f"{-AT_MARGIN}:{AT_MARGIN}:{AT_MARGIN}", "-4e108:4e108:1e108"),
+        ["error:ValueError", "error:LinAlgError"]),
     # the member of test_overflowing_coefficients_are_a_numerics_error with its first inner
     # zero swept: at 0.99 its expansion overflows, as analyze reports; at 1.99 the zero
     # misses the margin, which is checked first
@@ -951,9 +985,9 @@ def root_finds(monkeypatch):
     original, calls = model._roots_rows, []
 
     def counting(coefficients):
-        roots = original(coefficients)
-        calls.extend(len(r) for r in roots)
-        return roots
+        found = original(coefficients)
+        calls.extend(len(r) for _, roots in found for r in roots)
+        return found
 
     monkeypatch.setattr(model, "_roots_rows", counting)
     return calls
@@ -1021,8 +1055,7 @@ def test_a_signed_zero_numerator_slot_is_its_own_root_find(tmp_path, capsys, roo
     # rows that differ in the sign of a zero alone are two root finds, each row's roots its own
     del root_finds[:]
     numerators = np.array([[1.0, -0.0, 0.5], [1.0, 0.0, 0.5]], dtype=complex)
-    none = np.zeros((2, 0))
-    stacked = model._factor_rows(none, numerators, none)
+    _, stacked = model._outer_rows(numerators)
     assert root_finds == [2, 2]
     for roots, numerator in zip(stacked, numerators):
         assert roots.tobytes() == np.array(model.OuterRational(tuple(numerator)).roots).tobytes()
@@ -1222,6 +1255,21 @@ def test_no_traceback(case, kind, tmp_path, capsys):
     assert other == ""
     report = json.loads(stream)  # exactly one document: a report before it would not parse
     assert report["type"] == "error" and report["error"] == kind
+
+
+@pytest.mark.parametrize("ranges, rows", [
+    (["0:1000000:1"], "1000001"),
+    (["0:1000:1", "0:1000:1"], "1002001"),
+    (["-1e308:1e308:1e-300"], "inf"),  # more points than a float can count
+])
+def test_the_row_cap_names_the_whole_row_count(ranges, rows, tmp_path, capsys):
+    template = problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", "gamma"]])
+    argv = ["sweep", write(tmp_path / "t.json", template)]
+    for name, spec in zip(("beta", "gamma"), ranges):
+        argv += ["--param", name, f"--range={spec}"]
+    assert main(argv) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == f"--range: the sweep has {rows} rows, more than 1000000"
 
 
 @pytest.mark.parametrize("case, message", [

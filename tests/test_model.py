@@ -26,7 +26,8 @@ from _instances import dense, random_zeros, taylor
 
 def numerator_roots(coefficients):
     """The roots of one polynomial of ascending coefficients, as np.roots finds them."""
-    return model._roots_rows(np.array([coefficients], dtype=complex))[0]
+    (_, (roots,)), = model._roots_rows(np.array([coefficients], dtype=complex))
+    return roots
 
 
 def factored(zeros, numerator, den=()):
@@ -214,8 +215,7 @@ class TestCheckOuter:
             gap = factor * model.CLUSTER_TOL * abs(root) * np.exp(2j * np.pi * rng.random())
             rows.append(np.poly([root, root + gap])[::-1])
         rows.append(np.array([1.0, 2.0, 1.0]))
-        none = np.zeros((len(rows), 0))
-        stacked = model._factor_rows(none, np.array(rows, dtype=complex), none)
+        _, stacked = model._outer_rows(np.array(rows, dtype=complex))
         for row, roots in zip(rows, stacked):
             outer = OuterRational(tuple(row))
             assert tuple(roots.tolist()) == outer.roots
@@ -236,15 +236,38 @@ class TestCheckOuter:
             [2.0, 2.0 + 2e-6j, 2.0 - 2e-6j],
             [-3.0, 3.0, 3.0 + 1e-5],
         )]
-        monkeypatch.setattr(model, "_roots_rows", lambda coeffs: list(found))
-        none = np.zeros((len(found), 0))
-        # distinct numerators, so each row is a root find of its own
+        # distinct numerators, each a root find of its own: k times ones finds found[k - 1]
         numerators = np.arange(1.0, len(found) + 1)[:, None] * np.ones(4)
-        stacked = model._factor_rows(none, numerators, none)
-        got = [r.roots_inside if isinstance(r, NotOuterError) else tuple(r.tolist())
-               for r in stacked]
+
+        def roots_rows(coeffs):
+            return [(np.array([u]), np.array([found[int(row[0].real) - 1]]))
+                    for u, row in enumerate(coeffs)]
+
+        monkeypatch.setattr(model, "_roots_rows", roots_rows)
+        failures, stacked = model._outer_rows(numerators)
+        got = [e.roots_inside if isinstance(e, NotOuterError) else tuple(r.tolist())
+               for e, r in zip(failures, stacked)]
         assert got == [model._cluster(r.tolist()) for r in found]
         assert [len(set(roots)) for roots in got] == [1, 1, 2, 1, 3]
+
+    @pytest.mark.xfail(strict=True, reason="known false accept: the cluster step merges the m "
+                       "roots into their centroid 1, on the circle")
+    @pytest.mark.parametrize("m, rho", [(3, 3e-5), (4, 3e-4), (6, 4e-3)])
+    def test_a_tight_ring_of_roots_around_one_is_not_outer(self, m, rho):
+        # roots 1 + rho e^{i pi (2j + 1) / m}: the nearest to the origin has modulus about
+        # 1 - rho cos(pi / m), far inside 1 - ROOT_TOL, and np.roots finds it there
+        roots = 1 + rho * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
+        assert np.abs(numerator_roots(np.poly(roots)[::-1])).min() < 1 - 1e-5
+        with pytest.raises(NotOuterError):
+            OuterRational(tuple(np.poly(roots)[::-1]))
+
+    @pytest.mark.parametrize("d", [200, pytest.param(256, marks=pytest.mark.xfail(
+        strict=True, reason="known false reject: the cluster step merges arcs of simple "
+        "roots, whose centroids fall inside the disk"))])
+    def test_one_plus_half_z_to_the_d_is_outer(self, d):
+        # every root of 1 + z^d / 2 has modulus 2^(1/d) > 1
+        outer = OuterRational((1.0,) + (0.0,) * (d - 1) + (0.5,))
+        assert len(outer.roots) == d and min(map(abs, outer.roots)) > 1
 
 
 class TestNormalize:

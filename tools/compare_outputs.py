@@ -6,7 +6,9 @@ A tree is a checkout (its ``src`` directory is used) or a directory that holds t
 ``hardyball`` package.  The documents are written once, by ``perfbench/inputs.build`` of
 this checkout with the old tree's hardyball (which draws the generated members), for both
 workloads at each seed, together with a fixed set of seeded random sweep templates
-(:func:`_random_sweeps`), and every sweep request runs a second time with ``--jobs 2``.
+(:func:`_random_sweeps`) and two fixed sweeps whose rows reach the root finder's failure and
+the expansion's overflow (:func:`_fixed_sweeps`), and every sweep request runs a second time
+with ``--jobs 2``.
 One child interpreter per tree, with BLAS on one thread, runs every request in order and
 in process through ``hardyball.cli.main``; it records for each the sha256 of its exit
 code, stdout, stderr and the witness file it writes, which the next request certifies.
@@ -80,6 +82,34 @@ def _random_sweeps(directory: Path, count: int = 40, seed: int = 24) -> list[dic
     return out
 
 
+def _fixed_sweeps(directory: Path) -> list[dict]:
+    """Two sweeps whose blocks mix error rows with rows that pass the constructors' checks.
+    ``linalg``: f = z (t + 1e-200 z^2) with the hole 3; -t / 1e-200 overflows for
+    |t| >= 2e108, so the stacked ``eigvals`` of the block fails and each numerator is root-found
+    alone (error:LinAlgError), beside verdicts and the not-outer t = 0.  ``overflow``:
+    f = B_a (s + z^2) / (1 - p z) with the hole 2; at a = -0.5 and s = 1.7e308 the Taylor
+    coefficients overflow for p > 0 (error:ExpansionOverflowError), beside skips and verdicts."""
+    sweeps = {
+        "linalg": ({"holes": [3], "inner_zeros": [[0.0, 0.0]],
+                    "outer_numerator": [["t", 0.0], [0.0, 0.0], [1e-200, 0.0]]},
+                   [("t", "-4e108:4e108:5e107")]),
+        "overflow": ({"holes": [2], "inner_zeros": [["a", 0.0]],
+                      "outer_numerator": [["s", 0.0], [0.0, 0.0], [1.0, 0.0]],
+                      "outer_denominator": [["p", 0.0]]},
+                     [("a", "-0.5:0:0.5"), ("s", "1:1.7e308:1.7e308"), ("p", "-0.75:0.75:0.25")]),
+    }
+    out = []
+    for name, (fields, params) in sweeps.items():
+        path = directory / f"fixed_sweep_{name}.json"
+        path.write_text(json.dumps({"format_version": 1, "type": "problem",
+                                    "outer_denominator": [], **fields}))
+        argv = ["sweep", str(path)]
+        for param, spec in params:
+            argv += ["--param", param, f"--range={spec}"]
+        out.append({"key": f"fixed_sweep.{name}", "argv": argv, "witness": None})
+    return out
+
+
 def _requests(seeds: list[int], directory: Path, package_dir: Path) -> list[dict]:
     """Every request of both workloads at each seed and the random sweeps, each sweep also at
     ``--jobs 2``, built with the hardyball of ``package_dir``."""
@@ -92,7 +122,7 @@ def _requests(seeds: list[int], directory: Path, package_dir: Path) -> list[dict
             for r in build(workload, seed, directory / f"{workload}-{seed}").requests:
                 out.append({"key": f"{workload}.{seed}.{r.key}", "argv": r.argv,
                             "witness": r.witness})
-    out += _random_sweeps(directory)
+    out += _random_sweeps(directory) + _fixed_sweeps(directory)
     for request in list(out):
         if request["argv"][0] == "sweep":  # the last --jobs wins
             out.append(dict(request, key=request["key"] + ".jobs2",
