@@ -1,11 +1,13 @@
 """Extreme and exposed points of the unit ball in punctured Hardy spaces.
 
-Decides, for an explicitly factored unit-norm function (finite Blaschke
-inner factor times rational outer factor) with prescribed spectral holes,
-whether it is an extreme point of the unit ball — and certifies the answer:
+Decides, for an explicitly factored function (finite Blaschke inner factor
+times rational outer factor) with prescribed spectral holes, whether it is,
+at unit norm, an extreme point of the unit ball — and certifies the answer:
 non-extreme verdicts come with a perturbation witness that re-verifies from
 first principles, extreme verdicts with a kernel-uniqueness check and a
-sufficient exposedness gate.
+sufficient exposedness gate.  Every test is scale invariant, so f is taken
+as given: no decision or witness reads its norm, and ``l1_norm`` gives
+||f||_1 where it is wanted.
 """
 
 from .certificates import (
@@ -41,7 +43,6 @@ from .model import (
     PuncturedSpace,
     check_membership,
     l1_norm,
-    normalize,
     sample_member,
 )
 from .series import (

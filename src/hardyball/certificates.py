@@ -194,7 +194,8 @@ def make_witness(
     n = min(len(zeros), space.size + 1)
     if n == len(zeros):
         kernel = verdict.kernel_basis
-    else:
+    else:  # the verdict's rule, on f in range as the verdict read it
+        f = FactoredFunction(f.inner, f.outer.binary_scaled()[0])
         weights = f.taylor(space.holes, 2 * n, first=n)
         kernel = _decide_rows(weights, space, n, tol).first().kernel_basis
     canonical = np.array(canonical_kernel_vector(zeros[:n]).vector)
@@ -240,14 +241,14 @@ def verify_witness(
     grid is chosen here, never read from the witness.  Every residual is
     relative, and F's numerator is first scaled by the power of two that brings
     its largest part into [1/2, 1) (:meth:`~hardyball.model.OuterRational.binary_scaled`,
-    the rule a sweep row applies): exact, so no residual changes, and F*G neither
+    the rule every decision applies): exact, so no residual changes, and F*G neither
     overflows nor underflows, so f's scale does not matter.
     """
     failures: list[str] = []
     variation = margin = float("nan")
     nodes = 0
     try:
-        f = FactoredFunction(f.inner, f.outer.binary_scaled())
+        f = FactoredFunction(f.inner, f.outer.binary_scaled()[0])
         product = check_membership(_perturbation_product(f, witness).taylor(space.holes),
                                    space, tol)
         hole_residuals = tuple(zip(product.holes, product.residuals))

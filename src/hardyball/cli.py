@@ -10,11 +10,12 @@ certify, stderr for sweep and gen, whose stdout is data):
     input         2     well-formed input the pipeline rejects (ValueError)
     not_in_space  2     analyze: a hole coefficient is nonzero (with a residual table)
     numerics      2     circle quadrature hit its grid cap (QuadratureConvergenceError;
-                        certify runs none),
+                        analyze runs one, for normalized_scale, and certify none),
                         a function is not finite on a grid node (EvaluationError),
                         the root finder failed (RootFindingError), the
-                        normalized scale is not finite (NormalizationError), or
-                        the Taylor coefficients overflow (ExpansionOverflowError)
+                        normalized scale 1/||f||_1 is not finite and nonzero
+                        (NormalizationError), or the Taylor coefficients
+                        overflow (ExpansionOverflowError)
     io            2     an output path cannot be written (OSError)
     generator     3     gen exhausted its retries (MaxRetriesExceededError)
     (none)        141   stdout was closed by its reader, as ``| head`` does
@@ -25,6 +26,10 @@ A problem document's ``options`` are the only way to set a tolerance, so a
 report depends on its documents and flags alone; ``gen`` uses the defaults.
 Every tolerance must be a finite number > 0, a sweep has at most
 :data:`MAX_SWEEP_ROWS` rows and ``--jobs`` must be >= 1.
+
+``analyze`` passes f as given to every step; each float step reads it times a
+power of two (``model.OuterRational.binary_scaled``, exact) and reports its numbers
+for f as given.  ||f||_1 is read once, for the report's ``normalized_scale``.
 
 A sweep builds no function, factor or rational per row, only its verdict.  It
 puts each block of points (at most ``series.STACK_ELEMENTS`` Taylor coefficients)
@@ -92,24 +97,24 @@ def _membership_dict(report: model.MembershipReport) -> dict:
     }
 
 
-def _witness_report_dict(report: certificates.WitnessReport) -> dict:
-    def _f(x):
-        return float(x) if math.isfinite(x) else None  # NaN and inf -> null
+def _finite(x) -> float | None:
+    return float(x) if math.isfinite(x) else None  # NaN and inf -> null
 
+
+def _witness_report_dict(report: certificates.WitnessReport) -> dict:
     return {
         "verifies": report.verifies,
-        "h_variation": _f(report.h_variation),
-        "positivity_margin": _f(report.positivity_margin),
+        "h_variation": _finite(report.h_variation),
+        "positivity_margin": _finite(report.positivity_margin),
         "positivity_nodes": report.positivity_nodes,
-        "hole_residuals": [{"k": k, "residual": _f(r)} for k, r in report.hole_residuals],
+        "hole_residuals": [{"k": k, "residual": _finite(r)} for k, r in report.hole_residuals],
         "failures": list(report.failures),
     }
 
 
 def _delta_dict(result: extremality.DeltaResult) -> dict:
-    finite = result.delta == result.delta and abs(result.delta) != float("inf")
-    return {
-        "value": float(result.delta) if finite else "inf",
+    return {  # a delta that is not finite as its text: "inf" (m = 0), "-inf" or "nan"
+        "value": float(result.delta) if math.isfinite(result.delta) else str(result.delta),
         "status": result.status,
     }
 
@@ -139,13 +144,14 @@ def cmd_analyze(args) -> int:
         )))
         return EXIT_INPUT_ERROR
 
-    normalized, scale = model.normalize(f, tol)
-    # the verdict is scale invariant; the exact backend must see the raw
-    # coefficients (normalization rounds them off the rational member set)
-    verdict = extremality.decide_extreme(
-        f if args.exact else normalized, space, tol,
-        backend="exact" if args.exact else "svd", membership=membership,
-    )
+    # the one norm read: the report's scale 1 / ||f||_1, which no decision or witness reads
+    norm = model.l1_norm(f, tol)
+    scale = 1.0 / norm if norm else math.inf
+    if not 0.0 < scale < math.inf:
+        raise model.NormalizationError(
+            f"normalized scale 1/{norm:.17g} = {scale:g} is not finite and nonzero")
+    verdict = extremality.decide_extreme(f, space, tol, backend="exact" if args.exact else "svd",
+                                         membership=membership)
 
     status = verdict.status
     witness = None
@@ -153,9 +159,8 @@ def cmd_analyze(args) -> int:
     witness_error = None
     if status == NON_EXTREME:
         try:
-            witness = certificates.make_witness(normalized, space, verdict, tol)
-            witness_report = certificates.verify_witness(normalized, space, witness, tol,
-                                                         membership)
+            witness = certificates.make_witness(f, space, verdict, tol)
+            witness_report = certificates.verify_witness(f, space, witness, tol, membership)
         except certificates.DegenerateKernelError as exc:
             # kernel collapsed onto the canonical vector: rank call was too close
             status = BORDERLINE
@@ -163,8 +168,8 @@ def cmd_analyze(args) -> int:
 
     delta = verdict.delta  # the svd verdict's, from its weights
     if delta is None and space.size == 1 and verdict.condition_a.m <= 1:
-        delta = extremality.single_hole_delta(normalized, space.holes[0], tol)
-    exposedness = certificates.check_exposed(normalized, verdict)
+        delta = extremality.single_hole_delta(f, space.holes[0], tol)
+    exposedness = certificates.check_exposed(f, verdict)
 
     report = {
         "format_version": documents.FORMAT_VERSION,
@@ -180,7 +185,8 @@ def cmd_analyze(args) -> int:
                 "inner_degree": verdict.condition_a.m,
                 "hole_count": verdict.condition_a.M,
             },
-            "singular_values": [float(s) for s in verdict.singular_values],
+            "singular_values": [_finite(s) for s in verdict.singular_values],
+            "rank_margin": _finite(verdict.rank_margin),
             "kernel_dimension": verdict.kernel_dimension,
             "canonical_alignment": extremality.kernel_alignment(verdict, f.inner.zeros),
             "backend": verdict.backend,
@@ -268,8 +274,8 @@ def _decide_block(parsed: tuple, points: list[tuple[tuple, tuple]]) -> str:
     status[live[~member]] = "skip"
     status[live[~finite]] = overflow
     live = live[member & finite]
-    weights = model._weights_rows(zeros[live], model._binary_scale(numerator[live]), poles[live],
-                                  space.holes, 2 * m, m)
+    weights = model._weights_rows(zeros[live], model._binary_scale(numerator[live])[0],
+                                  poles[live], space.holes, 2 * m, m)
     verdicts = extremality._decide_rows(weights, space, m, tol)
     finite = np.isfinite(weights.scale)
     status[live[finite & ~verdicts.finite]] = "error:ValueError"  # a matrix that is not finite

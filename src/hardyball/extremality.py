@@ -1,7 +1,7 @@
 """The rank criterion: criterion matrix assembly, the one rank rule, verdicts.
 
-A unit-norm member f = I*F of the punctured space (holes k_1 < ... < k_M,
-inner degree m) is extreme for the unit ball iff
+A member f = I*F of the punctured space (holes k_1 < ... < k_M, inner degree
+m), taken at unit norm, is extreme for the unit ball iff
 
   (a) m <= M, and
   (b) the real 2M x (2m+1) block criterion matrix built from the Taylor
@@ -170,7 +170,7 @@ def decide_extreme(
     backend: str = "svd",
     membership: MembershipReport | None = None,
 ) -> ExtremalityVerdict:
-    """Decide extremality of f (assumed unit norm; the verdict is scale invariant).
+    """Decide extremality of f at any scale (the verdict is scale invariant).
 
     Refuses to classify functions outside the space (raises
     :class:`~hardyball.model.NotInSpaceError`).  The svd backend checks
@@ -185,14 +185,18 @@ def decide_extreme(
     is non-extreme regardless of the matrix, whose rank is still reported for
     diagnostics.  ``backend`` is either "svd" (default) or "exact"
     (Gauss-Jordan elimination on the exact criterion entries of the Gaussian
-    dyadic lift of the inputs; no tolerance, no borderline band).
+    dyadic lift of the inputs; no tolerance, no borderline band).  The svd
+    backend decides f times 2^e (:meth:`~hardyball.model.OuterRational.binary_scaled`) and
+    reports the singular values times 2^-e and delta times 2^-2e, those of f.
     """
     m = f.inner.degree
     if backend == "svd":
         if membership is None:
             membership = check_membership(f.taylor(space.holes), space, tol)
         membership.require()
-        return _decide_rows(f.taylor(space.holes, 2 * m, first=m), space, m, tol).first()
+        outer, exponent = f.outer.binary_scaled()
+        weights = FactoredFunction(f.inner, outer).taylor(space.holes, 2 * m, first=m)
+        return _decide_rows(weights, space, m, tol).first(-exponent)
     if backend != "exact":
         raise ValueError(f"unknown rank backend {backend!r}")
     # the exact rank of a function that is not an exact rational member
@@ -233,13 +237,16 @@ class RankRows(NamedTuple):
     vh: np.ndarray
     condition_a: ConditionA
 
-    def first(self) -> ExtremalityVerdict:
-        """Row 0 as a verdict; the ValueError of a matrix that is not finite."""
+    def first(self, exponent: int = 0) -> ExtremalityVerdict:
+        """Row 0 as a verdict, its singular values times 2^exponent and its delta times
+        2^(2 exponent) by ``np.ldexp`` (those of the row's function times 2^exponent); the
+        ValueError of a matrix that is not finite."""
         if not self.finite[0]:
             raise ValueError("matrix must be finite")
         rank = int(self.rank[0])
         return ExtremalityVerdict(str(self.status[0]), rank, self.vh[0, rank:], self.condition_a,
-                                  self.singular_values[0], delta=self.delta and self.delta.row(0),
+                                  np.ldexp(self.singular_values[0], exponent),
+                                  delta=self.delta and self.delta.row(0, 2 * exponent),
                                   rank_margin=float(self.rank_margin[0]))
 
 
@@ -277,14 +284,15 @@ class DeltaResult:
     """Single-hole fast path: delta = |c_{k-2}|^2 - |c_k|^2 decides rank 2.  ``ratio`` is
     delta / (|c_{k-2}|^2 + |c_k|^2), in [-1, 1] and free of f's scale; the test compares its
     modulus with tol.delta (nan where both squares vanish or overflow).  :func:`_delta` gives
-    arrays, one entry per row, and ``row`` reads one."""
+    arrays, one entry per row, and ``row`` reads one, its delta times 2^exponent."""
 
     delta: float
     status: str
     ratio: float
 
-    def row(self, i: int) -> "DeltaResult":
-        return DeltaResult(float(self.delta[i]), str(self.status[i]), float(self.ratio[i]))
+    def row(self, i: int, exponent: int = 0) -> "DeltaResult":
+        return DeltaResult(float(np.ldexp(self.delta[i], exponent)), str(self.status[i]),
+                           float(self.ratio[i]))
 
 
 def single_hole_delta(
@@ -293,15 +301,19 @@ def single_hole_delta(
     """Determinant shortcut for one hole and inner degree <= 1.
 
     For m = 1 the criterion matrix has rank 2 iff delta != 0; the relative
-    sign test uses |delta| > tol.delta * (|c_{k-2}|^2 + |c_k|^2).  For m = 0
-    the function is outer, always extreme: delta and its ratio are the +inf sentinel.
+    sign test uses |delta| > tol.delta * (|c_{k-2}|^2 + |c_k|^2), on f times
+    2^e (:meth:`~hardyball.model.OuterRational.binary_scaled`), and delta is
+    reported times 2^-2e, that of f.  For m = 0 the function is outer, always
+    extreme: delta and its ratio are the +inf sentinel.
     """
     m = f.inner.degree
     if m not in (0, 1):
         raise ValueError(f"single-hole shortcut needs inner degree 0 or 1, got {m}")
     if m == 0:
         return DeltaResult(float("inf"), EXTREME, float("inf"))
-    return _delta(f.taylor((k,), 2, first=1).windows[None], tol).row(0)
+    outer, exponent = f.outer.binary_scaled()
+    window = FactoredFunction(f.inner, outer).taylor((k,), 2, first=1).windows
+    return _delta(window[None], tol).row(0, -2 * exponent)
 
 
 def _delta(windows: np.ndarray, tol: Tolerances = DEFAULT) -> DeltaResult:

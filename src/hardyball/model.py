@@ -51,7 +51,7 @@ class RootFindingError(RuntimeError):
 
 
 class NormalizationError(RuntimeError):
-    """The unit-norm rescaling of a function is not finite (a subnormal norm)."""
+    """The normalized scale 1/||f||_1 of a function is not finite and nonzero (a subnormal norm)."""
 
 
 @dataclass(frozen=True)
@@ -140,19 +140,14 @@ class OuterRational(Rational):
     def circle_roots(self) -> tuple[complex, ...]:
         return tuple(r for r in self.roots if abs(abs(r) - 1.0) <= ROOT_TOL)
 
-    def scale(self, s: complex) -> "OuterRational":
-        """The factor times a nonzero constant, with the same roots: a constant moves none."""
-        return self._with_numerator(tuple(complex(s * c) for c in self.numerator))
-
-    def binary_scaled(self) -> "OuterRational":
-        """The factor times the power of two :func:`_binary_scale` picks, with the same roots."""
-        numerator, = _binary_scale(np.array([self.numerator], dtype=complex))
-        return self._with_numerator(tuple(numerator.tolist()))
-
-    def _with_numerator(self, numerator: tuple[complex, ...]) -> "OuterRational":
+    def binary_scaled(self) -> tuple["OuterRational", int]:
+        """The factor times the power of two 2^e that :func:`_binary_scale` picks, with the same
+        roots (a constant moves none), and e: every decision is scale invariant, and each float
+        step reads f in range this way, exactly."""
+        (numerator,), (exponent,) = _binary_scale(np.array([self.numerator], dtype=complex))
         scaled = copy.copy(self)
-        object.__setattr__(scaled, "numerator", numerator)
-        return scaled
+        object.__setattr__(scaled, "numerator", tuple(numerator.tolist()))
+        return scaled, int(exponent)
 
 
 def _cluster(roots: list[complex]) -> tuple[complex, ...]:
@@ -361,35 +356,18 @@ def _alpha(roots: Sequence[complex], poles: Sequence[complex]) -> float:
                default=math.inf)
 
 
-def normalize(f: FactoredFunction, tol: Tolerances = DEFAULT) -> tuple[FactoredFunction, float]:
-    """Rescale the outer numerator so the product has unit circle average.
-
-    Returns (normalized function, applied scale).  Only the outer factor is
-    touched, preserving the factorization shape.
-    """
-    norm = l1_norm(f, tol)
-    if norm == 0:
-        raise ValueError("cannot normalize the zero function")
-    scale = 1.0 / norm
-    outer = f.outer.scale(scale)
-    if not (math.isfinite(scale) and np.isfinite(outer.numerator).all()):
-        raise NormalizationError(
-            f"normalized scale 1/{norm:.17g} = {scale:g} leaves the outer numerator non-finite")
-    return FactoredFunction(f.inner, outer), scale
-
-
-def _binary_scale(numerator: np.ndarray) -> np.ndarray:
-    """Rows of outer numerators (shape (r, L)), each times the power of two that brings its
-    largest real or imaginary part into [1/2, 1).  That is exact short of subnormals, so every
-    relative test (membership, the rank rule, the determinant) reads the same bits at any
-    scale of f, and no expansion overflows or underflows for the scale alone.  The power is
-    applied by ``np.ldexp``: as a factor, 2^e overflows from e = 1024 on."""
+def _binary_scale(numerator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of outer numerators (shape (r, L)), each times the power of two 2^e that brings its
+    largest real or imaginary part into [1/2, 1), and each row's e.  That is exact short of
+    subnormals, so every relative test (membership, the rank rule, the determinant) reads the
+    same bits at any scale of f, and no expansion overflows or underflows for the scale alone.
+    The power is applied by ``np.ldexp``: as a factor, 2^e overflows from e = 1024 on."""
     top = np.maximum(abs(numerator.real), abs(numerator.imag)).max(axis=-1, initial=0.0)
-    exponent = -np.frexp(top)[1][:, None]
+    exponent = -np.frexp(top)[1]
     scaled = np.empty(numerator.shape, dtype=complex)
-    scaled.real = np.ldexp(numerator.real, exponent)
-    scaled.imag = np.ldexp(numerator.imag, exponent)
-    return scaled
+    scaled.real = np.ldexp(numerator.real, exponent[:, None])
+    scaled.imag = np.ldexp(numerator.imag, exponent[:, None])
+    return scaled, exponent
 
 
 # the generator redraws when numerator roots come this close to the circle:
@@ -407,7 +385,8 @@ def sample_member(
     seed: int,
     tol: Tolerances = DEFAULT,
 ) -> FactoredFunction:
-    """Draw a random unit-norm member of the punctured space with the given factor shape.
+    """Draw a random member of the punctured space with the given factor shape, its outer
+    numerator's largest part in [1/2, 1) (:meth:`OuterRational.binary_scaled`).
 
     The hole constraints are linear in the outer numerator coefficients, so a
     random draw is projected onto their null space and kept if the projected
@@ -423,15 +402,10 @@ def sample_member(
         raise ValueError("numerator degree must be >= 0")
 
     # weight function I / prod(1 - conj(b) z): coefficient t of the numerator
-    # contributes w_{k-t} to the k-th Taylor coefficient of f.  w_0..w_{k_max} is read as one
-    # window, which the full scan gives: a seed's member does not move with the rounding of
-    # the jump to far holes
-    weight = Rational((1,), inner.zeros + den, inner.zeros).taylor(
-        (space.k_max,), space.k_max).windows[0]
-    constraints = np.array(
-        [[weight[k - t] if t <= k else 0j for t in range(d + 1)] for k in space.holes],
-        dtype=complex,
-    )
+    # contributes w_{k-t} to the k-th Taylor coefficient of f, so row k is the window
+    # w_{k-d..k} reversed
+    constraints = Rational((1,), inner.zeros + den, inner.zeros).taylor(
+        space.holes, d).windows[:, ::-1]
     if constraints.size:
         _, s, vh = np.linalg.svd(constraints)
         cutoff = max(constraints.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
@@ -454,7 +428,7 @@ def sample_member(
             continue
         if any(abs(r) < 1.0 + _SAMPLE_CIRCLE_MARGIN for r in outer.roots):
             continue  # too close to the circle to quadrature well
-        member, _ = normalize(FactoredFunction(inner, outer), tol)
+        member = FactoredFunction(inner, outer.binary_scaled()[0])
         check_membership(member.taylor(space.holes), space, tol).require()
         return member
     raise MaxRetriesExceededError(

@@ -12,12 +12,15 @@ verdict on it, :func:`hole_constraint_value` is the
 independent audit oracle of its entries,
 :class:`FractionGaussian` the reference exact ring and :func:`direct_defects`
 the oracle of the exact membership defects, and :func:`endpoint_norms` the
-oracle of the midpoint identity behind a witness.  :data:`EVERY_BRANCH_TEMPLATE` is
-a sweep template whose rows take every branch of the sweep.
+oracle of the midpoint identity behind a witness.  :func:`normalize` gives the
+unit-norm member the paper's statements take, which the library never forms.
+:data:`EVERY_BRANCH_TEMPLATE` is a sweep template whose rows take every branch
+of the sweep.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from unittest import mock
 
@@ -32,8 +35,8 @@ from hardyball import (
     PuncturedSpace,
     SymmetricPolynomial,
     converged_circle_mean,
+    l1_norm,
     model,
-    normalize,
     sample_member,
     witness_h_values,
 )
@@ -74,6 +77,20 @@ EVERY_BRANCH_TEMPLATE = {
     "inner_constant": [0.6, -0.8], "outer_denominator": [[0.5, 0.0]],
     "outer_numerator": [[1.25, 0.0], [-1.0, 0.0], ["t", 0.0], ["t", 0.0]],
 }
+
+
+def scaled(f: FactoredFunction, s: complex) -> FactoredFunction:
+    """f with its outer numerator times a nonzero constant s, the roots kept: a constant
+    moves none, so no second root find runs."""
+    outer = copy.copy(f.outer)
+    object.__setattr__(outer, "numerator", tuple(complex(s * c) for c in f.outer.numerator))
+    return FactoredFunction(f.inner, outer)
+
+
+def normalize(f: FactoredFunction, tol=DEFAULT) -> tuple[FactoredFunction, float]:
+    """(f / ||f||_1, 1 / ||f||_1): f at unit norm, its outer numerator rescaled."""
+    scale = 1.0 / l1_norm(f, tol)
+    return scaled(f, scale), scale
 
 
 def quick_sample_member(*args):

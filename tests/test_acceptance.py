@@ -24,7 +24,6 @@ from hardyball import (
     decide_extreme,
     kernel_alignment,
     make_witness,
-    normalize,
     single_hole_delta,
     verify_witness,
     witness_h_values,
@@ -37,6 +36,7 @@ from _instances import (
     endpoint_norms,
     expansion_of,
     hole_constraint_value,
+    normalize,
     overflow_member,
     quick_sample_member,
     random_member,

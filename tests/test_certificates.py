@@ -18,13 +18,13 @@ from hardyball import (
     circle_nodes,
     decide_extreme,
     make_witness,
-    normalize,
     verify_witness,
     witness_h_values,
 )
 from hardyball.certificates import DEGREE_OVERFLOW_PATH, KERNEL_PATH, POSITIVITY_MAX_NODES
 
-from _instances import endpoint_norms, overflow_member, single_hole_locus_member, taylor
+from _instances import (endpoint_norms, normalize, overflow_member, single_hole_locus_member,
+                        taylor)
 
 
 def factored(zeros, numerator, den=()):

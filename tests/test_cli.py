@@ -524,7 +524,7 @@ def per_row_sweep_csv(template, names, specs):
                 if not membership.passed:
                     writer.writerow(row + ["skip", "", "", ""])
                     continue
-                f = model.FactoredFunction(f.inner, f.outer.binary_scaled())
+                f = model.FactoredFunction(f.inner, f.outer.binary_scaled()[0])
                 verdict = extremality.decide_extreme(f, space, tol, membership=membership)
                 m, sigmas = verdict.condition_a.m, verdict.singular_values
                 ratio = margin = ""
@@ -663,6 +663,72 @@ def test_rank_margin_reads_the_rank_rule(tmp_path, capsys):
     assert all(0.1 <= float(row["rank_margin"]) <= 10 for row in rows)
 
 
+def test_analyze_reports_the_rank_margin_of_the_sweep_row(tmp_path, capsys):
+    # the README template z (1 + beta z^2) with hole {2}: analyze of each point reports the
+    # rank_margin its sweep row prints, bit for bit; null for m = 0 and the exact backend
+    template = problem_doc([[1.0, 0.0], [0.0, 0.0], ["beta", 0.0]])
+    assert main(["sweep", write(tmp_path / "t.json", template), "--param", "beta",
+                 "--range=-1:1:0.125"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 17 and {row["status"] for row in rows} == {"extreme", "non_extreme"}
+    for row in rows:
+        prob = write(tmp_path / "p.json", problem_doc([[1.0, 0.0], [0.0, 0.0],
+                                                       [float(row["beta"]), 0.0]]))
+        main(["analyze", prob])
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["status"] == row["status"]
+        assert verdict["rank_margin"] == float(row["rank_margin"])
+    for extra, flags in (({"zeros": (), "holes": (1,)}, []), ({}, ["--exact"])):
+        main(["analyze", write(tmp_path / "p.json", problem_doc(EXTREME_NUM, **extra)), *flags])
+        assert json.loads(capsys.readouterr().out)["verdict"]["rank_margin"] is None
+
+
+@pytest.mark.parametrize("numerator, holes, zeros, flags, status", [
+    pytest.param(NON_EXTREME_NUM, (2,), ((0.0, 0.0),), [], "non_extreme", id="non_extreme-kernel"),
+    pytest.param(NON_EXTREME_NUM, (3,), ((0.0, 0.0),) * 2, [], "non_extreme",
+                 id="non_extreme-overflow"),
+    pytest.param([[1.0, 0.0], [0.0, 0.0], [0.25, 0.1], [-0.2, 0.0]], (2, 5), ((0.0, 0.0),), [],
+                 "extreme", id="extreme"),
+    pytest.param(EXTREME_NUM, (2,), ((0.0, 0.0),), ["--exact"], "extreme", id="exact-dyadic"),
+])
+def test_analyze_reports_f_as_given(numerator, holes, zeros, flags, status, tmp_path, capsys):
+    # the numerator times 2^j: every decision and the witness read f times the same power of
+    # two, so the verdict, the witness and its report keep their bytes, and the numbers of f
+    # move with it, exactly: the singular values and the largest coefficient by 2^j, delta by
+    # 2^2j and normalized_scale by 2^-j
+    reports, witnesses = {}, {}
+    for j in (0, -300, 300):
+        doc = problem_doc([[np.ldexp(x, j) for x in c] for c in numerator], holes=holes,
+                          zeros=zeros)
+        witness = tmp_path / f"w{j}.json"
+        main(["analyze", write(tmp_path / "p.json", doc), "--witness-out", str(witness), *flags])
+        reports[j] = json.loads(capsys.readouterr().out)
+        witnesses[j] = witness.read_bytes() if witness.exists() else None
+    base = reports[0]
+    assert base["verdict"]["status"] == status
+    assert (witnesses[0] is not None) == (status != "extreme")
+    assert base["verdict"]["singular_values"] or "--exact" in flags
+    for j in (-300, 300):
+        report, verdict = reports[j], dict(reports[j]["verdict"])
+        assert witnesses[j] == witnesses[0]
+        assert verdict.pop("singular_values") == [np.ldexp(s, j) for s in
+                                                  base["verdict"]["singular_values"]]
+        assert verdict == {k: v for k, v in base["verdict"].items() if k != "singular_values"}
+        assert report["normalized_scale"] == np.ldexp(base["normalized_scale"], -j)
+        membership = dict(report["membership"])
+        largest = base["membership"]["max_coefficient"]
+        assert membership.pop("max_coefficient") == np.ldexp(largest, j)
+        assert membership == {k: v for k, v in base["membership"].items()
+                              if k != "max_coefficient"}
+        if base["delta"] is not None:
+            assert report["delta"] == dict(base["delta"],
+                                           value=np.ldexp(base["delta"]["value"], 2 * j))
+        else:
+            assert report["delta"] is None
+        for key in ("exposedness", "witness", "witness_report"):
+            assert report[key] == base[key]
+
+
 GEN_SPEC = {
     "format_version": 1,
     "type": "gen_spec",
@@ -736,9 +802,9 @@ def test_usage_error_leaves_no_parser_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "certify"])
 def test_quadrature_non_convergence_is_a_numerics_error(command, tmp_path, capsys):
-    # analyze normalizes f, and no circle mean of |f| for f = z (z - 1.0000001), whose root
-    # lies 1e-7 outside the circle, stabilises to 1e-30: a numerics error.  certify runs no
-    # circle mean, so the same tolerance leaves the sine witness of z (1 + z^2) verified
+    # analyze reads ||f||_1 for its report, and no circle mean of |f| for f = z (z - 1.0000001),
+    # whose root lies 1e-7 outside the circle, stabilises to 1e-30: a numerics error.  certify
+    # runs no circle mean, so the same tolerance leaves the sine witness of z (1 + z^2) verified
     options = {"tol_quad": 1e-30}
     near_root = write(tmp_path / "n.json", problem_doc([[-1.0000001, 0.0], [1.0, 0.0]],
                                                        holes=(3,), options=options))
@@ -850,7 +916,7 @@ def test_float_analyze_at_the_largest_hole_scans_only_heads(tmp_path, capsys, sc
 
 
 def test_subnormal_norm_is_a_numerics_error(tmp_path, capsys):
-    # 1 / 5e-324 overflows: the normalized factor cannot be represented
+    # 1 / 5e-324 overflows: the report's normalized scale 1 / ||f||_1 is not finite
     prob = write(tmp_path / "p.json", problem_doc([[5e-324, 0.0]], holes=(), zeros=()))
     assert main(["analyze", prob]) == 2
     report = json.loads(capsys.readouterr().out)
@@ -923,7 +989,7 @@ def test_single_hole_delta_reads_the_verdict_weights(tmp_path, capsys, expansion
 
 def test_analyze_delta_has_the_bits_of_the_scalar_formula(tmp_path, capsys):
     # one-hole members of inner degree 1: the verdict's stacked determinant test reports the
-    # delta of abs(c) ** 2 on the windows of the normalized function, bit for bit
+    # delta of abs(c) ** 2 on the windows of f times 2^e, times 2^-2e, bit for bit
     from _instances import single_hole_member
 
     for seed in range(12):
@@ -932,10 +998,11 @@ def test_analyze_delta_has_the_bits_of_the_scalar_formula(tmp_path, capsys):
         assert main(["analyze", write(tmp_path / "p.json", doc)]) in (0, 10, 11)
         report = json.loads(capsys.readouterr().out)
         problem = documents.parse_problem(doc, source="p.json")
-        f, _ = model.normalize(problem.function, problem.tolerances)
-        window = f.taylor(space.holes, 2, first=1).windows
+        f = problem.function
+        outer, exponent = f.outer.binary_scaled()
+        window = model.FactoredFunction(f.inner, outer).taylor(space.holes, 2, first=1).windows
         delta = abs(window[0, 0]) ** 2 - abs(window[0, 2]) ** 2
-        assert report["delta"]["value"] == float(delta) != 0
+        assert report["delta"]["value"] == np.ldexp(delta, -2 * exponent) != 0
 
 
 def test_analyze_runs_one_recurrence_per_operator(tmp_path, capsys, expansions):
@@ -961,8 +1028,8 @@ def test_certificate_runs_no_circle_mean(command, recurrences, means, tmp_path, 
                                          expansions, circle_means):
     # z^2 (1 + z^2) with hole {3}: non-extreme by degree overflow (m = M + 1), so the witness
     # comes from the verdict's kernel.  analyze expands f (membership), f / P_2 (the matrix)
-    # and F * G (the witness) and integrates |f| once, to normalize; certify expands f and
-    # F * G and integrates nothing
+    # and F * G (the witness) and integrates |f| once, for the report's normalized_scale;
+    # certify expands f and F * G and integrates nothing
     prob = write(tmp_path / "p.json", problem_doc(NON_EXTREME_NUM, holes=(3,),
                                                   zeros=((0.0, 0.0),) * 2))
     wit = str(tmp_path / "w.json")
@@ -995,8 +1062,8 @@ def root_finds(monkeypatch):
 
 @pytest.mark.parametrize("command, finds", [("analyze", 1), ("certify", 1), ("sweep", 3)])
 def test_one_root_find_per_outer_factor(command, finds, tmp_path, capsys, root_finds):
-    # the outer factor finds its roots when it is built, and normalizing,
-    # the exposedness gate and the witness checks reuse them
+    # the outer factor finds its roots when it is built, and the power-of-two scaling,
+    # the circle mean of |f|, the exposedness gate and the witness checks reuse them
     if command == "analyze":
         # 1 + z^2 with hole {1}: extreme, with circle roots +-i
         prob = write(tmp_path / "p.json", problem_doc([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],

@@ -28,7 +28,7 @@ from hardyball.series import expand
 
 from _instances import (criterion_matrix, dense, direct_defects, fraction_lift,
                         hole_constraint_value, random_member, random_zeros, rule_verdict,
-                        single_hole_member, taylor, windows_of)
+                        scaled, single_hole_member, taylor, windows_of)
 
 
 def factored(zeros, numerator, den=()):
@@ -162,16 +162,14 @@ class TestDecideExtreme:
 
     def test_scale_invariance(self):
         member, space = single_hole_member(17)
-        scaled = FactoredFunction(member.inner, member.outer.scale(3.7))
         a = decide_extreme(member, space)
-        b = decide_extreme(scaled, space)
+        b = decide_extreme(scaled(member, 3.7), space)
         assert a.status == b.status and a.rank == b.rank
 
     def test_rotation_invariance(self):
         member, space = single_hole_member(23)
-        rotated = FactoredFunction(member.inner, member.outer.scale(np.exp(1.3j)))
         a = decide_extreme(member, space)
-        b = decide_extreme(rotated, space)
+        b = decide_extreme(scaled(member, np.exp(1.3j)), space)
         assert a.status == b.status and a.rank == b.rank
 
     def test_near_locus_is_borderline(self):

@@ -16,12 +16,11 @@ from hardyball import (
     decide_extreme,
     l1_norm,
     model,
-    normalize,
     sample_member,
 )
 from hardyball.documents import DocumentError, parse_problem
 
-from _instances import dense, random_zeros, taylor
+from _instances import dense, normalize, random_zeros, taylor
 
 
 def numerator_roots(coefficients):
@@ -315,12 +314,18 @@ class TestNormalize:
         assert l1_norm(f) == pytest.approx(2.0, rel=4 * np.finfo(float).eps)
 
     def test_scaled_factor_keeps_its_roots(self, monkeypatch):
+        # the power of two every decision reads f at: 1 + z^2 times 2^-1
         f = factored([0.2], [1.0, 0.0, 1.0])  # circle roots +-i
         monkeypatch.setattr(model, "_roots_rows", None)  # no second root find
-        g, scale = normalize(f)
-        assert g.outer.roots == f.outer.roots
-        assert g.outer.circle_roots == f.outer.circle_roots and len(g.outer.circle_roots) == 2
-        assert g.outer.numerator == tuple(scale * c for c in f.outer.numerator)
+        outer, exponent = f.outer.binary_scaled()
+        assert outer.roots == f.outer.roots
+        assert outer.circle_roots == f.outer.circle_roots and len(outer.circle_roots) == 2
+        assert exponent == -1 and outer.numerator == (0.5, 0.0, 0.5)
+
+
+def assert_binary_scaled(f):
+    """The largest real or imaginary part of f's outer numerator lies in [1/2, 1)."""
+    assert 0.5 <= np.abs(np.array(f.outer.numerator).view(float)).max() < 1
 
 
 class TestSampleMember:
@@ -336,7 +341,7 @@ class TestSampleMember:
             member = sample_member(space, [0.1 * seed], [], 4, seed=seed)
             assert membership(member, space).passed
             assert np.abs(numerator_roots(member.outer.numerator)).min() > 1.0
-            assert l1_norm(member) == pytest.approx(1.0, abs=1e-9)
+            assert_binary_scaled(member)
 
     def test_deterministic_per_seed(self):
         a = sample_member(PuncturedSpace((3,)), [0.2], [], 3, seed=9)
@@ -351,7 +356,18 @@ class TestSampleMember:
 
     def test_unconstrained_space(self):
         member = sample_member(PuncturedSpace(()), [], [], 2, seed=5)
-        assert l1_norm(member) == pytest.approx(1.0, abs=1e-9)
+        assert membership(member, PuncturedSpace(())).passed
+        assert_binary_scaled(member)
+
+    def test_a_far_hole_reads_windows_and_integrates_nothing(self, scans, circle_means):
+        # holes {4, 10^6}: the constraints and the member check read their windows off heads
+        # of the expansions, and the member is scaled by a power of two, not by a mean of |f|
+        space = PuncturedSpace((4, 10 ** 6))
+        member = sample_member(space, (0.6 + 0.2j, -0.5j), (0.4,), 3, seed=2)
+        assert scans and max(n for _, n in scans) <= 4096
+        assert not circle_means
+        assert membership(member, space).passed
+        assert_binary_scaled(member)
 
 
 class TestPuncturedSpace:

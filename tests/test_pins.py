@@ -68,35 +68,35 @@ ZERO_AT_FIRST_HOLE = dict(README_PROBLEM, holes=[2, 3, 40],
 
 PINS = {
     "analyze_certify_degree_overflow": {
-        "stdout": "f171e502b4f9f63dc9c76b1d90ddee379d65901a661f803d71607528b23b62a3",
+        "stdout": "33e1df743f3fb2f7e64e9d94ad1b3c7cba345880d01dabb3ebc6e3f66ae32d03",
         "witness": "3654eddda0d8b70857e3b6a39acf1c0c3a899855644a03098437fe6e5322dbf7",
         "certify": "3b9024f35fccaf2520ebfbe28cc8c919bf643e6f7e1ba67c6407463158acb715",
     },
     "analyze_exact_float_member_rejected": {
-        "stdout": "a7037d3cb43be55bc3c8ac561196b896e32ffc78c87765667ffe4eff601460f0",
+        "stdout": "07cc552cb012c1d4ba8641b1d264fa7a952cf31edf10cc1c34f9be539778dd60",
     },
     "analyze_exact_zero_at_first_hole_rejected": {
         "stdout": "d23309c4ae5a18077dfa7324280f23ac5e61302b59eb3abf124b0a67e434a633",
     },
     "analyze_exact_far_member": {
-        "stdout": "36836ed7d3026423bd01983851f896ea21ba55cb18b3f3c03d916277f27328fe",
+        "stdout": "8b59bff536ef39813e96b43d565259cc677ee476da1352d0589010d223990077",
     },
     "analyze_exact_locus_member": {
-        "stdout": "1e6a22b683a8601402bddb17af156524cb402feb9af5b5b812017e3a48ebf95c",
+        "stdout": "2e2bbae4a93af33555fc5d801aaaea157ca4bf399b329ddb4a1aad8803cc944e",
         "witness": "f0938508e9f08744940845874f894ed9bea89bd35f614cd477e5a07f1520f070",
     },
     "analyze_exact_dyadic_member": {
-        "stdout": "113d486515159e3a8aa46d430c1788bccbc8a64abd7798b076394b61dfaeaa57",
+        "stdout": "c1debef63d45f877f0a666badeec4174839d881316e262b98d54b3c5c15f16cc",
     },
     "analyze_readme_fixture": {
-        "stdout": "c8e4a2f93764306323257ca6f1d6a11f66a06074ba616f949425d4e7fd8c66f6",
+        "stdout": "b01be02e3b8316835f088c704c78431d2d9b01961f7d2c3ddf19357086fdad35",
         "witness": "e850614304a5b801cc1aee5103a2310a22b889d03855b3f2672a52715e31e654",
     },
     "certify_readme_fixture": {
         "stdout": "93e06a30b505a6020cae1155c31fdadd52607ee7384c6c3033faed00a45f14ec",
     },
     "gen_fixed_seed": {
-        "stdout": "7cd64b54bf8e7dec7df67755a088dcb9358e20c965495bc693cd05b5a99b8c7f",
+        "stdout": "4e9d85772413397b53a14ec1f1cca623a5e138ccde88a56d3dd8dfd1a29392f0",
     },
     "sweep_every_branch": {
         "stdout": "2c409eed7ecf136a08b7e8e958fe91f7089b1899b7a2c6f1b6d4a454253f5d7a",
